@@ -55,6 +55,7 @@ class BlockThomasFactorization:
     """
 
     __slots__ = ("A", "Cp", "piv", "nbytes")
+    kind = "blockthomas"
 
     def __init__(self, A, Cp, piv):
         self.A = A
@@ -77,6 +78,15 @@ class BlockThomasFactorization:
     @property
     def dtype(self):
         return self.piv.dtype
+
+    def arrays(self) -> dict:
+        """Every stored array by name (the spill-file layout)."""
+        return {"A": self.A, "Cp": self.Cp, "piv": self.piv}
+
+    @classmethod
+    def from_arrays(cls, arrays) -> "BlockThomasFactorization":
+        """Rebuild from :meth:`arrays`' layout."""
+        return cls(arrays["A"], arrays["Cp"], arrays["piv"])
 
     @classmethod
     def factor(cls, A, B, C) -> "BlockThomasFactorization":
@@ -117,14 +127,15 @@ class BlockThomasFactorization:
             )
         if out is None:
             out = np.empty_like(d)
-        self.solve_shard(d, out, 0, self.m)
+        self.solve_shard(None, d, out, 0, self.m)
         return out
 
-    def solve_shard(self, d, out, lo: int, hi: int) -> None:
+    def solve_shard(self, ws, d, out, lo: int, hi: int) -> None:
         """Sweep systems ``lo:hi`` into ``out[lo:hi]``.
 
         Stacked ``matmul`` / ``linalg.solve`` treat each system
         independently, so shard results do not depend on the bounds.
+        The sweep allocates its own scratch; ``ws`` is unused.
         """
         s = slice(lo, hi)
         n = self.n

@@ -188,6 +188,65 @@ class HybridFactorization:
     level_factors: list = field(default_factory=list)  # [(k1, k2), ...]
     reduced: ThomasFactorization | None = None
 
+    kind = "hybrid"
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of stored elimination state."""
+        red = self.reduced
+        return (
+            sum(k1.nbytes + k2.nbytes for k1, k2 in self.level_factors)
+            + red.a.nbytes + red.cp.nbytes + red.inv_denom.nbytes
+        )
+
+    def arrays(self) -> dict:
+        """Every stored array by name (the spill-file layout)."""
+        named = {"k": np.array(self.k)}
+        for i, (k1, k2) in enumerate(self.level_factors):
+            named[f"lvl{i}_k1"] = k1
+            named[f"lvl{i}_k2"] = k2
+        red = self.reduced
+        named.update(red_a=red.a, red_cp=red.cp, red_inv_denom=red.inv_denom)
+        return named
+
+    @classmethod
+    def from_arrays(cls, arrays) -> "HybridFactorization":
+        """Rebuild from :meth:`arrays`' layout."""
+        k = int(arrays["k"])
+        return cls(
+            k=k,
+            level_factors=[
+                (arrays[f"lvl{i}_k1"], arrays[f"lvl{i}_k2"]) for i in range(k)
+            ],
+            reduced=ThomasFactorization(
+                a=arrays["red_a"],
+                cp=arrays["red_cp"],
+                inv_denom=arrays["red_inv_denom"],
+            ),
+        )
+
+    def solve_shard(self, ws, d, out, lo: int, hi: int) -> None:
+        """RHS-only solve of batch rows ``[lo, hi)`` into ``out``.
+
+        Runs on a zero-copy row view: level factors slice along the
+        batch axis, and the reduced interleaved rows of batch row ``i``
+        are ``[i·g, (i+1)·g)``.  Elementwise along ``M`` throughout, so
+        a shard produces the exact bits the whole-batch solve would.
+        ``ws.scratch_for(lo, hi)`` supplies the shard's buffers.
+        """
+        g = 1 << self.k
+        red = self.reduced
+        rows = HybridFactorization(
+            k=self.k,
+            level_factors=[(k1[lo:hi], k2[lo:hi]) for k1, k2 in self.level_factors],
+            reduced=ThomasFactorization(
+                a=red.a[lo * g : hi * g],
+                cp=red.cp[lo * g : hi * g],
+                inv_denom=red.inv_denom[lo * g : hi * g],
+            ),
+        )
+        rows.solve(d[lo:hi], out=out[lo:hi], scratch=ws.scratch_for(lo, hi))
+
     @classmethod
     def factor(
         cls, a, b, c, *, k: int | None = None, check: bool = True
@@ -445,15 +504,10 @@ class CyclicFactorization:
         One core RHS-only sweep plus the precomputed rank-one update.
         ``check=True`` refuses to apply a singular correction.
         """
-        if check and self.singular.size:
-            from repro.core.periodic import CyclicSingularError, _describe_rows
+        from repro.core.periodic import apply_cyclic_correction, refuse_singular
 
-            raise CyclicSingularError(
-                "singular Sherman–Morrison correction in batch row(s) "
-                f"{_describe_rows(self.singular)} — re-factor with "
-                "check=False for NaN output"
-            )
-        from repro.core.periodic import apply_cyclic_correction
+        if check:
+            refuse_singular(self.singular)
 
         y = self.core.solve(d, scratch=scratch)
         return apply_cyclic_correction(y, self.q, self.w, self.scale, out=out)

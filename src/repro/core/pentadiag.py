@@ -54,6 +54,7 @@ class PentaFactorization:
     """
 
     __slots__ = ("te", "beta", "alpha", "gamma", "delta", "nbytes")
+    kind = "penta"
 
     def __init__(self, te, beta, alpha, gamma, delta):
         self.te = te
@@ -76,6 +77,21 @@ class PentaFactorization:
     @property
     def dtype(self):
         return self.alpha.dtype
+
+    def arrays(self) -> dict:
+        """Every stored array by name (the spill-file layout)."""
+        return {
+            "te": self.te, "beta": self.beta, "alpha": self.alpha,
+            "gamma": self.gamma, "delta": self.delta,
+        }
+
+    @classmethod
+    def from_arrays(cls, arrays) -> "PentaFactorization":
+        """Rebuild from :meth:`arrays`' layout."""
+        return cls(
+            arrays["te"], arrays["beta"], arrays["alpha"],
+            arrays["gamma"], arrays["delta"],
+        )
 
     @classmethod
     def factor(cls, e, a, b, c, f) -> "PentaFactorization":
@@ -126,14 +142,15 @@ class PentaFactorization:
             )
         if out is None:
             out = np.empty_like(d)
-        self.solve_shard(d, out, 0, self.m)
+        self.solve_shard(None, d, out, 0, self.m)
         return out
 
-    def solve_shard(self, d, out, lo: int, hi: int) -> None:
+    def solve_shard(self, ws, d, out, lo: int, hi: int) -> None:
         """Sweep systems ``lo:hi`` of the batch into ``out[lo:hi]``.
 
         Every operation is elementwise along the batch axis, so shard
-        results are bitwise independent of the shard bounds.
+        results are bitwise independent of the shard bounds.  The sweep
+        allocates its own scratch; ``ws`` is unused.
         """
         s = slice(lo, hi)
         n = self.n

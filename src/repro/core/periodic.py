@@ -61,6 +61,7 @@ __all__ = [
     "correction_denominator",
     "correction_scale",
     "cyclic_reduce",
+    "refuse_singular",
     "singular_rows",
     "solve_periodic",
     "solve_periodic_batch",
@@ -149,6 +150,20 @@ def _describe_rows(bad: np.ndarray) -> str:
     rows = ", ".join(str(i) for i in bad[:8])
     more = "" if bad.size <= 8 else f" (+{bad.size - 8} more)"
     return f"[{rows}]{more}"
+
+
+def refuse_singular(rows: np.ndarray) -> None:
+    """Raise :class:`CyclicSingularError` if ``rows`` names any batch row.
+
+    A factorization built with ``check=False`` keeps NaN scales for its
+    singular rows; solving it under ``check=True`` must refuse instead.
+    """
+    if rows.size:
+        raise CyclicSingularError(
+            "singular Sherman–Morrison correction in batch row(s) "
+            f"{_describe_rows(rows)} — re-factor with "
+            "check=False for NaN output"
+        )
 
 
 def correction_scale(denom, n: int, *, check: bool = True) -> np.ndarray:

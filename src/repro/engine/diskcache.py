@@ -30,8 +30,11 @@ import os
 import tempfile
 import threading
 import time
+import zipfile
 
 import numpy as np
+
+from repro.engine.prepared import factorization_arrays, factorization_from_arrays
 
 __all__ = ["FactorizationDiskCache"]
 
@@ -40,6 +43,17 @@ __all__ = ["FactorizationDiskCache"]
 DEFAULT_MAX_BYTES = 256 * 1024 * 1024
 
 _SUFFIX = ".npz"
+
+#: what ``np.load`` + rebuild raise on a torn, truncated, byte-damaged
+#: or stale ``.npz`` (a bad CRC or zip header surfaces as any of these)
+_UNREADABLE = (
+    OSError,
+    EOFError,
+    KeyError,
+    ValueError,
+    NotImplementedError,
+    zipfile.BadZipFile,
+)
 
 
 def _key_filename(key: tuple) -> str:
@@ -58,110 +72,6 @@ def _key_filename(key: tuple) -> str:
     if system:
         tag = f"-{system}{tag}"
     return f"{digest}-{m}x{n}-{dtype}-k{k}{tag}{_SUFFIX}"
-
-
-def _pack(fact, payload: dict, prefix: str = "") -> None:
-    """Flatten a factorization into ``payload`` arrays under ``prefix``."""
-    from repro.core.blocktridiag import BlockThomasFactorization
-    from repro.core.factorize import HybridFactorization, ThomasFactorization
-    from repro.core.pentadiag import PentaFactorization
-    from repro.engine.prepared import (
-        CyclicRhsFactorization,
-        ThomasRhsFactorization,
-    )
-
-    if isinstance(fact, ThomasRhsFactorization):
-        payload[prefix + "kind"] = np.array("thomas")
-        payload[prefix + "ta"] = fact.ta
-        payload[prefix + "cp"] = fact.cp
-        payload[prefix + "denom"] = fact.denom
-    elif isinstance(fact, PentaFactorization):
-        payload[prefix + "kind"] = np.array("penta")
-        payload[prefix + "te"] = fact.te
-        payload[prefix + "beta"] = fact.beta
-        payload[prefix + "alpha"] = fact.alpha
-        payload[prefix + "gamma"] = fact.gamma
-        payload[prefix + "delta"] = fact.delta
-    elif isinstance(fact, BlockThomasFactorization):
-        payload[prefix + "kind"] = np.array("blockthomas")
-        payload[prefix + "A"] = fact.A
-        payload[prefix + "Cp"] = fact.Cp
-        payload[prefix + "piv"] = fact.piv
-    elif isinstance(fact, HybridFactorization):
-        payload[prefix + "kind"] = np.array("hybrid")
-        payload[prefix + "k"] = np.array(fact.k)
-        for i, (k1, k2) in enumerate(fact.level_factors):
-            payload[f"{prefix}lvl{i}_k1"] = k1
-            payload[f"{prefix}lvl{i}_k2"] = k2
-        red = fact.reduced
-        payload[prefix + "red_a"] = red.a
-        payload[prefix + "red_cp"] = red.cp
-        payload[prefix + "red_inv_denom"] = red.inv_denom
-    elif isinstance(fact, CyclicRhsFactorization):
-        payload[prefix + "kind"] = np.array("cyclic")
-        payload[prefix + "q"] = fact.q
-        payload[prefix + "w"] = fact.w
-        payload[prefix + "scale"] = fact.scale
-        payload[prefix + "singular"] = fact.singular
-        _pack(fact.core, payload, prefix=prefix + "core_")
-    else:  # pragma: no cover - new kinds must be taught to spill
-        raise TypeError(f"cannot spill factorization {type(fact).__name__}")
-
-
-def _unpack(data, prefix: str = ""):
-    """Rebuild a factorization from ``_pack``'s array layout."""
-    from repro.core.blocktridiag import BlockThomasFactorization
-    from repro.core.factorize import HybridFactorization, ThomasFactorization
-    from repro.core.pentadiag import PentaFactorization
-    from repro.engine.prepared import (
-        CyclicRhsFactorization,
-        ThomasRhsFactorization,
-    )
-
-    kind = str(data[prefix + "kind"])
-    if kind == "thomas":
-        return ThomasRhsFactorization(
-            ta=data[prefix + "ta"],
-            cp=data[prefix + "cp"],
-            denom=data[prefix + "denom"],
-        )
-    if kind == "penta":
-        return PentaFactorization(
-            data[prefix + "te"],
-            data[prefix + "beta"],
-            data[prefix + "alpha"],
-            data[prefix + "gamma"],
-            data[prefix + "delta"],
-        )
-    if kind == "blockthomas":
-        return BlockThomasFactorization(
-            data[prefix + "A"],
-            data[prefix + "Cp"],
-            data[prefix + "piv"],
-        )
-    if kind == "hybrid":
-        k = int(data[prefix + "k"])
-        return HybridFactorization(
-            k=k,
-            level_factors=[
-                (data[f"{prefix}lvl{i}_k1"], data[f"{prefix}lvl{i}_k2"])
-                for i in range(k)
-            ],
-            reduced=ThomasFactorization(
-                a=data[prefix + "red_a"],
-                cp=data[prefix + "red_cp"],
-                inv_denom=data[prefix + "red_inv_denom"],
-            ),
-        )
-    if kind == "cyclic":
-        return CyclicRhsFactorization(
-            core=_unpack(data, prefix=prefix + "core_"),
-            q=data[prefix + "q"],
-            w=data[prefix + "w"],
-            scale=data[prefix + "scale"],
-            singular=data[prefix + "singular"],
-        )
-    raise ValueError(f"unknown factorization kind {kind!r} in cache file")
 
 
 class FactorizationDiskCache:
@@ -239,8 +149,7 @@ class FactorizationDiskCache:
     # -- store / load ---------------------------------------------------
     def store(self, key: tuple, fact) -> str:
         """Spill ``fact`` under ``key``; returns the file path written."""
-        payload: dict = {}
-        _pack(fact, payload)
+        payload = factorization_arrays(fact)
         path = os.path.join(self.directory, _key_filename(key))
         with self._lock:
             os.makedirs(self.directory, exist_ok=True)
@@ -272,13 +181,13 @@ class FactorizationDiskCache:
         path = os.path.join(self.directory, _key_filename(key))
         try:
             with np.load(path, allow_pickle=False) as data:
-                fact = _unpack(data)
+                fact = factorization_from_arrays(data)
         except FileNotFoundError:
             with self._lock:
                 self.misses += 1
             return None
-        except (OSError, ValueError, KeyError):
-            # torn or stale file: drop it and re-factor
+        except _UNREADABLE:
+            # torn, truncated, corrupt or stale file: drop it and re-factor
             with self._lock:
                 self.misses += 1
             try:

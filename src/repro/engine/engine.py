@@ -46,9 +46,6 @@ from repro.engine.prepared import (
     build_cyclic_factorization,
     build_factorization,
     coefficient_fingerprint,
-    factorization_nbytes,
-    rhs_only_sweep,
-    rtol_permits_hybrid_reuse,
 )
 from repro.engine.workspace import PlanWorkspace, PreparedWorkspace
 from repro.util.pools import executor_cap
@@ -342,14 +339,18 @@ class ExecutionEngine:
 
     def _store_factorization(self, key: tuple, fact, built: bool = True) -> None:
         with self._lock:
+            # two threads may build one key; the ledger holds the survivor
+            replaced = self._facts.get(key)
+            if replaced is not None:
+                self.stats.factorization_bytes -= replaced.nbytes
             self._facts[key] = fact
             self._facts.move_to_end(key)
             if built:
                 self.stats.factorizations_built += 1
-            self.stats.factorization_bytes += factorization_nbytes(fact)
+            self.stats.factorization_bytes += fact.nbytes
             while len(self._facts) > self.max_factorizations:
                 _, old = self._facts.popitem(last=False)
-                self.stats.factorization_bytes -= factorization_nbytes(old)
+                self.stats.factorization_bytes -= old.nbytes
                 self.stats.factorization_evictions += 1
 
     def _factorization_for(
@@ -627,77 +628,6 @@ class ExecutionEngine:
         adapters keep their identity (``"threaded"``, ``"prepared"``).
         """
         return self.bind(request, transient=True).step_once()
-
-    def _run_plain(
-        self,
-        plan: SolvePlan,
-        a,
-        b,
-        c,
-        d,
-        *,
-        workers: int | None = None,
-        fingerprint: bool | None = None,
-        rtol: float | None = None,
-        counters: TilingCounters | None = None,
-        out: np.ndarray | None = None,
-        stage_times: list | None = None,
-    ):
-        """Execute coerced arrays under ``plan``, fingerprint-aware.
-
-        Consults the coefficient-fingerprint cache (per the
-        ``fingerprint`` tri-state — see :meth:`solve_batch`) and runs
-        either the RHS-only factorized sweep or the full plan, sharded
-        when ``workers > 1``.  ``rtol`` is the request's accuracy
-        contract: when it clears the dtype floor, auto-mode
-        fingerprinting also engages on hybrid ``k > 0`` plans (whose
-        reuse is allclose-grade, not bitwise) — still through the
-        two-sighting ledger, so one-shot batches never pay for a
-        factorization.  Returns ``(x, factorization | None, state)``
-        where ``state`` is the trace's factorization field
-        (``"hit" / "factored" / "miss" / "off" / "n/a"``).
-        """
-        fact = None
-        fp_state = "off" if fingerprint is False else "n/a"
-        if fingerprint is not False and (
-            plan.uses_thomas
-            or fingerprint
-            or rtol_permits_hybrid_reuse(rtol, plan.dtype)
-        ):
-            t_fp = time.perf_counter()
-            digest = coefficient_fingerprint(a, b, c)
-            if stage_times is not None:
-                stage_times.append(
-                    ("fingerprint", time.perf_counter() - t_fp)
-                )
-            fact, fp_state = self._factorization_for(
-                plan, digest, a, b, c,
-                force=fingerprint is True,
-                stage_times=stage_times,
-            )
-
-        if fact is not None:
-            x = rhs_only_sweep(
-                self, plan, fact, d,
-                out=out, workers=workers, stage_times=stage_times,
-            )
-            with self._lock:
-                self.stats.solves += 1
-                self.stats.rhs_only_solves += 1
-                if workers is not None and workers > 1:
-                    self.stats.sharded_solves += 1
-            return x, fact, fp_state
-        if workers is not None and workers > 1:
-            x = self.solve_sharded(
-                plan, workers, a, b, c, d,
-                counters=counters, out=out, stage_times=stage_times,
-            )
-            return x, None, fp_state
-        x = self.execute_pooled(
-            plan, a, b, c, d,
-            counters=counters, out=out, stage_times=stage_times,
-        )
-        return x, None, fp_state
 
     # ---- thin request-building adapters ------------------------------
     def solve_batch(

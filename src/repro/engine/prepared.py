@@ -27,6 +27,16 @@ the factor/solve split; this module wires it through the engine:
   pooled :class:`~repro.engine.workspace.PreparedWorkspace` buffers,
   optionally sharded across the engine's thread pool.
 
+Every factorization the engine caches — the two above,
+:class:`CyclicRhsFactorization`,
+:class:`~repro.core.pentadiag.PentaFactorization` and
+:class:`~repro.core.blocktridiag.BlockThomasFactorization` — speaks one
+duck-typed protocol: a ``kind`` tag (:data:`FACTORIZATION_KINDS` maps
+it back to the class), ``nbytes``, ``arrays()`` / ``from_arrays()``
+(the spill-file layout), ``solve_shard(ws, d, out, lo, hi)`` and,
+optionally, the transposed-layout ``solve_shard_t``.  Bound sessions
+(:mod:`repro.engine.session`) run any of them through one shard loop.
+
 Sharding the RHS-only phase is bitwise-safe for the same reason full
 solves are (:mod:`repro.engine.executor`): every operation is
 elementwise along the batch axis, and the one global decision — ``k``
@@ -36,30 +46,37 @@ elementwise along the batch axis, and the one global decision — ``k``
 from __future__ import annotations
 
 import hashlib
-import time
 
 import numpy as np
 
-from repro.core.factorize import HybridFactorization, ThomasFactorization
+from repro.core.blocktridiag import BlockThomasFactorization
+from repro.core.factorize import HybridFactorization
+from repro.core.pentadiag import PentaFactorization
+from repro.core.periodic import (
+    apply_cyclic_correction,
+    correction_denominator,
+    correction_scale,
+    cyclic_reduce,
+    singular_rows,
+)
 from repro.core.validation import (
     check_batch_arrays,
     check_cyclic_batch_arrays,
     coerce_batch_arrays,
     coerce_cyclic_batch_arrays,
 )
-from repro.engine.executor import shard_bounds
 
 __all__ = [
     "CyclicRhsFactorization",
+    "FACTORIZATION_KINDS",
     "FINGERPRINT_RTOL_FLOOR",
     "PreparedPlan",
     "ThomasRhsFactorization",
     "build_cyclic_factorization",
     "coefficient_fingerprint",
-    "cyclic_rhs_only_sweep",
-    "factorization_nbytes",
+    "factorization_arrays",
+    "factorization_from_arrays",
     "prepare",
-    "rhs_only_sweep",
     "rtol_permits_hybrid_reuse",
 ]
 
@@ -165,12 +182,22 @@ class ThomasRhsFactorization:
     """
 
     __slots__ = ("ta", "cp", "denom", "nbytes")
+    kind = "thomas"
 
     def __init__(self, ta, cp, denom):
         self.ta = ta
         self.cp = cp
         self.denom = denom
         self.nbytes = ta.nbytes + cp.nbytes + denom.nbytes
+
+    def arrays(self) -> dict:
+        """Every stored array by name (the spill-file layout)."""
+        return {"ta": self.ta, "cp": self.cp, "denom": self.denom}
+
+    @classmethod
+    def from_arrays(cls, arrays) -> "ThomasRhsFactorization":
+        """Rebuild from :meth:`arrays`' layout."""
+        return cls(ta=arrays["ta"], cp=arrays["cp"], denom=arrays["denom"])
 
     @property
     def m(self) -> int:
@@ -257,18 +284,6 @@ class ThomasRhsFactorization:
             np.subtract(dp[i, s], t1, out=out_t[i, s])
 
 
-def factorization_nbytes(fact) -> int:
-    """Bytes of stored factorization state (for the engine's ledger)."""
-    nbytes = getattr(fact, "nbytes", None)
-    if nbytes is not None:  # Thomas / cyclic / penta / block kinds
-        return nbytes
-    nb = sum(k1.nbytes + k2.nbytes for k1, k2 in fact.level_factors)
-    red = fact.reduced
-    if red is not None:
-        nb += red.a.nbytes + red.cp.nbytes + red.inv_denom.nbytes
-    return nb
-
-
 def build_factorization(plan, a, b, c):
     """Factor coefficients for ``plan``: Thomas at ``k=0``, hybrid above."""
     if plan.uses_thomas:
@@ -276,91 +291,8 @@ def build_factorization(plan, a, b, c):
     return HybridFactorization.factor(a, b, c, k=plan.k, check=False)
 
 
-def _shard_hybrid(fact: HybridFactorization, lo: int, hi: int):
-    """A zero-copy view of rows ``[lo, hi)`` of a hybrid factorization.
-
-    Level factors slice along the batch axis; the reduced interleaved
-    system's rows for batch row ``i`` are ``[i·g, (i+1)·g)``, so the
-    view's reduced factorization is the contiguous row block
-    ``[lo·g, hi·g)``.  Elementwise along ``M`` throughout → the shard
-    produces the exact bits the full solve would.
-    """
-    g = 1 << fact.k
-    red = fact.reduced
-    return HybridFactorization(
-        k=fact.k,
-        level_factors=[(k1[lo:hi], k2[lo:hi]) for k1, k2 in fact.level_factors],
-        reduced=ThomasFactorization(
-            a=red.a[lo * g : hi * g],
-            cp=red.cp[lo * g : hi * g],
-            inv_denom=red.inv_denom[lo * g : hi * g],
-        ),
-    )
-
-
-def rhs_only_sweep(
-    engine,
-    plan,
-    fact,
-    d,
-    *,
-    out: np.ndarray | None = None,
-    workers: int | None = None,
-    stage_times: list | None = None,
-) -> np.ndarray:
-    """Run the RHS-only sweep of ``fact`` under ``plan``'s engine state.
-
-    Checks a :class:`~repro.engine.workspace.PreparedWorkspace` out of
-    the engine's pool, optionally shards the batch axis across the
-    engine's thread pool, and returns the solution.  ``d`` must be a
-    contiguous ``(M, N)`` array of the plan's dtype.
-    """
-    m, n = plan.m, plan.n
-    if out is None:
-        out = np.empty((m, n), dtype=plan.dtype)
-    shards = shard_bounds(m, workers) if workers and workers > 1 else [(0, m)]
-    ws = engine.checkout_prepared(plan)
-    t0 = time.perf_counter()
-    try:
-        if plan.uses_thomas:
-            if len(shards) == 1:
-                fact.solve_shard(ws, d, out, 0, m)
-            else:
-                pool = engine.thread_pool(len(shards))
-                list(
-                    pool.map(
-                        lambda lohi: fact.solve_shard(ws, d, out, *lohi),
-                        shards,
-                    )
-                )
-        else:
-            if len(shards) == 1:
-                fact.solve(d, out=out, scratch=ws.scratch_for(0, (0, m)))
-            else:
-
-                def run(job):
-                    idx, (lo, hi) = job
-                    _shard_hybrid(fact, lo, hi).solve(
-                        d[lo:hi],
-                        out=out[lo:hi],
-                        scratch=ws.scratch_for(idx, (lo, hi)),
-                    )
-
-                pool = engine.thread_pool(len(shards))
-                list(pool.map(run, enumerate(shards)))
-    finally:
-        engine.checkin_prepared(plan, ws)
-    if stage_times is not None:
-        kind = "thomas" if plan.uses_thomas else "hybrid"
-        tag = f" [{len(shards)} shards]" if len(shards) > 1 else ""
-        stage_times.append(
-            (f"rhs-only {kind}{tag}", time.perf_counter() - t0)
-        )
-    return out
-
-
 class CyclicRhsFactorization:
-    """Engine-layer cyclic factorization: corner-reduced core + correction.
+    """Engine-layer cyclic factorization: a core wrapped with the correction.
 
     The engine sibling of
     :class:`~repro.core.factorize.CyclicFactorization`: the core ``A'``
@@ -376,6 +308,7 @@ class CyclicRhsFactorization:
     """
 
     __slots__ = ("core", "q", "w", "scale", "singular", "nbytes")
+    kind = "cyclic"
 
     def __init__(self, core, q, w, scale, singular):
         self.core = core
@@ -383,10 +316,75 @@ class CyclicRhsFactorization:
         self.w = w
         self.scale = scale
         self.singular = singular
-        self.nbytes = (
-            factorization_nbytes(core)
-            + q.nbytes + w.nbytes + scale.nbytes
+        self.nbytes = core.nbytes + q.nbytes + w.nbytes + scale.nbytes
+
+    def arrays(self) -> dict:
+        """Every stored array by name; the core's under ``core_``."""
+        core = factorization_arrays(self.core)
+        return {
+            "q": self.q,
+            "w": self.w,
+            "scale": self.scale,
+            "singular": self.singular,
+            **{f"core_{name}": arr for name, arr in core.items()},
+        }
+
+    @classmethod
+    def from_arrays(cls, arrays) -> "CyclicRhsFactorization":
+        """Rebuild from :meth:`arrays`' layout."""
+        core = {
+            name.removeprefix("core_"): arrays[name]
+            for name in arrays
+            if name.startswith("core_")
+        }
+        return cls(
+            core=factorization_from_arrays(core),
+            q=arrays["q"],
+            w=arrays["w"],
+            scale=arrays["scale"],
+            singular=arrays["singular"],
         )
+
+    def solve_shard(self, ws, d, out, lo: int, hi: int) -> None:
+        """Core sweep of rows ``[lo, hi)`` into ``ws.cyclic_y()``, then
+        the rank-one correction of those rows into ``out``."""
+        y = ws.cyclic_y()
+        self.core.solve_shard(ws, d, y, lo, hi)
+        self.correct(y, out, lo, hi)
+
+    def correct(self, y, out, lo: int, hi: int) -> None:
+        """``out = y − (vᵀy · scale) q`` on rows ``[lo, hi)``.
+
+        The update is row-wise, so correcting shard by shard gives the
+        bits of one whole-batch correction.
+        """
+        s = slice(lo, hi)
+        apply_cyclic_correction(
+            y[s], self.q[s], self.w[s], self.scale[s], out=out[s]
+        )
+
+
+#: ``kind`` tag → class, for every factorization the engine caches.
+FACTORIZATION_KINDS = {
+    cls.kind: cls
+    for cls in (
+        ThomasRhsFactorization,
+        HybridFactorization,
+        CyclicRhsFactorization,
+        PentaFactorization,
+        BlockThomasFactorization,
+    )
+}
+
+
+def factorization_arrays(fact) -> dict:
+    """``fact.arrays()`` plus its ``kind`` tag: the spill-file layout."""
+    return {"kind": np.array(fact.kind), **fact.arrays()}
+
+
+def factorization_from_arrays(arrays):
+    """Rebuild a factorization from :func:`factorization_arrays`' layout."""
+    return FACTORIZATION_KINDS[str(arrays["kind"])].from_arrays(arrays)
 
 
 def build_cyclic_factorization(
@@ -401,67 +399,20 @@ def build_cyclic_factorization(
     cyclic path bitwise-equal to re-elimination at ``k = 0``.
     ``check`` sets the singular-correction policy (raise vs warn+NaN).
     """
-    from repro.core.periodic import (
-        correction_denominator,
-        correction_scale,
-        cyclic_reduce,
-        singular_rows,
-    )
-
     ap, bp, cp, u, w = cyclic_reduce(a, b, c, check=check)
     core = build_factorization(plan, ap, bp, cp)
-    q = rhs_only_sweep(engine, plan, core, u)
+    q = np.empty_like(u)
+    ws = engine.checkout_prepared(plan)
+    try:
+        core.solve_shard(ws, u, q, 0, plan.m)
+    finally:
+        engine.checkin_prepared(plan, ws)
     denom = correction_denominator(q, w)
     scale = correction_scale(denom, plan.n, check=check)
     return CyclicRhsFactorization(
         core=core, q=q, w=w, scale=scale,
         singular=singular_rows(denom, plan.n),
     )
-
-
-def cyclic_rhs_only_sweep(
-    engine,
-    plan,
-    fact: CyclicRhsFactorization,
-    d,
-    *,
-    out: np.ndarray | None = None,
-    workers: int | None = None,
-    check: bool = True,
-    stage_times: list | None = None,
-) -> np.ndarray:
-    """One cyclic solve against a stored :class:`CyclicRhsFactorization`.
-
-    Runs the core RHS-only sweep (optionally sharded, same bitwise
-    argument as :func:`rhs_only_sweep`) into a pooled workspace
-    buffer, then applies the precomputed rank-one correction.  The
-    returned array never aliases pooled workspace memory.
-    """
-    if check and fact.singular.size:
-        from repro.core.periodic import CyclicSingularError, _describe_rows
-
-        raise CyclicSingularError(
-            "singular Sherman–Morrison correction in batch row(s) "
-            f"{_describe_rows(fact.singular)} — re-factor with "
-            "check=False for NaN output"
-        )
-    from repro.core.periodic import apply_cyclic_correction
-
-    ws = engine.checkout_prepared(plan)
-    try:
-        y = rhs_only_sweep(
-            engine, plan, fact.core, d,
-            out=ws.cyclic_y(), workers=workers, stage_times=stage_times,
-        )
-        t0 = time.perf_counter()
-        if out is None:
-            out = np.empty((plan.m, plan.n), dtype=plan.dtype)
-        x = apply_cyclic_correction(y, fact.q, fact.w, fact.scale, out=out)
-    finally:
-        engine.checkin_prepared(plan, ws)
-    if stage_times is not None:
-        stage_times.append(("cyclic-correction", time.perf_counter() - t0))
-    return x
 
 
 class PreparedPlan:
@@ -515,7 +466,7 @@ class PreparedPlan:
     @property
     def nbytes(self) -> int:
         """Bytes held by the stored factorization."""
-        return factorization_nbytes(self.factorization)
+        return self.factorization.nbytes
 
     def describe(self) -> dict:
         """Plan summary plus factorization provenance."""

@@ -36,18 +36,25 @@ never traded for session speed.
 
 from __future__ import annotations
 
+import functools
 import time
 
 import numpy as np
 
+from repro.core.blocktridiag import BlockThomasFactorization
 from repro.core.hybrid import HybridReport
+from repro.core.pentadiag import PentaFactorization
+from repro.core.periodic import (
+    apply_cyclic_correction,
+    correction_denominator,
+    correction_scale,
+    cyclic_reduce,
+    refuse_singular,
+)
 from repro.core.tiled_pcr import TilingCounters
 from repro.engine.executor import shard_bounds
 from repro.engine.prepared import (
-    _shard_hybrid,
     coefficient_fingerprint,
-    cyclic_rhs_only_sweep,
-    rhs_only_sweep,
     rtol_permits_hybrid_reuse,
 )
 
@@ -63,21 +70,22 @@ class BoundSolve:
     built per call (the transient path) and rich enough to drive a
     multi-thousand-step simulation (the persistent path).
 
-    The session's execution **mode** is resolved at bind time:
+    Bind fixes one of two execution paths:
 
-    ``"rhs"``
-        Plain tridiagonal served by a factorization — an explicit
-        prepared handle or a fingerprint-cache entry.
-    ``"cyclic"``
-        Periodic tridiagonal served by a stored
-        :class:`~repro.engine.prepared.CyclicRhsFactorization`.
-    ``"banded"``
-        Pentadiagonal / block-tridiagonal Thomas sweep.
-    ``"full"``
-        Plain tridiagonal running the full hybrid plan each step
-        (fingerprinting off or not licensed).
-    ``"full-cyclic"``
-        Periodic corner-reduce + two inner solves each step.
+    **factored**
+        A stored factorization — an explicit prepared handle, a
+        fingerprint-cache entry, or the sweep a banded bind builds for
+        itself — runs its ``solve_shard`` over the bound batch shards.
+        Every kind in :data:`~repro.engine.prepared.FACTORIZATION_KINDS`
+        rides this one path.
+    **full**
+        No factorization is licensed or cached: the full hybrid plan
+        runs every step (periodic systems corner-reduce and correct
+        around two inner solves).
+
+    ``mode`` labels the bound path for :meth:`describe`: ``"rhs"``,
+    ``"cyclic"`` or ``"banded"`` (factored), ``"full"`` or
+    ``"full-cyclic"``.
     """
 
     def __init__(self, engine, request, *, transient: bool = False):
@@ -91,12 +99,8 @@ class BoundSolve:
         self._out = None
         self._out_t = None
         self._cyc = None
-        system = getattr(request, "system", None)
-        self._banded = system is not None and system.kind != "tridiagonal"
-        if self._banded:
-            self._bind_banded(request)
-        else:
-            self._bind_tridiagonal(request)
+        system = request.system
+        self._bind(request)
         workers = request.workers
         shards = (
             shard_bounds(request.m, workers)
@@ -105,29 +109,22 @@ class BoundSolve:
         )
         self._shards = shards if len(shards) > 1 else None
         self._dtype = self.plan.dtype
-        if self._banded and request.system.kind == "block":
-            self._dshape = (request.m, request.n, request.system.block_size)
+        if system.kind == "block":
+            self._dshape = (request.m, request.n, system.block_size)
         else:
             self._dshape = (request.m, request.n)
+        sweep = "rhs-only" if self._served else "sweep"
+        shard_note = f" [{len(shards)} shards]" if len(shards) > 1 else ""
+        self._stage = f"{sweep} {self._label}{shard_note}"
 
     # ---- bind phase --------------------------------------------------
-    def _resolve_plan(self, request, *, system_tag: str = ""):
-        """Plan lookup (or the request's frozen plan) + ``prepare`` stage."""
+    def _bind(self, request) -> None:
+        """Plan, fingerprint and factorization phase; fixes the path."""
+        system = request.system
         info: dict = {}
         t0 = time.perf_counter()
         if request.plan is not None:
-            plan = request.plan
-            cache = "hit"
-        elif system_tag:
-            plan = self.engine.plan_for(
-                request.m,
-                request.n,
-                np.dtype(request.dtype),
-                k=request.k,
-                info=info,
-                system=system_tag,
-            )
-            cache = info.get("cache", "miss")
+            plan, cache = request.plan, "hit"
         else:
             plan = self.engine.plan_for(
                 request.m,
@@ -140,109 +137,76 @@ class BoundSolve:
                 parallelism=request.parallelism,
                 heuristic=request.heuristic,
                 info=info,
+                system=system.tag,
             )
             cache = info.get("cache", "miss")
         self.bind_stages.append(("prepare", time.perf_counter() - t0))
         self.plan = plan
         self.cache = cache
-        return plan
 
-    def _bind_tridiagonal(self, request) -> None:
-        plan = self._resolve_plan(request)
+        # banded kinds always sweep a factorization: the builder makes
+        # one when the fingerprint cache does not serve it
+        coeffs = (request.a, request.b, request.c)
+        builder = None
+        if system.kind == "pentadiagonal":
+            coeffs = (request.e, *coeffs, request.f)
+            builder = functools.partial(PentaFactorization.factor, *coeffs)
+        elif system.kind == "block":
+            builder = functools.partial(BlockThomasFactorization.factor, *coeffs)
+
         fingerprint = request.fingerprint
-
         if request.rhs_only:
             # prepared handle: the factorization rode in on the request
-            self.fact = request.factorization
-            self.fp_state = "handle"
-            self.mode = "cyclic" if request.periodic else "rhs"
-            self.count_solves = False
-            self._report_plain = False
-            return
-
-        # a persistent bind declares reuse intent, so the factorization
-        # is forced whenever the gate admits the plan at all; transient
-        # binds keep the classic two-sighting auto lifecycle
-        force = True if not self.transient else (fingerprint is True)
-        fact = None
-        fp_state = "off" if fingerprint is False else "n/a"
-        licensed = fingerprint is not False and (
-            plan.uses_thomas
-            or fingerprint
-            or rtol_permits_hybrid_reuse(request.rtol, plan.dtype)
-        )
-        if licensed:
-            t_fp = time.perf_counter()
-            digest = coefficient_fingerprint(request.a, request.b, request.c)
-            self.bind_stages.append(
-                ("fingerprint", time.perf_counter() - t_fp)
-            )
-            fact, fp_state = self.engine._factorization_for(
-                plan, digest, request.a, request.b, request.c,
-                force=force,
-                periodic=request.periodic,
-                check=request.check,
-                stage_times=self.bind_stages,
-            )
-        self.fact = fact
-        self.fp_state = fp_state
-        if request.periodic:
-            self.mode = "cyclic" if fact is not None else "full-cyclic"
-            self._report_plain = False
+            fact, fp_state = request.factorization, "handle"
         else:
-            self.mode = "rhs" if fact is not None else "full"
-            self._report_plain = True
-        self.count_solves = True
-
-    def _bind_banded(self, request) -> None:
-        from repro.core.blocktridiag import BlockThomasFactorization
-        from repro.core.pentadiag import PentaFactorization
-
-        kind = request.system.kind
-        tag = request.system.tag
-        plan = self._resolve_plan(request, system_tag=tag)
-
-        if kind == "pentadiagonal":
-            coeffs = (request.e, request.a, request.b, request.c, request.f)
-
-            def builder():
-                return PentaFactorization.factor(*coeffs)
-
-        else:
-            coeffs = (request.a, request.b, request.c)
-
-            def builder():
-                return BlockThomasFactorization.factor(*coeffs)
-
-        fingerprint = request.fingerprint
-        fact = None
-        fp_state = "off" if fingerprint is False else "n/a"
-        if fingerprint is not False:
-            t_fp = time.perf_counter()
-            digest = coefficient_fingerprint(*coeffs)
-            self.bind_stages.append(
-                ("fingerprint", time.perf_counter() - t_fp)
+            fact = None
+            fp_state = "off" if fingerprint is False else "n/a"
+            licensed = fingerprint is not False and (
+                plan.uses_thomas
+                or fingerprint
+                or rtol_permits_hybrid_reuse(request.rtol, plan.dtype)
             )
-            fact, fp_state = self.engine._factorization_for(
-                plan, digest, request.a, request.b, request.c,
-                force=True if not self.transient else (fingerprint is True),
-                stage_times=self.bind_stages,
-                builder=builder,
-            )
-        self._banded_served = fact is not None
-        if fact is None:
+            if licensed:
+                t_fp = time.perf_counter()
+                digest = coefficient_fingerprint(*coeffs)
+                self.bind_stages.append(
+                    ("fingerprint", time.perf_counter() - t_fp)
+                )
+                # a persistent bind declares reuse intent, so the
+                # factorization is forced whenever the gate admits the
+                # plan at all; transient binds keep the classic
+                # two-sighting auto lifecycle
+                fact, fp_state = self.engine._factorization_for(
+                    plan, digest, request.a, request.b, request.c,
+                    force=not self.transient or fingerprint is True,
+                    periodic=request.periodic,
+                    check=request.check,
+                    stage_times=self.bind_stages,
+                    builder=builder,
+                )
+        self._served = fact is not None
+        if fact is None and builder is not None:
             t_b = time.perf_counter()
             fact = builder()
-            self.bind_stages.append(
-                ("factorize", time.perf_counter() - t_b)
-            )
+            self.bind_stages.append(("factorize", time.perf_counter() - t_b))
+        if request.periodic and request.check and fact is not None:
+            refuse_singular(fact.singular)
         self.fact = fact
         self.fp_state = fp_state
-        self.mode = "banded"
-        self.count_solves = True
-        self._report_plain = False
-        self._kind = kind
-        self._tag = tag
+        # banded sweeps allocate their own scratch: no pooled workspace
+        self._pooled = builder is None
+        self._label = system.tag or ("thomas" if plan.uses_thomas else "hybrid")
+        self.count_solves = not request.rhs_only
+        # a plain batch request publishes engine.last_report
+        self._report_plain = not (
+            request.rhs_only or request.periodic or builder is not None
+        )
+        if builder is not None:
+            self.mode = "banded"
+        elif request.periodic:
+            self.mode = "cyclic" if fact is not None else "full-cyclic"
+        else:
+            self.mode = "rhs" if fact is not None else "full"
 
     # ---- instrumented execution --------------------------------------
     def step_once(self, d=None, out=None):
@@ -265,36 +229,21 @@ class BoundSolve:
             d = request.d
         if out is None:
             out = request.out
-        workers = request.workers
         stage_times = list(self.bind_stages)
-
-        if self.mode == "banded":
-            return self._step_once_banded(d, out, stage_times)
-
-        if self.mode in ("rhs", "cyclic"):
-            fact = self.fact
-            if self.mode == "cyclic":
-                x = cyclic_rhs_only_sweep(
-                    engine, plan, fact, d,
-                    out=out, workers=workers, check=request.check,
-                    stage_times=stage_times,
-                )
-            else:
-                x = rhs_only_sweep(
-                    engine, plan, fact, d,
-                    out=out, workers=workers,
-                    stage_times=stage_times,
-                )
+        counters = TilingCounters()
+        if self.fact is None:
+            x = self._solve_full(d, out, stage_times, counters)
+        else:
+            x = self._solve_factored(d, out, stage_times)
             with engine._lock:
                 if self.count_solves:
                     engine.stats.solves += 1
-                engine.stats.rhs_only_solves += 1
-                if workers is not None and workers > 1:
+                if self._served:
+                    engine.stats.rhs_only_solves += 1
+                if self._shards is not None:
                     engine.stats.sharded_solves += 1
-            kept = fact
-        elif self.mode == "full":
-            counters = TilingCounters()
-            report = HybridReport(
+        if self._report_plain:
+            engine.last_report = HybridReport(
                 m=request.m,
                 n=request.n,
                 k=plan.k,
@@ -304,65 +253,8 @@ class BoundSolve:
                 n_windows=plan.n_windows,
                 tiling=counters,
             )
-            if workers is not None and workers > 1:
-                x = engine.solve_sharded(
-                    plan, workers,
-                    request.a, request.b, request.c, d,
-                    counters=counters, out=out, stage_times=stage_times,
-                )
-            else:
-                x = engine.execute_pooled(
-                    plan,
-                    request.a, request.b, request.c, d,
-                    counters=counters, out=out, stage_times=stage_times,
-                )
-            engine.last_report = report
-            kept = None
-        else:  # full-cyclic: corner-reduce + two inner solves + correction
-            from repro.core.periodic import (
-                apply_cyclic_correction,
-                correction_denominator,
-                correction_scale,
-                cyclic_reduce,
-            )
 
-            t0 = time.perf_counter()
-            ap, bp, cp, u, w = cyclic_reduce(
-                request.a, request.b, request.c, check=request.check
-            )
-            stage_times.append(("cyclic-reduce", time.perf_counter() - t0))
-            y, _, _ = engine._run_plain(
-                plan, ap, bp, cp, d,
-                workers=workers, fingerprint=False, stage_times=stage_times,
-            )
-            q, _, _ = engine._run_plain(
-                plan, ap, bp, cp, u,
-                workers=workers, fingerprint=False, stage_times=stage_times,
-            )
-            t1 = time.perf_counter()
-            scale = correction_scale(
-                correction_denominator(q, w), request.n, check=request.check
-            )
-            x = apply_cyclic_correction(y, q, w, scale, out=out)
-            stage_times.append(
-                ("cyclic-correction", time.perf_counter() - t1)
-            )
-            kept = None
-
-        if self._report_plain and self.mode == "rhs" and self.count_solves:
-            # the fingerprint cache served a *plain* batch request: the
-            # one-shot path still publishes a (zero-counter) report
-            engine.last_report = HybridReport(
-                m=request.m,
-                n=request.n,
-                k=plan.k,
-                k_source=plan.k_source,
-                subsystems=request.m * plan.g,
-                fused=plan.fuse,
-                n_windows=plan.n_windows,
-                tiling=TilingCounters(),
-            )
-
+        workers = request.workers
         trace = SolveTrace(
             backend=request.label or "engine",
             m=request.m,
@@ -375,70 +267,110 @@ class BoundSolve:
             workers=workers if workers is not None else 1,
             plan_cache=self.cache,
             factorization=self.fp_state,
-            rhs_only=self.mode in ("rhs", "cyclic"),
+            rhs_only=self._served,
             periodic=request.periodic,
+            system=request.system.kind,
             stages=[StageTiming(n_, s) for n_, s in stage_times],
         )
         trace.decision = request.decision
         self.steps += 1
+        kept = self.fact if self._served else None
         return SolveOutcome(x=x, trace=trace, factorization=kept, plan=plan)
 
-    def _step_once_banded(self, d, out, stage_times):
-        from repro.backends.request import SolveOutcome
-        from repro.backends.trace import SolveTrace, StageTiming
-
-        engine = self.engine
-        request = self.request
-        plan = self.plan
-        fact = self.fact
-        workers = request.workers
-        served = self._banded_served
-
-        t_s = time.perf_counter()
+    def _solve_factored(self, d, out, stage_times):
+        """The instrumented factored sweep, on a pooled workspace that is
+        back in the pool before this returns (transient sessions are
+        never closed)."""
         if out is None:
-            out = np.empty_like(d)
-        shards = self._shards if self._shards is not None else [(0, request.m)]
-        if len(shards) > 1:
-            pool = engine.thread_pool(len(shards))
-            list(
-                pool.map(
-                    lambda s: fact.solve_shard(d, out, s[0], s[1]),
-                    shards,
+            out = np.empty(self._dshape, dtype=self._dtype)
+        fact = self.fact
+        ws = self.engine.checkout_prepared(self.plan) if self._pooled else None
+        try:
+            t0 = time.perf_counter()
+            core = getattr(fact, "core", None)
+            if core is None:
+                self._run_shards(fact.solve_shard, ws, d, out)
+                stage_times.append((self._stage, time.perf_counter() - t0))
+            else:
+                # a wrapped core is timed apart from its correction:
+                # gpusim pairs both stages with its predictions by position
+                y = self._run_shards(core.solve_shard, ws, d, ws.cyclic_y())
+                t1 = time.perf_counter()
+                stage_times.append((self._stage, t1 - t0))
+                fact.correct(y, out, 0, self.request.m)
+                stage_times.append(
+                    ("cyclic-correction", time.perf_counter() - t1)
                 )
-            )
-        else:
-            fact.solve_shard(d, out, 0, request.m)
-        sweep = "rhs-only" if served else "sweep"
-        shard_note = f" [{len(shards)} shards]" if len(shards) > 1 else ""
-        stage_times.append(
-            (f"{sweep} {self._tag}{shard_note}", time.perf_counter() - t_s)
-        )
-        with engine._lock:
-            engine.stats.solves += 1
-            if served:
-                engine.stats.rhs_only_solves += 1
-            if len(shards) > 1:
-                engine.stats.sharded_solves += 1
+        finally:
+            if ws is not None:
+                self.engine.checkin_prepared(self.plan, ws)
+        return out
 
-        trace = SolveTrace(
-            backend=request.label or "engine",
-            m=request.m,
-            n=request.n,
-            dtype=request.dtype,
-            k=plan.k,
-            k_source=plan.k_source,
-            workers=workers if workers is not None else 1,
-            plan_cache=self.cache,
-            factorization=self.fp_state,
-            rhs_only=served,
-            periodic=False,
-            system=self._kind,
-            stages=[StageTiming(n_, s) for n_, s in stage_times],
+    def _solve_full(self, d, out, stage_times=None, counters=None):
+        """The full plan; periodic systems corner-reduce, solve
+        ``A' y = d`` and ``A' q = u``, and apply the rank-one correction.
+
+        The hot loop (``stage_times=None``) reuses the coefficient-only
+        cyclic state; an instrumented step recomputes it, so its stages
+        and stats match a one-shot solve.
+        """
+        request = self.request
+        if not request.periodic:
+            return self._solve_plan(
+                request.a, request.b, request.c, d,
+                out=out, counters=counters, stage_times=stage_times,
+            )
+        if stage_times is None:
+            ap, bp, cp, w, q, scale = self._cyclic_state()
+            y = self._solve_plan(ap, bp, cp, d)
+            return apply_cyclic_correction(y, q, w, scale, out=out)
+        t0 = time.perf_counter()
+        ap, bp, cp, u, w = cyclic_reduce(
+            request.a, request.b, request.c, check=request.check
         )
-        trace.decision = request.decision
-        kept = fact if self.fp_state in ("hit", "factored") else None
-        self.steps += 1
-        return SolveOutcome(x=out, trace=trace, factorization=kept, plan=plan)
+        stage_times.append(("cyclic-reduce", time.perf_counter() - t0))
+        y = self._solve_plan(ap, bp, cp, d, stage_times=stage_times)
+        q = self._solve_plan(ap, bp, cp, u, stage_times=stage_times)
+        t1 = time.perf_counter()
+        scale = correction_scale(
+            correction_denominator(q, w), request.n, check=request.check
+        )
+        x = apply_cyclic_correction(y, q, w, scale, out=out)
+        stage_times.append(("cyclic-correction", time.perf_counter() - t1))
+        return x
+
+    def _solve_plan(self, a, b, c, d, *, out=None, counters=None,
+                    stage_times=None):
+        """One execution of the bound plan, sharded when ``workers > 1``."""
+        workers = self.request.workers
+        if workers is not None and workers > 1:
+            return self.engine.solve_sharded(
+                self.plan, workers, a, b, c, d,
+                counters=counters, out=out, stage_times=stage_times,
+            )
+        return self.engine.execute_pooled(
+            self.plan, a, b, c, d,
+            counters=counters, out=out, stage_times=stage_times,
+        )
+
+    def _cyclic_state(self):
+        """Reduced cyclic state, computed once per session.
+
+        ``cyclic_reduce`` and the correction column depend only on the
+        bound coefficients, so recomputing them per step would produce
+        the same bits — caching is free of bitwise risk.
+        """
+        if self._cyc is None:
+            request = self.request
+            ap, bp, cp, u, w = cyclic_reduce(
+                request.a, request.b, request.c, check=request.check
+            )
+            q = self._solve_plan(ap, bp, cp, u)
+            scale = correction_scale(
+                correction_denominator(q, w), request.n, check=request.check
+            )
+            self._cyc = (ap, bp, cp, w, q, scale)
+        return self._cyc
 
     # ---- hot loop ----------------------------------------------------
     def _canon_d(self, d):
@@ -456,69 +388,20 @@ class BoundSolve:
         return d
 
     def _workspace(self):
-        if self._ws is None:
+        """The session-held RHS-only workspace (``None`` for banded)."""
+        if self._ws is None and self._pooled:
             self._ws = self.engine.checkout_prepared(self.plan)
         return self._ws
 
-    def _sweep(self, fact, d, out):
-        """Direct RHS-only sweep through the session-held workspace."""
-        plan = self.plan
-        ws = self._workspace()
-        if plan.uses_thomas:
-            if self._shards is None:
-                fact.solve_shard(ws, d, out, 0, plan.m)
-            else:
-                pool = self.engine.thread_pool(len(self._shards))
-                list(
-                    pool.map(
-                        lambda lohi: fact.solve_shard(ws, d, out, *lohi),
-                        self._shards,
-                    )
-                )
+    def _run_shards(self, solve_shard, ws, d, out):
+        """``solve_shard(ws, d, out, lo, hi)`` over the bound shards."""
+        shards = self._shards
+        if shards is None:
+            solve_shard(ws, d, out, 0, self.request.m)
         else:
-            if self._shards is None:
-                fact.solve(d, out=out, scratch=ws.scratch_for(0, (0, plan.m)))
-            else:
-
-                def run(job):
-                    idx, (lo, hi) = job
-                    _shard_hybrid(fact, lo, hi).solve(
-                        d[lo:hi],
-                        out=out[lo:hi],
-                        scratch=ws.scratch_for(idx, (lo, hi)),
-                    )
-
-                pool = self.engine.thread_pool(len(self._shards))
-                list(pool.map(run, enumerate(self._shards)))
+            pool = self.engine.thread_pool(len(shards))
+            list(pool.map(lambda s: solve_shard(ws, d, out, *s), shards))
         return out
-
-    def _cyclic_state(self):
-        """Reduced cyclic state, computed once per session.
-
-        ``cyclic_reduce`` and the correction column depend only on the
-        bound coefficients, so recomputing them per step would produce
-        the same bits — caching is free of bitwise risk.
-        """
-        if self._cyc is None:
-            from repro.core.periodic import (
-                correction_denominator,
-                correction_scale,
-                cyclic_reduce,
-            )
-
-            request = self.request
-            ap, bp, cp, u, w = cyclic_reduce(
-                request.a, request.b, request.c, check=request.check
-            )
-            q, _, _ = self.engine._run_plain(
-                self.plan, ap, bp, cp, u,
-                workers=request.workers, fingerprint=False,
-            )
-            scale = correction_scale(
-                correction_denominator(q, w), request.n, check=request.check
-            )
-            self._cyc = (ap, bp, cp, w, q, scale)
-        return self._cyc
 
     def step(self, d, out=None):
         """The allocation-free per-step hot loop.
@@ -538,77 +421,27 @@ class BoundSolve:
             out = self._out
             if out is None:
                 out = self._out = np.empty(self._dshape, dtype=self._dtype)
-        mode = self.mode
-        if mode == "rhs":
-            self._sweep(self.fact, d, out)
-        elif mode == "banded":
-            fact = self.fact
-            if self._shards is None:
-                fact.solve_shard(d, out, 0, self.request.m)
-            else:
-                pool = self.engine.thread_pool(len(self._shards))
-                list(
-                    pool.map(
-                        lambda s: fact.solve_shard(d, out, s[0], s[1]),
-                        self._shards,
-                    )
-                )
-        elif mode == "cyclic":
-            fact = self.fact
-            if self.request.check and fact.singular.size:
-                from repro.core.periodic import (
-                    CyclicSingularError,
-                    _describe_rows,
-                )
-
-                raise CyclicSingularError(
-                    "singular Sherman–Morrison correction in batch row(s) "
-                    f"{_describe_rows(fact.singular)} — re-factor with "
-                    "check=False for NaN output"
-                )
-            from repro.core.periodic import apply_cyclic_correction
-
-            y = self._sweep(fact.core, d, self._workspace().cyclic_y())
-            apply_cyclic_correction(y, fact.q, fact.w, fact.scale, out=out)
-        elif mode == "full":
-            request = self.request
-            workers = request.workers
-            if workers is not None and workers > 1:
-                self.engine.solve_sharded(
-                    self.plan, workers,
-                    request.a, request.b, request.c, d, out=out,
-                )
-            else:
-                self.engine.execute_pooled(
-                    self.plan,
-                    request.a, request.b, request.c, d, out=out,
-                )
-        else:  # full-cyclic
-            from repro.core.periodic import apply_cyclic_correction
-
-            ap, bp, cp, w, q, scale = self._cyclic_state()
-            y, _, _ = self.engine._run_plain(
-                self.plan, ap, bp, cp, d,
-                workers=self.request.workers, fingerprint=False,
-            )
-            apply_cyclic_correction(y, q, w, scale, out=out)
+        if self.fact is None:
+            self._solve_full(d, out)
+        else:
+            self._run_shards(self.fact.solve_shard, self._workspace(), d, out)
         self.steps += 1
         return out
 
     def step_t(self, dt, out_t=None):
         """Transposed-layout hot step: ``(N, M)`` in, ``(N, M)`` out.
 
-        The Thomas RHS sweep runs in the transposed layout internally,
-        so a session whose caller already holds the right-hand side as
-        ``(N, M)`` — the natural orientation of an alternating-direction
-        sweep — can skip both staging transposes of :meth:`step`.  On
-        the ``rhs``/Thomas route this feeds
-        :meth:`~repro.engine.prepared.ThomasRhsFactorization.solve_shard_t`
-        directly (bitwise identical to :meth:`step` on the transposed
-        arrays: only copies are elided, never arithmetic); every other
-        mode canonicalizes through :meth:`step` with explicit
-        transposes.  ``out_t`` defaults to a session-owned buffer
-        reused across steps — copy it if you keep references.
+        A factorization with a transposed sweep (``solve_shard_t`` —
+        :class:`~repro.engine.prepared.ThomasRhsFactorization`) reads
+        the right-hand side straight from the caller's ``(N, M)``
+        array, so a session whose caller already holds it in that
+        orientation — the natural one of an alternating-direction
+        sweep — skips both staging transposes of :meth:`step` (bitwise
+        identical to :meth:`step` on the transposed arrays: only copies
+        are elided, never arithmetic).  Every other session
+        canonicalizes through :meth:`step` with explicit transposes.
+        ``out_t`` defaults to a session-owned buffer reused across
+        steps — copy it if you keep references.
         """
         if self.closed:
             raise RuntimeError("session is closed")
@@ -631,23 +464,13 @@ class BoundSolve:
             out_t = self._out_t
             if out_t is None:
                 out_t = self._out_t = np.empty((n, m), dtype=self._dtype)
-        if self.mode == "rhs" and self.plan.uses_thomas:
-            fact = self.fact
-            ws = self._workspace()
-            if self._shards is None:
-                fact.solve_shard_t(ws, dt, out_t, 0, m)
-            else:
-                pool = self.engine.thread_pool(len(self._shards))
-                list(
-                    pool.map(
-                        lambda lohi: fact.solve_shard_t(ws, dt, out_t, *lohi),
-                        self._shards,
-                    )
-                )
-            self.steps += 1
+        solve_shard_t = getattr(self.fact, "solve_shard_t", None)
+        if solve_shard_t is None:
+            x = self.step(np.ascontiguousarray(dt.T))
+            out_t[:] = x.T
             return out_t
-        x = self.step(np.ascontiguousarray(dt.T))
-        out_t[:] = x.T
+        self._run_shards(solve_shard_t, self._workspace(), dt, out_t)
+        self.steps += 1
         return out_t
 
     # ---- lifecycle ---------------------------------------------------

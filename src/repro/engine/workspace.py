@@ -118,9 +118,9 @@ class PreparedWorkspace:
         else:
             self._scratch = {}
 
-    def scratch_for(self, shard: int, bounds: tuple) -> dict:
-        """The named-buffer dict for one shard (``k > 0`` plans only)."""
-        return self._scratch.setdefault((shard, bounds), {})
+    def scratch_for(self, lo: int, hi: int) -> dict:
+        """The named-buffer dict for rows ``[lo, hi)`` (``k > 0`` plans only)."""
+        return self._scratch.setdefault((lo, hi), {})
 
     def cyclic_y(self) -> np.ndarray:
         """The intermediate ``A' y = d`` buffer for prepared cyclic solves.

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.backends.request import SolveRequest
 from repro.engine import ExecutionEngine, FactorizationDiskCache
 from repro.engine.diskcache import _key_filename
+from repro.workloads.generators import random_block_batch, random_penta_batch
 
 
 def _batch(m=16, n=64, seed=0, cyclic=False, dtype=np.float64):
@@ -41,23 +43,43 @@ def test_spilled_factorization_is_shared_across_engines(tmp_path):
     assert np.array_equal(x, ref)
 
 
-def test_hybrid_and_cyclic_factorizations_round_trip(tmp_path):
-    a, b, c, d = _batch(m=8, n=256, seed=2)
+def _round_trip_request(kind):
+    """One fingerprint=True request per factorization kind the engine spills."""
+    if kind == "penta":
+        e, a, b, c, f, d = random_penta_batch(8, 96, seed=9)
+        return SolveRequest.build(a, b, c, d, e=e, f=f, fingerprint=True)
+    if kind == "block":
+        return SolveRequest.build(
+            *random_block_batch(4, 24, block_size=3, seed=10), fingerprint=True
+        )
+    periodic = kind.startswith("cyclic")
+    a, b, c, d = _batch(m=8, n=256, seed=2, cyclic=periodic)
+    k = 3 if kind.endswith("hybrid") else 0
+    return SolveRequest.build(
+        a, b, c, d, periodic=periodic, k=k, fingerprint=True
+    )
+
+
+@pytest.mark.parametrize(
+    "kind",
+    ["thomas", "hybrid", "cyclic-thomas", "cyclic-hybrid", "penta", "block"],
+)
+def test_every_factorization_kind_round_trips(tmp_path, kind):
+    request = _round_trip_request(kind)
     eng1 = ExecutionEngine(cache_dir=tmp_path)
-    ref_h = eng1.solve_batch(a, b, c, d, k=3, fingerprint=True)
+    ref = eng1.run(request)
+    assert ref.trace.factorization == "factored"
+    assert eng1.disk_cache.stores == 1
 
-    pa, pb, pc, pd = _batch(m=8, n=96, seed=3, cyclic=True)
-    ref_p = eng1.solve_periodic(pa, pb, pc, pd, k=0, fingerprint=True)
-    assert eng1.disk_cache.stores == 2
-
+    # a fresh engine on the same directory builds nothing: the reloaded
+    # factorization serves the identical bits
     eng2 = ExecutionEngine(cache_dir=tmp_path)
-    xh = eng2.solve_batch(a, b, c, d, k=3, fingerprint=True)
-    info: dict = {}
-    xp = eng2.solve_periodic(pa, pb, pc, pd, k=0, fingerprint=True, info=info)
+    out = eng2.run(request)
+    assert out.trace.factorization == "hit" and out.trace.rhs_only
     assert eng2.stats.factorizations_built == 0
-    assert info["factorization"] == "hit"
-    assert np.array_equal(xh, ref_h)
-    assert np.array_equal(xp, ref_p)
+    assert np.array_equal(out.x, ref.x)
+    assert out.factorization.kind == ref.factorization.kind
+    assert out.factorization.nbytes == ref.factorization.nbytes
 
 
 def test_disk_cache_is_off_by_default():
@@ -89,19 +111,28 @@ def test_torn_cache_file_is_dropped_not_fatal(tmp_path):
     eng1 = ExecutionEngine(cache_dir=tmp_path)
     eng1.solve_batch(a, b, c, d, k=0, fingerprint=True)
     path = eng1.disk_cache.files()[0]
-    with open(path, "wb") as fh:
-        fh.write(b"not an npz")
-
-    eng2 = ExecutionEngine(cache_dir=tmp_path)
-    info: dict = {}
-    x = eng2.solve_batch(a, b, c, d, k=0, fingerprint=True, info=info)
-    # torn file: re-factored, file replaced by a good one
-    assert info["factorization"] == "factored"
-    assert eng2.stats.factorizations_built == 1
-    assert np.isfinite(x).all()
-    eng3 = ExecutionEngine(cache_dir=tmp_path)
-    eng3.solve_batch(a, b, c, d, k=0, fingerprint=True)
-    assert eng3.stats.factorizations_built == 0
+    with open(path, "rb") as fh:
+        good = fh.read()
+    flipped = bytearray(good)
+    flipped[len(good) // 2] ^= 0xFF  # inside an array: bad CRC
+    damaged = {
+        "garbage": b"not an npz",
+        "truncated": good[: len(good) // 2],
+        "byte-flipped": bytes(flipped),
+    }
+    for label, raw in damaged.items():
+        with open(path, "wb") as fh:
+            fh.write(raw)
+        eng2 = ExecutionEngine(cache_dir=tmp_path)
+        info: dict = {}
+        x = eng2.solve_batch(a, b, c, d, k=0, fingerprint=True, info=info)
+        # torn file: re-factored, file replaced by a good one
+        assert info["factorization"] == "factored", label
+        assert eng2.stats.factorizations_built == 1, label
+        assert np.isfinite(x).all(), label
+        eng3 = ExecutionEngine(cache_dir=tmp_path)
+        eng3.solve_batch(a, b, c, d, k=0, fingerprint=True)
+        assert eng3.stats.factorizations_built == 0, label
 
 
 def test_cache_filenames_are_digest_named():

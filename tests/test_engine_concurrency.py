@@ -149,3 +149,28 @@ def test_service_and_direct_callers_share_default_engine():
                 assert np.array_equal(x, refs[i])
 
         hammer(worker)
+
+
+def test_concurrent_builds_of_one_key_count_its_bytes_once(monkeypatch):
+    # two threads miss the same key, both build, both store: the ledger
+    # must hold the bytes of the one surviving entry, not of both builds
+    from repro.engine import engine as engine_module
+
+    barrier = threading.Barrier(2, timeout=60.0)
+    build = engine_module.build_factorization
+
+    def held_build(*args):
+        barrier.wait()  # both threads are building before either stores
+        return build(*args)
+
+    monkeypatch.setattr(engine_module, "build_factorization", held_build)
+    engine = ExecutionEngine()
+    a, b, c, d = random_batch(8, 128, seed=77)
+    hammer(
+        lambda i: engine.solve_batch(a, b, c, d, k=0, fingerprint=True),
+        threads=2,
+    )
+    assert engine.stats.factorizations_built == 2
+    held = sum(fact.nbytes for fact in engine._facts.values())
+    assert len(engine._facts) == 1
+    assert engine.stats.factorization_bytes == held

@@ -109,5 +109,5 @@ def test_solve_shard_bitwise_independent_of_bounds():
     whole = fact.solve(d)
     sharded = np.empty_like(d)
     for lo, hi in ((0, 4), (4, 7), (7, 9)):
-        fact.solve_shard(d, sharded, lo, hi)
+        fact.solve_shard(None, d, sharded, lo, hi)
     assert np.array_equal(sharded, whole)
