@@ -42,11 +42,14 @@ def main() -> None:
         xi = repro.solve_batch(a, b, c, d, algorithm=name)
         print(f"{name:<18} max diff vs hybrid = {np.abs(xi - x).max():.2e}")
 
-    # --- every backend returns the same bits ------------------------------
-    for backend in ("numpy", "threaded"):
-        xb = repro.solve_batch(a, b, c, d, backend=backend)
+    # --- every backend (and shard count) returns the same bits -----------
+    for label, opts in (
+        ("numpy", {"backend": "numpy"}),
+        ("engine x4", {"backend": "engine", "workers": 4}),
+    ):
+        xb = repro.solve_batch(a, b, c, d, **opts)
         same = "bitwise equal" if np.array_equal(xb, x) else "MISMATCH"
-        print(f"backend={backend:<9} {same}")
+        print(f"backend={label:<9} {same}")
 
     # --- what did the hybrid actually do? ---------------------------------
     rep = repro.default_engine().last_report

@@ -74,6 +74,8 @@ def _route_kwargs(route: dict, rtol) -> dict:
     }
     if route.get("workers", 1) > 1:
         kwargs["workers"] = route["workers"]
+    if route.get("ranks", 1) > 1:
+        kwargs["ranks"] = route["ranks"]
     tier = route.get("fingerprint", "auto")
     if tier == "forced":
         kwargs["fingerprint"] = True

@@ -58,7 +58,9 @@ __all__ = [
 #: discarded on load (stale calibration is worthless, not dangerous).
 #: v2 added the ``ranks`` route axis (distributed N-partitioning) —
 #: v1 files never measured it, so discarding them is the safe reload.
-MODEL_VERSION = 2
+#: v3 retired the ``threaded`` backend (the engine shards ``workers``
+#: itself): v2 files hold routes no backend serves any more.
+MODEL_VERSION = 3
 
 #: the knobs a route pins, in canonical serialization order
 ROUTE_FIELDS = ("backend", "k", "workers", "fingerprint", "ranks")

@@ -73,7 +73,10 @@ def candidate_routes(
     caller-pinned knobs stay pinned, simulated backends are skipped
     (their "time" is a model, not this host), and the ``forced``
     fingerprint tier appears only where numerically licensed (``k = 0``
-    or an ``rtol=`` contract above the dtype floor).  Shared by
+    or an ``rtol=`` contract above the dtype floor).  A multi-rank
+    backend appears only on its ``ranks > 1`` routes: unpinned, it runs
+    its own default rank count, so a ``ranks=1`` route would time one
+    configuration and record another.  Shared by
     :class:`AdaptiveRouter` exploration and offline
     :func:`~repro.autotune.calibrate.calibrate`.
     """
@@ -81,8 +84,8 @@ def candidate_routes(
     routes = []
     for backend in sorted(candidates, key=lambda b: b.name):
         caps = backend.capabilities()
-        if caps.simulated:
-            continue  # model measured backends only
+        if caps.simulated or caps.max_ranks > 1:
+            continue  # measured single-rank backends only
         if banded:
             # banded plans have no PCR front-end — k is pinned to the
             # stencil's Thomas-style sweep, never an exploration axis

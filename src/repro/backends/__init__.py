@@ -1,18 +1,19 @@
 """Unified backend dispatch: one protocol behind every execution path.
 
-The repo's five execution strategies — the single-call reference
-solver, the plan-caching engine, the thread-sharded executor, the
-simulated-GPU solver, and the N-partitioned distributed solver —
-stand behind one two-method :class:`Backend` protocol
-(``capabilities()`` + ``execute(request)``) and one registry that
-negotiates a :class:`SolveRequest` against capabilities — plain,
-prepared, and periodic solves are all the same request shape:
+The repo's four execution strategies — the single-call reference
+solver, the plan-caching engine (which also shards ``workers > 1``
+batches over its thread pool), the simulated-GPU solver, and the
+N-partitioned distributed solver — stand behind one two-method
+:class:`Backend` protocol (``capabilities()`` + ``execute(request)``)
+and one registry that negotiates a :class:`SolveRequest` against
+capabilities — plain, prepared, and periodic solves are all the same
+request shape:
 
 >>> import numpy as np
 >>> import repro
 >>> from repro.backends import list_backends
 >>> sorted(name for name, _ in list_backends())
-['distributed', 'engine', 'gpusim', 'numpy', 'threaded']
+['distributed', 'engine', 'gpusim', 'numpy']
 >>> rng = np.random.default_rng(0)
 >>> a = rng.standard_normal((4, 64)); a[:, 0] = 0
 >>> c = rng.standard_normal((4, 64)); c[:, -1] = 0
@@ -60,7 +61,6 @@ from repro.backends.request import (
     SystemDescriptor,
     block_system,
 )
-from repro.backends.threaded import ThreadedBackend, execute_sharded
 from repro.backends.trace import (
     RouteDecision,
     SolveTrace,
@@ -90,11 +90,9 @@ __all__ = [
     "SolveTrace",
     "StageTiming",
     "SystemDescriptor",
-    "ThreadedBackend",
     "block_system",
     "clear_last_trace",
     "default_registry",
-    "execute_sharded",
     "get_backend",
     "last_trace",
     "list_backends",

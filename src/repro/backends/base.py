@@ -1,10 +1,11 @@
 """The :class:`Backend` protocol and the vocabulary it speaks.
 
 A *backend* is one way of executing a tridiagonal batch solve.  The
-repo grew four of them organically — the single-call reference solver,
-the plan-caching engine, the simulated-GPU solver, and the thread-
-sharded executor — and for a while each solve flavour (plain,
-prepared, periodic) had its own protocol method.  The protocol is now
+repo grew them organically — the single-call reference solver, the
+plan-caching engine (which also shards the batch over threads), the
+simulated-GPU solver, and the N-partitioned distributed solver — and
+for a while each solve flavour (plain, prepared, periodic) had its own
+protocol method.  The protocol is now
 two methods around one request shape:
 
 ``capabilities()``
@@ -20,9 +21,9 @@ two methods around one request shape:
 most recent trace per thread for callers that hold a backend directly.
 
 The registry (:mod:`repro.backends.registry`) negotiates capabilities
-against a request and routes; adding a fifth backend (numba, cupy,
-distributed…) means implementing this protocol and registering it —
-no new dispatch code anywhere else.
+against a request and routes; adding another backend (numba,
+cupy…) means implementing this protocol and registering it — no new
+dispatch code anywhere else.
 """
 
 from __future__ import annotations

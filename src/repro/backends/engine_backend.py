@@ -6,9 +6,9 @@ hands the request straight to :meth:`ExecutionEngine.run
 <repro.engine.engine.ExecutionEngine.run>` — the engine's one
 entrypoint answers plans from its LRU cache, serves repeat
 coefficients (and prepared handles) through the factorization cache,
-and runs against pooled workspaces.  ``workers=`` requests are
-honoured through the engine's sharding seam, though the router
-normally sends those to the threaded backend instead.
+and runs against pooled workspaces.  ``workers > 1`` requests land
+here too: the bound session splits the batch into row shards on the
+engine's thread pool, bitwise independent of the shard count.
 """
 
 from __future__ import annotations
@@ -53,7 +53,8 @@ class EngineBackend(BackendBase):
                 description=(
                     "plan-caching + workspace-pooling engine — warm solves "
                     "allocate only their result, repeat coefficients hit the "
-                    "factorization cache (default)"
+                    "factorization cache, workers= shards the batch "
+                    "(default)"
                 ),
             )
         return caps

@@ -12,10 +12,11 @@ Resolution is fully deterministic:
 1. An explicit ``backend="name"`` must support the request or a
    :class:`BackendError` explains exactly why it cannot.
 2. ``backend="auto"`` filters registered backends by capability, then
-   asks the router.  The default policy routes ``workers > 1`` solves
-   to the highest-priority multi-worker backend and everything else to
-   the highest-priority capable backend (ties broken by name) — so the
-   plan-caching engine wins unless something better registers itself.
+   asks the router.  The default policy routes ``ranks > 1`` solves to
+   the multi-rank tier and everything else to the highest-priority
+   capable backend (ties broken by name) — so the plan-caching engine,
+   which also shards ``workers > 1`` batches, wins unless something
+   better registers itself.
 
 :func:`solve_via` is the single dispatch seam every public entry path
 (``repro.solve_batch``, ``solve_periodic_batch``, ``api.gtsv*``, the
@@ -111,22 +112,13 @@ class Router:
     kind = "static"
 
     def __init__(self, rules: tuple = ()):
-        self.rules = (
-            tuple(rules) if rules else (self.route_ranks, self.route_workers)
-        )
+        self.rules = tuple(rules) if rules else (self.route_ranks,)
 
     @staticmethod
     def route_ranks(request: SolveRequest) -> str | None:
         """N-partitioning requested → the distributed tier."""
         if request.ranks is not None and request.ranks > 1:
             return "distributed"
-        return None
-
-    @staticmethod
-    def route_workers(request: SolveRequest) -> str | None:
-        """Sharding requested → the threaded layer."""
-        if request.workers is not None and request.workers > 1:
-            return "threaded"
         return None
 
     def select(self, request: SolveRequest, candidates: list) -> Backend:
@@ -258,12 +250,10 @@ def _populate(reg: BackendRegistry) -> None:
     from repro.backends.engine_backend import EngineBackend
     from repro.backends.gpusim_backend import GpuSimBackend
     from repro.backends.numpy_ref import NumpyReferenceBackend
-    from repro.backends.threaded import ThreadedBackend
     from repro.distributed.backend import DistributedBackend
 
     reg.register(EngineBackend())
     reg.register(NumpyReferenceBackend())
-    reg.register(ThreadedBackend())
     reg.register(GpuSimBackend())
     reg.register(DistributedBackend())
 

@@ -28,6 +28,7 @@ One request shape means one negotiation path, one trace path, and one
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -108,6 +109,20 @@ def block_system(block_size: int) -> SystemDescriptor:
     """Descriptor for a block-tridiagonal system of ``B × B`` blocks."""
     return SystemDescriptor(kind="block", block_size=int(block_size))
 
+
+def _count(name: str, value):
+    """A shard or rank count: an int ``>= 1``, or ``None`` (default)."""
+    if value is None:
+        return None
+    try:
+        count = operator.index(value)
+    except TypeError:
+        count = 0
+    if count < 1:
+        raise ValueError(f"{name} must be an int >= 1 (or None), got {value!r}")
+    return count
+
+
 #: keyword options accepted by :meth:`SolveRequest.build` /
 #: ``solve_batch`` — unknown names are a ``TypeError`` at the dispatch
 #: boundary, not deep inside a kernel.
@@ -160,12 +175,13 @@ class SolveRequest:
         whose RHS-only sweeps are allclose-grade, and licenses the
         adaptive router to select forced-fingerprint routes.
     workers:
-        Requested batch-axis shard count (``None`` = backend default).
+        Requested batch-axis shard count (``None`` = unsharded).
     ranks:
         Requested N-axis partition count for the distributed tier
         (``None`` = not partitioned; ``ranks > 1`` restricts
         negotiation to backends advertising ``Capabilities.max_ranks``
-        above 1).
+        above 1).  Both counts must be ints ``>= 1`` or ``None``
+        (``ValueError`` otherwise).
     k, fuse, n_windows, subtile_scale, parallelism, heuristic:
         Plan options, exactly as ``solve_batch`` takes them.
     factorization, plan:
@@ -175,8 +191,8 @@ class SolveRequest:
     out:
         Optional preallocated ``(M, N)`` output.
     label:
-        Trace ``backend`` name override — the threaded and prepared
-        adapters run on the engine spine but report their own name.
+        Trace ``backend`` name override — the prepared adapter runs on
+        the engine spine but reports its own name.
     layout:
         Input layout (all current backends take ``"contiguous"``).
     e, f:
@@ -221,6 +237,12 @@ class SolveRequest:
     e: np.ndarray | None = None
     f: np.ndarray | None = None
     system: SystemDescriptor = TRIDIAGONAL
+
+    def __post_init__(self):
+        # every entry point builds a request, so the counts are checked
+        # here once: the registry negotiates on them, autotune keys on them
+        self.workers = _count("workers", self.workers)
+        self.ranks = _count("ranks", self.ranks)
 
     @classmethod
     def build(
@@ -269,12 +291,6 @@ class SolveRequest:
                     f"rtol must be a finite value >= 0 (or None), got {rtol}"
                 )
             opts["rtol"] = rtol
-        ranks = opts.get("ranks")
-        if ranks is not None:
-            ranks = int(ranks)
-            if ranks < 1:
-                raise ValueError(f"ranks must be >= 1 (or None), got {ranks}")
-            opts["ranks"] = ranks
         periodic = bool(opts.pop("periodic", periodic))
         if system is None:
             if e is not None or f is not None:

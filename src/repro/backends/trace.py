@@ -7,8 +7,8 @@ gpusim backend's *predicted* device time side by side where one
 exists).  The most recent trace is queryable process-wide via
 :func:`repro.last_trace`; the CLI's ``--trace`` flag prints it.
 
-Traces are stored per thread so concurrent solves (e.g. under the
-threaded backend, or a user's own thread pool) never see each other's
+Traces are stored per thread so concurrent solves (e.g. on a service
+dispatch thread, or a user's own thread pool) never see each other's
 instrumentation.
 """
 
@@ -109,8 +109,9 @@ class SolveTrace:
     ----------
     backend:
         Registry name of the backend that executed (``"engine"``,
-        ``"numpy"``, ``"gpusim"``, ``"threaded"``, or
-        ``"direct:<algorithm>"`` for the classic non-hybrid paths).
+        ``"numpy"``, ``"gpusim"``, ``"distributed"``, an adapter label
+        such as ``"prepared"``, or ``"direct:<algorithm>"`` for the
+        classic non-hybrid paths).
     m, n, dtype:
         Batch signature the solve ran under.
     k, k_source:

@@ -245,7 +245,7 @@ def solve_periodic_batch(
         the classic two-inner-solve reduction in-process.
     backend:
         Registry backend name (``"auto"`` or e.g. ``"engine"``,
-        ``"numpy"``, ``"threaded"``, ``"gpusim"``).  Only available
+        ``"numpy"``, ``"gpusim"``).  Only available
         with ``algorithm="auto"``/``"hybrid"``.
     check:
         Validate inputs and raise :class:`CyclicSingularError` when the

@@ -22,11 +22,11 @@ comparisons and education).
 :class:`~repro.backends.request.SolveRequest` and dispatch it through
 the **backend registry** (:mod:`repro.backends`): capability
 negotiation against the request picks an execution backend (the
-plan-caching engine by default; ``workers=W`` routes to the
-thread-sharded backend; ``backend="name"`` forces one), and every
-solve records a :class:`~repro.backends.trace.SolveTrace` queryable
-via :func:`repro.last_trace`.  Results are bitwise identical across
-the engine, numpy-reference, and threaded backends.
+plan-caching engine by default, which also shards ``workers=W``
+batches over its thread pool; ``backend="name"`` forces one), and
+every solve records a :class:`~repro.backends.trace.SolveTrace`
+queryable via :func:`repro.last_trace`.  Results are bitwise identical
+across the engine and numpy-reference backends, whatever ``workers``.
 """
 
 from __future__ import annotations
@@ -82,7 +82,7 @@ def solve_batch(
     backend:
         Registry backend for the hybrid/auto algorithms: ``"auto"``
         (capability negotiation + router) or a registered name —
-        ``"engine"``, ``"numpy"``, ``"threaded"``, ``"gpusim"``…  See
+        ``"engine"``, ``"numpy"``, ``"gpusim"``, ``"distributed"``…  See
         :mod:`repro.backends`.
     check:
         Validate inputs (recommended; disable only in hot loops).

@@ -10,12 +10,13 @@ batch solves.  It keeps
 * a **workspace pool per plan** — ring buffers, p-Thomas state and
   transpose scratch are checked out for the duration of one execution
   and returned, so warm solves allocate only their result;
-* an optional **shard executor** — ``workers=W`` splits the batch axis
-  across a persistent thread pool, each worker running the same plan
-  on its contiguous row shard and writing into one shared output.
-  Results are bitwise independent of ``workers`` because every solver
-  operation is elementwise along the batch axis and the transition
-  ``k`` is frozen from the *full* batch before sharding.
+* a persistent **thread pool** — ``workers=W`` splits the batch axis
+  into contiguous row shards that a bound session
+  (:class:`~repro.engine.session.BoundSolve`) runs concurrently, each
+  writing into one shared output.  Results are bitwise independent of
+  ``workers`` because every solver operation is elementwise along the
+  batch axis and the transition ``k`` is frozen from the *full* batch
+  before sharding.
 
 The engine's results are bitwise identical to
 :class:`~repro.core.hybrid.HybridSolver` for every signature; the
@@ -36,10 +37,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.hybrid import HybridReport
-from repro.core.tiled_pcr import TilingCounters
 from repro.core.transition import GTX480_HEURISTIC, TransitionHeuristic
 from repro.core.validation import check_batch_arrays, coerce_batch_arrays
-from repro.engine.executor import execute_plan, shard_bounds
 from repro.engine.plan import SolvePlan, build_plan
 from repro.engine.prepared import (
     PreparedPlan,
@@ -266,14 +265,6 @@ class ExecutionEngine:
         return plan
 
     # ---- workspace pooling -------------------------------------------
-    def checkout(self, plan: SolvePlan) -> PlanWorkspace:
-        """Borrow a pooled workspace for ``plan`` (build one on miss)."""
-        return self._checkout(plan)
-
-    def checkin(self, plan: SolvePlan, ws: PlanWorkspace) -> None:
-        """Return a borrowed workspace to ``plan``'s pool."""
-        self._checkin(plan, ws)
-
     def _checkout(self, plan: SolvePlan) -> PlanWorkspace:
         sig = plan.signature()
         with self._lock:
@@ -511,80 +502,6 @@ class ExecutionEngine:
         )
 
     # ---- execution ---------------------------------------------------
-    def execute_pooled(
-        self,
-        plan: SolvePlan,
-        a,
-        b,
-        c,
-        d,
-        *,
-        counters: TilingCounters | None = None,
-        out: np.ndarray | None = None,
-        stage_times: list | None = None,
-    ) -> np.ndarray:
-        """Execute a prepared plan against a pooled workspace.
-
-        This is the unsharded hot path — also the execution seam the
-        backend layer (:mod:`repro.backends.engine_backend`) calls
-        after planning through :meth:`plan_for`.  Counts one solve.
-        """
-        ws = self._checkout(plan)
-        try:
-            x = execute_plan(
-                plan, ws, a, b, c, d,
-                counters=counters, out=out, stage_times=stage_times,
-            )
-        finally:
-            self._checkin(plan, ws)
-        with self._lock:
-            self.stats.solves += 1
-        return x
-
-    def solve_sharded(
-        self,
-        plan: SolvePlan,
-        workers: int,
-        a,
-        b,
-        c,
-        d,
-        *,
-        counters: TilingCounters | None = None,
-        out: np.ndarray | None = None,
-        stage_times: list | None = None,
-    ) -> np.ndarray:
-        """Execute a plan split along the batch axis across threads.
-
-        The sharded orchestration itself lives in
-        :func:`repro.backends.threaded.execute_sharded` (the backend
-        layer owns parallel composition); this method supplies the
-        engine's pooled workspaces, thread pool, and stats ledger.
-        Falls back to :meth:`execute_pooled` when one shard suffices.
-        """
-        m = b.shape[0]
-        shards = shard_bounds(m, workers)
-        if len(shards) <= 1:
-            return self.execute_pooled(
-                plan, a, b, c, d,
-                counters=counters, out=out, stage_times=stage_times,
-            )
-        from repro.backends.threaded import execute_sharded
-
-        t0 = time.perf_counter()
-        x = execute_sharded(
-            self, plan, shards, a, b, c, d,
-            counters=counters, out=out, stage_times=stage_times,
-        )
-        if stage_times is not None:
-            stage_times.append(
-                (f"sharded-execute[{len(shards)}]", time.perf_counter() - t0)
-            )
-        with self._lock:
-            self.stats.solves += 1
-            self.stats.sharded_solves += 1
-        return x
-
     def bind(self, request, *, transient: bool = False):
         """Bind a ``SolveRequest`` into a reusable :class:`BoundSolve`.
 
@@ -625,7 +542,7 @@ class ExecutionEngine:
         ``PreparedPlan.solve``, and the engine-family backends) is a
         thin adapter that builds a request and calls this method.
         ``request.label`` overrides the trace's backend name so
-        adapters keep their identity (``"threaded"``, ``"prepared"``).
+        adapters keep their identity (``"prepared"``).
         """
         return self.bind(request, transient=True).step_once()
 
@@ -779,9 +696,6 @@ class ExecutionEngine:
 
     def thread_pool(self, workers: int) -> ThreadPoolExecutor:
         """The engine's persistent pool, grown to ≥ ``workers`` threads."""
-        return self._thread_pool(workers)
-
-    def _thread_pool(self, workers: int) -> ThreadPoolExecutor:
         # cap the materialized pool at a machine-proportional size;
         # oversized shard counts still complete (excess shards queue),
         # and shard *results* are independent of the thread count, so

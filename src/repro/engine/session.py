@@ -52,13 +52,27 @@ from repro.core.periodic import (
     refuse_singular,
 )
 from repro.core.tiled_pcr import TilingCounters
-from repro.engine.executor import shard_bounds
+from repro.engine.executor import execute_plan, shard_bounds
 from repro.engine.prepared import (
     coefficient_fingerprint,
     rtol_permits_hybrid_reuse,
 )
 
 __all__ = ["BoundSolve"]
+
+
+def _merge_shard_stages(per_shard: list) -> list:
+    """The parent-trace view of per-shard ``(name, seconds)`` stage lists.
+
+    Every shard runs the same stage sequence concurrently, so a stage
+    costs the parent its slowest shard: ``(f"{name} [w shards]", max
+    seconds)`` pairs, in stage order.
+    """
+    w = len(per_shard)
+    return [
+        (f"{name} [{w} shards]", max(stages[i][1] for stages in per_shard))
+        for i, (name, _) in enumerate(per_shard[0])
+    ]
 
 
 class BoundSolve:
@@ -101,14 +115,30 @@ class BoundSolve:
         self._cyc = None
         system = request.system
         self._bind(request)
+        plan = self.plan
         workers = request.workers
         shards = (
             shard_bounds(request.m, workers)
             if workers is not None and workers > 1
             else [(0, request.m)]
         )
-        self._shards = shards if len(shards) > 1 else None
-        self._dtype = self.plan.dtype
+        self._shards = shards
+        self._sharded = len(shards) > 1
+        if self.fact is None:
+            # the full path runs one sub-plan per shard, its k frozen
+            # from the full batch (a shard's own M could pick another);
+            # resolved once here so no step ever calls plan_for
+            self._subplans = {
+                lo: engine.plan_for(
+                    hi - lo, plan.n, plan.dtype,
+                    k=plan.k,
+                    fuse=plan.fuse,
+                    n_windows=plan.n_windows,
+                    subtile_scale=plan.subtile_scale,
+                ) if self._sharded else plan
+                for lo, hi in shards
+            }
+        self._dtype = plan.dtype
         if system.kind == "block":
             self._dshape = (request.m, request.n, system.block_size)
         else:
@@ -240,7 +270,7 @@ class BoundSolve:
                     engine.stats.solves += 1
                 if self._served:
                     engine.stats.rhs_only_solves += 1
-                if self._shards is not None:
+                if self._sharded:
                     engine.stats.sharded_solves += 1
         if self._report_plain:
             engine.last_report = HybridReport(
@@ -341,17 +371,61 @@ class BoundSolve:
 
     def _solve_plan(self, a, b, c, d, *, out=None, counters=None,
                     stage_times=None):
-        """One execution of the bound plan, sharded when ``workers > 1``."""
-        workers = self.request.workers
-        if workers is not None and workers > 1:
-            return self.engine.solve_sharded(
-                self.plan, workers, a, b, c, d,
-                counters=counters, out=out, stage_times=stage_times,
-            )
-        return self.engine.execute_pooled(
-            self.plan, a, b, c, d,
-            counters=counters, out=out, stage_times=stage_times,
-        )
+        """One execution of the bound plan: every shard runs its sub-plan
+        on a pooled workspace through :meth:`_run_shards`.
+
+        An instrumented call (``stage_times`` given) counts one solve;
+        sharded, it reports each stage at its slowest shard, then the
+        whole ``sharded-execute[w]`` span.
+        """
+        if out is None:
+            out = np.empty(self._dshape, dtype=self._dtype)
+        engine = self.engine
+        subplans = self._subplans
+        sharded = self._sharded
+        if sharded:
+            # concurrent shards keep their own stage lists and counters
+            ledgers = {
+                lo: (
+                    [] if stage_times is not None else None,
+                    TilingCounters() if counters is not None else None,
+                )
+                for lo in subplans
+            }
+        else:
+            ledgers = {0: (stage_times, counters)}
+
+        def solve_shard(_, d, out, lo, hi):
+            plan = subplans[lo]
+            times, ctr = ledgers[lo]
+            ws = engine._checkout(plan)
+            try:
+                execute_plan(
+                    plan, ws, a[lo:hi], b[lo:hi], c[lo:hi], d[lo:hi],
+                    counters=ctr, out=out[lo:hi], stage_times=times,
+                )
+            finally:
+                engine._checkin(plan, ws)
+
+        t0 = time.perf_counter()
+        self._run_shards(solve_shard, None, d, out)
+        if sharded and counters is not None:
+            for _, ctr in ledgers.values():
+                counters.merge(ctr)
+        if stage_times is not None:
+            if sharded:
+                stage_times.extend(
+                    _merge_shard_stages([t for t, _ in ledgers.values()])
+                )
+                stage_times.append((
+                    f"sharded-execute[{len(subplans)}]",
+                    time.perf_counter() - t0,
+                ))
+            with engine._lock:
+                engine.stats.solves += 1
+                if sharded:
+                    engine.stats.sharded_solves += 1
+        return out
 
     def _cyclic_state(self):
         """Reduced cyclic state, computed once per session.
@@ -394,10 +468,17 @@ class BoundSolve:
         return self._ws
 
     def _run_shards(self, solve_shard, ws, d, out):
-        """``solve_shard(ws, d, out, lo, hi)`` over the bound shards."""
+        """``solve_shard(ws, d, out, lo, hi)`` over the bound shards.
+
+        The one shard loop: factored sweeps and full-plan executions
+        alike split the batch here, one contiguous row block per task
+        on the engine's thread pool.  Every operation is elementwise
+        along the batch, so results are bitwise independent of the
+        shard count.
+        """
         shards = self._shards
-        if shards is None:
-            solve_shard(ws, d, out, 0, self.request.m)
+        if not self._sharded:
+            solve_shard(ws, d, out, *shards[0])
         else:
             pool = self.engine.thread_pool(len(shards))
             list(pool.map(lambda s: solve_shard(ws, d, out, *s), shards))

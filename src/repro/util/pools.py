@@ -1,7 +1,7 @@
 """Thread-pool sizing shared by every executor in the repo.
 
-Historically the threaded and engine backends advertised (and the
-engine materialized) pools of ``max(32, os.cpu_count())`` threads —
+Historically the engine-family backends advertised (and the engine
+materialized) pools of ``max(32, os.cpu_count())`` threads —
 i.e. *at least* 32 threads even on a 2-core machine, where 32 waiters
 fighting over 2 cores only add scheduler pressure and memory.  The
 intended semantics was a *cap*: generous enough that sharded solves

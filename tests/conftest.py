@@ -7,6 +7,17 @@ import pytest
 from scipy.linalg import solve_banded
 
 
+#: backend rows of the cross-backend tests -> (backend, extra solve
+#: options); ``threaded`` is the engine sharding the batch over three
+#: threads
+BACKEND_ROWS = {
+    "engine": ("engine", {}),
+    "threaded": ("engine", {"workers": 3}),
+    "numpy": ("numpy", {}),
+    "gpusim": ("gpusim", {}),
+}
+
+
 def make_batch(m, n, dtype=np.float64, seed=0, dominance=3.0):
     """Random strictly diagonally dominant (M, N) batch."""
     rng = np.random.default_rng(seed)

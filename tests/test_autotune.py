@@ -36,9 +36,11 @@ from repro.autotune import (
     disable_adaptive_routing,
     route_key,
 )
-from repro.autotune.calibrate import calibration_batch
+from repro.autotune.calibrate import _route_kwargs, calibration_batch
+from repro.autotune.model import route_from
 from repro.autotune.router import candidate_routes
 from repro.backends.registry import (
+    BackendRegistry,
     Router,
     default_registry,
     reject_reason,
@@ -164,6 +166,23 @@ def test_model_load_missing_corrupt_and_foreign(tmp_path):
         PerformanceModel.load(stale)
     model, note = PerformanceModel.load_or_new(stale)
     assert model.cells() == [] and "version" in note
+
+    # v2 files hold routes of the retired threaded backend
+    v2 = tmp_path / "v2.json"
+    rkey = route_key({
+        "backend": "threaded", "k": 0, "workers": 4,
+        "fingerprint": "auto", "ranks": 1,
+    })
+    v2.write_text(json.dumps({
+        "kind": "repro-autotune-model", "version": 2, "min_samples": 2,
+        "cells": {"M2^6|N2^8|float64|plain": {
+            rkey: {"count": 3, "mean_s": 1e-3},
+        }},
+    }))
+    assert MODEL_VERSION == 3
+    model, note = PerformanceModel.load_or_new(v2)
+    assert model.cells() == [] and "version 2" in note
+    assert AdaptiveRouter(model_path=v2).load_note == note
 
     # wrong kind
     alien = tmp_path / "alien.json"
@@ -375,6 +394,44 @@ def test_candidate_routes_respect_contracts():
     }
     assert (True, "auto+rtol") in tiers
     assert (True, "forced") in tiers
+
+
+SHAPES_AROUND_RANKS = [(64, 256), (8, 4096)]  # below / at the ranks axis
+
+
+@pytest.mark.parametrize("m,n", SHAPES_AROUND_RANKS)
+def test_calibrated_routes_run_as_the_routes_they_record(m, n):
+    # calibrate() pins each candidate through _route_kwargs; the solve
+    # must then run exactly that route, or its time lands on another key
+    reg = default_registry()
+    a, b, c, d = calibration_batch(m, n)
+    probe = SolveRequest.build(a, b, c, d, coerced=True)
+    routes = candidate_routes(probe, reg.capable(probe))
+    assert {r["ranks"] for r in routes} == ({1, 2, 4} if n >= 4096 else {1})
+    for route in routes:
+        kwargs = _route_kwargs(route, None)
+        backend = kwargs.pop("backend")
+        request = SolveRequest.build(a, b, c, d, coerced=True, **kwargs)
+        _, trace = solve_via(
+            a, b, c, d, backend=backend, coerced=True, registry=reg, **kwargs
+        )
+        assert route_from(request, trace) == route
+
+
+@pytest.mark.parametrize("m,n", SHAPES_AROUND_RANKS)
+def test_exploration_records_every_candidate_under_its_own_key(m, n):
+    reg = BackendRegistry(router=AdaptiveRouter(PerformanceModel(), epsilon=1.0))
+    for backend in default_registry().backends():
+        reg.register(backend)
+    a, b, c, d = calibration_batch(m, n)
+    probe = SolveRequest.build(a, b, c, d, coerced=True)
+    routes = candidate_routes(probe, reg.capable(probe))
+    # the first pick is cold (the static route); every later one
+    # explores the least-sampled candidate
+    for _ in range(len(routes) + 1):
+        solve_via(a, b, c, d, coerced=True, registry=reg)
+    recorded = reg.router.model.routes(cell_key(m, n, "float64", False))
+    assert set(recorded) == {route_key(r) for r in routes}
 
 
 def test_calibrate_fills_the_model_and_routes_from_it():

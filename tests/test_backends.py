@@ -1,8 +1,8 @@
 """Backend dispatch layer: registry negotiation, router, cross-backend
 agreement, and per-solve traces.
 
-The engine and threaded backends must be *bitwise* identical to the
-single-call NumPy reference.  The gpusim backend routes its numerics
+The engine — sharded over ``workers`` threads or not — must be
+*bitwise* identical to the single-call NumPy reference.  The gpusim backend routes its numerics
 through the engine too, but its device planner may choose a different
 transition ``k`` / window split than the reference heuristic (shared
 memory caps it), so agreement there is to rounding tolerance, not
@@ -22,14 +22,18 @@ from repro.backends import (
     NumpyReferenceBackend,
     Router,
     SolveRequest,
+    bind_via,
     clear_last_trace,
     default_registry,
     solve_via,
 )
 from repro.core.periodic import CyclicSingularError, solve_periodic_batch
+from repro.engine import ExecutionEngine
 from repro.workloads.generators import random_batch
 
-ALL_BACKENDS = ("engine", "threaded", "numpy", "gpusim")
+from .conftest import BACKEND_ROWS
+
+ALL_BACKENDS = tuple(BACKEND_ROWS)
 #: gpusim's device planner may re-plan k/windows → rounding-level drift.
 TOL = {np.float64: 1e-12, np.float32: 1e-4}
 
@@ -50,10 +54,17 @@ def _cyclic_batch(m, n, dtype=np.float64, seed=0):
 # ---------------------------------------------------------------- registry
 
 
-def test_registry_lists_all_five_backends():
+def test_registry_lists_all_four_backends():
     names = [b.name for b in default_registry().backends()]
     # priority order
-    assert names == ["engine", "threaded", "distributed", "numpy", "gpusim"]
+    assert names == ["engine", "distributed", "numpy", "gpusim"]
+
+
+def test_threaded_backend_name_is_unknown():
+    # the engine shards workers itself; the old name has no alias
+    a, b, c, d = _batch(m=2, n=32)
+    with pytest.raises(BackendError, match="unknown backend 'threaded'"):
+        repro.solve_batch(a, b, c, d, backend="threaded")
 
 
 def test_auto_picks_the_engine():
@@ -62,21 +73,25 @@ def test_auto_picks_the_engine():
     assert repro.last_trace().backend == "engine"
 
 
-def test_workers_route_to_threaded():
+def test_workers_route_to_engine():
     a, b, c, d = _batch()
     x1 = repro.solve_batch(a, b, c, d)
     xw = repro.solve_batch(a, b, c, d, workers=3)
     trace = repro.last_trace()
-    assert trace.backend == "threaded"
+    assert trace.backend == "engine"
+    assert trace.decision.reason == "highest-priority capable backend"
     assert trace.workers == 3
     assert np.array_equal(x1, xw)  # sharding is bitwise-invisible
 
 
-@pytest.mark.parametrize("name", ALL_BACKENDS)
-def test_named_backend_is_honoured(name):
+@pytest.mark.parametrize("row", ALL_BACKENDS)
+def test_named_backend_is_honoured(row):
+    name, opts = BACKEND_ROWS[row]
     a, b, c, d = _batch()
-    repro.solve_batch(a, b, c, d, backend=name)
-    assert repro.last_trace().backend == name
+    repro.solve_batch(a, b, c, d, backend=name, **opts)
+    trace = repro.last_trace()
+    assert trace.backend == name
+    assert trace.workers == opts.get("workers", 1)
 
 
 def test_unknown_backend_name_is_a_clear_error():
@@ -97,17 +112,50 @@ def test_unknown_solve_option_is_a_type_error():
         repro.solve_batch(a, b, c, d, tile=4)
 
 
+@pytest.mark.parametrize("bad", [0, -1, 2.5, "3"])
+def test_workers_must_be_a_positive_int_at_every_entry(bad):
+    a, b, c, d = _batch(m=4, n=32)
+    engine = ExecutionEngine()
+    handle = engine.prepare(a, b, c, k=0)
+    entries = {
+        "repro.solve_batch": lambda: repro.solve_batch(a, b, c, d, workers=bad),
+        "bind_via": lambda: bind_via(a, b, c, d, workers=bad),
+        "engine.solve_batch": lambda: engine.solve_batch(
+            a, b, c, d, workers=bad
+        ),
+        "engine.solve_periodic": lambda: engine.solve_periodic(
+            a, b, c, d, workers=bad
+        ),
+        "prepared.solve": lambda: handle.solve(d, workers=bad),
+        "prepared.bind": lambda: handle.bind(workers=bad),
+    }
+    for entry, call in entries.items():
+        with pytest.raises(ValueError, match="workers must be an int >= 1"):
+            call()
+    assert engine.stats.solves == 0
+
+
+@pytest.mark.parametrize("bad", [0, -1])
+def test_ranks_must_be_a_positive_int(bad):
+    a, b, c, d = _batch(m=4, n=32)
+    with pytest.raises(ValueError, match="ranks must be an int >= 1"):
+        repro.solve_batch(a, b, c, d, ranks=bad)
+    with pytest.raises(ValueError, match="ranks must be an int >= 1"):
+        bind_via(a, b, c, d, ranks=bad)
+
+
 # ------------------------------------------------- cross-backend agreement
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 @pytest.mark.parametrize("k", [0, None], ids=["k0", "kheuristic"])
-@pytest.mark.parametrize("backend", ["engine", "threaded", "gpusim"])
-def test_cross_backend_agreement(backend, k, dtype):
+@pytest.mark.parametrize("row", ["engine", "threaded", "gpusim"])
+def test_cross_backend_agreement(row, k, dtype):
+    backend, row_opts = BACKEND_ROWS[row]
     a, b, c, d = _batch(m=8, n=256, dtype=dtype)
     opts = {} if k is None else {"k": k}
     ref = repro.solve_batch(a, b, c, d, backend="numpy", **opts)
-    x = repro.solve_batch(a, b, c, d, backend=backend, **opts)
+    x = repro.solve_batch(a, b, c, d, backend=backend, **opts, **row_opts)
     assert x.dtype == ref.dtype
     if backend == "gpusim" and k is None:
         # device plan may differ from the reference heuristic
@@ -117,8 +165,9 @@ def test_cross_backend_agreement(backend, k, dtype):
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-@pytest.mark.parametrize("backend", ["engine", "threaded", "gpusim"])
-def test_cross_backend_agreement_periodic(backend, dtype):
+@pytest.mark.parametrize("row", ["engine", "threaded", "gpusim"])
+def test_cross_backend_agreement_periodic(row, dtype):
+    backend, opts = BACKEND_ROWS[row]
     rng = np.random.default_rng(11)
     m, n = 4, 128
     a = rng.standard_normal((m, n)).astype(dtype)
@@ -126,7 +175,7 @@ def test_cross_backend_agreement_periodic(backend, dtype):
     b = (6.0 + np.abs(a) + np.abs(c)).astype(dtype)
     d = rng.standard_normal((m, n)).astype(dtype)
     ref = solve_periodic_batch(a, b, c, d, backend="numpy")
-    x = solve_periodic_batch(a, b, c, d, backend=backend)
+    x = solve_periodic_batch(a, b, c, d, backend=backend, **opts)
     if backend == "gpusim":
         assert np.allclose(x, ref, rtol=TOL[dtype], atol=TOL[dtype])
     else:
@@ -134,17 +183,20 @@ def test_cross_backend_agreement_periodic(backend, dtype):
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-@pytest.mark.parametrize("backend", ["engine", "threaded", "gpusim"])
-def test_periodic_prepared_matches_unprepared(backend, dtype):
+@pytest.mark.parametrize("row", ["engine", "threaded", "gpusim"])
+def test_periodic_prepared_matches_unprepared(row, dtype):
     # k = 0 pins the plan, so the cyclic RHS-only sweep (stored core
     # factorization + q + scale) must change no bits vs re-elimination
+    backend, opts = BACKEND_ROWS[row]
     a, b, c, d = _cyclic_batch(48, 96, dtype=dtype, seed=21)
     ref = solve_periodic_batch(
-        a, b, c, d, backend=backend, k=0, fingerprint=False
+        a, b, c, d, backend=backend, k=0, fingerprint=False, **opts
     )
-    solve_periodic_batch(a, b, c, d, backend=backend, k=0, fingerprint=True)
+    solve_periodic_batch(
+        a, b, c, d, backend=backend, k=0, fingerprint=True, **opts
+    )
     x = solve_periodic_batch(
-        a, b, c, d, backend=backend, k=0, fingerprint=True
+        a, b, c, d, backend=backend, k=0, fingerprint=True, **opts
     )
     trace = repro.last_trace()
     assert trace.backend == backend
@@ -167,17 +219,18 @@ def test_periodic_trace_fields():
     assert repro.last_trace().periodic is False
 
 
-@pytest.mark.parametrize("backend", ALL_BACKENDS)
-def test_periodic_singular_raises_through_backends(backend):
+@pytest.mark.parametrize("row", ALL_BACKENDS)
+def test_periodic_singular_raises_through_backends(row):
     # the periodic Laplacian [-1, 2, -1] has the constant nullvector:
     # |1 + v·q| collapses and every backend must surface the guard
+    backend, opts = BACKEND_ROWS[row]
     n = 32
     a = np.full((2, n), -1.0)
     c = np.full((2, n), -1.0)
     b = np.full((2, n), 2.0)
     d = np.zeros((2, n))
     with pytest.raises(CyclicSingularError, match="row"):
-        solve_periodic_batch(a, b, c, d, backend=backend)
+        solve_periodic_batch(a, b, c, d, backend=backend, **opts)
 
 
 def test_out_parameter_is_written_in_place():
@@ -191,15 +244,18 @@ def test_out_parameter_is_written_in_place():
 # -------------------------------------------------- prepared vs unprepared
 
 
-@pytest.mark.parametrize("backend", ["engine", "threaded", "gpusim"])
-def test_prepared_matches_unprepared_bitwise_k0(backend):
+@pytest.mark.parametrize("row", ["engine", "threaded", "gpusim"])
+def test_prepared_matches_unprepared_bitwise_k0(row):
     # k = 0 pins the plan, so the RHS-only sweep with stored
     # denominators must change no bits on any prepared-capable backend
+    backend, opts = BACKEND_ROWS[row]
     a, b, c, d = _batch(m=48, n=96, seed=41)
     ref = repro.solve_batch(a, b, c, d, backend=backend, k=0,
-                            fingerprint=False)
-    repro.solve_batch(a, b, c, d, backend=backend, k=0, fingerprint=True)
-    x = repro.solve_batch(a, b, c, d, backend=backend, k=0, fingerprint=True)
+                            fingerprint=False, **opts)
+    repro.solve_batch(a, b, c, d, backend=backend, k=0, fingerprint=True,
+                      **opts)
+    x = repro.solve_batch(a, b, c, d, backend=backend, k=0, fingerprint=True,
+                          **opts)
     trace = repro.last_trace()
     assert trace.backend == backend
     assert trace.factorization == "hit"
@@ -207,13 +263,16 @@ def test_prepared_matches_unprepared_bitwise_k0(backend):
     assert np.array_equal(x, ref)
 
 
-@pytest.mark.parametrize("backend", ["engine", "threaded", "gpusim"])
-def test_prepared_matches_unprepared_hybrid(backend):
+@pytest.mark.parametrize("row", ["engine", "threaded", "gpusim"])
+def test_prepared_matches_unprepared_hybrid(row):
+    backend, opts = BACKEND_ROWS[row]
     a, b, c, d = _batch(m=8, n=320, seed=42)
     ref = repro.solve_batch(a, b, c, d, backend=backend, k=4,
-                            fingerprint=False)
-    repro.solve_batch(a, b, c, d, backend=backend, k=4, fingerprint=True)
-    x = repro.solve_batch(a, b, c, d, backend=backend, k=4, fingerprint=True)
+                            fingerprint=False, **opts)
+    repro.solve_batch(a, b, c, d, backend=backend, k=4, fingerprint=True,
+                      **opts)
+    x = repro.solve_batch(a, b, c, d, backend=backend, k=4, fingerprint=True,
+                          **opts)
     assert repro.last_trace().rhs_only is True
     assert np.allclose(x, ref, rtol=1e-10, atol=1e-13)
 
@@ -237,9 +296,11 @@ def test_threaded_trace_merges_shard_stages():
     a, b, c, d = _batch(m=32, n=128, seed=45)
     repro.solve_batch(a, b, c, d, workers=4, fingerprint=False)
     trace = repro.last_trace()
-    assert trace.backend == "threaded"
+    assert trace.backend == "engine"
     # per-shard stage ledgers are merged into a critical-path view
-    assert any("[4 shards]" in s.name for s in trace.stages)
+    names = [s.name for s in trace.stages]
+    assert any("[4 shards]" in name for name in names)
+    assert names[-1] == "sharded-execute[4]"
 
 
 # ------------------------------------------------------------- negotiation

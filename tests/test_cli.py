@@ -100,15 +100,27 @@ def test_accuracy_command(capsys):
 def test_backends_command(capsys):
     assert main(["backends"]) == 0
     out = capsys.readouterr().out
-    for name in ("engine", "threaded", "numpy", "gpusim"):
+    for name in ("engine", "distributed", "numpy", "gpusim"):
         assert name in out
+    assert "threaded" not in out  # the engine shards workers itself
     assert "simulated" in out
     assert "float32/float64" in out
 
 
-@pytest.mark.parametrize("backend", ["engine", "numpy", "threaded", "gpusim"])
+#: ``--backend`` rows -> CLI flags; ``threaded`` is the engine sharding
+#: the batch over three threads
+BACKEND_FLAGS = {
+    "engine": ["--backend", "engine"],
+    "numpy": ["--backend", "numpy"],
+    "threaded": ["--backend", "engine", "--workers", "3"],
+    "gpusim": ["--backend", "gpusim"],
+}
+
+
+@pytest.mark.parametrize("backend", tuple(BACKEND_FLAGS))
 def test_solve_backend_flag(capsys, backend):
-    assert main(["solve", "-M", "4", "-N", "128", "--backend", backend]) == 0
+    argv = ["solve", "-M", "4", "-N", "128", *BACKEND_FLAGS[backend]]
+    assert main(argv) == 0
     assert "relative residual" in capsys.readouterr().out
 
 
@@ -133,7 +145,7 @@ def test_solve_trace_shows_gpusim_predictions(capsys):
 def test_solve_workers_flag(capsys):
     assert main(["solve", "-M", "8", "-N", "128", "--workers", "2", "--trace"]) == 0
     out = capsys.readouterr().out
-    assert "backend: threaded" in out
+    assert "backend: engine" in out
     assert "sharded-execute[2]" in out
 
 

@@ -264,11 +264,10 @@ def test_executor_cap_is_proportional_not_floored():
 
 
 def test_backend_caps_respect_executor_cap():
-    for name in ("engine", "threaded"):
-        caps = default_registry().get(name).capabilities()
-        assert caps.max_workers == executor_cap()
-        # the old bug: max(32, cpus) pinned >= 32 onto small hosts
-        assert caps.max_workers <= EXECUTOR_HARD_CAP
+    caps = default_registry().get("engine").capabilities()
+    assert caps.max_workers == executor_cap()
+    # the old bug: max(32, cpus) pinned >= 32 onto small hosts
+    assert caps.max_workers <= EXECUTOR_HARD_CAP
 
 
 def test_engine_thread_pool_never_oversubscribes():

@@ -324,13 +324,14 @@ def test_prepared_sharding_is_bitwise_invisible(k):
     assert engine.stats.sharded_solves >= 1
 
 
-def test_prepared_workers_route_through_threaded_backend():
+def test_prepared_workers_route_through_engine_backend():
     m, n = K0_SHAPE
     a, b, c, d = make_batch(m, n, seed=18)
     x1 = repro.solve_batch(a, b, c, d, fingerprint=True)
     xw = repro.solve_batch(a, b, c, d, workers=3, fingerprint=True)
     trace = repro.last_trace()
-    assert trace.backend == "threaded"
+    assert trace.backend == "engine"
+    assert trace.workers == 3
     assert trace.rhs_only is True
     assert np.array_equal(x1, xw)
 

@@ -6,8 +6,9 @@ is *pure orchestration*: stepping a sequence of right-hand sides
 through one bound session produces, step for step, the **bitwise**
 result of independent one-shot solves wherever the one-shot path makes
 that promise (every ``k = 0`` route, all banded routes).  These tests
-pin that contract across the four system kinds and the backend
-surface — engine, threaded, the generic per-step fallback, the
+pin that contract across the four system kinds, both session paths
+(factored and full) sharded over ``workers`` threads or not, and the
+backend surface — the engine, the generic per-step fallback, the
 service's shared-window sessions, and the distributed pipeline — plus
 the transposed-layout ``step_t`` fast path and the session lifecycle.
 """
@@ -24,12 +25,16 @@ from hypothesis import strategies as st
 import repro
 from repro.backends import bind_via, solve_via
 from repro.backends.base import PerStepSession
+from repro.backends.request import SolveRequest
+from repro.engine import ExecutionEngine
 from repro.engine.session import BoundSolve
 from repro.workloads.generators import (
     random_batch,
     random_block_batch,
     random_penta_batch,
 )
+
+from .conftest import BACKEND_ROWS
 
 KINDS = ("plain", "cyclic", "penta", "block")
 
@@ -43,16 +48,21 @@ def _cyclic_batch(m, n, seed):
     return a, b, c, d
 
 
-def _make(kind, seed, backend="engine", **opts):
-    """(session, one_shot(d), fresh_d()) for one system kind."""
+def _make(kind, seed, backend="engine", fingerprint=None, **opts):
+    """(session, one_shot(d), fresh_d()) for one system kind.
+
+    ``opts`` (e.g. ``workers``) ride on the bind only: the one-shot
+    reference is always the unsharded solve.
+    """
     rng = np.random.default_rng(seed + 1000)
-    if kind == "plain":
-        a, b, c, d = random_batch(4, 40, seed=seed)
+    if fingerprint is None:
         # fingerprinting negotiates only against prepared-capable
         # backends; bindless ones take the per-step-dispatch session
-        fp = backend in ("engine", "threaded")
+        fingerprint = backend == "engine"
+    if kind == "plain":
+        a, b, c, d = random_batch(4, 40, seed=seed)
         session = bind_via(
-            a, b, c, d, backend=backend, k=0, fingerprint=fp, **opts
+            a, b, c, d, backend=backend, k=0, fingerprint=fingerprint, **opts
         )
         one = lambda dd: solve_via(a, b, c, dd, backend=backend, k=0)[0]
         fresh = lambda: rng.standard_normal(d.shape)
@@ -60,7 +70,8 @@ def _make(kind, seed, backend="engine", **opts):
         a, b, c, d = _cyclic_batch(4, 40, seed)
         session = bind_via(
             a, b, c, d,
-            backend=backend, periodic=True, k=0, fingerprint=True, **opts
+            backend=backend, periodic=True, k=0, fingerprint=fingerprint,
+            **opts,
         )
         one = lambda dd: solve_via(
             a, b, c, dd, backend=backend, periodic=True, k=0
@@ -69,7 +80,8 @@ def _make(kind, seed, backend="engine", **opts):
     elif kind == "penta":
         e, a, b, c, f, d = random_penta_batch(4, 40, seed=seed)
         session = bind_via(
-            a, b, c, d, e=e, f=f, backend=backend, fingerprint=True, **opts
+            a, b, c, d, e=e, f=f, backend=backend, fingerprint=fingerprint,
+            **opts,
         )
         one = lambda dd: solve_via(
             a, b, c, dd, e=e, f=f, backend=backend
@@ -78,7 +90,7 @@ def _make(kind, seed, backend="engine", **opts):
     else:  # block
         A, B, C, d = random_block_batch(3, 12, block_size=2, seed=seed)
         session = bind_via(
-            A, B, C, d, backend=backend, fingerprint=True, **opts
+            A, B, C, d, backend=backend, fingerprint=fingerprint, **opts
         )
         one = lambda dd: solve_via(A, B, C, dd, backend=backend)[0]
         fresh = lambda: rng.standard_normal(d.shape)
@@ -92,21 +104,70 @@ def _make(kind, seed, backend="engine", **opts):
 
 @pytest.mark.parametrize("kind", KINDS)
 @settings(max_examples=8, deadline=None)
-@given(seed=st.integers(min_value=0, max_value=10_000))
-def test_step_sequence_matches_one_shot_bitwise(kind, seed):
-    session, one_shot, fresh_d = _make(kind, seed)
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    workers=st.sampled_from((1, 2, 3)),
+    fingerprint=st.booleans(),
+)
+def test_step_sequence_matches_one_shot_bitwise(
+    kind, seed, workers, fingerprint
+):
+    # fingerprint=False binds plain and cyclic systems on the full path
+    # (banded kinds always sweep a factorization); workers > 1 splits
+    # every step through the session's shard loop
+    session, one_shot, fresh_d = _make(
+        kind, seed, fingerprint=fingerprint, workers=workers
+    )
     with session:
         assert isinstance(session, BoundSolve)
+        full = not fingerprint and kind in ("plain", "cyclic")
+        assert (session.fact is None) == full
+        assert session.describe()["workers"] == workers
         for step in range(3):
             d = fresh_d()
             x = session.step(d)
             assert np.array_equal(x, one_shot(d)), (kind, seed, step)
-        assert session.steps == 3
+        d = fresh_d()
+        assert np.array_equal(session.step_once(d).x, one_shot(d))
+        steps = 4
+        if kind != "block":  # step_t is defined for (M, N) sessions
+            d = fresh_d()
+            xt = session.step_t(np.ascontiguousarray(d.T))
+            assert np.array_equal(xt, one_shot(d).T)
+            steps += 1
+        assert session.steps == steps
 
 
-@pytest.mark.parametrize("backend", ("engine", "threaded", "numpy", "gpusim"))
-def test_plain_sessions_match_one_shot_on_every_backend(backend):
-    session, one_shot, fresh_d = _make("plain", seed=17, backend=backend)
+@pytest.mark.parametrize("kind", ("plain", "cyclic"))
+@pytest.mark.parametrize("fingerprint", (True, False), ids=("factored", "full"))
+def test_step_leaves_engine_stats_alone_on_both_paths(kind, fingerprint):
+    # step() is the uninstrumented hot loop: a sharded session counts no
+    # solve and resolves no plan per step (its sub-plans bind once)
+    engine = ExecutionEngine()
+    if kind == "plain":
+        a, b, c, d = random_batch(4, 40, seed=71)
+    else:
+        a, b, c, d = _cyclic_batch(4, 40, seed=71)
+    request = SolveRequest.build(
+        a, b, c, d, periodic=(kind == "cyclic"), k=0,
+        fingerprint=fingerprint, workers=2,
+    )
+    fields = ("solves", "sharded_solves", "plan_requests", "plans_built")
+    rng = np.random.default_rng(71)
+    with engine.bind(request) as session:
+        assert (session.fact is None) == (not fingerprint)
+        before = {f: getattr(engine.stats, f) for f in fields}
+        for _ in range(3):
+            session.step(rng.standard_normal(d.shape))
+        assert {f: getattr(engine.stats, f) for f in fields} == before
+
+
+@pytest.mark.parametrize("row", tuple(BACKEND_ROWS))
+def test_plain_sessions_match_one_shot_on_every_backend(row):
+    backend, opts = BACKEND_ROWS[row]
+    session, one_shot, fresh_d = _make(
+        "plain", seed=17, backend=backend, **opts
+    )
     with session:
         for _ in range(3):
             d = fresh_d()

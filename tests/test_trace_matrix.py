@@ -12,11 +12,13 @@ import pytest
 
 from repro.backends import BackendError, last_trace, solve_via
 
+from .conftest import BACKEND_ROWS
+
 _PLAN_CACHE_STATES = {"hit", "miss", "n/a"}
 _FACTORIZATION_STATES = {"hit", "factored", "miss", "off", "handle", "n/a"}
 
 ROUTES = ("plain", "prepared", "periodic")
-BACKENDS = ("engine", "threaded", "numpy", "gpusim")
+BACKENDS = tuple(BACKEND_ROWS)
 
 
 def _batch(route: str, backend: str, m=8, n=64):
@@ -34,25 +36,30 @@ def _batch(route: str, backend: str, m=8, n=64):
     return a, b, c, d
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("row", BACKENDS)
 @pytest.mark.parametrize("route", ROUTES)
-def test_every_route_populates_the_full_trace(route, backend):
-    a, b, c, d = _batch(route, backend)
+def test_every_route_populates_the_full_trace(route, row):
+    backend, opts = BACKEND_ROWS[row]
+    a, b, c, d = _batch(route, row)
 
     if route == "prepared":
         if backend == "numpy":
             with pytest.raises(BackendError, match="prepared"):
                 solve_via(a, b, c, d, backend=backend, fingerprint=True)
             return
-        solve_via(a, b, c, d, backend=backend, fingerprint=True)  # factor
-        x, trace = solve_via(a, b, c, d, backend=backend, fingerprint=True)
+        solve_via(a, b, c, d, backend=backend, fingerprint=True, **opts)
+        x, trace = solve_via(
+            a, b, c, d, backend=backend, fingerprint=True, **opts
+        )
         assert trace.factorization == "hit"
         assert trace.rhs_only is True
     elif route == "periodic":
-        x, trace = solve_via(a, b, c, d, backend=backend, periodic=True)
+        x, trace = solve_via(
+            a, b, c, d, backend=backend, periodic=True, **opts
+        )
         assert trace.periodic is True
     else:
-        x, trace = solve_via(a, b, c, d, backend=backend)
+        x, trace = solve_via(a, b, c, d, backend=backend, **opts)
         assert trace.periodic is False
 
     # one schema, uniformly populated
@@ -61,7 +68,7 @@ def test_every_route_populates_the_full_trace(route, backend):
     assert trace.dtype == "float64"
     assert isinstance(trace.k, int) and trace.k >= 0
     assert trace.k_source
-    assert trace.workers >= 1
+    assert trace.workers == opts.get("workers", 1)
     assert trace.plan_cache in _PLAN_CACHE_STATES
     assert trace.factorization in _FACTORIZATION_STATES
     assert isinstance(trace.rhs_only, bool)
@@ -103,12 +110,15 @@ def test_routed_dispatch_stamps_static_decision(periodic):
     assert trace.decision.reason
 
 
-def test_workers_rule_decision_names_the_rule():
+def test_workers_decision_is_the_priority_fallback():
+    # workers is a negotiated axis, not a routing rule: the engine
+    # serves a sharded request by priority
     a, b, c, d = _batch("plain", "workers-rule")
     _, trace = solve_via(a, b, c, d, workers=2)
     assert trace.decision.router == "static"
-    assert trace.decision.chosen == "threaded"
-    assert "route_workers" in trace.decision.reason
+    assert trace.decision.chosen == "engine"
+    assert trace.decision.reason == "highest-priority capable backend"
+    assert trace.workers == 2
 
 
 def _penta_batch(backend: str, m=8, n=64):
@@ -125,18 +135,19 @@ def _block_batch(backend: str, m=6, n=16, bs=2):
     return random_block_batch(m, n, block_size=bs, seed=seed)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("row", BACKENDS)
 @pytest.mark.parametrize("system", ("pentadiagonal", "block"))
-def test_banded_routes_populate_the_same_trace_schema(system, backend):
+def test_banded_routes_populate_the_same_trace_schema(system, row):
     """Penta and block dispatch fill the *identical* vocabulary the
     tridiagonal routes do, plus the ``system`` stamp."""
+    backend, opts = BACKEND_ROWS[row]
     if system == "pentadiagonal":
-        e, a, b, c, f, d = _penta_batch(backend)
-        x, trace = solve_via(a, b, c, d, e=e, f=f, backend=backend)
+        e, a, b, c, f, d = _penta_batch(row)
+        x, trace = solve_via(a, b, c, d, e=e, f=f, backend=backend, **opts)
         m, n = 8, 64
     else:
-        A, B, C, d = _block_batch(backend)
-        x, trace = solve_via(A, B, C, d, backend=backend)
+        A, B, C, d = _block_batch(row)
+        x, trace = solve_via(A, B, C, d, backend=backend, **opts)
         m, n = 6, 16
 
     assert trace.system == system
@@ -144,7 +155,7 @@ def test_banded_routes_populate_the_same_trace_schema(system, backend):
     assert trace.m == m and trace.n == n
     assert trace.dtype == "float64"
     assert trace.k == 0 and trace.k_source == "banded"
-    assert trace.workers >= 1
+    assert trace.workers == opts.get("workers", 1)
     assert trace.plan_cache in _PLAN_CACHE_STATES
     assert trace.factorization in _FACTORIZATION_STATES
     assert isinstance(trace.rhs_only, bool)
@@ -189,17 +200,18 @@ def test_tridiagonal_routes_stamp_default_system():
     assert "system" in trace.describe()
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("row", BACKENDS)
 @pytest.mark.parametrize("route", ROUTES)
-def test_session_step_once_populates_the_full_trace(route, backend):
+def test_session_step_once_populates_the_full_trace(route, row):
     """The session rows of the matrix: ``bind(...)`` + ``step_once()``
     fills the identical trace vocabulary the one-shot dispatch does —
     the bind/execute split changes when the work happens, never what
     the trace says about it."""
     from repro.backends import bind_via
 
-    a, b, c, d = _batch(route, backend)
-    opts = {}
+    backend, opts = BACKEND_ROWS[row]
+    a, b, c, d = _batch(route, row)
+    opts = dict(opts)
     if route == "prepared":
         if backend == "numpy":
             with pytest.raises(BackendError, match="prepared"):
@@ -219,7 +231,7 @@ def test_session_step_once_populates_the_full_trace(route, backend):
     assert trace.m == 8 and trace.n == 64
     assert trace.dtype == "float64"
     assert isinstance(trace.k, int) and trace.k >= 0
-    assert trace.workers >= 1
+    assert trace.workers == opts.get("workers", 1)
     assert trace.plan_cache in _PLAN_CACHE_STATES
     assert trace.factorization in _FACTORIZATION_STATES
     assert isinstance(trace.rhs_only, bool)
