@@ -37,6 +37,8 @@ import numpy as np
 
 from repro.core.pthomas import (
     PThomasWorkspace,
+    _backward_in_place,
+    _deliver,
     pthomas_solve_interleaved,
     subsystem_lengths,
 )
@@ -118,14 +120,16 @@ class _FusedPThomas:
     registers ... while the previous results are written to global
     memory".
 
-    State lives in a :class:`~repro.core.pthomas.PThomasWorkspace`
-    (supplied by the caller for reuse across solves, or allocated here);
-    every slab fold runs through ``out=`` kernels, so consuming a sweep
-    allocates nothing.
+    State lives in a column-major
+    :class:`~repro.core.pthomas.PThomasWorkspace` (supplied by the caller
+    for reuse across solves, or allocated here), matching the
+    column-major slabs the sliding window emits; every slab fold runs
+    through ``out=`` kernels, so consuming a sweep allocates nothing.
     """
 
     def __init__(self, m: int, n: int, k: int, dtype, workspace=None):
         self.m, self.n, self.g = m, n, 1 << k
+        self._pooled = workspace is not None
         if workspace is None:
             workspace = PThomasWorkspace(m, n, k, dtype)
         elif not workspace.compatible(m, n, k, dtype):
@@ -138,6 +142,7 @@ class _FusedPThomas:
         self.cp = workspace.cp
         self.dp = workspace.dp
         self._next = 0  # forward-reduction frontier (global row index)
+        self._solved = False  # backward pass done: dp holds x
 
     def consume(self, e0: int, e1: int, quad: tuple) -> None:
         """Fold slab ``[e0, e1)`` of level-k rows into the forward pass."""
@@ -175,38 +180,25 @@ class _FusedPThomas:
     def backward(self, out=None) -> np.ndarray:
         """Run the backward substitution once every row has been consumed.
 
-        ``out``, if given, receives the solution in place (must match
-        shape and dtype).
+        The solution overwrites ``dp`` in place and is then copied out
+        row-major: into ``out`` if given (must match shape and dtype),
+        else into a fresh array.  Repeat calls return the same solution.
         """
         if self._next != self.n:
             raise RuntimeError(
                 f"forward pass incomplete: {self._next} of {self.n} rows"
             )
-        m, n, g = self.m, self.n, self.g
-        cp, dp = self.cp, self.dp
-        if out is not None and (out.shape != (m, n) or out.dtype != cp.dtype):
+        m, n = self.m, self.n
+        dp = self.dp
+        if out is not None and (out.shape != (m, n) or out.dtype != dp.dtype):
             raise ValueError(
                 f"out (shape {out.shape}, dtype {out.dtype}) does not fit "
-                f"solve (shape ({m}, {n}), dtype {cp.dtype})"
+                f"solve (shape ({m}, {n}), dtype {dp.dtype})"
             )
-        x = out if out is not None else np.empty((m, n), dtype=cp.dtype)
-        L = -(-n // g)
-        last_lo = (L - 1) * g
-        x[:, last_lo:n] = dp[:, last_lo:n]
-        for l in range(L - 2, -1, -1):
-            lo = l * g
-            hi = lo + g
-            nxt_hi = min(hi + g, n)
-            w_next = nxt_hi - hi
-            cur = slice(lo, lo + w_next)
-            nxt = slice(hi, nxt_hi)
-            t1 = self._ws.t1[:, :w_next]
-            np.multiply(cp[:, cur], x[:, nxt], out=t1)
-            np.subtract(dp[:, cur], t1, out=x[:, cur])
-            if w_next < g:
-                tail = slice(lo + w_next, hi)
-                x[:, tail] = dp[:, tail]
-        return x
+        if not self._solved:
+            _backward_in_place(self.cp, dp, self.g, self._ws.t1)
+            self._solved = True
+        return _deliver(dp, out, self._pooled)
 
 
 @dataclass

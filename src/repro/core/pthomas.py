@@ -10,16 +10,24 @@ global position ``l·2^k + j`` — consecutive threads touch consecutive
 addresses, so every access is fully coalesced (the paper: "PCR naturally
 produces interleaved results which is [a] perfect match with p-Thomas").
 
-The CPU realization below keeps the arrays in their interleaved layout
-and vectorizes the per-step work across the ``(M, 2^k)`` thread grid,
-which both computes the right answer and preserves the exact memory-walk
-structure the coalescing analysis in :mod:`repro.kernels.pthomas_kernel`
-reasons about.  Every slab update is written with explicit ``out=``
-kernels into preallocated state — the modified coefficients ``c'``/``d'``
-and two thread-wide scratch rows — so a solve allocates nothing beyond
-its result.  The state can be owned externally
-(:class:`PThomasWorkspace`, pooled per plan by :mod:`repro.engine`) and
-reused across repeated solves.
+The CPU realization below keeps each system's rows in their interleaved
+order and vectorizes the per-step work across the ``(M, 2^k)`` thread
+grid: Thomas level ``l`` is the row slab ``[l·2^k, (l+1)·2^k)`` of all
+``M`` systems.  The host walks that grid column-major — the state
+(:class:`PThomasWorkspace`) stores the batch axis contiguously, so each
+level is one unit-stride block of ``M · 2^k`` values instead of ``M``
+short strided runs.  That is the host's version of coalescing, not the
+device's: the GPU model (:mod:`repro.kernels.pthomas_kernel`) still
+counts the paper's per-system interleaved layout, where consecutive
+threads of one system touch consecutive addresses.
+
+Every slab update is written with explicit ``out=`` kernels into
+preallocated state — the modified coefficients ``c'``/``d'`` and two
+thread-wide scratch rows — and the backward substitution overwrites
+``d'`` with the solution in place, so a solve allocates nothing beyond
+its result.  The state can be owned externally (pooled per plan by
+:mod:`repro.engine`) and reused across repeated solves; the result is
+always copied out of it into row-major memory.
 """
 
 from __future__ import annotations
@@ -48,18 +56,19 @@ class PThomasWorkspace:
     """Preallocated p-Thomas state for ``(M, N)`` solves after ``k`` steps.
 
     Holds the modified coefficients ``cp``/``dp`` (fully overwritten by
-    every forward pass) and two ``(M, 2^k)`` scratch rows for the
-    ``out=`` kernels.  Reusable across solves of the same shape.
+    every forward pass; the backward pass leaves the solution in ``dp``)
+    and two ``(M, 2^k)`` scratch rows for the ``out=`` kernels, all
+    column-major.  Reusable across solves of the same shape.
     """
 
     def __init__(self, m: int, n: int, k: int, dtype):
         dtype = np.dtype(dtype)
         self.m, self.n, self.k, self.dtype = m, n, k, dtype
         g = min(1 << k, n)
-        self.cp = np.empty((m, n), dtype=dtype)
-        self.dp = np.empty((m, n), dtype=dtype)
-        self.t1 = np.empty((m, g), dtype=dtype)
-        self.t2 = np.empty((m, g), dtype=dtype)
+        self.cp = np.empty((m, n), dtype=dtype, order="F")
+        self.dp = np.empty((m, n), dtype=dtype, order="F")
+        self.t1 = np.empty((m, g), dtype=dtype, order="F")
+        self.t2 = np.empty((m, g), dtype=dtype, order="F")
 
     def compatible(self, m: int, n: int, k: int, dtype) -> bool:
         """True if this workspace fits a solve of the given shape."""
@@ -69,6 +78,38 @@ class PThomasWorkspace:
             and self.k == k
             and self.dtype == np.dtype(dtype)
         )
+
+
+def _backward_in_place(cp, dp, g: int, t1) -> None:
+    """Backward substitution over level slabs, overwriting ``dp`` with x.
+
+    ``x_i = d'_i − c'_i · x_{i+g}`` level by level from the bottom; a
+    thread whose subsystem ends at a level keeps ``x = d'``, which is
+    already in place.  ``t1`` is ``(M, ≥ min(g, N))`` scratch.
+    """
+    n = dp.shape[1]
+    L = -(-n // g)
+    for l in range(L - 2, -1, -1):
+        lo = l * g
+        hi = lo + g
+        w = min(hi + g, n) - hi  # threads that have a later row
+        t = t1[:, :w]
+        np.multiply(cp[:, lo : lo + w], dp[:, hi : hi + w], out=t)
+        np.subtract(dp[:, lo : lo + w], t, out=dp[:, lo : lo + w])
+
+
+def _deliver(x, out, pooled: bool) -> np.ndarray:
+    """Hand the solution ``x`` (p-Thomas state) to the caller, row-major.
+
+    Writes into ``out`` if given.  Otherwise returns a row-major array
+    that never aliases pooled state: ``.copy`` rather than
+    ``ascontiguousarray``, because a column-major ``(1, N)`` array is
+    also C-contiguous and would come back as a view.
+    """
+    if out is not None:
+        out[...] = x
+        return out
+    return x.copy(order="C") if pooled else np.ascontiguousarray(x)
 
 
 def pthomas_solve_interleaved(
@@ -86,7 +127,8 @@ def pthomas_solve_interleaved(
         plain batched Thomas.
     workspace:
         Optional :class:`PThomasWorkspace` reused across same-shape
-        solves; omitted, state is allocated for this call.
+        solves; omitted, state is allocated for this call in the
+        inputs' memory order (row-major callers keep a row-major walk).
     out:
         Optional ``(M, N)`` destination for the solution (e.g. a shard
         slice of a larger batch).  Must match shape and dtype.
@@ -117,25 +159,32 @@ def pthomas_solve_interleaved(
             f"out (shape {out.shape}, dtype {out.dtype}) does not fit "
             f"solve (shape ({m}, {n}), dtype {b.dtype})"
         )
+    dtype = b.dtype
     if g >= n:
         # Every subsystem is a single row: rows are already decoupled
         # (c_i refers past the end; PCR guarantees it is 0).
-        if out is not None:
-            np.divide(d, b, out=out)
-            return out
-        return d / b
+        x = out if out is not None else np.empty((m, n), dtype=dtype)
+        np.divide(d, b, out=x)
+        return x
     L = -(-n // g)  # number of Thomas levels (longest subsystem length)
 
-    dtype = b.dtype
+    pooled = workspace is not None
     if workspace is None:
-        workspace = PThomasWorkspace(m, n, k, dtype)
+        # Unpooled state in the inputs' memory order.
+        order = "F" if b.strides[0] < b.strides[1] else "C"
+        cp, dp, t1, t2 = (
+            np.empty((m, w), dtype=dtype, order=order)
+            for w in (n, n, g, g)
+        )
     elif not workspace.compatible(m, n, k, dtype):
         raise ValueError(
             f"workspace (m={workspace.m}, n={workspace.n}, k={workspace.k}, "
             f"dtype={workspace.dtype}) does not fit solve "
             f"(m={m}, n={n}, k={k}, dtype={dtype})"
         )
-    cp, dp = workspace.cp, workspace.dp
+    else:
+        cp, dp = workspace.cp, workspace.dp
+        t1, t2 = workspace.t1, workspace.t2
 
     # Forward reduction, level by level.  Level l of subsystem j is global
     # row l*g + j; the slab [l*g, min((l+1)*g, n)) is contiguous.
@@ -148,33 +197,15 @@ def pthomas_solve_interleaved(
         w = hi - lo
         prev = slice(lo - g, lo - g + w)
         cur = slice(lo, hi)
-        t1, t2 = workspace.t1[:, :w], workspace.t2[:, :w]
+        s1, s2 = t1[:, :w], t2[:, :w]
         # denom = b - cp_prev * a
-        np.multiply(cp[:, prev], a[:, cur], out=t1)
-        np.subtract(b[:, cur], t1, out=t1)
-        np.divide(c[:, cur], t1, out=cp[:, cur])
+        np.multiply(cp[:, prev], a[:, cur], out=s1)
+        np.subtract(b[:, cur], s1, out=s1)
+        np.divide(c[:, cur], s1, out=cp[:, cur])
         # dp = (d - dp_prev * a) / denom
-        np.multiply(dp[:, prev], a[:, cur], out=t2)
-        np.subtract(d[:, cur], t2, out=t2)
-        np.divide(t2, t1, out=dp[:, cur])
+        np.multiply(dp[:, prev], a[:, cur], out=s2)
+        np.subtract(d[:, cur], s2, out=s2)
+        np.divide(s2, s1, out=dp[:, cur])
 
-    # Backward substitution.  The *last* row of subsystem j is at level
-    # L-1 when j < n - (L-1)*g, else at level L-2.
-    x = out if out is not None else np.empty((m, n), dtype=dtype)
-    last_lo = (L - 1) * g
-    x[:, last_lo:n] = dp[:, last_lo:n]
-    for l in range(L - 2, -1, -1):
-        lo = l * g
-        hi = lo + g
-        nxt_hi = min(hi + g, n)
-        w_next = nxt_hi - hi  # threads that have a later row
-        cur_with_next = slice(lo, lo + w_next)
-        nxt = slice(hi, nxt_hi)
-        t1 = workspace.t1[:, :w_next]
-        np.multiply(cp[:, cur_with_next], x[:, nxt], out=t1)
-        np.subtract(dp[:, cur_with_next], t1, out=x[:, cur_with_next])
-        if w_next < g and hi <= n:
-            # Threads whose subsystem ends at this level: x = d'.
-            tail = slice(lo + w_next, min(hi, n))
-            x[:, tail] = dp[:, tail]
-    return x
+    _backward_in_place(cp, dp, g, t1)
+    return _deliver(dp, out, pooled)

@@ -26,6 +26,12 @@ the logical window always occupies one contiguous column range, callers
 slice it exactly like a plain array: no wrap-around split, no modular
 arithmetic, and ``out=`` kernels can write straight into it.
 
+The backing arrays are column-major (batch axis contiguous), so a row
+range ``[i0, i1)`` over all ``M`` systems is one contiguous block and
+every ``out=`` kernel on a window view is a single unit-stride pass —
+the host counterpart of the coalesced per-row access the paper's
+interleaved layout buys on the GPU.
+
 Used by :class:`repro.core.tiled_pcr.TiledPCR` (per-level PCR caches),
 :class:`repro.core.streaming.StreamingPipeline` (generic level caches),
 and owned across calls by :mod:`repro.engine` plan workspaces.
@@ -44,7 +50,8 @@ class RingRows:
     Parameters
     ----------
     m:
-        Batch size — every channel array has shape ``(m, capacity)``.
+        Batch size — every channel array has shape ``(m, capacity)``,
+        stored column-major.
     capacity:
         Physical columns per channel.  Must cover the caller's retention
         budget plus the largest single append (asserted at append time).
@@ -71,7 +78,9 @@ class RingRows:
             raise ValueError(
                 f"got {len(dtypes)} dtypes for {channels} channels"
             )
-        self.data = tuple(np.empty((m, capacity), dtype=dt) for dt in dtypes)
+        self.data = tuple(
+            np.empty((m, capacity), dtype=dt, order="F") for dt in dtypes
+        )
         self.capacity = capacity
         self.off = 0  #: physical column where the logical window starts
         self.width = 0  #: logical rows currently held

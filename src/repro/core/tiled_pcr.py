@@ -35,6 +35,13 @@ the solve-plan engine (:mod:`repro.engine`) reuses across repeated
 solves, exactly as the GPU kernel reuses its shared-memory block across
 rounds.  Passing no workspace allocates one per sweep.
 
+Every buffer the window writes — the ring buffers, the level-``k``
+staging slab and the elimination scratch — is column-major: the batch
+axis is contiguous, so the ``(M, w)`` operand of each ``out=`` kernel is
+one unit-stride block rather than ``M`` short strided runs.  The input
+transpose rides the per-round raw fetch (a copy the window makes
+anyway), and every slab handed to ``emit`` is column-major too.
+
 Multi-window regions (Fig. 11b)
 -------------------------------
 A system may also be cut into ``W`` regions processed by independent
@@ -225,7 +232,11 @@ class _RawProvider:
         return body
 
     def fetch_into(self, lo: int, hi: int, region: tuple, views: tuple) -> None:
-        """:meth:`fetch`, written into preallocated ``(M, hi − lo)`` views."""
+        """:meth:`fetch`, written into preallocated ``(M, hi − lo)`` views.
+
+        The views are column-major window memory, so for row-major
+        inputs this copy is also the transpose into the window layout.
+        """
         self._count(lo, hi, region)
         in_lo, in_hi = max(lo, 0), min(hi, self.n)
         if in_lo >= in_hi:
@@ -248,8 +259,9 @@ class TiledWorkspace:
     ``2^{l+1} + 2S`` — retention budget plus append headroom, the
     paper's ``3·f(k)``-style alignment margin), the level-``k`` staging
     slab the finished rows are emitted from, and the ``k1/k2`` scratch
-    of the PCR elimination.  Reusable across sweeps of the same shape;
-    the solve-plan engine (:mod:`repro.engine`) pools these per plan.
+    of the PCR elimination, all column-major.  Reusable across sweeps of
+    the same shape; the solve-plan engine (:mod:`repro.engine`) pools
+    these per plan.
     """
 
     def __init__(self, m: int, k: int, subtile: int, dtype):
@@ -263,10 +275,12 @@ class TiledWorkspace:
             RingRows(m, 2 ** (l + 1) + 2 * S, dtype, channels=4)
             for l in range(k)
         ]
-        self.stage = tuple(np.empty((m, S), dtype=dtype) for _ in range(4))
-        self.k1 = np.empty((m, S), dtype=dtype)
-        self.k2 = np.empty((m, S), dtype=dtype)
-        self.tmp = np.empty((m, S), dtype=dtype)
+        self.stage = tuple(
+            np.empty((m, S), dtype=dtype, order="F") for _ in range(4)
+        )
+        self.k1 = np.empty((m, S), dtype=dtype, order="F")
+        self.k2 = np.empty((m, S), dtype=dtype, order="F")
+        self.tmp = np.empty((m, S), dtype=dtype, order="F")
 
     def compatible(self, m: int, k: int, subtile: int, dtype) -> bool:
         """True if this workspace fits a sweep of the given shape."""
@@ -346,8 +360,8 @@ class TiledPCR:
         ascending, non-overlapping, covering ``[0, N)``) *instead of*
         materializing output arrays, and ``None`` is returned.  This is
         the hook kernel fusion uses to feed p-Thomas forward reduction
-        progressively (Section III-C).  The slab views are only valid
-        during the call — consumers must copy what they keep.
+        progressively (Section III-C).  The slabs are column-major views
+        only valid during the call — consumers must copy what they keep.
 
         ``workspace`` is an optional :class:`TiledWorkspace` (from
         :meth:`make_workspace`) reused across sweeps of the same shape;
@@ -364,7 +378,7 @@ class TiledPCR:
             self.counters.rows_loaded += n * m
             self.counters.windows += self.n_windows
             if emit is not None:
-                emit(0, n, tuple(x.copy() for x in quads))
+                emit(0, n, tuple(x.copy(order="F") for x in quads))
                 return None
             return tuple(x.copy() for x in quads)
 

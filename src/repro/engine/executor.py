@@ -12,6 +12,10 @@ Every path is held **bitwise identical** to the reference
 
 * ``k > 0`` plans run the same :class:`~repro.core.tiled_pcr.TiledPCR`
   sweep and p-Thomas back-end, just against plan-owned workspaces.
+  Those workspaces are column-major (batch axis contiguous), so every
+  window and p-Thomas kernel streams one contiguous block per row
+  range; the sweep's raw fetch transposes the input on the way in and
+  p-Thomas's final copy into ``out`` transposes the solution back.
 * ``k = 0`` plans run the Thomas recurrence in a *transposed* layout:
   the diagonals are copied once into ``(N, M)`` buffers so the
   sequential row loop streams contiguous memory instead of striding

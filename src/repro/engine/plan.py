@@ -96,14 +96,20 @@ class SolvePlan:
         return f_redundant_loads(self.k)
 
     def rounds(self) -> int:
-        """Total sliding-window rounds one execution performs."""
+        """Total sliding-window rounds one execution performs.
+
+        Each window streams raw rows from ``r0 − f(k)`` until level ``k``
+        reaches ``r1``, i.e. ``(r1 − r0) + 2·f(k)`` rows, ``subtile`` per
+        round — the ``subtiles`` count of the sweep's
+        :class:`~repro.core.tiled_pcr.TilingCounters`.
+        """
         if self.uses_thomas:
             return 0
         total = 0
         bounds = self.window_bounds
         for r0, r1 in zip(bounds, bounds[1:]):
             if r1 > r0:
-                total += -(-((r1 - r0) + self.lead_in) // self.subtile)
+                total += -(-((r1 - r0) + 2 * self.lead_in) // self.subtile)
         return total
 
     def signature(self) -> tuple:

@@ -21,7 +21,12 @@ Two shapes of state exist:
   (:class:`~repro.core.tiled_pcr.TiledWorkspace`), the p-Thomas
   modified-coefficient state
   (:class:`~repro.core.pthomas.PThomasWorkspace`), and — for unfused
-  plans — the four reduced-system arrays the sweep emits into.
+  plans — the four reduced-system arrays the sweep emits into.  All of
+  them are column-major ``(M, ·)`` arrays, the same move as the ``k = 0``
+  transposed buffers: every window and p-Thomas kernel works on a row
+  range of all ``M`` systems, which this layout makes one contiguous
+  block.  The input is transposed by the sweep's per-round raw fetch
+  and the output by the final copy into the caller's row-major result.
 """
 
 from __future__ import annotations
@@ -82,7 +87,8 @@ class PlanWorkspace:
                 self.reduced = None
             else:
                 self.reduced = tuple(
-                    np.empty((m, n), dtype=dtype) for _ in range(4)
+                    np.empty((m, n), dtype=dtype, order="F")
+                    for _ in range(4)
                 )
                 self.nbytes += sum(r.nbytes for r in self.reduced)
 

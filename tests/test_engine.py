@@ -11,9 +11,15 @@ import numpy as np
 import pytest
 
 import repro
-from repro.core.hybrid import HybridReport, HybridSolver
-from repro.core.pthomas import subsystem_lengths
+from repro.core.hybrid import HybridReport, HybridSolver, _FusedPThomas
+from repro.core.pcr import pcr_sweep
+from repro.core.pthomas import (
+    PThomasWorkspace,
+    pthomas_solve_interleaved,
+    subsystem_lengths,
+)
 from repro.core.solver import solve_batch
+from repro.core.tiled_pcr import TiledPCR
 from repro.engine import (
     ExecutionEngine,
     PlanWorkspace,
@@ -131,6 +137,59 @@ def test_results_never_alias_pooled_workspaces(engine):
         assert np.array_equal(x1, keep), (m, n)
 
 
+@pytest.mark.parametrize("fuse", [False, True])
+def test_hybrid_buffers_are_column_major(engine, fuse):
+    # Every window and p-Thomas kernel works on a row range of all M
+    # systems; column-major buffers make that range one contiguous block.
+    m, n, k = 5, 300, 3
+    a, b, c, d = make_batch(m, n, seed=4)
+    engine.solve_batch(
+        a, b, c, d, k=k, fuse=fuse, n_windows=2, fingerprint=False
+    )
+    (ws,) = [w for pool in engine._pools.values() for w in pool]
+    tiled, pt = ws.tiled, ws.pthomas
+    bufs = [ch for ring in tiled.rings for ch in ring.data]
+    bufs += [*tiled.stage, tiled.k1, tiled.k2, tiled.tmp]
+    bufs += [pt.cp, pt.dp, pt.t1, pt.t2]
+    if fuse:
+        assert ws.reduced is None
+    else:
+        bufs += list(ws.reduced)
+    for x in bufs:
+        assert x.flags.f_contiguous and not x.flags.c_contiguous, x.shape
+
+    slabs = []
+    TiledPCR(k=k, n_windows=2).sweep(
+        a, b, c, d, emit=lambda e0, e1, q: slabs.extend(q),
+        workspace=tiled,
+    )
+    assert slabs and all(s.flags.f_contiguous for s in slabs)
+
+
+def test_pooled_pthomas_state_never_aliases_results():
+    # A column-major (1, N) workspace buffer is also C-contiguous, so
+    # only an explicit copy keeps it out of a result returned without
+    # ``out``; the engine always passes ``out`` and cannot see this.
+    m, n, k = 1, 64, 3
+    ws = PThomasWorkspace(m, n, k, np.float64)
+    results = []
+    for seed in (1, 2):
+        red = pcr_sweep(*make_batch(m, n, seed=seed), k)
+        x = pthomas_solve_interleaved(*red, k, workspace=ws)
+        results.append((x, x.copy()))
+    for seed in (3, 4):
+        fused = _FusedPThomas(m, n, k, np.float64, workspace=ws)
+        TiledPCR(k=k).sweep(*make_batch(m, n, seed=seed), emit=fused.consume)
+        x = fused.backward()
+        assert np.array_equal(fused.backward(), x)  # repeatable
+        results.append((x, x.copy()))
+    for x, keep in results:
+        assert not np.shares_memory(x, ws.dp)
+        assert np.array_equal(x, keep)
+    assert not np.array_equal(results[0][0], results[1][0])
+    assert not np.array_equal(results[2][0], results[3][0])
+
+
 # ---------------------------------------------------------------------------
 # dtype preservation
 # ---------------------------------------------------------------------------
@@ -205,10 +264,23 @@ def test_plan_describes_schedule():
     assert plan.subtile == 8
     assert plan.lead_in == 7
     assert plan.window_bounds == (0, 128, 256)
-    assert plan.rounds() == 34  # ceil(135/8) + ceil(135/8)
+    assert plan.rounds() == 36  # ceil(142/8) + ceil(142/8)
     info = plan.describe()
     assert info["backend"] == "tiled-pcr+p-thomas"
     assert info["subsystems"] == 64
+
+
+@pytest.mark.parametrize("m,n,k,fuse,nw", SIGNATURES)
+def test_plan_rounds_match_the_sweep(engine, m, n, k, fuse, nw):
+    # each window streams (r1 - r0) + 2 f(k) raw rows, one sub-tile per
+    # round; k = 0 plans run no sweep and count no rounds
+    a, b, c, d = make_batch(m, n, seed=m + n)
+    engine.solve_batch(
+        a, b, c, d, k=k, fuse=fuse, n_windows=nw, fingerprint=False
+    )
+    report = engine.last_report
+    plan = build_plan(m, n, np.float64, k=report.k, fuse=fuse, n_windows=nw)
+    assert plan.rounds() == report.tiling.subtiles
 
 
 def test_plan_cache_hit_and_eviction():

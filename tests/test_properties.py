@@ -5,7 +5,8 @@ where every pivot-free algorithm here is provably stable — with varied
 shapes, scales and dtypes; the properties are the load-bearing claims:
 
 * every solver agrees with LAPACK on every valid input;
-* tiled PCR is exactly the monolithic sweep, for every (n, k, c, W);
+* tiled PCR is exactly the monolithic sweep, for every (n, k, c, W)
+  and every input memory layout, and p-Thomas does not depend on it;
 * a PCR step never changes the solution;
 * interleave/deinterleave and split/merge are lossless;
 * the cost formulas match their closed forms.
@@ -26,6 +27,7 @@ from repro.core.pcr import (
     pcr_sweep,
     split_interleaved,
 )
+from repro.core.pthomas import pthomas_solve_interleaved
 from repro.core.rd import rd_solve_batch
 from repro.core.thomas import thomas_solve_batch
 from repro.core.tiled_pcr import tiled_pcr_sweep
@@ -52,6 +54,20 @@ def dominant_batch(draw, max_m=4, max_n=96, min_n=1):
     return a * scale, sign * b * scale, c * scale, d * scale
 
 
+def relayout(x, order):
+    """``x`` in row-major, column-major or strided-column-slice memory."""
+    if order == "C":
+        return np.ascontiguousarray(x)
+    if order == "F":
+        return np.asfortranarray(x)
+    wide = np.zeros((x.shape[0], 2 * x.shape[1] + 1), dtype=x.dtype)
+    wide[:, 1::2] = x
+    return wide[:, 1::2]
+
+
+layouts = st.sampled_from(["C", "F", "strided"])
+
+
 @settings(max_examples=60, deadline=None)
 @given(batch=dominant_batch())
 def test_all_solvers_agree_with_lapack(batch):
@@ -63,12 +79,13 @@ def test_all_solvers_agree_with_lapack(batch):
 
 @settings(max_examples=40, deadline=None)
 @given(
-    batch=dominant_batch(max_m=2, max_n=200, min_n=8),
+    batch=dominant_batch(max_m=5, max_n=200, min_n=8),
     k=st.integers(1, 4),
     n_windows=st.integers(1, 4),
     c_scale=st.integers(1, 3),
+    order=layouts,
 )
-def test_tiled_pcr_equals_monolithic(batch, k, n_windows, c_scale):
+def test_tiled_pcr_equals_monolithic(batch, k, n_windows, c_scale, order):
     a, b, c, d = batch
     n = b.shape[1]
     if (1 << k) > max(1, n // 2):
@@ -76,12 +93,32 @@ def test_tiled_pcr_equals_monolithic(batch, k, n_windows, c_scale):
     if (1 << k) > max(1, n // 2):
         return
     ref = pcr_sweep(a, b, c, d, k)
+    # check=False: validation would hand the sweep a row-major copy
     out = tiled_pcr_sweep(
-        a, b, c, d, k, n_windows=n_windows, subtile_scale=c_scale
+        *(relayout(x, order) for x in batch),
+        k,
+        n_windows=n_windows,
+        subtile_scale=c_scale,
+        check=False,
     )
     for x, y in zip(out, ref):
-        scale = np.maximum(np.abs(y), 1e-30)
-        assert np.max(np.abs(x - y) / scale) < 1e-9
+        assert np.array_equal(x, y)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    batch=dominant_batch(max_m=5, max_n=200, min_n=2),
+    k=st.integers(0, 5),
+    order=layouts,
+)
+def test_pthomas_is_independent_of_input_layout(batch, k, order):
+    reduced = pcr_sweep(*batch, k)
+    ref = pthomas_solve_interleaved(*reduced, k)
+    got = pthomas_solve_interleaved(
+        *(relayout(x, order) for x in reduced), k
+    )
+    assert got.flags.c_contiguous
+    assert np.array_equal(got, ref)
 
 
 @settings(max_examples=40, deadline=None)
