@@ -29,8 +29,10 @@ prepared loop on 2-D ADI at 1024x1024 — lands in
 ``BENCH_applications.json``.
 
 Run:   python benchmarks/bench_applications.py
-Smoke: python benchmarks/bench_applications.py --smoke   (headline
-       shape, few steps, asserts bitwise + sessions not slower; no JSON)
+Smoke: python benchmarks/bench_applications.py --smoke   (2-D ADI at
+       the headline shape and 3-D LOD at 48^3, few steps; asserts
+       bitwise, dense-reference agreement and the session speedups;
+       no JSON)
 """
 
 from __future__ import annotations
@@ -274,16 +276,21 @@ def main() -> None:
     args = parser.parse_args()
 
     if args.smoke:
-        res = bench_adi2d(1024, 1024, steps=3)
-        assert res["bitwise_identical"], (
-            f"session ADI must be bitwise identical to the prepared loop: {res}"
-        )
-        assert res["reference_error"] < 1e-10, (
-            f"session ADI diverged from the dense reference: {res}"
-        )
-        assert res["speedup_sessions_vs_prepared"] >= 1.05, (
-            f"sessions not faster than the per-call prepared loop: {res}"
-        )
+        # (case, grid, floor on the session speedup over the per-call loop)
+        for bench, grid, floor in (
+            (bench_adi2d, (1024, 1024), 1.05),
+            (bench_adi3d, (48, 48, 48), 1.3),
+        ):
+            res = bench(*grid, steps=3)
+            assert res["bitwise_identical"], (
+                f"sessions must be bitwise identical to the prepared loop: {res}"
+            )
+            assert res["reference_error"] < 1e-10, (
+                f"sessions diverged from the dense reference: {res}"
+            )
+            assert res["speedup_sessions_vs_prepared"] >= floor, (
+                f"sessions under {floor}x the per-call prepared loop: {res}"
+            )
         print("smoke OK: sessions faster than prepared, bitwise, reference agrees")
         return
 

@@ -7,16 +7,20 @@ right-hand sides.  Each simulator here binds one
 construction (:func:`repro.backends.registry.bind_via`), then runs an
 allocation-light ``step`` loop: explicit operators are applied in
 place into reused buffers, and every implicit sweep is a session
-``step`` — no per-step validation, plan lookup, factorization fetch,
-or trace construction.
+``step`` or ``step_t`` — no per-step validation, plan lookup,
+factorization fetch, or trace construction.  ``step`` advances the
+simulator's own copy of the initial field in place.
 
 * :class:`ADIDiffusion2D` — Peaceman–Rachford alternating-direction
   implicit diffusion on an ``(ny, nx)`` grid: two half-steps, one
   session per sweep direction (the row sweep solves the grid as an
   ``(ny, nx)`` batch, the column sweep its transpose).
-* :class:`ADIDiffusion3D` — locally-one-dimensional (LOD) splitting on
-  an ``(nz, ny, nx)`` grid: three Crank–Nicolson sweeps per step, each
-  reshaping the grid into a 2-D batch along its own axis.
+* :class:`ADIDiffusion3D` — Yanenko's locally-one-dimensional (LOD)
+  splitting on an ``(nz, ny, nx)`` grid: three Crank–Nicolson sweeps
+  per step on a field that stays in C order ``[z, y, x]``.  The x
+  sweep is a session ``step`` on the contiguous x rows, the y sweep a
+  ``step_t`` on a ``[y, z, x]`` row-block copy, and the z sweep a
+  ``step_t`` straight on the field's ``(nz, ny·nx)`` view.
 * :class:`CrankNicolsonCubic` — 1-D IMEX reaction–diffusion
   ``u_t = α·u_xx + ε·u − γ·u³`` (the real Ginzburg–Landau / Allen–Cahn
   shape): Crank–Nicolson diffusion implicit, cubic source explicit,
@@ -76,9 +80,29 @@ def mirror_laplacian(u: np.ndarray, axis: int = -1, out=None) -> np.ndarray:
     np.multiply(u[mid], 2.0, out=out[mid])
     np.subtract(u[lo2], out[mid], out=out[mid])
     np.add(out[mid], u[hi2], out=out[mid])
-    out[pre + (0,)] = u[pre + (1,)] - u[pre + (0,)]
-    out[pre + (-1,)] = u[pre + (-2,)] - u[pre + (-1,)]
+    np.subtract(u[pre + (1,)], u[pre + (0,)], out=out[pre + (0,)])
+    np.subtract(u[pre + (-2,)], u[pre + (-1,)], out=out[pre + (-1,)])
     return out
+
+
+def _own_field(u0, names: tuple, min_points: int = 0) -> np.ndarray:
+    """A private C-ordered float64 copy of ``u0``, checked axis by axis.
+
+    The simulators step their field in place, so the copy is what
+    keeps the caller's array untouched.  ADI grids pass
+    ``min_points=2``: the mirror closure couples each boundary point
+    to its neighbour.
+    """
+    u = np.array(u0, dtype=np.float64, order="C")
+    if u.ndim != len(names):
+        raise ValueError(f"u0 must be ({', '.join(names)}), got {u.ndim}-D")
+    for name, size in zip(names, u.shape):
+        if size < min_points:
+            raise ValueError(
+                f"u0 axis {name} has {size} point(s); the ADI sweeps "
+                f"need at least {min_points} along every axis"
+            )
+    return u
 
 
 def _sweep_matrix(n: int, beta: float, dtype) -> np.ndarray:
@@ -105,7 +129,8 @@ class ADIDiffusion2D:
     Parameters
     ----------
     u0:
-        Initial ``(ny, nx)`` field (copied).
+        Initial ``(ny, nx)`` field, copied (the caller's array is never
+        stepped); both axes need at least 2 points.
     alpha, dt:
         Diffusivity and time step.
     dx, dy:
@@ -127,10 +152,7 @@ class ADIDiffusion2D:
         workers: int | None = None,
         check: bool = True,
     ):
-        u0 = np.asarray(u0, dtype=np.float64)
-        if u0.ndim != 2:
-            raise ValueError(f"u0 must be (ny, nx), got {u0.ndim}-D")
-        self.u = np.ascontiguousarray(u0)
+        self.u = _own_field(u0, ("ny", "nx"), min_points=2)
         self.ny, self.nx = self.u.shape
         dy = dx if dy is None else dy
         self.beta_x = alpha * dt / (2.0 * dx * dx)
@@ -156,7 +178,7 @@ class ADIDiffusion2D:
         self._d2 = np.empty_like(self.u)
 
     def step(self) -> np.ndarray:
-        """Advance one Δt; returns the updated field (owned by self).
+        """Advance one Δt in place; returns ``self.u`` (the same array every call).
 
         Both implicit sweeps run through the sessions' transposed-layout
         ``step_t`` — each solve reads/writes the ``(N, M)`` orientation
@@ -215,11 +237,26 @@ class ADIDiffusion2D:
 class ADIDiffusion3D:
     """LOD (locally one-dimensional) implicit diffusion on ``(nz, ny, nx)``.
 
-    Douglas-style splitting: each step runs three Crank–Nicolson
-    sweeps — x, then y, then z — each implicit only along its own axis
-    with ``β = α·Δt / (2·Δ²)``.  Every sweep reshapes the grid into an
-    ``(M, N)`` batch whose rows are the grid lines of that direction,
-    served by its own bound session.
+    Yanenko's locally one-dimensional splitting: each step runs three
+    Crank–Nicolson sweeps — x, then y, then z — each implicit only
+    along its own axis with ``β = α·Δt / (2·Δ²)`` and served by its own
+    bound session.  The field stays in its C order ``[z, y, x]`` and
+    each sweep takes the session entry that fits where its axis lies:
+
+    * **x** — the lines are contiguous rows (batch row ``z·ny + y``),
+      so the sweep is a plain ``step`` on the ``(nz·ny, nx)`` view; its
+      staging transposes inside the solve are the step's only two
+      elementwise transposes.
+    * **y** — the field is copied to ``[y, z, x]`` and back, which
+      moves whole contiguous x rows; the ``(ny, nz·nx)`` view of that
+      copy is the ``step_t`` layout of batch rows ``z·nx + x``.
+    * **z** — ``[z, y, x]`` already is the ``(nz, ny·nx)`` ``step_t``
+      layout of batch rows ``y·nx + x``; the sweep writes straight
+      into the field.
+
+    Each sweep's explicit half folds in place into one scratch buffer
+    (``d = w + β·L(w)``), so a warm step allocates nothing
+    field-sized.  Every axis needs at least 2 points.
     """
 
     def __init__(
@@ -233,10 +270,7 @@ class ADIDiffusion3D:
         workers: int | None = None,
         check: bool = True,
     ):
-        u0 = np.asarray(u0, dtype=np.float64)
-        if u0.ndim != 3:
-            raise ValueError(f"u0 must be (nz, ny, nx), got {u0.ndim}-D")
-        self.u = np.ascontiguousarray(u0)
+        self.u = _own_field(u0, ("nz", "ny", "nx"), min_points=2)
         self.nz, self.ny, self.nx = self.u.shape
         self.beta = alpha * dt / (2.0 * dx * dx)
         self.dt = dt
@@ -250,40 +284,36 @@ class ADIDiffusion3D:
         self._sx = bind_via(ax, bx, cx, np.zeros_like(bx), **kw)
         self._sy = bind_via(ay, by, cy, np.zeros_like(by), **kw)
         self._sz = bind_via(az, bz, cz, np.zeros_like(bz), **kw)
-        # one flat scratch triplet serves all three sweep orientations
-        # (equal element counts); each is consumed before its next reuse
-        size = nz * ny * nx
-        self._lap3 = np.empty(size)
-        self._d3 = np.empty(size)
-        self._x3 = np.empty(size)
+        # _d holds each sweep's right-hand side, _t the field in the y
+        # sweep's [y, z, x] order
+        self._d = np.empty_like(self.u)
+        self._t = np.empty((ny, nz, nx))
 
-    def _sweep(self, session, u: np.ndarray) -> np.ndarray:
-        """One CN sweep along ``u``'s last axis, through reused scratch."""
-        shape = u.shape
-        lap = self._lap3.reshape(shape)
-        d = self._d3.reshape(shape)
-        mirror_laplacian(u, out=lap)
-        np.multiply(lap, self.beta, out=d)
-        np.add(d, u, out=d)
-        m2 = shape[0] * shape[1]
-        x = session.step(
-            d.reshape(m2, shape[2]), out=self._x3.reshape(m2, shape[2])
-        )
-        return x.reshape(shape)
+    def _fold(self, w: np.ndarray, axis: int, out: np.ndarray) -> np.ndarray:
+        """``out = w + β·L(w)`` along ``axis``: one buffer, no temporaries."""
+        mirror_laplacian(w, axis=axis, out=out)
+        np.multiply(out, self.beta, out=out)
+        np.add(out, w, out=out)
+        return out
 
     def step(self) -> np.ndarray:
-        """Advance one Δt; returns the updated field (owned by self)."""
-        u = self.u  # (nz, ny, nx): x is the last axis already
-        u = self._sweep(self._sx, u)
-        ut = np.ascontiguousarray(u.transpose(0, 2, 1))  # (nz, nx, ny)
-        ut = self._sweep(self._sy, ut)
-        u = ut.transpose(0, 2, 1)
-        ut = np.ascontiguousarray(u.transpose(1, 2, 0))  # (ny, nx, nz)
-        ut = self._sweep(self._sz, ut)
-        self.u = np.ascontiguousarray(ut.transpose(2, 0, 1))
+        """Advance one Δt in place; returns ``self.u`` (the same array every call)."""
+        u, t = self.u, self._t
+        nz, ny, nx = self.nz, self.ny, self.nx
+        # x: contiguous lines, one staging-transpose pair inside step
+        d = self._fold(u, 2, self._d)
+        self._sx.step(d.reshape(nz * ny, nx), out=u.reshape(nz * ny, nx))
+        # y: x rows moved to [y, z, x] and back around step_t
+        t[:] = u.transpose(1, 0, 2)
+        d = self._fold(t, 0, self._d.reshape(ny, nz, nx))
+        self._sy.step_t(d.reshape(ny, nz * nx), out_t=t.reshape(ny, nz * nx))
+        u[:] = t.transpose(1, 0, 2)
+        # z: [z, y, x] is already the step_t layout
+        d = self._fold(u, 0, self._d)
+        self._sz.step_t(d.reshape(nz, ny * nx), out_t=u.reshape(nz, ny * nx))
         self.t += self.dt
         self.steps += 1
-        return self.u
+        return u
 
     def run(self, n_steps: int) -> np.ndarray:
         """Advance ``n_steps`` and return the field."""
@@ -333,7 +363,8 @@ class CrankNicolsonCubic:
     boundary values fixed (the reaction is not applied there).
 
     ``u0`` is ``(M, N)`` — ``M`` independent 1-D fields stepped as one
-    batch, the library's native workload shape.
+    batch, the library's native workload shape.  It is copied: ``step``
+    writes the simulator's own field in place.
     """
 
     def __init__(
@@ -350,10 +381,7 @@ class CrankNicolsonCubic:
         workers: int | None = None,
         check: bool = True,
     ):
-        u0 = np.asarray(u0, dtype=np.float64)
-        if u0.ndim != 2:
-            raise ValueError(f"u0 must be (M, N), got {u0.ndim}-D")
-        self.u = np.ascontiguousarray(u0)
+        self.u = _own_field(u0, ("M", "N"))
         m, n = self.u.shape
         self.alpha, self.dt, self.dx = alpha, dt, dx
         self.eps, self.gamma = eps, gamma
@@ -415,7 +443,7 @@ class CrankNicolsonCubic:
         return d
 
     def step(self) -> np.ndarray:
-        """Advance one Δt; returns the updated field (owned by self)."""
+        """Advance one Δt in place; returns ``self.u`` (the same array every call)."""
         u = self.u
         d = self._rhs(u)
         if self.periodic:

@@ -18,6 +18,7 @@ ALL = [
     "cubic_spline.py",
     "device_explorer.py",
     "adi_fluid.py",
+    "adi_sessions.py",
     "poisson_multigrid.py",
     "heat_equation.py",
     "ring_diffusion.py",
