@@ -94,8 +94,7 @@ def bench_cell(m, n, model, registry, iters, dtype="float64"):
 
     def run(router):
         registry.router = router
-        return solve_via(a, b, c, d, rtol=RTOL, coerced=True,
-                         registry=registry)
+        return solve_via(a, b, c, d, rtol=RTOL, registry=registry)
 
     # identify each policy's chosen route (and warm caches/plans)
     _, trace_static = run(static_router)

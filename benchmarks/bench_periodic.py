@@ -6,7 +6,7 @@ solve a *fixed* cyclic matrix against a fresh right-hand side every
 time step.  This benchmark measures the three ways the library can run
 that loop:
 
-* **unprepared** — ``engine.solve_periodic`` with fingerprinting
+* **unprepared** — ``engine.solve_batch(..., periodic=True)`` with fingerprinting
   disabled: every call corner-reduces and runs *two* inner solves
   (``A'y = d`` and ``A'q = u``) plus the correction;
 * **auto** — fingerprinting on: the engine recognises the repeated
@@ -79,7 +79,9 @@ def bench_case(name: str, m: int, n: int, steps: int, **solver_kwargs):
     # correctness first: every step's prepared solution against the
     # unprepared path (bitwise at k = 0, allclose for the hybrid)
     x_un = [
-        engine.solve_periodic(a, b, c, d, fingerprint=False, **solver_kwargs)
+        engine.solve_batch(
+            a, b, c, d, periodic=True, fingerprint=False, **solver_kwargs
+        )
         for d in rhs
     ]
     x_pre = [handle.solve(d) for d in rhs]
@@ -89,10 +91,14 @@ def bench_case(name: str, m: int, n: int, steps: int, **solver_kwargs):
     )
 
     def run_unprepared(d):
-        engine.solve_periodic(a, b, c, d, fingerprint=False, **solver_kwargs)
+        engine.solve_batch(
+            a, b, c, d, periodic=True, fingerprint=False, **solver_kwargs
+        )
 
     def run_auto(d):
-        engine.solve_periodic(a, b, c, d, fingerprint=True, **solver_kwargs)
+        engine.solve_batch(
+            a, b, c, d, periodic=True, fingerprint=True, **solver_kwargs
+        )
 
     def run_prepared(d):
         handle.solve(d)

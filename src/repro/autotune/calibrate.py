@@ -141,7 +141,7 @@ def calibrate(
             m, n, dtype, seed=seed, periodic=periodic
         )
         probe = SolveRequest.build(
-            a, b, c, d, periodic=periodic, coerced=True,
+            a, b, c, d, periodic=periodic,
             **({"rtol": rtol} if rtol is not None else {}),
         )
         routes = candidate_routes(
@@ -158,7 +158,6 @@ def calibrate(
                 _, trace = solve_via(
                     a, b, c, d,
                     periodic=periodic,
-                    coerced=True,
                     registry=reg,
                     **_route_kwargs(route, rtol),
                 )

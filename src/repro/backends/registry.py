@@ -20,9 +20,10 @@ Resolution is fully deterministic:
 
 :func:`solve_via` is the single dispatch seam every public entry path
 (``repro.solve_batch``, ``solve_periodic_batch``, ``api.gtsv*``, the
-CLI, the examples) goes through: validate → build request → negotiate →
-``execute(request)`` → trace.  Cyclic solves are the same seam with
-``periodic=True`` — there is no separate periodic protocol anymore.
+CLI, the examples) goes through: build the request (the one
+validation) → negotiate → ``execute(request)`` → trace.  Cyclic solves
+are the same seam with ``periodic=True`` — there is no separate
+periodic protocol anymore.
 """
 
 from __future__ import annotations
@@ -282,17 +283,15 @@ def solve_via(
     backend: str = "auto",
     periodic: bool = False,
     check: bool = True,
-    coerced: bool = False,
     out=None,
     registry: BackendRegistry | None = None,
     **opts,
 ):
     """Dispatch one batch solve (plain or cyclic) through the registry.
 
-    Returns ``(x, trace)``.  ``coerced=True`` promises the inputs are
-    already contiguous same-dtype ``(M, N)`` arrays (the public entry
-    points validate before calling); otherwise inputs are checked
-    (``check=True``) or merely coerced here.  ``periodic=True`` makes
+    Returns ``(x, trace)``.  Inputs are raw: :meth:`SolveRequest.build`
+    checks them (``check=True``) or merely coerces them, and the
+    trace's ``validate`` stage times that.  ``periodic=True`` makes
     this a cyclic solve: the request carries corners in ``a[:, 0]`` /
     ``c[:, -1]``, negotiation actually exercises
     ``Capabilities.periodic``, and the chosen backend runs the whole
@@ -305,7 +304,7 @@ def solve_via(
     t0 = time.perf_counter()
     request = SolveRequest.build(
         a, b, c, d,
-        periodic=periodic, check=check, coerced=coerced, out=out, **opts
+        periodic=periodic, check=check, out=out, **opts
     )
     t_validate = time.perf_counter() - t0
 
@@ -332,14 +331,13 @@ def bind_via(
     backend: str = "auto",
     periodic: bool = False,
     check: bool = True,
-    coerced: bool = False,
     registry: BackendRegistry | None = None,
     **opts,
 ):
     """Bind one solve into a reusable session through the registry.
 
-    The session-tier sibling of :func:`solve_via`: validate → build
-    request → negotiate (the router's
+    The session-tier sibling of :func:`solve_via`: build (and
+    validate) the request → negotiate (the router's
     :class:`~repro.backends.trace.RouteDecision` is pinned on the
     request, so every step the session takes carries the same
     provenance) → ``bind``.  Backends with a native bind (the engine
@@ -354,10 +352,7 @@ def bind_via(
     done.
     """
     reg = registry if registry is not None else default_registry()
-    request = SolveRequest.build(
-        a, b, c, d,
-        periodic=periodic, check=check, coerced=coerced, **opts
-    )
+    request = SolveRequest.build(a, b, c, d, periodic=periodic, check=check, **opts)
     chosen = reg.resolve(backend, request)
     binder = getattr(chosen, "bind", None)
     if binder is not None:

@@ -254,7 +254,6 @@ class SolveRequest:
         *,
         periodic: bool = False,
         check: bool = True,
-        coerced: bool = False,
         out=None,
         label: str | None = None,
         e=None,
@@ -264,13 +263,14 @@ class SolveRequest:
     ) -> "SolveRequest":
         """Validate/coerce a batch and its options into a request.
 
-        ``coerced=True`` promises the inputs are already contiguous
-        same-dtype ``(M, N)`` arrays (the public entry points validate
-        before calling); otherwise they are checked (``check=True``) or
-        merely coerced here — cyclic requests through the dedicated
-        cyclic validators, whose corners are couplings the plain
-        validator would zero.  Unknown options raise ``TypeError`` at
-        this boundary.
+        The one validator of every solve: the public entry points hand
+        their raw arrays here.  Inputs are checked (``check=True``:
+        shapes, finiteness, pads, pivots) or merely coerced to one
+        contiguous float dtype (``check=False``) — cyclic requests
+        through the dedicated cyclic validators, whose corners are
+        couplings the plain validator would zero, and which require
+        ``N >= 3``.  Unknown options raise ``TypeError`` at this
+        boundary.
 
         The system kind is inferred when ``system`` is not given:
         second sub-/super-diagonals ``e``/``f`` mean pentadiagonal, a
@@ -320,24 +320,16 @@ class SolveRequest:
                     "pentadiagonal requests need both outer diagonals e "
                     "(offset -2) and f (offset +2)"
                 )
-            if not coerced:
-                validate = (
-                    check_penta_batch_arrays
-                    if check
-                    else coerce_penta_batch_arrays
-                )
-                e, a, b, c, f, d = validate(e, a, b, c, f, d)
-            b = np.asarray(b)
+            validate = (
+                check_penta_batch_arrays if check else coerce_penta_batch_arrays
+            )
+            e, a, b, c, f, d = validate(e, a, b, c, f, d)
             m, n = b.shape
         elif system.kind == "block":
-            if not coerced:
-                validate = (
-                    check_block_batch_arrays
-                    if check
-                    else coerce_block_batch_arrays
-                )
-                a, b, c, d = validate(a, b, c, d)
-            b = np.asarray(b)
+            validate = (
+                check_block_batch_arrays if check else coerce_block_batch_arrays
+            )
+            a, b, c, d = validate(a, b, c, d)
             if b.ndim != 4:
                 raise ValueError(
                     f"block batch must be (M, N, B, B), got {b.ndim}-D"
@@ -349,19 +341,15 @@ class SolveRequest:
                 )
             m, n = b.shape[:2]
         else:
-            if not coerced:
-                if periodic:
-                    validate = (
-                        check_cyclic_batch_arrays
-                        if check
-                        else coerce_cyclic_batch_arrays
-                    )
-                else:
-                    validate = (
-                        check_batch_arrays if check else coerce_batch_arrays
-                    )
-                a, b, c, d = validate(a, b, c, d)
-            b = np.asarray(b)
+            if periodic:
+                validate = (
+                    check_cyclic_batch_arrays
+                    if check
+                    else coerce_cyclic_batch_arrays
+                )
+            else:
+                validate = check_batch_arrays if check else coerce_batch_arrays
+            a, b, c, d = validate(a, b, c, d)
             if b.ndim != 2:
                 raise ValueError(f"batch must be 2-D (M, N), got {b.ndim}-D")
             m, n = b.shape

@@ -466,8 +466,6 @@ class CyclicFactorization:
         validate = check_cyclic_batch_arrays if check else coerce_cyclic_batch_arrays
         a, b, c, _ = validate(a, b, c, np.zeros_like(np.asarray(b)))
         n = b.shape[1]
-        if n < 3:
-            raise ValueError(f"cyclic solver needs N >= 3, got {n}")
         ap, bp, cp, u, w = cyclic_reduce(a, b, c, check=check)
         if k == 0:
             core = ThomasFactorization.factor(ap, bp, cp, check=False)

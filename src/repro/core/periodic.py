@@ -251,8 +251,12 @@ def solve_periodic_batch(
         Validate inputs and raise :class:`CyclicSingularError` when the
         Sherman–Morrison denominator vanishes.  ``check=False`` skips
         finiteness validation and instead warns + emits NaN for
-        singular batch rows.  Diagonal *shapes* are validated in both
-        modes (a mismatch is never meaningful for a cyclic system).
+        singular batch rows.  Diagonal *shapes* and ``N >= 3`` are
+        validated in both modes (a mismatch is never meaningful for a
+        cyclic system).  The auto/hybrid algorithms leave this to
+        :meth:`SolveRequest.build
+        <repro.backends.request.SolveRequest.build>`; the direct
+        algorithms validate here.
     out:
         Optional ``(M, N)`` output array.
     **kwargs:
@@ -271,21 +275,12 @@ def solve_periodic_batch(
     ``repro.last_trace()`` describes the *cyclic* solve
     (``periodic=True``) rather than the inner q-solve.
     """
-    if check:
-        a, b, c, d = check_cyclic_batch_arrays(a, b, c, d)
-    else:
-        a, b, c, d = coerce_cyclic_batch_arrays(a, b, c, d)
-    m, n = b.shape
-    if n < 3:
-        raise ValueError(f"cyclic solver needs N >= 3, got {n}")
-
     if algorithm in ("auto", "hybrid"):
         from repro.backends.registry import solve_via
 
         x, _ = solve_via(
             a, b, c, d,
-            backend=backend, periodic=True,
-            check=check, coerced=True, out=out, **kwargs,
+            backend=backend, periodic=True, check=check, out=out, **kwargs,
         )
         return x
 
@@ -296,6 +291,9 @@ def solve_periodic_batch(
         )
 
     # classic direct path: corner-reduce, two inner solves, correction
+    validate = check_cyclic_batch_arrays if check else coerce_cyclic_batch_arrays
+    a, b, c, d = validate(a, b, c, d)
+    n = b.shape[1]
     ap, bp, cp, u, w = cyclic_reduce(a, b, c)
     y = solve_batch(ap, bp, cp, d, algorithm=algorithm, check=check, **kwargs)
     q = solve_batch(ap, bp, cp, u, algorithm=algorithm, check=check, **kwargs)

@@ -39,11 +39,7 @@ from repro.core.cr import cr_solve_batch
 from repro.core.pcr import pcr_solve_batch
 from repro.core.rd import rd_solve_batch
 from repro.core.thomas import thomas_solve_batch
-from repro.core.validation import (
-    check_batch_arrays,
-    check_system_arrays,
-    coerce_batch_arrays,
-)
+from repro.core.validation import check_batch_arrays, coerce_batch_arrays
 
 __all__ = ["solve", "solve_batch", "ALGORITHMS"]
 
@@ -88,10 +84,17 @@ def solve_batch(
         Validate inputs (recommended; disable only in hot loops).
         Inputs are *coerced* (lists → arrays, uniform float dtype)
         unconditionally; ``check=False`` only skips the validation.
+        The hybrid/auto algorithms hand the raw arrays to
+        :meth:`SolveRequest.build
+        <repro.backends.request.SolveRequest.build>`, the one validator
+        every dispatched solve shares (``periodic=True`` selects its
+        cyclic rules: corners kept, ``N >= 3``); the direct algorithms
+        validate here.
     **kwargs:
         For the hybrid/auto algorithms: the solve-request options
         (``k``, ``fuse``, ``n_windows``, ``subtile_scale``,
-        ``heuristic``, ``parallelism``) plus ``workers=W`` to shard the
+        ``heuristic``, ``parallelism``, ``periodic``, ``rtol``,
+        ``ranks``) plus ``workers=W`` to shard the
         batch across a thread pool and ``fingerprint`` to control the
         factorization cache — ``None`` (default) auto-detects repeated
         coefficients where the RHS-only path is bitwise identical
@@ -107,14 +110,10 @@ def solve_batch(
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; pick from {ALGORITHMS}")
-    if check:
-        a, b, c, d = check_batch_arrays(a, b, c, d)
-    else:
-        a, b, c, d = coerce_batch_arrays(a, b, c, d)
     if algorithm in ("auto", "hybrid"):
         from repro.backends import solve_via
 
-        x, _ = solve_via(a, b, c, d, backend=backend, coerced=True, **kwargs)
+        x, _ = solve_via(a, b, c, d, backend=backend, check=check, **kwargs)
         return x
     if backend != "auto":
         raise TypeError(
@@ -127,6 +126,8 @@ def solve_batch(
         )
     from repro.backends.registry import record_direct_trace
 
+    validate = check_batch_arrays if check else coerce_batch_arrays
+    a, b, c, d = validate(a, b, c, d)
     t0 = time.perf_counter()
     x = _DIRECT[algorithm](a, b, c, d, check=False)
     record_direct_trace(algorithm, b, time.perf_counter() - t0)
@@ -149,11 +150,8 @@ def solve(
     See :func:`solve_batch` for the parameters; this is the ``M = 1``
     convenience wrapper.
     """
-    if check:
-        a, b, c, d = check_system_arrays(a, b, c, d)
-    a, b, c, d = (np.asarray(v) for v in (a, b, c, d))
+    a, b, c, d = (np.asarray(v)[None] for v in (a, b, c, d))
     x = solve_batch(
-        a[None, :], b[None, :], c[None, :], d[None, :],
-        algorithm=algorithm, backend=backend, check=False, **kwargs,
+        a, b, c, d, algorithm=algorithm, backend=backend, check=check, **kwargs
     )
     return x[0]

@@ -142,7 +142,8 @@ def coerce_cyclic_batch_arrays(a, b, c, d):
     agreement is enforced unconditionally — a mismatched diagonal in a
     Sherman–Morrison solve would otherwise surface as an opaque
     broadcasting error two layers down.  1-D inputs are promoted to a
-    single-system batch.
+    single-system batch.  ``N >= 3`` is required: in a 2-cycle both
+    "corners" collide with the ordinary couplings.
     """
     arrays = (a, b, c, d)
     if _already_canonical(arrays) and all(arr.ndim == 2 for arr in arrays):
@@ -165,6 +166,8 @@ def coerce_cyclic_batch_arrays(a, b, c, d):
             )
     if any(s == 0 for s in shape):
         raise ValueError("empty system")
+    if shape[1] < 3:
+        raise ValueError(f"cyclic solver needs N >= 3, got {shape[1]}")
     return tuple(arrays)
 
 

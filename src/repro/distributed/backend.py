@@ -21,13 +21,17 @@ result is bitwise identical to
 same ``P`` (same functions, same values) and agrees with the global
 Thomas solve to reassociation-level rounding.
 
-Time-stepping loops bind instead of re-executing:
-:meth:`DistributedBackend.bind` returns a
+The phase sequence lives in one place,
+:meth:`DistributedBoundSolve._pipeline`.  Time-stepping loops bind
+instead of re-executing: :meth:`DistributedBackend.bind` returns a
 :class:`DistributedBoundSolve` whose per-step cost is one RHS scatter
 plus the pipeline — the coefficient slabs are transposed and shipped
 to the workers **once** (``eliminate_slab`` never mutates them), and
 the pool's ``epoch`` counter detects interleaved foreign scatters so
-sessions sharing the process-wide pool stay correct.
+sessions sharing the process-wide pool stay correct.  A one-shot
+:meth:`DistributedBackend.execute` is a transient bind plus one
+instrumented ``step_once``, just as ``ExecutionEngine.run`` is for the
+engine.
 """
 
 from __future__ import annotations
@@ -98,126 +102,40 @@ class DistributedBackend(BackendBase):
 
     # -- execution -----------------------------------------------------
     def execute(self, request: SolveRequest) -> SolveOutcome:
+        """A one-shot is a transient bind plus one instrumented step."""
         if request.periodic:
             return self._periodic_fallback(request)
-        ranks = effective_ranks(
-            request.n, request.ranks or self.default_ranks
-        )
-        if ranks == 1:
-            return self._delegate_single_rank(request)
-        return self._execute_partitioned(request, ranks)
+        outcome = self._session(request, transient=True).step_once()
+        self._set_trace(outcome.trace)
+        return outcome
 
     def bind(self, request: SolveRequest):
         """Native session: coefficients partitioned and shipped once.
 
         Periodic and RHS-only requests ride the generic
         per-step-dispatch session (the corner-reduce pipeline rebuilds
-        per step anyway); ``ranks=1`` binds the engine directly so the
-        single-rank anchor stays bitwise identical to
-        ``solve_batch(..., k=0)``; everything else gets a
-        :class:`DistributedBoundSolve`.
+        per step anyway); everything else gets :meth:`_session`.
         """
         if request.periodic or request.rhs_only:
             return super().bind(request)
-        ranks = effective_ranks(
-            request.n, request.ranks or self.default_ranks
-        )
+        return self._session(request)
+
+    def _session(self, request: SolveRequest, *, transient: bool = False):
+        """The session for ``request``'s effective rank count.
+
+        ``ranks=1`` binds the engine's ``k = 0`` route, so the
+        single-rank anchor stays bitwise identical to
+        ``solve_batch(..., k=0)`` (one slab means no interface system);
+        more ranks get a :class:`DistributedBoundSolve`.
+        """
+        ranks = effective_ranks(request.n, request.ranks or self.default_ranks)
         if ranks == 1:
             from repro.engine import default_engine
 
             return default_engine().bind(
-                request.replace(k=0, label=self.name)
+                request.replace(k=0, label=self.name), transient=transient
             )
         return DistributedBoundSolve(self, request, ranks)
-
-    def _delegate_single_rank(self, request: SolveRequest) -> SolveOutcome:
-        """``ranks=1``: the engine's ``k = 0`` route *is* the slab solve.
-
-        One slab means no interface system; running the engine keeps
-        the single-rank anchor bitwise identical to
-        ``solve_batch(..., k=0)`` (the property tests pin this).
-        """
-        from repro.engine import default_engine
-
-        outcome = default_engine().run(request.replace(k=0))
-        trace = outcome.trace
-        trace.backend = self.name
-        trace.ranks = 1
-        self._set_trace(trace)
-        return outcome
-
-    def _execute_partitioned(
-        self, request: SolveRequest, ranks: int
-    ) -> SolveOutcome:
-        m, n = request.m, request.n
-        t0 = time.perf_counter()
-        bounds = slab_bounds(n, ranks)
-        at = np.ascontiguousarray(request.a.T)
-        bt = np.ascontiguousarray(request.b.T)
-        ct = np.ascontiguousarray(request.c.T)
-        dt = np.ascontiguousarray(request.d.T)
-        t_partition = time.perf_counter() - t0
-
-        pool = get_pool(ranks, timeout_s=self.timeout_s)
-        t_comms = 0.0
-
-        t1 = time.perf_counter()
-        pool.attach(bounds, m, bt.dtype)
-        pool.scatter_slabs(at, bt, ct, dt, bounds)
-        t_comms += time.perf_counter() - t1
-
-        t1 = time.perf_counter()
-        pool.eliminate()
-        t_eliminate = time.perf_counter() - t1
-
-        t1 = time.perf_counter()
-        reduced_rows = pool.gather_reduced()
-        t_comms += time.perf_counter() - t1
-
-        t1 = time.perf_counter()
-        xb = solve_reduced(*assemble_reduced(reduced_rows))
-        t_reduced = time.perf_counter() - t1
-
-        t1 = time.perf_counter()
-        pool.scatter_boundary(xb)
-        t_comms += time.perf_counter() - t1
-
-        t1 = time.perf_counter()
-        pool.backsub()
-        t_backsub = time.perf_counter() - t1
-
-        t1 = time.perf_counter()
-        xt = np.empty((n, m), dtype=bt.dtype)
-        pool.gather_solution(xt, bounds)
-        if request.out is not None:
-            x = request.out
-            np.copyto(x, xt.T)
-        else:
-            x = np.ascontiguousarray(xt.T)
-        t_comms += time.perf_counter() - t1
-
-        trace = SolveTrace(
-            backend=self.name,
-            m=m,
-            n=n,
-            dtype=request.dtype,
-            k=0,
-            k_source="fixed",
-            workers=1,
-            ranks=ranks,
-            plan_cache="n/a",
-            factorization="n/a",
-            system=request.system.kind,
-            stages=[
-                StageTiming("partition", t_partition),
-                StageTiming(f"local-eliminate [{ranks} ranks]", t_eliminate),
-                StageTiming("reduced-solve", t_reduced),
-                StageTiming(f"backsub [{ranks} ranks]", t_backsub),
-                StageTiming("comms", t_comms),
-            ],
-        )
-        self._set_trace(trace)
-        return SolveOutcome(x=x, trace=trace)
 
 
 class DistributedBoundSolve:
@@ -233,9 +151,11 @@ class DistributedBoundSolve:
     pool was rebuilt after a worker death) the coefficients are
     re-shipped before the step — sessions never trust stale arenas.
 
-    Bitwise: every phase runs the same functions on the same values as
-    :meth:`DistributedBackend._execute_partitioned`, so stepped results
-    are identical to independent one-shot distributed solves.
+    A one-shot solve (:meth:`DistributedBackend.execute`) is a
+    transient session and one :meth:`step_once`, so every step —
+    :meth:`step`, :meth:`step_t` or :meth:`step_once` — runs the one
+    :meth:`_pipeline`, and stepped results are bitwise identical to
+    independent one-shot distributed solves.
     """
 
     mode = "distributed"
@@ -253,8 +173,8 @@ class DistributedBoundSolve:
         self._ct = np.ascontiguousarray(request.c.T)
         self._dtype = self._bt.dtype
         self._dshape = (request.m, request.n)
-        self._xt = np.empty((request.n, request.m), dtype=self._dtype)
         self._out = None
+        self._xt = None
         self.bind_stages = [("partition", time.perf_counter() - t0)]
         self._pool = None
         self._epoch = None
@@ -288,14 +208,20 @@ class DistributedBoundSolve:
             d = d.astype(self._dtype)
         return d
 
-    def _pipeline(self, d, out, timings=None):
-        """One RHS through scatter → eliminate → reduce → backsub."""
-        pool = self._attached_pool()
-        t_comms = 0.0
+    def _pipeline(self, dt, out_t, timings=None):
+        """One ``(N, M)`` RHS through scatter → eliminate → reduce →
+        backsub, gathered into the ``(N, M)`` array ``out_t``.
 
+        ``dt`` and ``out_t`` may be transpose views of ``(M, N)``
+        arrays: the arena copies are the only copies.  ``comms`` covers
+        the pool attach (and, when the arenas are stale, the
+        coefficient scatter) as well as every RHS/boundary/solution
+        transfer.
+        """
         t1 = time.perf_counter()
-        pool.scatter_rhs(d.T, self.bounds)
-        t_comms += time.perf_counter() - t1
+        pool = self._attached_pool()
+        pool.scatter_rhs(dt, self.bounds)
+        t_comms = time.perf_counter() - t1
 
         t1 = time.perf_counter()
         pool.eliminate()
@@ -318,11 +244,7 @@ class DistributedBoundSolve:
         t_backsub = time.perf_counter() - t1
 
         t1 = time.perf_counter()
-        pool.gather_solution(self._xt, self.bounds)
-        if out is None:
-            out = np.ascontiguousarray(self._xt.T)
-        else:
-            np.copyto(out, self._xt.T)
+        pool.gather_solution(out_t, self.bounds)
         t_comms += time.perf_counter() - t1
 
         if timings is not None:
@@ -332,7 +254,6 @@ class DistributedBoundSolve:
             timings.append(("reduced-solve", t_reduced))
             timings.append((f"backsub [{self.ranks} ranks]", t_backsub))
             timings.append(("comms", t_comms))
-        return out
 
     # -- execution -----------------------------------------------------
     def step(self, d, out=None):
@@ -348,7 +269,7 @@ class DistributedBoundSolve:
             out = self._out
             if out is None:
                 out = self._out = np.empty(self._dshape, dtype=self._dtype)
-        self._pipeline(d, out)
+        self._pipeline(d.T, out.T)
         self.steps += 1
         return out
 
@@ -359,8 +280,8 @@ class DistributedBoundSolve:
         ``(L, M)`` slabs and the gathered solution is ``(N, M)`` — so a
         caller already working in that orientation skips both the RHS
         transpose view and the output transpose copy.  ``out_t``
-        defaults to the session's gather buffer (reused across steps —
-        copy it if you keep references).
+        defaults to a session-owned buffer (reused across steps — copy
+        it if you keep references).
         """
         if self.closed:
             raise RuntimeError("session is closed")
@@ -372,17 +293,11 @@ class DistributedBoundSolve:
             )
         if dt.dtype != self._dtype:
             dt = dt.astype(self._dtype)
-        pool = self._attached_pool()
-        pool.scatter_rhs(dt, self.bounds)
-        pool.eliminate()
-        xb = solve_reduced(*assemble_reduced(pool.gather_reduced()))
-        pool.scatter_boundary(xb)
-        pool.backsub()
-        pool.gather_solution(self._xt, self.bounds)
         if out_t is None:
             out_t = self._xt
-        else:
-            np.copyto(out_t, self._xt)
+            if out_t is None:
+                out_t = self._xt = np.empty((n, m), dtype=self._dtype)
+        self._pipeline(dt, out_t)
         self.steps += 1
         return out_t
 
@@ -393,9 +308,11 @@ class DistributedBoundSolve:
             d = request.d
         if out is None:
             out = request.out
+        if out is None:
+            out = np.empty(self._dshape, dtype=self._dtype)
         d = self._canon_d(d)
         timings = list(self.bind_stages)
-        x = self._pipeline(d, out, timings)
+        self._pipeline(d.T, out.T, timings)
         trace = SolveTrace(
             backend=self.backend.name,
             m=request.m,
@@ -413,7 +330,7 @@ class DistributedBoundSolve:
         trace.decision = request.decision
         self.backend._set_trace(trace)
         self.steps += 1
-        return SolveOutcome(x=x, trace=trace)
+        return SolveOutcome(x=out, trace=trace)
 
     # -- lifecycle -----------------------------------------------------
     @property
@@ -448,6 +365,7 @@ class DistributedBoundSolve:
         self._pool = None
         self._epoch = None
         self._out = None
+        self._xt = None
 
     def __enter__(self) -> "DistributedBoundSolve":
         return self

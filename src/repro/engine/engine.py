@@ -38,7 +38,6 @@ import numpy as np
 
 from repro.core.hybrid import HybridReport
 from repro.core.transition import GTX480_HEURISTIC, TransitionHeuristic
-from repro.core.validation import check_batch_arrays, coerce_batch_arrays
 from repro.engine.plan import SolvePlan, build_plan
 from repro.engine.prepared import (
     PreparedPlan,
@@ -460,9 +459,13 @@ class ExecutionEngine:
     ) -> PreparedPlan:
         """Factor a coefficient set into an explicit solve handle.
 
-        The handle's factorization is also seeded into the engine's
-        fingerprint cache, so plain ``solve_batch`` calls with the same
-        coefficients hit it too (``k = 0`` plans; see
+        The raw coefficients are validated by
+        :meth:`SolveRequest.build
+        <repro.backends.request.SolveRequest.build>` like any solve's
+        (``check`` selects checking or mere coercion; the dtype is
+        kept).  The handle's factorization is also seeded into the
+        engine's fingerprint cache, so plain ``solve_batch`` calls with
+        the same coefficients hit it too (``k = 0`` plans; see
         :mod:`repro.engine.prepared` for the bitwise rationale).
 
         ``periodic=True`` prepares the cyclic (Sherman–Morrison)
@@ -474,18 +477,9 @@ class ExecutionEngine:
         *not* zeroed here.  ``check`` governs the singular-correction
         guard (see :func:`repro.core.periodic.correction_scale`).
         """
-        d0 = np.zeros_like(np.asarray(b))
-        if periodic:
-            from repro.core.validation import coerce_cyclic_batch_arrays
+        from repro.backends.request import SolveRequest
 
-            a, b, c, _ = coerce_cyclic_batch_arrays(a, b, c, d0)
-        else:
-            a, b, c, _ = coerce_batch_arrays(a, b, c, d0)
-        m, n = b.shape
-        plan = self.plan_for(
-            m,
-            n,
-            b.dtype,
+        opts = dict(
             k=k,
             fuse=fuse,
             n_windows=n_windows,
@@ -493,12 +487,18 @@ class ExecutionEngine:
             parallelism=parallelism,
             heuristic=heuristic,
         )
+        # b stands in for the right-hand side: same shape, same dtype
+        request = SolveRequest.build(
+            a, b, c, b, periodic=periodic, check=check, workers=workers, **opts
+        )
+        a, b, c = request.a, request.b, request.c
+        plan = self.plan_for(request.m, request.n, b.dtype, **opts)
         digest = coefficient_fingerprint(a, b, c)
         fact, _ = self._factorization_for(
             plan, digest, a, b, c, force=True, periodic=periodic, check=check
         )
         return PreparedPlan(
-            self, plan, fact, digest, workers=workers, periodic=periodic
+            self, plan, fact, digest, workers=request.workers, periodic=periodic
         )
 
     # ---- execution ---------------------------------------------------
@@ -538,45 +538,28 @@ class ExecutionEngine:
         owns the whole spine, and the single-call path exercises the
         same code a thousand-step session does.
 
-        Every public path (``solve_batch``, ``solve_periodic``,
-        ``PreparedPlan.solve``, and the engine-family backends) is a
-        thin adapter that builds a request and calls this method.
+        Every public path (``solve_batch``, ``PreparedPlan.solve``,
+        and the engine-family backends) is a thin adapter that builds
+        a request and calls this method.
         ``request.label`` overrides the trace's backend name so
         adapters keep their identity (``"prepared"``).
         """
         return self.bind(request, transient=True).step_once()
 
     # ---- thin request-building adapters ------------------------------
-    def solve_batch(
-        self,
-        a,
-        b,
-        c,
-        d,
-        *,
-        check: bool = True,
-        workers: int | None = None,
-        k: int | None = None,
-        fuse: bool = False,
-        n_windows: int = 1,
-        subtile_scale: int = 1,
-        parallelism: int | None = None,
-        heuristic: TransitionHeuristic | None = None,
-        fingerprint: bool | None = None,
-        rtol: float | None = None,
-        out: np.ndarray | None = None,
-        info: dict | None = None,
-        stage_times: list | None = None,
-    ) -> np.ndarray:
+    def solve_batch(self, a, b, c, d, *, check: bool = True, out=None, **opts):
         """Solve an ``(M, N)`` batch through a cached plan.
 
-        A thin adapter over :meth:`run`: validates, builds a
-        :class:`~repro.backends.request.SolveRequest`, and unpacks the
-        outcome.  ``workers=W`` (opt-in) shards the batch axis across a
-        thread pool; results are bitwise independent of ``W``.
-        ``info`` and ``stage_times`` are instrumentation hooks
-        (populated from the outcome's trace).  Remaining keywords
-        mirror :class:`~repro.core.hybrid.HybridSolver`.
+        A thin adapter over :meth:`run`: the raw arrays and options go
+        to :meth:`SolveRequest.build
+        <repro.backends.request.SolveRequest.build>` (the one
+        validator; unknown options are a ``TypeError``), the outcome's
+        trace is recorded for :func:`repro.last_trace`, and the
+        solution is returned.  ``periodic=True`` solves cyclic systems
+        (corners in ``a[:, 0]`` / ``c[:, -1]``).  ``workers=W`` shards
+        the batch axis across the engine's thread pool; results are
+        bitwise independent of ``W``.  ``ranks > 1`` is a
+        ``ValueError``: N-partitioning is the distributed backend's.
 
         ``fingerprint`` controls the factorization fast path: ``None``
         (default) hashes the coefficients and — for ``k = 0`` plans,
@@ -587,112 +570,25 @@ class ExecutionEngine:
         fingerprinting entirely.  ``rtol`` is the accuracy contract
         that widens the auto tier to ``k > 0`` plans (see
         :func:`repro.engine.prepared.rtol_permits_hybrid_reuse`).
-        """
-        if check:
-            a, b, c, d = check_batch_arrays(a, b, c, d)
-        else:
-            a, b, c, d = coerce_batch_arrays(a, b, c, d)
-        from repro.backends.request import SolveRequest
-
-        m, n = b.shape
-        outcome = self.run(
-            SolveRequest(
-                a=a, b=b, c=c, d=d,
-                m=m, n=n, dtype=np.dtype(b.dtype).name,
-                workers=workers,
-                k=k,
-                fuse=fuse,
-                n_windows=n_windows,
-                subtile_scale=subtile_scale,
-                parallelism=parallelism,
-                heuristic=heuristic,
-                fingerprint=fingerprint,
-                rtol=rtol,
-                check=check,
-                out=out,
-            )
-        )
-        self._fill_hooks(outcome, info, stage_times)
-        return outcome.x
-
-    def solve_periodic(
-        self,
-        a,
-        b,
-        c,
-        d,
-        *,
-        check: bool = True,
-        workers: int | None = None,
-        k: int | None = None,
-        fuse: bool = False,
-        n_windows: int = 1,
-        subtile_scale: int = 1,
-        parallelism: int | None = None,
-        heuristic: TransitionHeuristic | None = None,
-        fingerprint: bool | None = None,
-        rtol: float | None = None,
-        out: np.ndarray | None = None,
-        info: dict | None = None,
-        stage_times: list | None = None,
-    ) -> np.ndarray:
-        """Solve a cyclic ``(M, N)`` batch through the engine.
-
-        A thin adapter over :meth:`run` with ``periodic=True``.  Arrays
-        must already be coerced cyclic diagonals (corners in
-        ``a[:, 0]`` / ``c[:, -1]``; see
-        :func:`repro.core.validation.coerce_cyclic_batch_arrays`) — the
-        public entry points validate before calling in.  The
-        ``fingerprint`` tri-state mirrors :meth:`solve_batch` (the
-        cyclic cache semantics live in the session's bind phase —
-        :class:`~repro.engine.session.BoundSolve`).
+        Remaining options mirror :class:`~repro.core.hybrid.HybridSolver`.
         """
         from repro.backends.request import SolveRequest
+        from repro.backends.trace import record_trace
 
-        m, n = b.shape
-        outcome = self.run(
-            SolveRequest(
-                a=a, b=b, c=c, d=d,
-                m=m, n=n, dtype=np.dtype(b.dtype).name,
-                periodic=True,
-                workers=workers,
-                k=k,
-                fuse=fuse,
-                n_windows=n_windows,
-                subtile_scale=subtile_scale,
-                parallelism=parallelism,
-                heuristic=heuristic,
-                fingerprint=fingerprint,
-                rtol=rtol,
-                check=check,
-                out=out,
+        request = SolveRequest.build(a, b, c, d, check=check, out=out, **opts)
+        if request.ranks is not None and request.ranks > 1:
+            raise ValueError(
+                f"ranks={request.ranks}: the engine solves on one rank; "
+                "N-partitioned solves go through the distributed backend"
             )
-        )
-        self._fill_hooks(outcome, info, stage_times)
+        outcome = self.run(request)
+        record_trace(outcome.trace)
         return outcome.x
 
-    @staticmethod
-    def _fill_hooks(outcome, info: dict | None, stage_times: list | None):
-        """Populate the legacy ``info=`` / ``stage_times=`` hooks."""
-        trace = outcome.trace
-        if info is not None:
-            info["cache"] = trace.plan_cache
-            info["plan"] = outcome.plan
-            info["factorization"] = trace.factorization
-            info["rhs_only"] = trace.rhs_only
-            if trace.periodic:
-                info["periodic"] = True
-        if stage_times is not None:
-            stage_times.extend((s.name, s.seconds) for s in trace.stages)
-
-    def solve(self, a, b, c, d, *, check: bool = True, **kwargs) -> np.ndarray:
+    def solve(self, a, b, c, d, **opts) -> np.ndarray:
         """Solve a single system (treated as an ``M = 1`` batch)."""
-        a, b, c, d = (np.asarray(v) for v in (a, b, c, d))
-        x = self.solve_batch(
-            a[None, :], b[None, :], c[None, :], d[None, :],
-            check=check, **kwargs,
-        )
-        return x[0]
+        a, b, c, d = (np.asarray(v)[None] for v in (a, b, c, d))
+        return self.solve_batch(a, b, c, d, **opts)[0]
 
     def thread_pool(self, workers: int) -> ThreadPoolExecutor:
         """The engine's persistent pool, grown to ≥ ``workers`` threads."""

@@ -59,12 +59,6 @@ from repro.core.periodic import (
     cyclic_reduce,
     singular_rows,
 )
-from repro.core.validation import (
-    check_batch_arrays,
-    check_cyclic_batch_arrays,
-    coerce_batch_arrays,
-    coerce_cyclic_batch_arrays,
-)
 
 __all__ = [
     "CyclicRhsFactorization",
@@ -599,22 +593,4 @@ def prepare(
         from repro.engine.engine import default_engine
 
         engine = default_engine()
-    if periodic:
-        # cyclic corners are used — validate without pad zeroing
-        d0 = np.zeros_like(np.asarray(b))
-        validate = (
-            check_cyclic_batch_arrays if check else coerce_cyclic_batch_arrays
-        )
-        a, b, c, _ = validate(a, b, c, d0)
-        if b.shape[1] < 3:
-            raise ValueError(
-                f"cyclic solver needs N >= 3, got {b.shape[1]}"
-            )
-        return engine.prepare(a, b, c, periodic=True, check=check, **opts)
-    if check:
-        d0 = np.zeros_like(np.asarray(b, dtype=float))
-        a, b, c, _ = check_batch_arrays(a, b, c, d0)
-    else:
-        d0 = np.zeros_like(np.asarray(b))
-        a, b, c, _ = coerce_batch_arrays(a, b, c, d0)
-    return engine.prepare(a, b, c, **opts)
+    return engine.prepare(a, b, c, periodic=periodic, check=check, **opts)

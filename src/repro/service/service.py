@@ -114,10 +114,9 @@ class ServiceConfig:
         Threads executing coalesced batches, so the event loop never
         blocks on NumPy sweeps and independent groups overlap.
     tile_cache:
-        LRU entries for digest-tiled shared factorizations (one entry
-        per ``(digest, fragment count)`` actually seen) — and,
-        separately, for the bound sessions serving repeat digest
-        windows.
+        LRU entries for the bound sessions serving repeat digest
+        windows (one per digest-window shape actually seen); each
+        session holds its own tiled factorization.
     """
 
     max_batch_rows: int = 2048
@@ -228,8 +227,6 @@ class SolveService:
         self._closed = False
         self._executor: ThreadPoolExecutor | None = None
         self._executor_lock = threading.Lock()
-        self._tiled: OrderedDict = OrderedDict()  # (digest, reps) -> fact
-        self._tiled_lock = threading.Lock()
         # (digest, reps, m_frag, n, dtype, workers, check) -> bound session
         self._sessions: OrderedDict = OrderedDict()
         self._sessions_lock = threading.Lock()
@@ -245,7 +242,6 @@ class SolveService:
         tenant: str = "default",
         periodic: bool = False,
         check: bool = True,
-        coerced: bool = False,
         out=None,
         e=None,
         f=None,
@@ -264,7 +260,7 @@ class SolveService:
         """
         future = self.submit_nowait(
             a, b, c, d,
-            tenant=tenant, periodic=periodic, check=check, coerced=coerced,
+            tenant=tenant, periodic=periodic, check=check,
             out=out, e=e, f=f, system=system, **opts,
         )
         return await future
@@ -279,7 +275,6 @@ class SolveService:
         tenant: str = "default",
         periodic: bool = False,
         check: bool = True,
-        coerced: bool = False,
         out=None,
         e=None,
         f=None,
@@ -306,7 +301,7 @@ class SolveService:
             )
         request = SolveRequest.build(
             a, b, c, d,
-            periodic=periodic, check=check, coerced=coerced, out=out,
+            periodic=periodic, check=check, out=out,
             e=e, f=f, system=system, **opts,
         )
         rows = request.m
@@ -374,6 +369,7 @@ class SolveService:
             request.parallelism,
             id(request.heuristic) if request.heuristic is not None else None,
             request.workers,
+            request.ranks,
             request.fingerprint,
             request.rtol,
             request.check,
@@ -454,45 +450,15 @@ class SolveService:
         if len(items) == 1:
             request = first.replace(k=0) if pin_k else first
             return request, False
+        # every other field — the group key agrees on all that shape the
+        # answer — rides over from the first fragment unchanged
         cat = {
-            name: np.concatenate(
-                [getattr(p.request, name) for p in items], axis=0
-            )
-            for name in ("a", "b", "c", "d")
+            name: np.concatenate([getattr(p.request, name) for p in items])
+            for name in ("e", "a", "b", "c", "f", "d")
             if getattr(first, name) is not None
         }
-        e_cat = (
-            np.concatenate([p.request.e for p in items], axis=0)
-            if first.e is not None
-            else None
-        )
-        f_cat = (
-            np.concatenate([p.request.f for p in items], axis=0)
-            if first.f is not None
-            else None
-        )
-        request = SolveRequest(
-            a=cat.get("a"),
-            b=cat.get("b"),
-            c=cat.get("c"),
-            d=cat["d"],
-            m=bucket.rows,
-            n=first.n,
-            dtype=first.dtype,
-            periodic=first.periodic,
-            fingerprint=first.fingerprint,
-            rtol=first.rtol,
-            workers=first.workers,
-            k=0 if pin_k else first.k,
-            fuse=first.fuse,
-            n_windows=first.n_windows,
-            subtile_scale=first.subtile_scale,
-            parallelism=first.parallelism,
-            heuristic=first.heuristic,
-            check=first.check,
-            e=e_cat,
-            f=f_cat,
-            system=first.system,
+        request = first.replace(
+            **cat, m=bucket.rows, k=0 if pin_k else first.k, out=None
         )
         return request, False
 
@@ -505,13 +471,15 @@ class SolveService:
         cold solve, and tiling it along the batch axis is a pure
         column-block repeat.  Periodic and banded digest groups fall
         back to plain concatenation (the engine's own fingerprint cache
-        still serves them at the aggregate shape).
+        still serves them at the aggregate shape), and so do
+        ``ranks > 1`` groups, which the engine does not serve.
         """
         k_eff = 0 if pin_k else first.k
         return (
             first.system.kind == "tridiagonal"
             and not first.periodic
             and k_eff == 0
+            and (first.ranks or 1) == 1
         )
 
     def _shared_session(self, bucket: _Bucket):
@@ -591,7 +559,7 @@ class SolveService:
         )
         if not isinstance(fact, ThomasRhsFactorization):
             return None
-        tiled = self._tiled_factorization(bucket.digest, fact, reps)
+        tiled = self._tiled_factorization(fact, reps)
         rows = m_frag * reps
         plan = engine.plan_for(rows, first.n, np.dtype(first.dtype), k=0)
         template = SolveRequest(
@@ -649,32 +617,22 @@ class SolveService:
         self._engine = engine
         return engine
 
-    def _tiled_factorization(self, digest, fact, reps: int):
-        """``fact`` repeated ``reps`` × along the batch axis (LRU-cached).
+    @staticmethod
+    def _tiled_factorization(fact, reps: int):
+        """``fact`` repeated ``reps`` × along the batch axis.
 
         ``np.tile(arr, (1, reps))`` on the ``(N, m)`` state repeats the
         fragment's columns block-by-block — exactly the column layout
-        of ``reps`` concatenated fragments.
+        of ``reps`` concatenated fragments.  Not cached: it runs only
+        when binding a session, and the session keeps the result.
         """
         if reps == 1:
             return fact
-        key = (digest, reps)
-        with self._tiled_lock:
-            cached = self._tiled.get(key)
-            if cached is not None:
-                self._tiled.move_to_end(key)
-                return cached
-        tiled = ThomasRhsFactorization(
+        return ThomasRhsFactorization(
             ta=np.tile(fact.ta, (1, reps)),
             cp=np.tile(fact.cp, (1, reps)),
             denom=np.tile(fact.denom, (1, reps)),
         )
-        with self._tiled_lock:
-            self._tiled[key] = tiled
-            self._tiled.move_to_end(key)
-            while len(self._tiled) > self.config.tile_cache:
-                self._tiled.popitem(last=False)
-        return tiled
 
     def _execute(self, request: SolveRequest):
         """Registry dispatch of one coalesced request (solve_via shape).

@@ -52,7 +52,7 @@ from repro.core.transition import GTX480_HEURISTIC, candidate_ks
 
 def _request(m=8, n=64, *, seed=0, dtype="float64", **opts):
     a, b, c, d = calibration_batch(m, n, dtype, seed=seed)
-    return SolveRequest.build(a, b, c, d, coerced=True, **opts)
+    return SolveRequest.build(a, b, c, d, **opts)
 
 
 # ---------------------------------------------------------------------------
@@ -221,11 +221,11 @@ def test_cold_start_is_bitwise_identical_to_static():
     adaptive = AdaptiveRouter(PerformanceModel(), epsilon=0.5)
     try:
         reg.router = adaptive
-        x_adaptive, trace = solve_via(a, b, c, d, coerced=True, registry=reg)
+        x_adaptive, trace = solve_via(a, b, c, d, registry=reg)
         assert trace.decision.router == "adaptive"
         assert trace.decision.model == "cold"
         reg.router = Router()
-        x_static, trace_s = solve_via(a, b, c, d, coerced=True, registry=reg)
+        x_static, trace_s = solve_via(a, b, c, d, registry=reg)
     finally:
         reg.router = Router()
     assert trace.backend == trace_s.backend
@@ -405,15 +405,15 @@ def test_calibrated_routes_run_as_the_routes_they_record(m, n):
     # must then run exactly that route, or its time lands on another key
     reg = default_registry()
     a, b, c, d = calibration_batch(m, n)
-    probe = SolveRequest.build(a, b, c, d, coerced=True)
+    probe = SolveRequest.build(a, b, c, d)
     routes = candidate_routes(probe, reg.capable(probe))
     assert {r["ranks"] for r in routes} == ({1, 2, 4} if n >= 4096 else {1})
     for route in routes:
         kwargs = _route_kwargs(route, None)
         backend = kwargs.pop("backend")
-        request = SolveRequest.build(a, b, c, d, coerced=True, **kwargs)
+        request = SolveRequest.build(a, b, c, d, **kwargs)
         _, trace = solve_via(
-            a, b, c, d, backend=backend, coerced=True, registry=reg, **kwargs
+            a, b, c, d, backend=backend, registry=reg, **kwargs
         )
         assert route_from(request, trace) == route
 
@@ -424,12 +424,12 @@ def test_exploration_records_every_candidate_under_its_own_key(m, n):
     for backend in default_registry().backends():
         reg.register(backend)
     a, b, c, d = calibration_batch(m, n)
-    probe = SolveRequest.build(a, b, c, d, coerced=True)
+    probe = SolveRequest.build(a, b, c, d)
     routes = candidate_routes(probe, reg.capable(probe))
     # the first pick is cold (the static route); every later one
     # explores the least-sampled candidate
     for _ in range(len(routes) + 1):
-        solve_via(a, b, c, d, coerced=True, registry=reg)
+        solve_via(a, b, c, d, registry=reg)
     recorded = reg.router.model.routes(cell_key(m, n, "float64", False))
     assert set(recorded) == {route_key(r) for r in routes}
 
@@ -450,7 +450,7 @@ def test_enable_disable_adaptive_routing(tmp_path):
         )
         assert reg.router is router
         a, b, c, d = calibration_batch(8, 64, seed=11)
-        _, trace = solve_via(a, b, c, d, coerced=True, registry=reg)
+        _, trace = solve_via(a, b, c, d, registry=reg)
         assert trace.decision.router == "adaptive"
         # observe() hook fed the dispatch back into the model
         assert router.model.observations(cell_key(8, 64, "float64", False)) == 1
@@ -480,8 +480,7 @@ def test_rtol_auto_engages_hybrid_reuse_progression():
     a, b, c, d = calibration_batch(8, 128, seed=23)
     states = []
     for _ in range(3):
-        _, trace = solve_via(a, b, c, d, backend="engine", coerced=True,
-                             k=3, rtol=1e-9)
+        _, trace = solve_via(a, b, c, d, backend="engine", k=3, rtol=1e-9)
         states.append((trace.factorization, trace.rhs_only))
     assert states[0] == ("miss", False)
     # the factoring solve already reuses its fresh factorization for
@@ -489,18 +488,15 @@ def test_rtol_auto_engages_hybrid_reuse_progression():
     assert states[1] == ("factored", True)
     assert states[2] == ("hit", True)
     # the reused answer matches a fresh solve to the contract
-    x_reused, _ = solve_via(a, b, c, d, backend="engine", coerced=True,
-                            k=3, rtol=1e-9)
-    x_fresh, _ = solve_via(a, b, c, d, backend="engine", coerced=True,
-                           k=3, fingerprint=False)
+    x_reused, _ = solve_via(a, b, c, d, backend="engine", k=3, rtol=1e-9)
+    x_fresh, _ = solve_via(a, b, c, d, backend="engine", k=3, fingerprint=False)
     np.testing.assert_allclose(x_reused, x_fresh, rtol=1e-9)
 
 
 def test_rtol_below_floor_does_not_engage():
     a, b, c, d = calibration_batch(8, 128, seed=29)
     for _ in range(3):
-        _, trace = solve_via(a, b, c, d, backend="engine", coerced=True,
-                             k=3, rtol=1e-16)
+        _, trace = solve_via(a, b, c, d, backend="engine", k=3, rtol=1e-16)
         assert trace.rhs_only is False
 
 

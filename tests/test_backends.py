@@ -29,6 +29,7 @@ from repro.backends import (
 )
 from repro.core.periodic import CyclicSingularError, solve_periodic_batch
 from repro.engine import ExecutionEngine
+from repro.service import SyncSolveClient
 from repro.workloads.generators import random_batch
 
 from .conftest import BACKEND_ROWS
@@ -123,11 +124,13 @@ def test_workers_must_be_a_positive_int_at_every_entry(bad):
         "engine.solve_batch": lambda: engine.solve_batch(
             a, b, c, d, workers=bad
         ),
-        "engine.solve_periodic": lambda: engine.solve_periodic(
-            a, b, c, d, workers=bad
+        "engine.solve_batch(periodic)": lambda: engine.solve_batch(
+            a, b, c, d, periodic=True, workers=bad
         ),
         "prepared.solve": lambda: handle.solve(d, workers=bad),
         "prepared.bind": lambda: handle.bind(workers=bad),
+        "repro.prepare": lambda: repro.prepare(a, b, c, workers=bad),
+        "engine.prepare": lambda: engine.prepare(a, b, c, workers=bad),
     }
     for entry, call in entries.items():
         with pytest.raises(ValueError, match="workers must be an int >= 1"):
@@ -142,6 +145,86 @@ def test_ranks_must_be_a_positive_int(bad):
         repro.solve_batch(a, b, c, d, ranks=bad)
     with pytest.raises(ValueError, match="ranks must be an int >= 1"):
         bind_via(a, b, c, d, ranks=bad)
+
+
+def test_engine_solve_batch_refuses_ranks():
+    # the engine solves on one rank; ranks > 1 is never silently dropped
+    a, b, c, d = _batch(m=4, n=32)
+    engine = ExecutionEngine()
+    with pytest.raises(ValueError, match="ranks=2"):
+        engine.solve_batch(a, b, c, d, ranks=2)
+    assert engine.stats.solves == 0
+
+
+def _cyclic_dense(a, b, c):
+    dense = np.diag(b) + np.diag(a[1:], -1) + np.diag(c[:-1], 1)
+    dense[0, -1] = a[0]
+    dense[-1, 0] = c[-1]
+    return dense
+
+
+def _service_solve(a, b, c, d, **opts):
+    with SyncSolveClient() as client:
+        return client.solve(a, b, c, d, **opts)
+
+
+def _bound_step(a, b, c, d, **opts):
+    with bind_via(a, b, c, d, **opts) as session:
+        return session.step(d).copy()
+
+
+#: every public solve entry, called as ``solve(a, b, c, d, **opts)`` on
+#: an ``(M, N)`` batch (the 1-D entry row by row)
+SOLVE_ENTRIES = {
+    "repro.solve_batch": repro.solve_batch,
+    "repro.solve": lambda a, b, c, d, **o: np.stack(
+        [repro.solve(*row, **o) for row in zip(a, b, c, d)]
+    ),
+    "solve_periodic_batch": lambda a, b, c, d, periodic=True, **o: (
+        solve_periodic_batch(a, b, c, d, **o)
+    ),
+    "ExecutionEngine.solve_batch": lambda a, b, c, d, **o: (
+        ExecutionEngine().solve_batch(a, b, c, d, **o)
+    ),
+    "repro.prepare": lambda a, b, c, d, **o: repro.prepare(a, b, c, **o).solve(d),
+    "ExecutionEngine.prepare": lambda a, b, c, d, **o: (
+        ExecutionEngine().prepare(a, b, c, **o).solve(d)
+    ),
+    "solve_via": lambda a, b, c, d, **o: solve_via(a, b, c, d, **o)[0],
+    "bind_via": _bound_step,
+    "SolveService.submit": _service_solve,
+}
+
+
+@pytest.mark.parametrize("entry", sorted(SOLVE_ENTRIES))
+def test_every_entry_validates_alike(entry):
+    solve = SOLVE_ENTRIES[entry]
+    a, b, c, d = _cyclic_batch(3, 16, seed=7)
+    # (a) periodic: the corners are couplings, never zeroed pads
+    x = solve(a, b, c, d, periodic=True)
+    for i in range(3):
+        ref = np.linalg.solve(_cyclic_dense(a[i], b[i], c[i]), d[i])
+        assert np.allclose(x[i], ref, rtol=1e-12, atol=1e-12)
+    # (b) non-finite coefficients or right-hand side under check=True
+    for i in (1, 3):
+        bad = [a, b.copy(), c, d.copy()]
+        bad[i][1, 5] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            solve(*bad)
+    # (c) a cyclic system needs N >= 3
+    for n in (1, 2):
+        with pytest.raises(ValueError, match="N >= 3"):
+            solve(a[:, :n], b[:, :n], c[:, :n], d[:, :n], periodic=True)
+    # (d) mismatched shapes
+    with pytest.raises(ValueError):
+        solve(a, b, c[:, :-1], d)
+    with pytest.raises(ValueError):
+        solve(a, b, c, d[:, :-1])
+    # (e) float32 in, float32 out
+    x32 = solve(*(v.astype(np.float32) for v in (a, b, c, d)))
+    assert x32.dtype == np.float32
+    # (f) lists are coerced like arrays
+    assert np.array_equal(solve(*(v.tolist() for v in (a, b, c, d)), periodic=True), x)
 
 
 # ------------------------------------------------- cross-backend agreement
@@ -403,16 +486,13 @@ def test_no_capable_backend_lists_every_rejection():
 
 def test_request_validation():
     z = np.zeros((3, 16))
-    request = SolveRequest.build(z, z + 2, z, z, coerced=True, k=2)
+    request = SolveRequest.build(z, z + 2, z, z, k=2)
     assert (request.m, request.n, request.k) == (3, 16, 2)
     assert request.dtype == "float64"
     with pytest.raises(TypeError, match="unknown solve option"):
-        SolveRequest.build(z, z + 2, z, z, coerced=True, block_size=32)
+        SolveRequest.build(z, z + 2, z, z, block_size=32)
     with pytest.raises(ValueError):
-        SolveRequest.build(
-            np.zeros(16), np.zeros(16), np.zeros(16), np.zeros(16),
-            coerced=True,
-        )
+        SolveRequest.build(np.zeros(16), np.zeros(16), np.zeros(16), np.zeros(16))
 
 
 def test_periodic_requests_are_one_dispatch_seam():

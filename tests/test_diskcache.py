@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import repro
 from repro.backends.request import SolveRequest
 from repro.engine import ExecutionEngine, FactorizationDiskCache
 from repro.engine.diskcache import _key_filename
@@ -24,9 +25,8 @@ def _batch(m=16, n=64, seed=0, cyclic=False, dtype=np.float64):
 def test_spilled_factorization_is_shared_across_engines(tmp_path):
     a, b, c, d = _batch(seed=1)
     eng1 = ExecutionEngine(cache_dir=tmp_path)
-    info: dict = {}
-    eng1.solve_batch(a, b, c, d, k=0, fingerprint=True, info=info)
-    assert info["factorization"] == "factored"
+    eng1.solve_batch(a, b, c, d, k=0, fingerprint=True)
+    assert repro.last_trace().factorization == "factored"
     ref = eng1.solve_batch(a, b, c, d, k=0, fingerprint=True)
     assert eng1.disk_cache.stores == 1
     assert len(eng1.disk_cache.files()) == 1
@@ -34,10 +34,10 @@ def test_spilled_factorization_is_shared_across_engines(tmp_path):
     # a fresh engine (empty memory cache) answers from the directory:
     # no re-elimination, identical bits
     eng2 = ExecutionEngine(cache_dir=tmp_path)
-    info2: dict = {}
-    x = eng2.solve_batch(a, b, c, d, k=0, fingerprint=True, info=info2)
-    assert info2["factorization"] == "hit"
-    assert info2["rhs_only"] is True
+    x = eng2.solve_batch(a, b, c, d, k=0, fingerprint=True)
+    trace = repro.last_trace()
+    assert trace.factorization == "hit"
+    assert trace.rhs_only is True
     assert eng2.stats.factorizations_built == 0
     assert eng2.disk_cache.hits == 1
     assert np.array_equal(x, ref)
@@ -124,10 +124,9 @@ def test_torn_cache_file_is_dropped_not_fatal(tmp_path):
         with open(path, "wb") as fh:
             fh.write(raw)
         eng2 = ExecutionEngine(cache_dir=tmp_path)
-        info: dict = {}
-        x = eng2.solve_batch(a, b, c, d, k=0, fingerprint=True, info=info)
+        x = eng2.solve_batch(a, b, c, d, k=0, fingerprint=True)
         # torn file: re-factored, file replaced by a good one
-        assert info["factorization"] == "factored", label
+        assert repro.last_trace().factorization == "factored", label
         assert eng2.stats.factorizations_built == 1, label
         assert np.isfinite(x).all(), label
         eng3 = ExecutionEngine(cache_dir=tmp_path)

@@ -199,7 +199,7 @@ def test_registry_negotiation():
     assert "distributed" in names
 
     a, b, c, d = random_batch(4, 64, seed=0)
-    req = SolveRequest.build(a, b, c, d, coerced=True, ranks=2)
+    req = SolveRequest.build(a, b, c, d, ranks=2)
     engine = default_registry().get("engine")
     dist = default_registry().get("distributed")
     assert reject_reason(engine.capabilities(), req) is not None

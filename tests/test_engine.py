@@ -100,14 +100,10 @@ def test_sharded_solve_bitwise_independent_of_workers(
 def test_one_shard_is_not_a_sharded_solve(engine, fingerprint):
     # a 1-row batch yields one shard however many workers are asked for
     a, b, c, d = make_batch(1, 64, seed=5)
-    stages: list = []
-    engine.solve_batch(
-        a, b, c, d, k=0, workers=4, fingerprint=fingerprint,
-        stage_times=stages,
-    )
+    engine.solve_batch(a, b, c, d, k=0, workers=4, fingerprint=fingerprint)
     assert engine.stats.rhs_only_solves == int(fingerprint)
     assert engine.stats.sharded_solves == 0
-    assert not any("shard" in name for name, _ in stages)
+    assert not any("shard" in s.name for s in repro.last_trace().stages)
 
 
 def test_sharded_k_frozen_from_full_batch(engine):

@@ -90,7 +90,7 @@ def test_offsample_edit_invalidates_factorization_cache():
     engine = ExecutionEngine()
     _info_solve(engine, a, b, c, d)
     _, info = _info_solve(engine, a, b, c, d)
-    assert info["factorization"] == "factored"
+    assert info.factorization == "factored"
 
     from repro.engine.prepared import _sample_indices
 
@@ -101,8 +101,8 @@ def test_offsample_edit_invalidates_factorization_cache():
     flat[i], flat[j] = flat[j], flat[i]  # sum-preserving off-sample edit
     b2 = flat.reshape(m, n)
     x, info = _info_solve(engine, a, b2, c, d)
-    assert info["factorization"] == "miss"  # new digest: first sighting
-    assert not info["rhs_only"]
+    assert info.factorization == "miss"  # new digest: first sighting
+    assert not info.rhs_only
     assert np.array_equal(
         x, engine.solve_batch(a, b2, c, d, fingerprint=False)
     )
@@ -112,9 +112,8 @@ def test_offsample_edit_invalidates_factorization_cache():
 
 
 def _info_solve(engine, a, b, c, d, **kw):
-    info = {}
-    x = engine.solve_batch(a, b, c, d, info=info, **kw)
-    return x, info
+    x = engine.solve_batch(a, b, c, d, **kw)
+    return x, repro.last_trace()
 
 
 def test_auto_fingerprint_lifecycle_k0():
@@ -126,10 +125,10 @@ def test_auto_fingerprint_lifecycle_k0():
     x1, i1 = _info_solve(engine, a, b, c, d)
     x2, i2 = _info_solve(engine, a, b, c, d)
     x3, i3 = _info_solve(engine, a, b, c, d)
-    assert i1["factorization"] == "miss"       # first sighting: ledger only
-    assert i2["factorization"] == "factored"   # second: build + serve
-    assert i3["factorization"] == "hit"
-    assert not i1["rhs_only"] and i2["rhs_only"] and i3["rhs_only"]
+    assert i1.factorization == "miss"       # first sighting: ledger only
+    assert i2.factorization == "factored"   # second: build + serve
+    assert i3.factorization == "hit"
+    assert not i1.rhs_only and i2.rhs_only and i3.rhs_only
     # ... and the fast path changes no bits
     assert np.array_equal(x1, x2) and np.array_equal(x1, x3)
     assert max_err(x1, ref) < 1e-11
@@ -146,7 +145,7 @@ def test_auto_fingerprint_new_rhs_hits_cache():
     _info_solve(engine, a, b, c, d)
     d2 = np.random.default_rng(9).standard_normal((m, n))
     x, info = _info_solve(engine, a, b, c, d2)
-    assert info["factorization"] == "hit"
+    assert info.factorization == "hit"
     assert np.array_equal(
         x, engine.solve_batch(a, b, c, d2, fingerprint=False)
     )
@@ -160,7 +159,7 @@ def test_changed_coefficients_miss():
     _info_solve(engine, a, b, c, d)
     b2 = b + 0.25
     _, info = _info_solve(engine, a, b2, c, d)
-    assert info["factorization"] == "miss"
+    assert info.factorization == "miss"
 
 
 def test_auto_stays_off_for_hybrid_plans():
@@ -170,8 +169,8 @@ def test_auto_stays_off_for_hybrid_plans():
     engine = ExecutionEngine()
     for _ in range(3):
         _, info = _info_solve(engine, a, b, c, d, k=4)
-        assert info["factorization"] == "n/a"
-        assert not info["rhs_only"]
+        assert info.factorization == "n/a"
+        assert not info.rhs_only
     assert engine.stats.factorizations_built == 0
 
 
@@ -181,8 +180,8 @@ def test_forced_fingerprint_runs_hybrid_prepared():
     ref = engine.solve_batch(a, b, c, d, k=4, fingerprint=False)
     x1, i1 = _info_solve(engine, a, b, c, d, k=4, fingerprint=True)
     x2, i2 = _info_solve(engine, a, b, c, d, k=4, fingerprint=True)
-    assert i1["factorization"] == "factored"   # True forces factor-on-first
-    assert i2["factorization"] == "hit" and i2["rhs_only"]
+    assert i1.factorization == "factored"   # True forces factor-on-first
+    assert i2.factorization == "hit" and i2.rhs_only
     assert np.allclose(x1, ref, rtol=1e-10, atol=1e-13)
     assert np.array_equal(x1, x2)
 
@@ -193,8 +192,8 @@ def test_fingerprint_false_disables_cache():
     engine = ExecutionEngine()
     for _ in range(3):
         _, info = _info_solve(engine, a, b, c, d, fingerprint=False)
-        assert info["factorization"] == "off"
-        assert not info["rhs_only"]
+        assert info.factorization == "off"
+        assert not info.rhs_only
     assert engine.stats.fingerprint_hits == 0
 
 
@@ -209,7 +208,7 @@ def test_factorization_cache_eviction_is_lru():
     # oldest entry was evicted: solving it again rebuilds
     a, b, c, d = batches[0]
     _, info = _info_solve(engine, a, b, c, d, k=0, fingerprint=True)
-    assert info["factorization"] == "factored"
+    assert info.factorization == "factored"
 
 
 def test_clear_drops_factorizations():
@@ -222,7 +221,7 @@ def test_clear_drops_factorizations():
     engine.clear()
     assert engine.stats.factorization_bytes == 0
     _, info = _info_solve(engine, a, b, c, d)
-    assert info["factorization"] == "miss"  # ledger cleared too
+    assert info.factorization == "miss"  # ledger cleared too
 
 
 # ------------------------------------------------------------ handle API
@@ -258,7 +257,7 @@ def test_prepare_seeds_solve_batch_cache():
     engine = ExecutionEngine()
     handle = engine.prepare(a, b, c)
     _, info = _info_solve(engine, a, b, c, d)
-    assert info["factorization"] == "hit"
+    assert info.factorization == "hit"
     assert engine.stats.factorizations_built == 1
     assert np.array_equal(
         handle.solve(d), engine.solve_batch(a, b, c, d, fingerprint=False)
@@ -352,15 +351,14 @@ def test_periodic_auto_lifecycle_k0():
     m, n = K0_SHAPE
     a, b, c, d = _cyclic_batch(m, n, seed=32)
     engine = ExecutionEngine()
-    info1, info2, info3 = {}, {}, {}
-    x1 = engine.solve_periodic(a, b, c, d, info=info1)
-    x2 = engine.solve_periodic(a, b, c, d, info=info2)
-    x3 = engine.solve_periodic(a, b, c, d, info=info3)
-    assert info1["factorization"] == "miss"
-    assert info2["factorization"] == "factored"
-    assert info3["factorization"] == "hit"
-    assert not info1["rhs_only"] and info2["rhs_only"] and info3["rhs_only"]
-    assert all(i["periodic"] for i in (info1, info2, info3))
+    x1, info1 = _info_solve(engine, a, b, c, d, periodic=True)
+    x2, info2 = _info_solve(engine, a, b, c, d, periodic=True)
+    x3, info3 = _info_solve(engine, a, b, c, d, periodic=True)
+    assert info1.factorization == "miss"
+    assert info2.factorization == "factored"
+    assert info3.factorization == "hit"
+    assert not info1.rhs_only and info2.rhs_only and info3.rhs_only
+    assert all(i.periodic for i in (info1, info2, info3))
     # the cyclic RHS-only fast path changes no bits at k = 0
     assert np.array_equal(x1, x2) and np.array_equal(x1, x3)
     assert engine.stats.factorizations_built == 1
@@ -376,10 +374,9 @@ def test_periodic_and_plain_factorizations_do_not_collide():
     engine = ExecutionEngine()
     _info_solve(engine, a, b, c, d)
     _, info = _info_solve(engine, a, b, c, d)
-    assert info["factorization"] == "factored"  # plain entry cached
-    info = {}
-    engine.solve_periodic(a, b, c, d, info=info)
-    assert info["factorization"] == "miss"  # cyclic key: first sighting
+    assert info.factorization == "factored"  # plain entry cached
+    _, info = _info_solve(engine, a, b, c, d, periodic=True)
+    assert info.factorization == "miss"  # cyclic key: first sighting
 
 
 def test_periodic_prepare_handle_bitwise_k0():
@@ -391,7 +388,7 @@ def test_periodic_prepare_handle_bitwise_k0():
     assert handle.describe()["periodic"] is True
     x = handle.solve(d)
     assert np.array_equal(
-        x, engine.solve_periodic(a, b, c, d, fingerprint=False)
+        x, engine.solve_batch(a, b, c, d, periodic=True, fingerprint=False)
     )
 
 
@@ -400,7 +397,7 @@ def test_periodic_prepare_handle_hybrid_allclose():
     engine = ExecutionEngine()
     handle = engine.prepare(a, b, c, periodic=True, k=3)
     x = handle.solve(d)
-    ref = engine.solve_periodic(a, b, c, d, k=3, fingerprint=False)
+    ref = engine.solve_batch(a, b, c, d, periodic=True, k=3, fingerprint=False)
     assert np.allclose(x, ref, rtol=1e-10, atol=1e-13)
 
 
@@ -409,9 +406,8 @@ def test_periodic_prepare_seeds_solve_periodic_cache():
     a, b, c, d = _cyclic_batch(m, n, seed=36)
     engine = ExecutionEngine()
     handle = engine.prepare(a, b, c, periodic=True)
-    info = {}
-    x = engine.solve_periodic(a, b, c, d, info=info)
-    assert info["factorization"] == "hit"
+    x, info = _info_solve(engine, a, b, c, d, periodic=True)
+    assert info.factorization == "hit"
     assert engine.stats.factorizations_built == 1
     assert np.array_equal(handle.solve(d), x)
 

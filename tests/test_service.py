@@ -330,6 +330,31 @@ def test_sync_client_from_worker_threads():
     assert stats["dispatches"] >= 1
 
 
+def test_ranks_fragments_keep_their_route_when_coalesced():
+    # ranks is part of the group key: the two ranks=2 fragments share a
+    # window and run on the distributed tier, while the plain fragment
+    # submitted alongside them runs the engine's k = 0 route; a
+    # fingerprinted ranks=2 fragment is routed as it is solo, never
+    # served by the single-rank digest path
+    frags = [random_batch(4, 512, seed=seed) for seed in (40, 41, 42, 43)]
+
+    async def main():
+        async with SolveService(ServiceConfig(max_wait_us=200_000.0)) as service:
+            return await asyncio.gather(
+                service.submit(*frags[0], ranks=2),
+                service.submit(*frags[1], ranks=2),
+                service.submit(*frags[2]),
+                service.submit(*frags[3], ranks=2, fingerprint=True),
+            )
+
+    xs = run(main())
+    for x, batch in zip(xs[:2], frags):
+        assert np.array_equal(x, solve_via(*batch, ranks=2)[0])
+    assert np.array_equal(xs[2], repro.solve_batch(*frags[2], k=0))
+    solo = solve_via(*frags[3], ranks=2, fingerprint=True)[0]
+    assert np.array_equal(xs[3], solo)
+
+
 def test_sync_client_close_is_idempotent():
     client = SyncSolveClient(ServiceConfig(max_wait_us=500.0))
     a, b, c, d = random_batch(2, 32, seed=15)
