@@ -2,13 +2,14 @@
 """Distributed N-partition benchmark: crossover and correctness.
 
 The distributed backend splits one huge-``N`` system batch across ``P``
-ranks; each rank eliminates its slab with the two-sweep modified Thomas
-algorithm (17 values moved per slab row vs the 9 of a monolithic
-Thomas sweep), and the ranks meet only at the ``2P``-row reduced
-interface system.  Per-device traffic is therefore ``17·N/P`` values
-against the baseline's ``9·N``, while the interface exchange is
-``O(M)`` — constant in ``N`` — so a crossover system size exists
-beyond which partitioning wins.
+ranks; each rank factors its slab once and then, per step, solves its
+interior RHS-only and back-substitutes (11 values moved per slab row at
+``k = 0`` vs the 7 of a monolithic RHS-only Thomas sweep), and the
+ranks meet only at the ``2P``-row reduced interface system.  Both
+sides price a step against resident factors, so per-device traffic is
+``11·N/P`` values against the baseline's ``7·N``, while the interface
+exchange is ``O(M)`` — constant in ``N`` — so a crossover system size
+exists beyond which partitioning wins.
 
 This benchmark locates that crossover **on the device model** (the
 :mod:`repro.kernels.comm_kernel` ledgers: ``P`` concurrent devices, a
@@ -16,8 +17,9 @@ latency/bandwidth interconnect) and verifies correctness of the real
 multiprocess backend on this host:
 
 * **crossover** — for P in {2, 4}, sweep N and record the first size
-  where the predicted distributed time beats the predicted single-
-  device solve.  Gated: both crossovers must exist within the sweep.
+  where the predicted distributed step beats the predicted single-
+  device RHS-only solve.  Gated: both crossovers must exist within the
+  sweep.
 * **correctness** — gated: the multiprocess backend's results are
   bitwise identical to the in-process partition reference at every
   tested P, and elementwise close (1e-10) to the engine's ``k = 0``
@@ -49,7 +51,7 @@ from repro.distributed import partitioned_solve_reference, shutdown_pools
 from repro.gpusim.timing import GpuTimingModel
 from repro.gpusim.device import GTX480
 from repro.kernels.comm_kernel import distributed_plan
-from repro.kernels.pthomas_kernel import pthomas_counters
+from repro.kernels.rhs_kernel import rhs_pthomas_counters
 
 M = 64  # systems per batch for the crossover sweep
 RANKS = (2, 4)
@@ -65,7 +67,7 @@ def predicted_crossover(m: int, ranks: int, dtype_bytes: int = 8) -> dict:
         if n < 2 * ranks:
             continue
         base_us = (
-            model.time(pthomas_counters(m, n, dtype_bytes), dtype_bytes)
+            model.time(rhs_pthomas_counters(m, n, dtype_bytes), dtype_bytes)
             .total_s * 1e6
         )
         dist_us = sum(

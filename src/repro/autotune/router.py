@@ -140,8 +140,9 @@ def candidate_routes(
             for r in ranks_opts:
                 routes.append({
                     "backend": backend.name,
-                    # the partitioned pipeline is its own algorithm —
-                    # no PCR front-end, so k stays 0 unless pinned
+                    # the partitioned pipeline picks each slab
+                    # interior's k itself (SLAB_HEURISTIC); the route
+                    # records its knob as 0 unless pinned
                     "k": int(request.k) if request.k is not None else 0,
                     "workers": 1,
                     "fingerprint": "auto",

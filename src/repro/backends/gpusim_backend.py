@@ -80,14 +80,18 @@ class GpuSimBackend(BackendBase):
     ) -> SolveOutcome:
         """Price a ``P``-rank N-partitioned solve on the device model.
 
-        Numerics run in-process through the same slab math the real
-        distributed backend ships to its workers
-        (:func:`~repro.distributed.partition.partitioned_solve_reference`
+        Numerics run in-process through the same slab functions the
+        real distributed backend's workers run (and
+        :func:`~repro.distributed.partition.partitioned_solve_reference`
         — bitwise identical to the multiprocess path by construction);
         the predicted stage times come from the
         :mod:`~repro.kernels.comm_kernel` ledgers, which model the
         ranks as ``P`` concurrent devices exchanging interface rows
-        over a latency/bandwidth link.
+        over a latency/bandwidth link.  The ledgers price a step, so
+        the one-time bind half
+        (:func:`~repro.distributed.partition.factor_slab`) is timed
+        under ``partition`` and ``local-eliminate`` measures the step
+        half alone.
         """
         import time as _time
 
@@ -95,6 +99,7 @@ class GpuSimBackend(BackendBase):
             assemble_reduced,
             backsub_slab,
             eliminate_slab,
+            factor_slab,
             slab_bounds,
             solve_reduced,
         )
@@ -119,14 +124,15 @@ class GpuSimBackend(BackendBase):
         bt = np.ascontiguousarray(request.b.T)
         ct = np.ascontiguousarray(request.c.T)
         dt = np.ascontiguousarray(request.d.T)
+        facts = [
+            factor_slab(at[lo:hi], bt[lo:hi], ct[lo:hi]) for lo, hi in bounds
+        ]
         t_partition = _time.perf_counter() - t0
 
         t0 = _time.perf_counter()
         reps, reduced_rows = [], []
-        for lo, hi in bounds:
-            rep, reduced = eliminate_slab(
-                at[lo:hi], bt[lo:hi], ct[lo:hi], dt[lo:hi]
-            )
+        for fact, (lo, hi) in zip(facts, bounds):
+            rep, reduced = eliminate_slab(fact, dt[lo:hi])
             reps.append(rep)
             reduced_rows.append(reduced)
         t_eliminate = _time.perf_counter() - t0

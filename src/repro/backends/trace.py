@@ -116,7 +116,12 @@ class SolveTrace:
         Batch signature the solve ran under.
     k, k_source:
         The frozen transition decision and where it came from
-        (``"fixed"`` / ``"analytic"`` / ``"heuristic"``).
+        (``"fixed"`` / ``"analytic"`` / ``"heuristic"``).  For
+        ``ranks > 1`` ``k`` names the route knob, always ``0`` with
+        ``"fixed"``: each slab interior picks its own ``k`` from
+        :data:`~repro.distributed.partition.SLAB_HEURISTIC` (see the
+        session's ``describe()``), and routes are recorded and learned
+        on this ``k``.
     fuse, n_windows, workers:
         Remaining plan knobs (``workers`` is 1 for unsharded solves).
     ranks:

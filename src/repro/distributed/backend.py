@@ -3,7 +3,8 @@
 Splits a single :class:`~repro.backends.request.SolveRequest` into
 ``P`` contiguous N-slabs, ships each slab to a persistent
 :mod:`multiprocessing` worker over pickle-free shared memory, runs the
-modified-Thomas elimination locally per slab, gathers the ``2P``-row
+slab elimination locally per rank (factored once per coefficient set,
+then RHS-only per step), gathers the ``2P``-row
 reduced interface system, solves it on rank 0 through
 :class:`~repro.core.blocktridiag.BlockThomasFactorization` (``B = 1``
 fast path), scatters the boundary values back, and lets every worker
@@ -26,9 +27,13 @@ The phase sequence lives in one place,
 instead of re-executing: :meth:`DistributedBackend.bind` returns a
 :class:`DistributedBoundSolve` whose per-step cost is one RHS scatter
 plus the pipeline — the coefficient slabs are transposed and shipped
-to the workers **once** (``eliminate_slab`` never mutates them), and
-the pool's ``epoch`` counter detects interleaved foreign scatters so
-sessions sharing the process-wide pool stay correct.  A one-shot
+to the workers **once** (no phase mutates them), each rank runs the
+bind half of its elimination
+(:func:`~repro.distributed.partition.factor_slab`) on its first step
+and only the RHS-only step half after, and the pool's ``epoch``
+counter detects interleaved foreign scatters — the session re-ships
+its coefficients and the ranks re-factor — so sessions sharing the
+process-wide pool stay correct.  A one-shot
 :meth:`DistributedBackend.execute` is a transient bind plus one
 instrumented ``step_once``, just as ``ExecutionEngine.run`` is for the
 engine.
@@ -47,6 +52,7 @@ from repro.distributed.partition import (
     assemble_reduced,
     effective_ranks,
     slab_bounds,
+    slab_interior_k,
     solve_reduced,
 )
 from repro.distributed.pool import get_pool
@@ -94,8 +100,9 @@ class DistributedBackend(BackendBase):
                 prepared=False,
                 systems=("tridiagonal",),
                 description=(
-                    "multi-process N-partition solver: modified-Thomas "
-                    "slabs + reduced interface system over shared memory"
+                    "multi-process N-partition solver: slabs factored "
+                    "once per rank + reduced interface system over "
+                    "shared memory"
                 ),
             )
         return self._caps
@@ -143,13 +150,15 @@ class DistributedBoundSolve:
 
     Bind transposes the coefficient slabs once and records the slab
     geometry; the first step attaches the process-wide pool, ships the
-    coefficients, and notes the pool :attr:`~WorkerPool.epoch`.  Each
+    coefficients, and notes the pool :attr:`~WorkerPool.epoch`; the
+    ranks factor their slabs inside that step's eliminate phase.  Each
     :meth:`step` then scatters **only the right-hand side** (a strided
     transpose view — the arena assignment is the only copy) and runs
-    eliminate → reduced-solve → backsub → gather.  When the epoch moves
-    (another solve or session scattered into the shared arenas, or the
-    pool was rebuilt after a worker death) the coefficients are
-    re-shipped before the step — sessions never trust stale arenas.
+    the RHS-only eliminate → reduced-solve → backsub → gather.  When
+    the epoch moves (another solve or session scattered into the
+    shared arenas, or the pool was rebuilt after a worker death) the
+    coefficients are re-shipped and the ranks re-factor before the
+    step — sessions never trust stale arenas or factorizations.
 
     A one-shot solve (:meth:`DistributedBackend.execute`) is a
     transient session and one :meth:`step_once`, so every step —
@@ -216,7 +225,9 @@ class DistributedBoundSolve:
         arrays: the arena copies are the only copies.  ``comms`` covers
         the pool attach (and, when the arenas are stale, the
         coefficient scatter) as well as every RHS/boundary/solution
-        transfer.
+        transfer.  On steps that factor — every one-shot, a session's
+        first step and the step after a foreign scatter — the ranks'
+        bind half runs inside the eliminate phase.
         """
         t1 = time.perf_counter()
         pool = self._attached_pool()
@@ -346,14 +357,17 @@ class DistributedBoundSolve:
         return self._dtype
 
     def describe(self) -> dict:
-        """Session summary: mode, geometry, step count."""
+        """Session summary: mode, geometry, each slab interior's ``k``
+        (0 = Thomas), step count."""
+        m = self.request.m
         return {
             "mode": self.mode,
-            "m": self.request.m,
+            "m": m,
             "n": self.request.n,
             "dtype": np.dtype(self._dtype).name,
             "ranks": self.ranks,
             "bounds": list(self.bounds),
+            "slab_k": [slab_interior_k(m, hi - lo) for lo, hi in self.bounds],
             "steps": self.steps,
         }
 

@@ -9,10 +9,17 @@ the :class:`~multiprocessing.connection.Connection` pipes carry only
 tiny command tuples, so nothing numeric is ever pickled.
 
 Workers are phase-driven: an ``eliminate`` command runs
-:func:`repro.distributed.partition.eliminate_slab` over the arena and
-leaves the interior representation in worker-local memory; a later
-``backsub`` command consumes it together with the scattered boundary
-values.  Both phases run the *same functions* the in-process reference
+:func:`repro.distributed.partition.eliminate_slab` — the RHS-only step
+half — over the arena and leaves the interior representation in
+worker-local memory; a later ``backsub`` command consumes it together
+with the scattered boundary values.  The bind half
+(:func:`~repro.distributed.partition.factor_slab`) runs inside
+``eliminate`` whenever the command's :attr:`WorkerPool.epoch` differs
+from the one the worker last factored at (or it has not factored since
+``attach``): every arena rebuild and coefficient scatter bumps the
+epoch and an RHS-only scatter does not, so a bound session's steady
+state never re-factors and a foreign scatter always forces it.  Every
+phase runs the *same functions* the in-process reference
 (:func:`~repro.distributed.partition.partitioned_solve_reference`)
 runs, so the multiprocess result is bitwise identical to it.
 
@@ -32,7 +39,7 @@ import traceback
 
 import numpy as np
 
-from repro.distributed.partition import backsub_slab, eliminate_slab
+from repro.distributed.partition import backsub_slab, eliminate_slab, factor_slab
 
 __all__ = [
     "DistributedWorkerError",
@@ -87,6 +94,8 @@ def worker_main(conn) -> None:
 
     shm = None
     views = None
+    fact = None  # the slab's bind half, built at epoch fact_epoch
+    fact_epoch = None
     rep = None
     try:
         while True:
@@ -106,11 +115,18 @@ def worker_main(conn) -> None:
                     # parent's unlink() retires the segment cleanly
                     shm = shared_memory.SharedMemory(name=name)
                     views = _arena_views(shm.buf, slab_rows, m, dtype_str)
+                    fact = None
                     rep = None
                 elif op == "eliminate":
-                    rep, reduced = eliminate_slab(
-                        views["a"], views["b"], views["c"], views["d"]
-                    )
+                    _, epoch = cmd
+                    if fact is None or fact_epoch != epoch:
+                        # free the stale factorization (and the rep
+                        # holding its spikes) first, so the two never
+                        # coexist at the rank's peak memory
+                        fact = rep = None
+                        fact = factor_slab(views["a"], views["b"], views["c"])
+                        fact_epoch = epoch
+                    rep, reduced = eliminate_slab(fact, views["d"])
                     views["reduced"][:] = reduced
                 elif op == "backsub":
                     if rep is None:
@@ -144,7 +160,8 @@ class WorkerPool:
         #: changed (arena rebuilds, full slab scatters).  Bound sessions
         #: record the epoch after scattering their coefficients and
         #: re-scatter when it moves — the interleave detector that lets
-        #: a session skip the coefficient scatter in the steady state.
+        #: a session skip the coefficient scatter in the steady state —
+        #: and workers re-factor their slab when it moves.
         self.epoch = 0
         self._lock = threading.Lock()
         self._geometry = None  # (slab_row_counts, m, dtype_str)
@@ -280,18 +297,23 @@ class WorkerPool:
         """Copy only the transposed ``(N, M)`` right-hand side.
 
         The per-step scatter of a bound session: the coefficient slabs
-        already live in the arenas (``eliminate_slab`` never mutates
-        them), so a new RHS against the same matrix ships one array
-        instead of four.  ``dt`` may be a strided transpose view — the
-        arena assignment is the only copy.  Does **not** bump
-        :attr:`epoch`: the coefficient contents are untouched.
+        already live in the arenas (no phase mutates them), so a new
+        RHS against the same matrix ships one array instead of four.
+        ``dt`` may be a strided transpose view — the arena assignment
+        is the only copy.  Does **not** bump :attr:`epoch`: the
+        coefficient contents are untouched, so the workers keep their
+        slab factorizations.
         """
         for rank, (lo, hi) in enumerate(bounds):
             self._views[rank]["d"][:] = dt[lo:hi]
 
     def eliminate(self) -> None:
-        """All ranks run their local modified-Thomas elimination."""
-        self._broadcast(("eliminate",))
+        """All ranks run the step half of their slab elimination.
+
+        The command carries :attr:`epoch`; a rank whose slab
+        factorization is from another epoch runs the bind half first.
+        """
+        self._broadcast(("eliminate", self.epoch))
 
     def gather_reduced(self) -> list:
         """Collect every rank's ``(6, M)`` boundary equations."""

@@ -218,10 +218,14 @@ class ThomasRhsFactorization:
         t1 = np.empty(m, dtype=b.dtype)
         denom[0] = tb[0]
         np.divide(tc[0], tb[0], out=cp[0])
-        for i in range(1, n):
-            np.multiply(cp[i - 1], ta[i], out=t1)
-            np.subtract(tb[i], t1, out=denom[i])
-            np.divide(tc[i], denom[i], out=cp[i])
+        # the loop is ufunc-call bound at small M: zipped row views and
+        # positional outputs (cheaper than per-row indexing and out=)
+        for cprev, ai, bi, ci, ri, cpi in zip(
+            cp[:-1], ta[1:], tb[1:], tc[1:], denom[1:], cp[1:]
+        ):
+            np.multiply(cprev, ai, t1)
+            np.subtract(bi, t1, ri)
+            np.divide(ci, ri, cpi)
         return cls(ta=ta, cp=cp, denom=denom)
 
     def solve_shard(self, ws, d, out, lo: int, hi: int) -> None:
@@ -229,59 +233,57 @@ class ThomasRhsFactorization:
 
         Shards are column slices of the transposed ``(N, M)`` workspace
         buffers, so concurrent shards share one workspace and write
-        disjoint regions.  Identical operation order to the full solve:
-        multiply, subtract, divide by the stored denominator.
+        disjoint regions.  The sweep is :meth:`solve_shard_t` on the
+        staged transpose (copies never change bits).
         """
-        n = self.n
-        ta, cp, denom = self.ta, self.cp, self.denom
-        td, dp, xt = ws.td, ws.dp, ws.xt
-        t1, t2 = ws.t1[lo:hi], ws.t2[lo:hi]
         s = slice(lo, hi)
-        td[:, s] = d[s].T
-        np.divide(td[0, s], denom[0, s], out=dp[0, s])
-        for i in range(1, n):
-            np.multiply(dp[i - 1, s], ta[i, s], out=t2)
-            np.subtract(td[i, s], t2, out=t2)
-            np.divide(t2, denom[i, s], out=dp[i, s])
-        xt[n - 1, s] = dp[n - 1, s]
-        for i in range(n - 2, -1, -1):
-            np.multiply(cp[i, s], xt[i + 1, s], out=t1)
-            np.subtract(dp[i, s], t1, out=xt[i, s])
-        out[s] = xt[:, s].T
+        ws.td[:, s] = d[s].T
+        self.solve_shard_t(ws, ws.td, ws.xt, lo, hi)
+        out[s] = ws.xt[:, s].T
 
     def solve_shard_t(self, ws, dt, out_t, lo: int, hi: int) -> None:
         """Transposed-layout RHS sweep: ``(N, M)`` in, ``(N, M)`` out.
 
-        The sweep already runs in the transposed layout internally;
-        this entry point reads the right-hand side straight from the
-        caller's ``(N, M)`` array and writes the solution into the
-        caller's ``(N, M)`` output — no staging copies at all.  The
-        arithmetic is operation-for-operation :meth:`solve_shard`
-        (copies never change bits), so transposed-layout solves keep
-        the bitwise promise.  This is the ADI fast path: alternating
-        sweep directions hand each solve its input in exactly this
-        orientation.
+        The sweep runs in the transposed layout, so this entry point
+        reads the right-hand side straight from the caller's ``(N, M)``
+        array and writes the solution into the caller's ``(N, M)``
+        output — no staging copies at all.  This is the ADI fast path:
+        alternating sweep directions hand each solve its input in
+        exactly this orientation.  Operation order: multiply, subtract,
+        divide by the stored denominator forward; multiply, subtract
+        backward.  Like :meth:`factor`'s, the loops walk zipped row
+        views with positional outputs.
         """
         n = self.n
-        ta, cp, denom = self.ta, self.cp, self.denom
-        dp = ws.dp
-        t1, t2 = ws.t1[lo:hi], ws.t2[lo:hi]
         s = slice(lo, hi)
-        np.divide(dt[0, s], denom[0, s], out=dp[0, s])
-        for i in range(1, n):
-            np.multiply(dp[i - 1, s], ta[i, s], out=t2)
-            np.subtract(dt[i, s], t2, out=t2)
-            np.divide(t2, denom[i, s], out=dp[i, s])
-        out_t[n - 1, s] = dp[n - 1, s]
-        for i in range(n - 2, -1, -1):
-            np.multiply(cp[i, s], out_t[i + 1, s], out=t1)
-            np.subtract(dp[i, s], t1, out=out_t[i, s])
+        ta, cp, denom = self.ta[:, s], self.cp[:, s], self.denom[:, s]
+        dt, dp, xt = dt[:, s], ws.dp[:, s], out_t[:, s]
+        t1, t2 = ws.t1[lo:hi], ws.t2[lo:hi]
+        np.divide(dt[0], denom[0], out=dp[0])
+        for dprev, ai, di, ri, dpi in zip(
+            dp[:-1], ta[1:], dt[1:], denom[1:], dp[1:]
+        ):
+            np.multiply(dprev, ai, t2)
+            np.subtract(di, t2, t2)
+            np.divide(t2, ri, dpi)
+        xt[n - 1] = dp[n - 1]
+        for ci, xnext, dpi, xi in zip(
+            cp[-2::-1], xt[:0:-1], dp[-2::-1], xt[-2::-1]
+        ):
+            np.multiply(ci, xnext, t1)
+            np.subtract(dpi, t1, xi)
 
 
 def build_factorization(plan, a, b, c):
-    """Factor coefficients for ``plan``: Thomas at ``k=0``, hybrid above."""
+    """Factor coefficients for ``plan``: Thomas at ``k=0``, hybrid above.
+
+    ``a``, ``b``, ``c`` are ``(M, N)`` in any memory layout; each route
+    copies them into its own (transposed rows for Thomas, contiguous
+    rows for the hybrid) only where they are not already in it.
+    """
     if plan.uses_thomas:
         return ThomasRhsFactorization.factor(a, b, c)
+    a, b, c = (np.ascontiguousarray(v) for v in (a, b, c))
     return HybridFactorization.factor(a, b, c, k=plan.k, check=False)
 
 

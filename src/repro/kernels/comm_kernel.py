@@ -2,23 +2,30 @@
 
 The distributed backend (:mod:`repro.distributed`) splits one batch of
 ``N``-row systems into ``P`` contiguous row slabs, eliminates each slab
-independently with the two-sweep modified Thomas algorithm, solves the
-``2P``-row reduced interface system on rank 0, and back-substitutes the
-interiors.  This module prices that pipeline in the device-model
-vocabulary so a :class:`~repro.backends.trace.SolveTrace` can carry
-predicted device/link times next to the measured host times:
+interior onto its two boundary unknowns, solves the ``2P``-row reduced
+interface system on rank 0, and back-substitutes the interiors.  This
+module prices that pipeline in the device-model vocabulary so a
+:class:`~repro.backends.trace.SolveTrace` can carry predicted
+device/link times next to the measured host times:
 
 * **slab kernels** (:func:`slab_eliminate_counters`,
   :func:`slab_backsub_counters`, :func:`reduced_solve_counters`) are
   :class:`~repro.gpusim.counters.KernelCounters` ledgers, priced by the
-  usual :class:`~repro.gpusim.timing.GpuTimingModel`.  Per slab row the
-  modified-Thomas forward sweep moves 7 values (load ``a, b, c, d``,
-  store ``ar, cr, dr``), the backward sweep 6 (rewrite the three stored
-  streams), and the final back-substitution 4 (read the three streams,
-  write ``x``) — 17 values/row against the 9 of a single-device Thomas
-  sweep.  The ~1.9× traffic premium is paid *per rank over 1/P of the
-  rows*, so per-device traffic is ``17·N/P`` values: already below the
-  baseline's ``9·N`` at ``P = 2`` and shrinking with ``P``.
+  usual :class:`~repro.gpusim.timing.GpuTimingModel`.  Each rank
+  factors its slab once per coefficient set (the bind half,
+  :func:`slab_factor_counters`, priced into the one-time ``staging``
+  stage), so a step streams only right-hand sides: the interior's
+  RHS-only solve on its
+  :data:`~repro.distributed.partition.SLAB_HEURISTIC` route (for
+  ``k = 0`` the two ``d`` sweeps, 7 values/row: read ``a``, the pivot
+  and ``d``, write ``y``; read ``c'`` and ``y``, write ``y``; for
+  ``k > 0`` the stored-level applies plus the reduced p-Thomas), the
+  two boundary rows, and the back-substitution's 4 values/row (read
+  ``p, q, y``, write ``x``).  At ``k = 0`` that is 11 values per slab
+  row against the 7 of a single-device RHS-only Thomas sweep; the
+  premium is paid *per rank over 1/P of the rows*, so per-device
+  traffic is ``11·N/P`` values: already below the baseline's ``7·N``
+  at ``P = 2`` and shrinking with ``P``.
 * **link transfers** (:class:`CommCounters` over a :class:`LinkSpec`)
   price what moves between ranks: the reduced-system gather ships six
   ``M``-vectors per non-root rank, the boundary scatter two — both
@@ -36,10 +43,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.distributed.partition import slab_interior_k
 from repro.gpusim.counters import KernelCounters
 from repro.gpusim.device import DeviceSpec, GTX480
 from repro.gpusim.memory import MemoryTraffic, warp_transactions_strided
 from repro.gpusim.timing import GpuTimingModel
+from repro.kernels.hybrid_gpu import GpuHybridSolver
+from repro.kernels.rhs_kernel import rhs_only_counters
 
 __all__ = [
     "PCIE_LINK",
@@ -49,6 +59,7 @@ __all__ = [
     "reduced_solve_counters",
     "slab_backsub_counters",
     "slab_eliminate_counters",
+    "slab_factor_counters",
     "slab_rows_for",
 ]
 
@@ -130,24 +141,46 @@ def _warp_tx(device: DeviceSpec, n_systems: int, dtype_bytes: int) -> int:
     return full_warps * tx + rem_tx
 
 
-def slab_eliminate_counters(
+def _boundary_rows_counters(
     n_systems: int,
-    slab_rows: int,
+    loads: int,
+    stores: int,
     dtype_bytes: int,
-    device: DeviceSpec = GTX480,
-    threads_per_block: int = 128,
+    device: DeviceSpec,
+    threads_per_block: int,
 ) -> KernelCounters:
-    """Ledger for the two-sweep modified-Thomas elimination of one slab.
+    """Ledger for the two boundary rows of one slab: one thread per
+    system, ``loads``/``stores`` coalesced ``M``-vectors."""
+    tx = _warp_tx(device, n_systems, dtype_bytes)
+    traffic = MemoryTraffic()
+    traffic.add_load(loads * n_systems * dtype_bytes, loads * tx)
+    traffic.add_store(stores * n_systems * dtype_bytes, stores * tx)
+    return KernelCounters(
+        name="slab boundary rows",
+        eliminations=2 * n_systems,
+        traffic=traffic,
+        launches=1,
+        dependent_steps=1,
+        threads=n_systems,
+        threads_per_block=min(
+            threads_per_block, max(device.warp_size, n_systems)
+        ),
+        smem_per_block=0,
+        regs_per_thread=20,
+        mlp=4.0,
+    )
 
-    One thread per system; the slab is stored system-interleaved so
-    every row access is lane-consecutive.  The forward sweep loads the
-    four diagonals and stores the three modified streams (7
-    values/row); the backward sweep rewrites the three streams in place
-    (6 values/row).  Both sweeps are ``slab_rows``-long dependent
-    chains, so the elimination carries roughly twice the latency chain
-    of the rows it owns — the price of producing boundary-coupled
-    coefficients instead of a solved interior.
-    """
+
+def _slab_ledger(name: str, stages: list) -> KernelCounters:
+    """``stages`` run back to back, merged into one named ledger."""
+    ledger = stages[0]
+    for stage in stages[1:]:
+        ledger.merge_sequential(stage)
+    ledger.name = name
+    return ledger
+
+
+def _check_slab(n_systems: int, slab_rows: int, dtype_bytes: int) -> None:
     if n_systems < 1 or slab_rows < 2:
         raise ValueError(
             f"need n_systems >= 1 and slab_rows >= 2, got "
@@ -156,35 +189,72 @@ def slab_eliminate_counters(
     if dtype_bytes not in (4, 8):
         raise ValueError(f"dtype_bytes must be 4 or 8, got {dtype_bytes}")
 
-    threads_per_block = min(
-        threads_per_block, max(device.warp_size, n_systems)
+
+def slab_eliminate_counters(
+    n_systems: int,
+    slab_rows: int,
+    dtype_bytes: int,
+    device: DeviceSpec = GTX480,
+    threads_per_block: int = 128,
+) -> KernelCounters:
+    """Ledger for the step half of one slab's elimination.
+
+    The slab is already factored (:func:`slab_factor_counters`), so a
+    step solves the ``L - 2``-row interior RHS-only on the route
+    :func:`~repro.distributed.partition.slab_interior_k` picks — the
+    :func:`~repro.kernels.rhs_kernel.rhs_only_counters` stages, for
+    ``k = 0`` the two ``d`` sweeps — and then forms the two boundary
+    right-hand sides: each row reads ``d``, its coupling, the
+    neighbouring ``y`` and its pivot and writes its ``rhs``, and the
+    four stored coefficient halves are copied into the ``(6, M)``
+    reduced rows.  The stages run back to back and are merged into one
+    ledger.
+    """
+    _check_slab(n_systems, slab_rows, dtype_bytes)
+    boundary = _boundary_rows_counters(
+        n_systems, 2 * 4 + 4, 6, dtype_bytes, device, threads_per_block
     )
-    tx_per_row = _warp_tx(device, n_systems, dtype_bytes)
-
-    def bulk(values_per_row: int, rows: int) -> tuple:
-        useful = values_per_row * rows * n_systems * dtype_bytes
-        return useful, values_per_row * rows * tx_per_row
-
-    traffic = MemoryTraffic()
-    # forward sweep: read a, b, c, d; write ar, cr, dr
-    traffic.add_load(*bulk(4, slab_rows))
-    traffic.add_store(*bulk(3, slab_rows))
-    # backward sweep: re-read and rewrite the three modified streams
-    traffic.add_load(*bulk(3, slab_rows))
-    traffic.add_store(*bulk(3, slab_rows))
-
-    return KernelCounters(
-        name="slab eliminate (modified Thomas)",
-        eliminations=n_systems * (2 * slab_rows - 1),
-        traffic=traffic,
-        launches=1,
-        dependent_steps=2 * slab_rows - 1,
-        threads=n_systems,
-        threads_per_block=threads_per_block,
-        smem_per_block=0,
-        regs_per_thread=20,
-        mlp=4.0,
+    k = slab_interior_k(n_systems, slab_rows)
+    interior = []
+    if slab_rows > 2:
+        interior = rhs_only_counters(
+            n_systems, slab_rows - 2, k, dtype_bytes, device=device
+        )
+    return _slab_ledger(
+        f"slab eliminate (RHS-only, k={k})", interior + [boundary]
     )
+
+
+def slab_factor_counters(
+    n_systems: int,
+    slab_rows: int,
+    dtype_bytes: int,
+    device: DeviceSpec = GTX480,
+    threads_per_block: int = 128,
+) -> KernelCounters:
+    """Ledger for the bind half of one slab, run once per coefficient set.
+
+    Factoring the ``L - 2``-row interior costs one unprepared solve on
+    its route (the coefficient eliminations, with the first spike
+    column as the streamed right-hand side: p-Thomas at ``k = 0``,
+    tiled PCR + p-Thomas above) plus an RHS-only solve for the second
+    spike column; the two boundary rows then read ``a, b, c`` and the
+    spike ends and write their pivots and four coefficient halves.
+    """
+    _check_slab(n_systems, slab_rows, dtype_bytes)
+    boundary = _boundary_rows_counters(
+        n_systems, 2 * 5, 6, dtype_bytes, device, threads_per_block
+    )
+    k = slab_interior_k(n_systems, slab_rows)
+    interior = []
+    if slab_rows > 2:
+        n = slab_rows - 2
+        report = GpuHybridSolver(device=device).predict(
+            n_systems, n, dtype_bytes, k=k
+        )
+        interior = [counters for _, counters, _ in report.stages]
+        interior += rhs_only_counters(n_systems, n, k, dtype_bytes, device=device)
+    return _slab_ledger(f"slab factor (k={k})", interior + [boundary])
 
 
 def slab_backsub_counters(
@@ -197,17 +267,11 @@ def slab_backsub_counters(
     """Ledger for the interior back-substitution of one slab.
 
     Once the slab's two boundary values are known, every interior row
-    is ``x_i = dr_i − ar_i·x_first − cr_i·x_last`` — fully elementwise
+    is ``x_i = y_i − p_i·x_first − q_i·x_last`` — fully elementwise
     (no recurrence), reading the three stored streams and the broadcast
     boundary pair, writing ``x`` (4 streamed values/row).
     """
-    if n_systems < 1 or slab_rows < 2:
-        raise ValueError(
-            f"need n_systems >= 1 and slab_rows >= 2, got "
-            f"{n_systems}, {slab_rows}"
-        )
-    if dtype_bytes not in (4, 8):
-        raise ValueError(f"dtype_bytes must be 4 or 8, got {dtype_bytes}")
+    _check_slab(n_systems, slab_rows, dtype_bytes)
 
     tx_per_row = _warp_tx(device, n_systems, dtype_bytes)
 
@@ -216,7 +280,7 @@ def slab_backsub_counters(
         return useful, values_per_row * rows * tx_per_row
 
     traffic = MemoryTraffic()
-    # per interior row: read ar, cr, dr; write x (boundary pair is a
+    # per interior row: read p, q, y; write x (boundary pair is a
     # register broadcast)
     traffic.add_load(*bulk(3, slab_rows))
     traffic.add_store(*bulk(1, slab_rows))
@@ -303,7 +367,8 @@ def staging_counters(
     Four input diagonals per slab row outbound plus the solved interior
     inbound — ``5·M·N/P`` values per non-root rank.  In a resident
     workload (time-stepping on device-held data) this is amortized
-    across many solves, so :func:`distributed_plan` reports it as a
+    across many solves, so :func:`distributed_plan` reports it — with
+    each rank's bind half (:func:`slab_factor_counters`) — as a
     separate stage rather than folding it into the steady-state total.
     """
     comm = CommCounters(name="staging")
@@ -330,7 +395,9 @@ def distributed_plan(
     ``backsub [P ranks]``, ``comms``) so the two ledgers pair
     positionally in a trace.  Ranks are modelled as identical devices
     running concurrently — a parallel stage costs its largest slab —
-    while every transfer serializes on the shared link.
+    while every transfer serializes on the shared link.  The five
+    stages price one step of factored slabs; ``include_staging`` adds
+    the one-time coefficient shipping and bind half.
     """
     if m < 1 or n < 2 * ranks or ranks < 1:
         raise ValueError(
@@ -368,7 +435,10 @@ def distributed_plan(
         plan.append(
             (
                 "staging (one-time)",
-                staging_counters(ranks, m, n, dtype_bytes).time_us(link),
+                staging_counters(ranks, m, n, dtype_bytes).time_us(link)
+                + kernel_us(
+                    slab_factor_counters(m, rows, dtype_bytes, device=device)
+                ),
             )
         )
     return plan

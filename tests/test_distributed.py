@@ -24,14 +24,21 @@ from hypothesis import strategies as st
 import repro
 from repro.backends.registry import default_registry, reject_reason
 from repro.backends.request import SolveRequest
+from repro.core.transition import TransitionHeuristic
 from repro.distributed import (
     DistributedWorkerError,
     effective_ranks,
     get_pool,
+    partition,
     partitioned_solve_reference,
     slab_bounds,
 )
 from repro.distributed.backend import DistributedBackend
+from repro.distributed.partition import (
+    eliminate_slab,
+    factor_slab,
+    slab_interior_k,
+)
 from repro.engine import default_engine
 from repro.util.pools import (
     EXECUTOR_HARD_CAP,
@@ -71,6 +78,87 @@ def test_reference_matches_engine_all_ranks():
     for p in (1, 2, 3, 4, 8):
         x = partitioned_solve_reference(a, b, c, d, p)
         assert np.allclose(x, ref, rtol=1e-10, atol=1e-12), p
+    # slabs of 2 and 3 rows (no interior, a one-row interior) beside
+    # hybrid-route interiors
+    bounds = [(0, 2), (2, 5), (5, 130), (130, 133), (133, 257)]
+    x = partitioned_solve_reference(a, b, c, d, 5, bounds=bounds)
+    assert np.allclose(x, ref, rtol=1e-10, atol=1e-12)
+
+
+def _fused_eliminate_slab(a, b, c, d):
+    """The two-sweep modified-Thomas elimination before the bind/step
+    split: the oracle ``k = 0`` slab interiors must match bit for bit."""
+    L, M = b.shape
+    rep = np.empty((3, L, M), dtype=b.dtype)
+    ar, cr, dr = rep[0], rep[1], rep[2]
+    ar[1] = a[1] / b[1]
+    cr[1] = c[1] / b[1]
+    dr[1] = d[1] / b[1]
+    for i in range(2, L):
+        r = b[i] - a[i] * cr[i - 1]
+        ar[i] = -(a[i] * ar[i - 1]) / r
+        cr[i] = c[i] / r
+        dr[i] = (d[i] - a[i] * dr[i - 1]) / r
+    subl = ar[L - 1].copy()
+    supl = cr[L - 1].copy()
+    rhsl = dr[L - 1].copy()
+    for i in range(L - 3, 0, -1):
+        ar[i] = ar[i] - cr[i] * ar[i + 1]
+        dr[i] = dr[i] - cr[i] * dr[i + 1]
+        cr[i] = -(cr[i] * cr[i + 1])
+    if L == 2:
+        den = b[0]
+        sub0 = a[0] / den
+        sup0 = c[0] / den
+        rhs0 = d[0] / den
+    else:
+        den = b[0] - c[0] * ar[1]
+        sub0 = a[0] / den
+        sup0 = -(c[0] * cr[1]) / den
+        rhs0 = (d[0] - c[0] * dr[1]) / den
+    return rep, np.stack([sub0, sup0, rhs0, subl, supl, rhsl])
+
+
+@pytest.mark.parametrize("m", [3, 64])
+@pytest.mark.parametrize("rows", [2, 3, 4, 257])
+def test_slab_split_matches_fused_elimination(rows, m, monkeypatch):
+    rng = np.random.default_rng(rows * 100 + m)
+    a, c, d = rng.standard_normal((3, rows, m))
+    b = 4.0 + np.abs(a) + np.abs(c)
+    rep0, reduced0 = _fused_eliminate_slab(a, b, c, d)
+    interior = slice(1, rows - 1)
+
+    def split():
+        rep, reduced = eliminate_slab(factor_slab(a, b, c), d)
+        return np.stack(rep)[:, interior], reduced
+
+    rep, reduced = split()
+    if slab_interior_k(m, rows) == 0:
+        assert rep.tobytes() == rep0[:, interior].tobytes()
+        assert reduced.tobytes() == reduced0.tobytes()
+    else:  # the hybrid interior agrees to rounding
+        assert np.allclose(rep, rep0[:, interior], rtol=1e-10, atol=1e-13)
+        assert np.allclose(reduced, reduced0, rtol=1e-10, atol=1e-13)
+
+    # pinned to the Thomas route, every shape keeps the bits
+    monkeypatch.setattr(partition, "SLAB_HEURISTIC", TransitionHeuristic())
+    rep, reduced = split()
+    assert rep.tobytes() == rep0[:, interior].tobytes()
+    assert reduced.tobytes() == reduced0.tobytes()
+
+
+@pytest.mark.parametrize("m", [1, 4, 64])
+def test_factor_slab_leaves_the_slab_untouched(m):
+    """Workers factor straight from the shared arena, so the bind half
+    must not write to it — at ``M = 1`` a transposed row view of the
+    slab is contiguous, the case a view-vs-copy slip would miss."""
+    rng = np.random.default_rng(m)
+    a, c = rng.standard_normal((2, 40, m))
+    b = 4.0 + np.abs(a) + np.abs(c)
+    before = [v.copy() for v in (a, b, c)]
+    factor_slab(a, b, c)
+    for v, w in zip((a, b, c), before):
+        assert v.tobytes() == w.tobytes()
 
 
 @settings(max_examples=30, deadline=None)
@@ -116,11 +204,14 @@ def test_partition_placement_invariance(ranks, n, seed, data):
 
 
 def test_backend_bitwise_matches_reference():
-    a, b, c, d = huge_system_batch(513, m=4, seed=11)
-    for p in (2, 3, 4):
-        x = repro.solve_batch(a, b, c, d, backend="distributed", ranks=p)
-        ref = partitioned_solve_reference(a, b, c, d, p)
-        assert np.array_equal(x, ref), f"ranks={p} not bitwise"
+    # M = 4 slabs factor through the hybrid, M = 64 through Thomas
+    for m in (4, 64):
+        assert (slab_interior_k(m, 513 // 4) > 0) == (m < 32)
+        a, b, c, d = huge_system_batch(513, m=m, seed=11)
+        for p in (2, 3, 4):
+            x = repro.solve_batch(a, b, c, d, backend="distributed", ranks=p)
+            ref = partitioned_solve_reference(a, b, c, d, p)
+            assert np.array_equal(x, ref), f"M={m} ranks={p} not bitwise"
 
 
 def test_backend_elementwise_close_to_engine():
@@ -227,6 +318,24 @@ def test_gpusim_prices_ranks():
     assert tr.ranks == 4
     assert tr.predicted_total_us is not None and tr.predicted_total_us > 0
     assert np.array_equal(x, partitioned_solve_reference(a, b, c, d, 4))
+
+
+def test_slab_ledgers_price_a_step_and_stage_the_bind_half():
+    from repro.kernels.comm_kernel import (
+        distributed_plan,
+        slab_eliminate_counters,
+        staging_counters,
+    )
+
+    # a step streams only right-hand sides: the k = 0 interior's two d
+    # sweeps move 7 values per row, the boundary rows 18 per system
+    m, rows = 64, 4096
+    ledger = slab_eliminate_counters(m, rows, 8)
+    assert ledger.traffic.useful_bytes == (7 * (rows - 2) + 18) * m * 8
+    # the one-time staging stage carries the ranks' bind half
+    plan = dict(distributed_plan(4, 16384, 2, 8, include_staging=True))
+    link_only = staging_counters(2, 4, 16384, 8).time_us()
+    assert plan["staging (one-time)"] > link_only
 
 
 # -------------------------------------------------------------- the pool

@@ -16,6 +16,7 @@ the transposed-layout ``step_t`` fast path and the session lifecycle.
 from __future__ import annotations
 
 import asyncio
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -350,30 +351,68 @@ def test_service_reuses_bound_sessions_across_windows():
 # ---------------------------------------------------------------------------
 
 
-def test_distributed_session_steps_match_one_shot_and_survive_epochs():
+@pytest.fixture
+def factor_calls(monkeypatch):
+    """Counts slab factorizations across the workers of a fresh pool.
+
+    The workers fork from this process after the pool module's
+    ``factor_slab`` name is patched, so every rank bumps one shared
+    counter each time it runs the bind half.
+    """
+    from repro.distributed import pool, shutdown_pools
+
+    calls = multiprocessing.Value("i", 0)
+    real = pool.factor_slab
+
+    def counting(*args):
+        with calls.get_lock():
+            calls.value += 1
+        return real(*args)
+
+    shutdown_pools()
+    monkeypatch.setattr(pool, "factor_slab", counting)
+    try:
+        yield calls
+    finally:
+        shutdown_pools()
+
+
+def test_distributed_session_steps_match_one_shot_and_survive_epochs(
+    factor_calls,
+):
     from repro.backends.request import SolveRequest
     from repro.distributed import partitioned_solve_reference
     from repro.distributed.backend import (
         DistributedBackend,
         DistributedBoundSolve,
     )
+    from repro.distributed.partition import slab_interior_k
 
     a, b, c, d = random_batch(3, 64, seed=59)
     backend = DistributedBackend(timeout_s=60.0)
     session = backend.bind(SolveRequest.build(a, b, c, d, ranks=2))
     assert isinstance(session, DistributedBoundSolve)
-    assert session.describe()["mode"] == "distributed"
+    desc = session.describe()
+    assert desc["mode"] == "distributed"
+    assert desc["slab_k"] == [slab_interior_k(3, 32)] * 2
+    assert desc["slab_k"][0] > 0  # M = 3 interiors run the hybrid
     rng = np.random.default_rng(59)
     try:
-        d1 = rng.standard_normal(d.shape)
-        x1 = session.step(d1).copy()
-        assert np.array_equal(x1, partitioned_solve_reference(a, b, c, d1, 2))
+        # the ranks factor on the first step and never again
+        for _ in range(5):
+            d1 = rng.standard_normal(d.shape)
+            x1 = session.step(d1)
+            assert np.array_equal(
+                x1, partitioned_solve_reference(a, b, c, d1, 2)
+            )
+        assert factor_calls.value == 2
 
         # another solve scatters different coefficients into the shared
-        # arenas (the epoch moves); the session must re-ship, not trust
-        # stale slabs
+        # arenas (the epoch moves; that one-shot factors too); the
+        # session must re-ship and re-factor, not trust stale slabs
         a2, b2, c2, d2 = random_batch(3, 64, seed=61)
         backend.solve_batch(a2, b2, c2, d2, ranks=2)
+        assert factor_calls.value == 4
 
         d3 = rng.standard_normal(d.shape)
         x3 = session.step(d3)
@@ -385,11 +424,46 @@ def test_distributed_session_steps_match_one_shot_and_survive_epochs():
         assert np.array_equal(
             xt.T, partitioned_solve_reference(a, b, c, d4, 2)
         )
-        assert session.steps == 3
+        assert factor_calls.value == 6  # exactly once more per rank
+        assert session.steps == 7
     finally:
         session.close()
     with pytest.raises(RuntimeError, match="closed"):
         session.step(d)
+
+
+def test_distributed_session_recovers_from_a_rank_crash(factor_calls):
+    from repro.backends.request import SolveRequest
+    from repro.distributed import (
+        DistributedWorkerError,
+        get_pool,
+        partitioned_solve_reference,
+    )
+    from repro.distributed.backend import DistributedBackend
+
+    a, b, c, d = random_batch(3, 64, seed=71)
+    rng = np.random.default_rng(71)
+    backend = DistributedBackend(timeout_s=30.0)
+    with backend.bind(SolveRequest.build(a, b, c, d, ranks=2)) as session:
+        d1 = rng.standard_normal(d.shape)
+        assert np.array_equal(
+            session.step(d1), partitioned_solve_reference(a, b, c, d1, 2)
+        )
+        assert factor_calls.value == 2
+
+        pool = get_pool(2)
+        pool._procs[0].kill()
+        pool._procs[0].join(timeout=10.0)
+        with pytest.raises(DistributedWorkerError):
+            session.step(rng.standard_normal(d.shape))
+
+        # the next step rebuilds the pool, re-factors, keeps the bits
+        d3 = rng.standard_normal(d.shape)
+        assert np.array_equal(
+            session.step(d3), partitioned_solve_reference(a, b, c, d3, 2)
+        )
+        assert get_pool(2) is not pool
+        assert factor_calls.value == 4
 
 
 def test_distributed_bind_at_one_rank_is_the_engine_anchor():
