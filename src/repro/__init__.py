@@ -103,7 +103,7 @@ from repro.service import (
 from repro.distributed import DistributedWorkerError, partitioned_solve_reference
 from repro.util import BatchTridiagonal, TridiagonalSystem
 
-__version__ = "1.8.0"
+__version__ = "1.9.0"
 
 __all__ = [
     "solve",

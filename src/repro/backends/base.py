@@ -9,8 +9,9 @@ protocol method.  The protocol is now
 two methods around one request shape:
 
 ``capabilities()``
-    What the backend can negotiate: dtypes, periodic systems, layouts,
-    worker counts, prepared execution, whether its timing is simulated.
+    What the backend can negotiate: dtypes, periodic systems, worker
+    and rank counts, prepared execution, system kinds, whether its
+    timing is simulated.
 ``execute(request)``
     Run one :class:`~repro.backends.request.SolveRequest` — plain,
     prepared (``rhs_only``), or cyclic (``periodic``) — and return a
@@ -33,10 +34,9 @@ import time
 from dataclasses import dataclass
 from typing import Protocol, runtime_checkable
 
-import numpy as np
-
 from repro.backends.request import SolveOutcome, SolveRequest
 from repro.backends.trace import SolveTrace, StageTiming, record_trace
+from repro.engine.session import Session
 
 __all__ = [
     "Backend",
@@ -45,6 +45,7 @@ __all__ = [
     "PerStepSession",
     "SolveOutcome",
     "SolveRequest",
+    "bind_backend",
 ]
 
 #: dtype names every NumPy-backed solver in this repo accepts.
@@ -62,9 +63,6 @@ class Capabilities:
     periodic:
         Whether the backend may serve cyclic (Sherman–Morrison)
         requests.
-    layouts:
-        Accepted input layouts.  All current backends take the padded
-        contiguous ``(M, N)`` convention; adapters normalize first.
     max_workers:
         Largest useful ``workers=`` value (1 = no sharding).
     max_ranks:
@@ -91,7 +89,6 @@ class Capabilities:
 
     dtypes: tuple = FLOAT_DTYPES
     periodic: bool = True
-    layouts: tuple = ("contiguous",)
     max_workers: int = 1
     max_ranks: int = 1
     simulated: bool = False
@@ -116,82 +113,64 @@ class Backend(Protocol):
         ...
 
 
-class PerStepSession:
+class PerStepSession(Session):
     """Generic bound-solve session: full dispatch on every step.
 
     The fallback ``bind()`` result for backends with no native session
-    support (numpy reference, gpusim): the request is frozen once, and
-    each :meth:`step` re-dispatches it through the backend's
-    ``execute`` with a fresh right-hand side.  No per-step work is
-    saved — the value is *API parity*: callers hold one session type
-    (:class:`~repro.engine.session.BoundSolve` or this) and write the
-    same time-stepping loop against either.
+    support (numpy reference, gpusim, periodic or RHS-only distributed
+    requests): the request is frozen once, and each step re-dispatches
+    it through the backend's ``execute`` with a fresh right-hand side.
+    No per-step work is saved — the value is *API parity*: it keeps
+    the whole :class:`~repro.engine.session.Session` contract (the
+    input scan and its ``ValueError`` on a wrongly shaped ``d``,
+    session-owned ``out``/``out_t`` buffers reused across steps,
+    ``m``/``n``/``dtype``), so callers write one time-stepping loop
+    against any backend.
     """
 
     mode = "dispatch"
 
     def __init__(self, backend, request: SolveRequest):
+        super().__init__(request)
         self.backend = backend
-        self.request = request
-        self.steps = 0
-        self.closed = False
+
+    def _dispatch(self, d, out) -> SolveOutcome:
+        request = self.request.replace(d=d, out=out)
+        outcome = self.backend.execute(request)
+        if outcome.trace is not None and outcome.trace.decision is None:
+            # bind-time provenance rides on every step's trace
+            outcome.trace.decision = request.decision
+        return outcome
 
     def step_once(self, d=None, out=None) -> SolveOutcome:
         """One full instrumented dispatch (stats, trace, outcome)."""
         if self.closed:
             raise RuntimeError("session is closed")
-        request = self.request
-        if d is not None or out is not None:
-            request = request.replace(
-                d=d if d is not None else request.d,
-                out=out if out is not None else request.out,
-            )
-        outcome = self.backend.execute(request)
-        if outcome.trace is not None and outcome.trace.decision is None:
-            # bind-time provenance rides on every step's trace
-            outcome.trace.decision = request.decision
+        outcome = self._dispatch(*self._once_args(d, out))
         self.steps += 1
         return outcome
 
-    def step(self, d, out=None):
-        """Solve one right-hand side; returns the solution array."""
-        return self.step_once(d, out=out).x
-
-    def step_t(self, dt, out_t=None):
-        """Transposed-layout step: ``(N, M)`` in, ``(N, M)`` out.
-
-        API parity with ``BoundSolve.step_t`` — here it is plain
-        transposes around :meth:`step` (this session saves no per-step
-        work anyway).
-        """
-        x = self.step(np.ascontiguousarray(dt.T))
-        if out_t is None:
-            return np.ascontiguousarray(x.T)
-        out_t[:] = x.T
-        return out_t
+    def _step(self, d, out) -> None:
+        x = self._dispatch(d, out).x
+        if x is not out:
+            out[...] = x
 
     def describe(self) -> dict:
-        """Session summary (mirrors ``BoundSolve.describe``)."""
-        request = self.request
+        """Session summary: the common keys, backend and workers."""
         return {
-            "mode": self.mode,
+            **super().describe(),
             "backend": getattr(self.backend, "name", "?"),
-            "m": request.m,
-            "n": request.n,
-            "dtype": request.dtype,
-            "workers": request.workers,
-            "steps": self.steps,
+            "workers": self.request.workers,
         }
 
-    def close(self) -> None:
-        """Mark the session closed (nothing is held to release)."""
-        self.closed = True
 
-    def __enter__(self) -> "PerStepSession":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
+def bind_backend(backend, request: SolveRequest):
+    """``backend``'s native session for ``request``, else the generic
+    :class:`PerStepSession` (``bind`` is optional on the protocol)."""
+    binder = getattr(backend, "bind", None)
+    if binder is not None:
+        return binder(request)
+    return PerStepSession(backend, request)
 
 
 class BackendBase:
@@ -211,9 +190,8 @@ class BackendBase:
     ``bind`` is deliberately **not** part of the
     :class:`Backend` protocol — the protocol is runtime-checkable and
     third-party backends implementing just ``capabilities``/``execute``
-    must keep passing ``isinstance`` checks.  Callers probe for it
-    (``getattr(backend, "bind", None)``) and fall back to
-    :class:`PerStepSession`.
+    must keep passing ``isinstance`` checks.  Callers go through
+    :func:`bind_backend`, which falls back to :class:`PerStepSession`.
     """
 
     name = "base"
@@ -292,7 +270,7 @@ class BackendBase:
             StageTiming("cyclic-correction", t_correct),
         ]
         self._set_trace(trace)
-        return SolveOutcome(x=x, trace=trace, plan=q_outcome.plan)
+        return SolveOutcome(x=x, trace=trace)
 
     # -- bind/execute split --------------------------------------------
     def bind(self, request: SolveRequest) -> PerStepSession:

@@ -235,12 +235,7 @@ class GpuSimBackend(BackendBase):
                 predicted_total_us=predicted_total_us,
             )
         )
-        return SolveOutcome(
-            x=outcome.x,
-            trace=trace,
-            factorization=outcome.factorization,
-            plan=outcome.plan,
-        )
+        return SolveOutcome(x=outcome.x, trace=trace)
 
     def execute(self, request: SolveRequest) -> SolveOutcome:
         from repro.engine import default_engine
@@ -345,9 +340,4 @@ class GpuSimBackend(BackendBase):
                 predicted_total_us=predicted_total_us,
             )
         )
-        return SolveOutcome(
-            x=outcome.x,
-            trace=trace,
-            factorization=outcome.factorization,
-            plan=outcome.plan,
-        )
+        return SolveOutcome(x=outcome.x, trace=trace)

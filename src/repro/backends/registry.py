@@ -33,7 +33,7 @@ import time
 
 import numpy as np
 
-from repro.backends.base import Backend, Capabilities
+from repro.backends.base import Backend, Capabilities, bind_backend
 from repro.backends.request import SolveRequest
 from repro.backends.trace import (
     RouteDecision,
@@ -353,13 +353,7 @@ def bind_via(
     """
     reg = registry if registry is not None else default_registry()
     request = SolveRequest.build(a, b, c, d, periodic=periodic, check=check, **opts)
-    chosen = reg.resolve(backend, request)
-    binder = getattr(chosen, "bind", None)
-    if binder is not None:
-        return binder(request)
-    from repro.backends.base import PerStepSession
-
-    return PerStepSession(chosen, request)
+    return bind_backend(reg.resolve(backend, request), request)
 
 
 def record_direct_trace(algorithm: str, b, seconds: float) -> SolveTrace:

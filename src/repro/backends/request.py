@@ -18,9 +18,8 @@ module collapses that Cartesian product into two dataclasses:
     <repro.backends.registry.BackendRegistry.resolve>` (capability
     negotiation on request attributes) and ``backend.execute(request)``.
 :class:`SolveOutcome`
-    What came back: the solution, the
-    :class:`~repro.backends.trace.SolveTrace`, and — when the engine
-    factored or reused one — the factorization handle and frozen plan.
+    What came back: the solution and its
+    :class:`~repro.backends.trace.SolveTrace`.
 
 One request shape means one negotiation path, one trace path, and one
 ``execute`` method per backend, whatever the solve's flavour.
@@ -29,7 +28,7 @@ One request shape means one negotiation path, one trace path, and one
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -193,8 +192,6 @@ class SolveRequest:
     label:
         Trace ``backend`` name override — the prepared adapter runs on
         the engine spine but reports its own name.
-    layout:
-        Input layout (all current backends take ``"contiguous"``).
     e, f:
         Second sub-/super-diagonals (offset ∓2) for pentadiagonal
         requests; ``None`` otherwise.
@@ -232,7 +229,6 @@ class SolveRequest:
     check: bool = True
     out: np.ndarray | None = None
     label: str | None = None
-    layout: str = "contiguous"
     decision: object = None
     e: np.ndarray | None = None
     f: np.ndarray | None = None
@@ -382,13 +378,8 @@ class SolveOutcome:
 
     ``x`` is the solution batch; ``trace`` the
     :class:`~repro.backends.trace.SolveTrace` describing how it was
-    computed (backend, frozen ``k``, cache outcomes, stage timings);
-    ``factorization`` / ``plan`` carry the reusable state the engine
-    built or reused, when any (prepared and fingerprinted solves).
+    computed (backend, frozen ``k``, cache outcomes, stage timings).
     """
 
     x: np.ndarray
     trace: object
-    factorization: object = None
-    plan: object = None
-    stats: dict = field(default_factory=dict)

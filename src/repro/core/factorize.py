@@ -33,35 +33,17 @@ from repro.core.validation import check_batch_arrays
 __all__ = ["CyclicFactorization", "HybridFactorization", "ThomasFactorization"]
 
 
-def _shift_rhs(d: np.ndarray, offset: int, out: np.ndarray | None = None) -> np.ndarray:
-    """Shift along axis 1 with zero fill: ``out[:, i] = d[:, i + offset]``.
-
-    ``out``, if given, is a caller-owned scratch buffer of ``d``'s shape
-    and dtype — the RHS-only hot loop passes pooled workspace buffers so
-    applying a stored PCR level allocates nothing.  ``out`` must not
-    alias ``d``.
-    """
-    if out is None:
-        out = np.zeros_like(d)
-        fresh = True
-    else:
-        fresh = False
+def _shift_rhs(d: np.ndarray, offset: int) -> np.ndarray:
+    """Shift along axis 1 with zero fill: ``out[:, i] = d[:, i + offset]``."""
+    out = np.zeros_like(d)
     n = d.shape[1]
     if offset > 0:
         if offset < n:
             out[:, : n - offset] = d[:, offset:]
-            if not fresh:
-                out[:, n - offset :] = 0.0
-        elif not fresh:
-            out[...] = 0.0
     elif offset < 0:
         k = -offset
         if k < n:
             out[:, k:] = d[:, : n - k]
-            if not fresh:
-                out[:, :k] = 0.0
-        elif not fresh:
-            out[...] = 0.0
     else:
         out[...] = d
     return out

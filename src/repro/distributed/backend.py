@@ -23,7 +23,9 @@ same ``P`` (same functions, same values) and agrees with the global
 Thomas solve to reassociation-level rounding.
 
 The phase sequence lives in one place,
-:meth:`DistributedBoundSolve._pipeline`.  Time-stepping loops bind
+:meth:`DistributedBoundSolve._pipeline`, which holds the pool's lock
+from the attach to the gather: threads sharing the process-wide pool
+run their pipelines one at a time.  Time-stepping loops bind
 instead of re-executing: :meth:`DistributedBackend.bind` returns a
 :class:`DistributedBoundSolve` whose per-step cost is one RHS scatter
 plus the pipeline — the coefficient slabs are transposed and shipped
@@ -56,6 +58,7 @@ from repro.distributed.partition import (
     solve_reduced,
 )
 from repro.distributed.pool import get_pool
+from repro.engine.session import Session
 
 __all__ = [
     "DistributedBackend",
@@ -145,7 +148,7 @@ class DistributedBackend(BackendBase):
         return DistributedBoundSolve(self, request, ranks)
 
 
-class DistributedBoundSolve:
+class DistributedBoundSolve(Session):
     """Bound session over the N-partition pipeline.
 
     Bind transposes the coefficient slabs once and records the slab
@@ -160,103 +163,100 @@ class DistributedBoundSolve:
     coefficients are re-shipped and the ranks re-factor before the
     step — sessions never trust stale arenas or factorizations.
 
+    Every step — :meth:`step`, :meth:`step_t` or :meth:`step_once` —
+    runs the one :meth:`_pipeline`, holding the pool's lock from the
+    attach to the gather, so concurrent solves on the process-wide
+    pool (threads, the service's dispatch workers) run one after the
+    other instead of interleaving their scatters and phase commands.
     A one-shot solve (:meth:`DistributedBackend.execute`) is a
-    transient session and one :meth:`step_once`, so every step —
-    :meth:`step`, :meth:`step_t` or :meth:`step_once` — runs the one
-    :meth:`_pipeline`, and stepped results are bitwise identical to
-    independent one-shot distributed solves.
+    transient session and one :meth:`step_once`, so stepped results
+    are bitwise identical to independent one-shot distributed solves.
+    The input scan, buffers and lifecycle are the
+    :class:`~repro.engine.session.Session` contract.
     """
 
     mode = "distributed"
 
     def __init__(self, backend: DistributedBackend, request: SolveRequest, ranks: int):
+        super().__init__(request)
         self.backend = backend
-        self.request = request
         self.ranks = ranks
-        self.steps = 0
-        self.closed = False
         t0 = time.perf_counter()
         self.bounds = slab_bounds(request.n, ranks)
         self._at = np.ascontiguousarray(request.a.T)
         self._bt = np.ascontiguousarray(request.b.T)
         self._ct = np.ascontiguousarray(request.c.T)
-        self._dtype = self._bt.dtype
-        self._dshape = (request.m, request.n)
-        self._out = None
-        self._xt = None
         self.bind_stages = [("partition", time.perf_counter() - t0)]
-        self._pool = None
-        self._epoch = None
+        # (pool, epoch) whose arenas hold this session's coefficients
+        self._attached = None
 
     # -- arena currency ------------------------------------------------
-    def _attached_pool(self):
-        """The pool with this session's coefficients current in it."""
-        pool = self._pool
-        if (
-            pool is not None
-            and not pool.broken
-            and pool.epoch == self._epoch
-        ):
-            return pool
-        pool = get_pool(self.ranks, timeout_s=self.backend.timeout_s)
-        pool.attach(self.bounds, self.request.m, self._dtype)
-        # the RHS slot is overwritten by scatter_rhs before every
-        # eliminate, so the d shipped here is a placeholder
-        pool.scatter_slabs(self._at, self._bt, self._ct, self._at, self.bounds)
-        self._pool = pool
-        self._epoch = pool.epoch
-        return pool
+    def _locked_pool(self):
+        """The live pool for this rank count, with its lock held.
 
-    def _canon_d(self, d):
-        d = np.asarray(d)
-        if d.shape != self._dshape:
-            raise ValueError(
-                f"d has shape {d.shape}, session bound for {self._dshape}"
-            )
-        if d.dtype != self._dtype:
-            d = d.astype(self._dtype)
-        return d
+        ``get_pool`` replaces a broken pool; one that broke while this
+        thread waited for its lock is let go and the next one taken, so
+        a step always runs on the pool whose lock it holds.
+        """
+        while True:
+            pool = get_pool(self.ranks, timeout_s=self.backend.timeout_s)
+            pool.lock.acquire()
+            if not pool.broken:
+                return pool
+            pool.lock.release()
 
     def _pipeline(self, dt, out_t, timings=None):
         """One ``(N, M)`` RHS through scatter → eliminate → reduce →
         backsub, gathered into the ``(N, M)`` array ``out_t``.
 
         ``dt`` and ``out_t`` may be transpose views of ``(M, N)``
-        arrays: the arena copies are the only copies.  ``comms`` covers
-        the pool attach (and, when the arenas are stale, the
-        coefficient scatter) as well as every RHS/boundary/solution
-        transfer.  On steps that factor — every one-shot, a session's
-        first step and the step after a foreign scatter — the ranks'
-        bind half runs inside the eliminate phase.
+        arrays: the arena copies are the only copies.  The pool's lock
+        is held throughout.  ``comms`` covers the lock wait and pool
+        attach (and, when the arenas are stale, the coefficient
+        scatter) as well as every RHS/boundary/solution transfer.  On
+        steps that factor — every one-shot, a session's first step and
+        the step after a foreign scatter — the ranks' bind half runs
+        inside the eliminate phase.
         """
         t1 = time.perf_counter()
-        pool = self._attached_pool()
-        pool.scatter_rhs(dt, self.bounds)
-        t_comms = time.perf_counter() - t1
+        pool = self._locked_pool()
+        try:
+            if self._attached != (pool, pool.epoch):
+                pool.attach(self.bounds, self.request.m, self._dtype)
+                # the RHS slot is overwritten by scatter_rhs before every
+                # eliminate, so the d shipped here is a placeholder
+                pool.scatter_slabs(
+                    self._at, self._bt, self._ct, self._at, self.bounds
+                )
+                self._attached = (pool, pool.epoch)
+            pool.scatter_rhs(dt, self.bounds)
+            t_comms = time.perf_counter() - t1
 
-        t1 = time.perf_counter()
-        pool.eliminate()
-        t_eliminate = time.perf_counter() - t1
+            t1 = time.perf_counter()
+            pool.eliminate()
+            t_eliminate = time.perf_counter() - t1
 
-        t1 = time.perf_counter()
-        reduced_rows = pool.gather_reduced()
-        t_comms += time.perf_counter() - t1
+            t1 = time.perf_counter()
+            reduced_rows = pool.gather_reduced()
+            t_comms += time.perf_counter() - t1
 
-        t1 = time.perf_counter()
-        xb = solve_reduced(*assemble_reduced(reduced_rows))
-        t_reduced = time.perf_counter() - t1
+            t1 = time.perf_counter()
+            xb = solve_reduced(*assemble_reduced(reduced_rows))
+            t_reduced = time.perf_counter() - t1
 
-        t1 = time.perf_counter()
-        pool.scatter_boundary(xb)
-        t_comms += time.perf_counter() - t1
+            t1 = time.perf_counter()
+            pool.scatter_boundary(xb)
+            t_comms += time.perf_counter() - t1
 
-        t1 = time.perf_counter()
-        pool.backsub()
-        t_backsub = time.perf_counter() - t1
+            t1 = time.perf_counter()
+            pool.backsub()
+            t_backsub = time.perf_counter() - t1
 
-        t1 = time.perf_counter()
-        pool.gather_solution(out_t, self.bounds)
-        t_comms += time.perf_counter() - t1
+            t1 = time.perf_counter()
+            pool.gather_solution(out_t, self.bounds)
+            t_comms += time.perf_counter() - t1
+        finally:
+            pool.lock.release()
 
         if timings is not None:
             timings.append(
@@ -267,61 +267,22 @@ class DistributedBoundSolve:
             timings.append(("comms", t_comms))
 
     # -- execution -----------------------------------------------------
-    def step(self, d, out=None):
-        """The per-step hot loop: one RHS scatter + the pipeline.
-
-        Returns the session-owned output buffer when ``out`` is omitted
-        (reused across steps — copy it if you keep references).
-        """
-        if self.closed:
-            raise RuntimeError("session is closed")
-        d = self._canon_d(d)
-        if out is None:
-            out = self._out
-            if out is None:
-                out = self._out = np.empty(self._dshape, dtype=self._dtype)
+    def _step(self, d, out) -> None:
+        """One RHS scatter + the pipeline, through transpose views."""
         self._pipeline(d.T, out.T)
-        self.steps += 1
-        return out
 
-    def step_t(self, dt, out_t=None):
-        """Transposed-layout hot step: ``(N, M)`` in, ``(N, M)`` out.
-
-        The distributed pipeline is transposed-native — the arenas hold
-        ``(L, M)`` slabs and the gathered solution is ``(N, M)`` — so a
-        caller already working in that orientation skips both the RHS
-        transpose view and the output transpose copy.  ``out_t``
-        defaults to a session-owned buffer (reused across steps — copy
-        it if you keep references).
-        """
-        if self.closed:
-            raise RuntimeError("session is closed")
-        dt = np.asarray(dt)
-        n, m = self.request.n, self.request.m
-        if dt.shape != (n, m):
-            raise ValueError(
-                f"dt has shape {dt.shape}, session bound for {(n, m)}"
-            )
-        if dt.dtype != self._dtype:
-            dt = dt.astype(self._dtype)
-        if out_t is None:
-            out_t = self._xt
-            if out_t is None:
-                out_t = self._xt = np.empty((n, m), dtype=self._dtype)
+    def _step_t(self, dt, out_t) -> None:
+        """The pipeline is transposed-native — the arenas hold ``(L,
+        M)`` slabs and the gathered solution is ``(N, M)`` — so an
+        ``(N, M)`` caller skips both transposes."""
         self._pipeline(dt, out_t)
-        self.steps += 1
-        return out_t
 
     def step_once(self, d=None, out=None) -> SolveOutcome:
         """One fully-instrumented step: the one-shot trace schema."""
         request = self.request
-        if d is None:
-            d = request.d
-        if out is None:
-            out = request.out
+        d, out = self._once_args(d, out)
         if out is None:
             out = np.empty(self._dshape, dtype=self._dtype)
-        d = self._canon_d(d)
         timings = list(self.bind_stages)
         self._pipeline(d.T, out.T, timings)
         trace = SolveTrace(
@@ -344,45 +305,17 @@ class DistributedBoundSolve:
         return SolveOutcome(x=out, trace=trace)
 
     # -- lifecycle -----------------------------------------------------
-    @property
-    def m(self) -> int:
-        return self.request.m
-
-    @property
-    def n(self) -> int:
-        return self.request.n
-
-    @property
-    def dtype(self) -> np.dtype:
-        return self._dtype
-
     def describe(self) -> dict:
-        """Session summary: mode, geometry, each slab interior's ``k``
-        (0 = Thomas), step count."""
+        """Session summary: the common keys, geometry and each slab
+        interior's ``k`` (0 = Thomas)."""
         m = self.request.m
         return {
-            "mode": self.mode,
-            "m": m,
-            "n": self.request.n,
-            "dtype": np.dtype(self._dtype).name,
+            **super().describe(),
             "ranks": self.ranks,
             "bounds": list(self.bounds),
             "slab_k": [slab_interior_k(m, hi - lo) for lo, hi in self.bounds],
-            "steps": self.steps,
         }
 
-    def close(self) -> None:
-        """Drop buffers and forget the pool (arenas stay with the pool)."""
-        if self.closed:
-            return
-        self.closed = True
-        self._pool = None
-        self._epoch = None
-        self._out = None
-        self._xt = None
-
-    def __enter__(self) -> "DistributedBoundSolve":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
+    def _release(self) -> None:
+        """Forget the pool (the arenas stay with it)."""
+        self._attached = None

@@ -23,6 +23,12 @@ phase runs the *same functions* the in-process reference
 (:func:`~repro.distributed.partition.partitioned_solve_reference`)
 runs, so the multiprocess result is bitwise identical to it.
 
+The arenas, the epoch and each worker's phase state are shared by
+every solve on the pool, so a pipeline run holds :attr:`WorkerPool.lock`
+from its attach to its solution gather
+(:meth:`~repro.distributed.backend.DistributedBoundSolve._pipeline`);
+concurrent solves on one pool run one after the other.
+
 A worker that dies (or stops answering within the command deadline)
 surfaces as a typed :class:`DistributedWorkerError` — never a hang —
 and the pool marks itself broken; the next solve builds a fresh pool.
@@ -163,7 +169,10 @@ class WorkerPool:
         #: a session skip the coefficient scatter in the steady state —
         #: and workers re-factor their slab when it moves.
         self.epoch = 0
-        self._lock = threading.Lock()
+        #: held by one pipeline run, from attach to the solution gather:
+        #: the arenas, the epoch and the workers' phase state are shared
+        #: by every solve on this pool
+        self.lock = threading.Lock()
         self._geometry = None  # (slab_row_counts, m, dtype_str)
         self._shms = []
         self._views = []

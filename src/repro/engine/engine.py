@@ -147,8 +147,8 @@ class ExecutionEngine:
         self.last_report: HybridReport | None = None
         self._lock = threading.Lock()
         self._plans: OrderedDict = OrderedDict()  # signature -> SolvePlan
-        self._pools: dict = {}  # signature -> list[PlanWorkspace]
-        self._prepared_pools: dict = {}  # signature -> list[PreparedWorkspace]
+        # (workspace class, plan signature) -> list of pooled workspaces
+        self._pools: dict = {}
         self._facts: OrderedDict = OrderedDict()  # fact key -> factorization
         self._fp_seen: OrderedDict = OrderedDict()  # fact key sighting ledger
         self._fp_seen_cap = 64
@@ -256,60 +256,37 @@ class ExecutionEngine:
             self.stats.plans_built += 1
             while len(self._plans) > self.max_plans:
                 old_sig, _ = self._plans.popitem(last=False)
-                for ws in self._pools.pop(old_sig, ()):
-                    self.stats.workspace_bytes -= ws.nbytes
-                for ws in self._prepared_pools.pop(old_sig, ()):
-                    self.stats.workspace_bytes -= ws.nbytes
+                for cls in (PlanWorkspace, PreparedWorkspace):
+                    for ws in self._pools.pop((cls, old_sig), ()):
+                        self.stats.workspace_bytes -= ws.nbytes
                 self.stats.plan_evictions += 1
         return plan
 
     # ---- workspace pooling -------------------------------------------
-    def _checkout(self, plan: SolvePlan) -> PlanWorkspace:
-        sig = plan.signature()
+    def _checkout(self, plan: SolvePlan, cls=PlanWorkspace):
+        """Borrow a pooled ``cls`` workspace (a :class:`PlanWorkspace`
+        for the full plan, a :class:`PreparedWorkspace` for RHS-only
+        sweeps) for ``plan``; build one when the pool is empty."""
+        key = (cls, plan.signature())
         with self._lock:
-            pool = self._pools.get(sig)
+            pool = self._pools.get(key)
             if pool:
                 ws = pool.pop()
                 self.stats.workspace_bytes -= ws.nbytes
                 self.stats.workspaces_reused += 1
                 return ws
-        ws = PlanWorkspace(plan)
+        ws = cls(plan)
         with self._lock:
             self.stats.workspaces_built += 1
         return ws
 
-    def _checkin(self, plan: SolvePlan, ws: PlanWorkspace) -> None:
+    def _checkin(self, plan: SolvePlan, ws) -> None:
+        """Return a borrowed workspace to ``plan``'s pool of its class."""
         sig = plan.signature()
         with self._lock:
             if sig not in self._plans:
                 return  # plan evicted while executing; let ws be collected
-            pool = self._pools.setdefault(sig, [])
-            if len(pool) < self.pool_size:
-                pool.append(ws)
-                self.stats.workspace_bytes += ws.nbytes
-
-    def checkout_prepared(self, plan: SolvePlan) -> PreparedWorkspace:
-        """Borrow a pooled RHS-only workspace for ``plan``."""
-        sig = plan.signature()
-        with self._lock:
-            pool = self._prepared_pools.get(sig)
-            if pool:
-                ws = pool.pop()
-                self.stats.workspace_bytes -= ws.nbytes
-                self.stats.workspaces_reused += 1
-                return ws
-        ws = PreparedWorkspace(plan)
-        with self._lock:
-            self.stats.workspaces_built += 1
-        return ws
-
-    def checkin_prepared(self, plan: SolvePlan, ws: PreparedWorkspace) -> None:
-        """Return a borrowed RHS-only workspace to ``plan``'s pool."""
-        sig = plan.signature()
-        with self._lock:
-            if sig not in self._plans:
-                return
-            pool = self._prepared_pools.setdefault(sig, [])
+            pool = self._pools.setdefault((type(ws), sig), [])
             if len(pool) < self.pool_size:
                 pool.append(ws)
                 self.stats.workspace_bytes += ws.nbytes
@@ -619,7 +596,6 @@ class ExecutionEngine:
             self._plans.clear()
             self._plan_memo.clear()
             self._pools.clear()
-            self._prepared_pools.clear()
             self._facts.clear()
             self._fp_seen.clear()
             self.stats.workspace_bytes = 0

@@ -59,6 +59,7 @@ from repro.core.periodic import (
     cyclic_reduce,
     singular_rows,
 )
+from repro.engine.workspace import PreparedWorkspace
 
 __all__ = [
     "CyclicRhsFactorization",
@@ -398,11 +399,11 @@ def build_cyclic_factorization(
     ap, bp, cp, u, w = cyclic_reduce(a, b, c, check=check)
     core = build_factorization(plan, ap, bp, cp)
     q = np.empty_like(u)
-    ws = engine.checkout_prepared(plan)
+    ws = engine._checkout(plan, PreparedWorkspace)
     try:
         core.solve_shard(ws, u, q, 0, plan.m)
     finally:
-        engine.checkin_prepared(plan, ws)
+        engine._checkin(plan, ws)
     denom = correction_denominator(q, w)
     scale = correction_scale(denom, plan.n, check=check)
     return CyclicRhsFactorization(
@@ -531,16 +532,8 @@ class PreparedPlan:
         to the classic per-call dispatch, without re-resolving the plan
         or rebuilding the request every right-hand side.
         """
-        d = np.asarray(d)
-        if d.shape != (self.m, self.n):
-            raise ValueError(
-                f"d has shape {d.shape}, prepared for ({self.m}, {self.n})"
-            )
         if check and not np.all(np.isfinite(d)):
             raise ValueError("d contains non-finite values")
-        dtype = self.plan.dtype
-        if d.dtype != dtype or not d.flags.c_contiguous:
-            d = np.ascontiguousarray(d, dtype=dtype)
         if workers is None:
             workers = self.default_workers
         from repro.backends.trace import record_trace

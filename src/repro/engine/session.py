@@ -8,13 +8,27 @@ noise; for a time-stepping loop issuing thousands of right-hand sides
 against one fixed matrix it is the dominant overhead (the motivating
 workloads — ADI, Crank–Nicolson — are exactly this shape).
 
-:class:`BoundSolve` splits the spine into **bind** and **execute**:
+:class:`Session` is the one session contract every backend's session
+shares — :class:`BoundSolve` here, the distributed tier's
+:class:`~repro.distributed.backend.DistributedBoundSolve` and the
+generic :class:`~repro.backends.base.PerStepSession`.  It owns the
+input scan (one dtype, C order, the bound shape; a mismatch is a
+``ValueError`` naming both shapes), the closed check, the
+session-owned ``out``/``out_t`` buffers, the ``step_t`` staging
+fallback, the common :meth:`~Session.describe` keys, an idempotent
+``close()`` and the context manager.  A subclass supplies only how one
+right-hand side runs, its instrumented ``step_once``, its extra
+``describe()`` keys and what ``close()`` releases.
+
+:class:`BoundSolve` splits the engine's spine into **bind** and
+**execute**:
 
 * ``engine.bind(request)`` performs validation-independent setup once —
-  plan resolution, the fingerprint/factorization phase, workspace and
-  shard-geometry binding, trace-template capture — and returns a
-  session.
-* :meth:`BoundSolve.step` is the allocation-free per-step hot loop: a
+  plan resolution, the fingerprint/factorization phase (or, on the
+  full cyclic path, the corner reduction and correction column),
+  workspace and shard-geometry binding, trace-template capture — and
+  returns a session.
+* :meth:`Session.step` is the allocation-free per-step hot loop: a
   canonical-input scan, a direct factorization sweep into session-owned
   buffers, no stats, no trace, no stage lists.
 * :meth:`BoundSolve.step_once` is the fully-instrumented execution —
@@ -22,7 +36,9 @@ workloads — ADI, Crank–Nicolson — are exactly this shape).
   the single-call path is expressed: ``ExecutionEngine.run`` is
   literally ``bind(request, transient=True).step_once()``, so every
   pre-existing dispatch route flows through this module bitwise
-  unchanged.
+  unchanged.  It borrows a pooled workspace per call and never touches
+  the session-held one, so threads may share one session's
+  ``step_once``.
 
 ``transient=True`` reproduces the one-shot lifecycle exactly (the
 fingerprint two-sighting ledger, ``force`` only on explicit
@@ -57,8 +73,9 @@ from repro.engine.prepared import (
     coefficient_fingerprint,
     rtol_permits_hybrid_reuse,
 )
+from repro.engine.workspace import PreparedWorkspace
 
-__all__ = ["BoundSolve"]
+__all__ = ["BoundSolve", "Session"]
 
 
 def _merge_shard_stages(per_shard: list) -> list:
@@ -75,7 +92,163 @@ def _merge_shard_stages(per_shard: list) -> list:
     ]
 
 
-class BoundSolve:
+class Session:
+    """The bound-session contract: bind once, step many times.
+
+    A session is bound for one request's right-hand-side shape —
+    ``(M, N)``, or ``(M, N, B)`` for block systems — taken from the
+    request's ``m``/``n``/block size, never from its ``d`` (RHS-only
+    templates carry none).  This base owns everything that does not
+    depend on how a right-hand side runs (see the module docs); a
+    subclass implements
+
+    * ``_step(d, out)`` — solve the canonical right-hand side ``d``
+      into ``out``;
+    * optionally ``_step_t(dt, out_t)`` — a native ``(N, M)`` path
+      (the default stages through ``_step`` with explicit transposes);
+    * ``step_once(d=None, out=None)`` — the instrumented step, which
+      must stay reentrant: it may run on several threads at once, so
+      it never uses the session-held buffers or workspaces;
+    * ``_release()`` — what :meth:`close` gives back.
+    """
+
+    mode = "session"
+
+    def __init__(self, request):
+        self.request = request
+        self.steps = 0
+        self.closed = False
+        self._dtype = np.dtype(request.dtype)
+        self._dshape = (request.m, request.n)
+        if request.system.kind == "block":
+            self._dshape += (request.system.block_size,)
+        self._out = None
+        self._out_t = None
+
+    @property
+    def m(self) -> int:
+        return self.request.m
+
+    @property
+    def n(self) -> int:
+        return self.request.n
+
+    @property
+    def dtype(self) -> np.dtype:
+        return self._dtype
+
+    def _canon(self, d, shape, name="d"):
+        """The per-step input scan: canonical arrays pass untouched."""
+        if not (
+            type(d) is np.ndarray
+            and d.dtype == self._dtype
+            and d.flags.c_contiguous
+        ):
+            d = np.ascontiguousarray(d, dtype=self._dtype)
+        if d.shape != shape:
+            raise ValueError(
+                f"{name} has shape {d.shape}, session bound for {shape}"
+            )
+        return d
+
+    def _once_args(self, d, out):
+        """``step_once``'s ``(d, out)``: the bound request's arrays by
+        default (``SolveRequest.build`` made them), a passed ``d``
+        scanned like a step's."""
+        request = self.request
+        d = request.d if d is None else self._canon(d, self._dshape)
+        return d, request.out if out is None else out
+
+    def _buffer(self):
+        """The session-owned ``(M, N[, B])`` output, reused across steps."""
+        if self._out is None:
+            self._out = np.empty(self._dshape, dtype=self._dtype)
+        return self._out
+
+    def step(self, d, out=None):
+        """The per-step hot loop: one right-hand side, no instrumentation.
+
+        ``d`` is scanned (one dtype, C order, the bound shape) and
+        solved into ``out``, which defaults to a session-owned buffer
+        reused across steps — copy it if you keep references.  No
+        stats, no stages, no trace: instrumentation belongs to
+        ``step_once``.
+        """
+        if self.closed:
+            raise RuntimeError("session is closed")
+        d = self._canon(d, self._dshape)
+        if out is None:
+            out = self._buffer()
+        self._step(d, out)
+        self.steps += 1
+        return out
+
+    def step_t(self, dt, out_t=None):
+        """Transposed-layout hot step: ``(N, M)`` in, ``(N, M)`` out.
+
+        Bitwise ``step(dtᵀ)ᵀ``.  A session with a native transposed
+        path reads ``dt`` in place; every other one stages through
+        :meth:`step`'s path with explicit transposes (one step either
+        way).  ``out_t`` defaults to a session-owned buffer reused
+        across steps — copy it if you keep references.
+        """
+        if self.closed:
+            raise RuntimeError("session is closed")
+        if len(self._dshape) != 2:
+            raise ValueError(
+                "step_t is defined for (M, N) sessions, not block systems"
+            )
+        m, n = self._dshape
+        dt = self._canon(dt, (n, m), "dt")
+        if out_t is None:
+            out_t = self._out_t
+            if out_t is None:
+                out_t = self._out_t = np.empty((n, m), dtype=self._dtype)
+        self._step_t(dt, out_t)
+        self.steps += 1
+        return out_t
+
+    def _step(self, d, out) -> None:
+        """Solve the canonical right-hand side ``d`` into ``out``."""
+        raise NotImplementedError
+
+    def _step_t(self, dt, out_t) -> None:
+        """The staging fallback: transposes around :meth:`_step`."""
+        x = self._buffer()
+        self._step(np.ascontiguousarray(dt.T), x)
+        out_t[:] = x.T
+
+    def describe(self) -> dict:
+        """Session summary: bound path, shape, dtype and step count."""
+        return {
+            "mode": self.mode,
+            "m": self.request.m,
+            "n": self.request.n,
+            "dtype": self._dtype.name,
+            "steps": self.steps,
+        }
+
+    def close(self) -> None:
+        """Release what the session holds and drop its buffers
+        (idempotent)."""
+        if self.closed:
+            return
+        self.closed = True
+        self._release()
+        self._out = None
+        self._out_t = None
+
+    def _release(self) -> None:
+        """What :meth:`close` gives back beyond the buffers."""
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
+class BoundSolve(Session):
     """One bound solve session: frozen plan + factorization + buffers.
 
     Produced by :meth:`ExecutionEngine.bind
@@ -94,8 +267,9 @@ class BoundSolve:
         rides this one path.
     **full**
         No factorization is licensed or cached: the full hybrid plan
-        runs every step (periodic systems corner-reduce and correct
-        around two inner solves).
+        runs every step.  A periodic system corner-reduces and solves
+        its correction column ``A' q = u`` once, at bind; each step
+        solves ``A' y = d`` and applies the rank-one correction.
 
     ``mode`` labels the bound path for :meth:`describe`: ``"rhs"``,
     ``"cyclic"`` or ``"banded"`` (factored), ``"full"`` or
@@ -103,17 +277,12 @@ class BoundSolve:
     """
 
     def __init__(self, engine, request, *, transient: bool = False):
+        super().__init__(request)
         self.engine = engine
-        self.request = request
         self.transient = transient
-        self.steps = 0
-        self.closed = False
         self.bind_stages: list = []
         self._ws = None
-        self._out = None
-        self._out_t = None
         self._cyc = None
-        system = request.system
         self._bind(request)
         plan = self.plan
         workers = request.workers
@@ -138,11 +307,8 @@ class BoundSolve:
                 ) if self._sharded else plan
                 for lo, hi in shards
             }
-        self._dtype = plan.dtype
-        if system.kind == "block":
-            self._dshape = (request.m, request.n, system.block_size)
-        else:
-            self._dshape = (request.m, request.n)
+            if request.periodic:
+                self._bind_cyclic()
         sweep = "rhs-only" if self._served else "sweep"
         shard_note = f" [{len(shards)} shards]" if len(shards) > 1 else ""
         self._stage = f"{sweep} {self._label}{shard_note}"
@@ -238,6 +404,27 @@ class BoundSolve:
         else:
             self.mode = "rhs" if fact is not None else "full"
 
+    def _bind_cyclic(self) -> None:
+        """The full cyclic path's coefficient-only state, built once.
+
+        ``cyclic_reduce``, the correction column ``A' q = u`` and the
+        correction scale depend only on the bound coefficients, so the
+        hot and the instrumented steps share them; the reduction and
+        the q-solve are bind stages, and a singular correction raises
+        here under ``check``.
+        """
+        request = self.request
+        t0 = time.perf_counter()
+        ap, bp, cp, u, w = cyclic_reduce(
+            request.a, request.b, request.c, check=request.check
+        )
+        self.bind_stages.append(("cyclic-reduce", time.perf_counter() - t0))
+        q = self._solve_plan(ap, bp, cp, u, stage_times=self.bind_stages)
+        scale = correction_scale(
+            correction_denominator(q, w), request.n, check=request.check
+        )
+        self._cyc = (ap, bp, cp, w, q, scale)
+
     # ---- instrumented execution --------------------------------------
     def step_once(self, d=None, out=None):
         """One fully-instrumented execution: stats + stages + trace.
@@ -255,10 +442,7 @@ class BoundSolve:
         engine = self.engine
         request = self.request
         plan = self.plan
-        if d is None:
-            d = request.d
-        if out is None:
-            out = request.out
+        d, out = self._once_args(d, out)
         stage_times = list(self.bind_stages)
         counters = TilingCounters()
         if self.fact is None:
@@ -304,17 +488,20 @@ class BoundSolve:
         )
         trace.decision = request.decision
         self.steps += 1
-        kept = self.fact if self._served else None
-        return SolveOutcome(x=x, trace=trace, factorization=kept, plan=plan)
+        return SolveOutcome(x=x, trace=trace)
 
     def _solve_factored(self, d, out, stage_times):
-        """The instrumented factored sweep, on a pooled workspace that is
-        back in the pool before this returns (transient sessions are
-        never closed)."""
+        """The instrumented factored sweep, on a workspace borrowed from
+        the engine pool for this call alone: ``step_once`` is reentrant,
+        so it never uses the session-held one."""
         if out is None:
             out = np.empty(self._dshape, dtype=self._dtype)
         fact = self.fact
-        ws = self.engine.checkout_prepared(self.plan) if self._pooled else None
+        ws = (
+            self.engine._checkout(self.plan, PreparedWorkspace)
+            if self._pooled
+            else None
+        )
         try:
             t0 = time.perf_counter()
             core = getattr(fact, "core", None)
@@ -333,40 +520,25 @@ class BoundSolve:
                 )
         finally:
             if ws is not None:
-                self.engine.checkin_prepared(self.plan, ws)
+                self.engine._checkin(self.plan, ws)
         return out
 
     def _solve_full(self, d, out, stage_times=None, counters=None):
-        """The full plan; periodic systems corner-reduce, solve
-        ``A' y = d`` and ``A' q = u``, and apply the rank-one correction.
-
-        The hot loop (``stage_times=None``) reuses the coefficient-only
-        cyclic state; an instrumented step recomputes it, so its stages
-        and stats match a one-shot solve.
-        """
+        """The full plan; a periodic system solves ``A' y = d`` against
+        the corner-reduced coefficients of :meth:`_bind_cyclic` and
+        applies the rank-one correction."""
         request = self.request
-        if not request.periodic:
+        if self._cyc is None:
             return self._solve_plan(
                 request.a, request.b, request.c, d,
                 out=out, counters=counters, stage_times=stage_times,
             )
-        if stage_times is None:
-            ap, bp, cp, w, q, scale = self._cyclic_state()
-            y = self._solve_plan(ap, bp, cp, d)
-            return apply_cyclic_correction(y, q, w, scale, out=out)
-        t0 = time.perf_counter()
-        ap, bp, cp, u, w = cyclic_reduce(
-            request.a, request.b, request.c, check=request.check
-        )
-        stage_times.append(("cyclic-reduce", time.perf_counter() - t0))
+        ap, bp, cp, w, q, scale = self._cyc
         y = self._solve_plan(ap, bp, cp, d, stage_times=stage_times)
-        q = self._solve_plan(ap, bp, cp, u, stage_times=stage_times)
-        t1 = time.perf_counter()
-        scale = correction_scale(
-            correction_denominator(q, w), request.n, check=request.check
-        )
+        t0 = time.perf_counter()
         x = apply_cyclic_correction(y, q, w, scale, out=out)
-        stage_times.append(("cyclic-correction", time.perf_counter() - t1))
+        if stage_times is not None:
+            stage_times.append(("cyclic-correction", time.perf_counter() - t0))
         return x
 
     def _solve_plan(self, a, b, c, d, *, out=None, counters=None,
@@ -427,44 +599,11 @@ class BoundSolve:
                     engine.stats.sharded_solves += 1
         return out
 
-    def _cyclic_state(self):
-        """Reduced cyclic state, computed once per session.
-
-        ``cyclic_reduce`` and the correction column depend only on the
-        bound coefficients, so recomputing them per step would produce
-        the same bits — caching is free of bitwise risk.
-        """
-        if self._cyc is None:
-            request = self.request
-            ap, bp, cp, u, w = cyclic_reduce(
-                request.a, request.b, request.c, check=request.check
-            )
-            q = self._solve_plan(ap, bp, cp, u)
-            scale = correction_scale(
-                correction_denominator(q, w), request.n, check=request.check
-            )
-            self._cyc = (ap, bp, cp, w, q, scale)
-        return self._cyc
-
     # ---- hot loop ----------------------------------------------------
-    def _canon_d(self, d):
-        """The per-step input scan: canonical arrays pass untouched."""
-        if not (
-            type(d) is np.ndarray
-            and d.dtype == self._dtype
-            and d.flags.c_contiguous
-        ):
-            d = np.ascontiguousarray(d, dtype=self._dtype)
-        if d.shape != self._dshape:
-            raise ValueError(
-                f"d has shape {d.shape}, session bound for {self._dshape}"
-            )
-        return d
-
     def _workspace(self):
         """The session-held RHS-only workspace (``None`` for banded)."""
         if self._ws is None and self._pooled:
-            self._ws = self.engine.checkout_prepared(self.plan)
+            self._ws = self.engine._checkout(self.plan, PreparedWorkspace)
         return self._ws
 
     def _run_shards(self, solve_shard, ws, d, out):
@@ -484,117 +623,44 @@ class BoundSolve:
             list(pool.map(lambda s: solve_shard(ws, d, out, *s), shards))
         return out
 
-    def step(self, d, out=None):
-        """The allocation-free per-step hot loop.
+    def _step(self, d, out) -> None:
+        """A direct factorization sweep, or the full plan.
 
-        Canonical-input scan, direct factorization sweep, session-owned
-        output buffer when ``out`` is omitted (reused across steps —
-        copy it if you keep references).  No stats, no stages, no trace:
-        instrumentation belongs to :meth:`step_once`.  Bitwise identical
-        to an independent one-shot solve of the same system wherever the
-        one-shot path makes that promise (every ``k = 0`` route, all
-        banded routes).
+        Bitwise identical to an independent one-shot solve of the same
+        system wherever the one-shot path makes that promise (every
+        ``k = 0`` route, all banded routes).
         """
-        if self.closed:
-            raise RuntimeError("session is closed")
-        d = self._canon_d(d)
-        if out is None:
-            out = self._out
-            if out is None:
-                out = self._out = np.empty(self._dshape, dtype=self._dtype)
         if self.fact is None:
             self._solve_full(d, out)
         else:
             self._run_shards(self.fact.solve_shard, self._workspace(), d, out)
-        self.steps += 1
-        return out
 
-    def step_t(self, dt, out_t=None):
-        """Transposed-layout hot step: ``(N, M)`` in, ``(N, M)`` out.
-
-        A factorization with a transposed sweep (``solve_shard_t`` —
+    def _step_t(self, dt, out_t) -> None:
+        """A factorization with a transposed sweep (``solve_shard_t`` —
         :class:`~repro.engine.prepared.ThomasRhsFactorization`) reads
-        the right-hand side straight from the caller's ``(N, M)``
-        array, so a session whose caller already holds it in that
-        orientation — the natural one of an alternating-direction
-        sweep — skips both staging transposes of :meth:`step` (bitwise
-        identical to :meth:`step` on the transposed arrays: only copies
-        are elided, never arithmetic).  Every other session
-        canonicalizes through :meth:`step` with explicit transposes.
-        ``out_t`` defaults to a session-owned buffer reused across
-        steps — copy it if you keep references.
-        """
-        if self.closed:
-            raise RuntimeError("session is closed")
-        if len(self._dshape) != 2:
-            raise ValueError(
-                "step_t is defined for (M, N) sessions, not block systems"
-            )
-        m, n = self._dshape
-        if not (
-            type(dt) is np.ndarray
-            and dt.dtype == self._dtype
-            and dt.flags.c_contiguous
-        ):
-            dt = np.ascontiguousarray(dt, dtype=self._dtype)
-        if dt.shape != (n, m):
-            raise ValueError(
-                f"dt has shape {dt.shape}, session bound for {(n, m)}"
-            )
-        if out_t is None:
-            out_t = self._out_t
-            if out_t is None:
-                out_t = self._out_t = np.empty((n, m), dtype=self._dtype)
+        the caller's ``(N, M)`` right-hand side in place, skipping both
+        staging transposes (only copies are elided, never arithmetic);
+        every other session stages through :meth:`_step`."""
         solve_shard_t = getattr(self.fact, "solve_shard_t", None)
         if solve_shard_t is None:
-            x = self.step(np.ascontiguousarray(dt.T))
-            out_t[:] = x.T
-            return out_t
-        self._run_shards(solve_shard_t, self._workspace(), dt, out_t)
-        self.steps += 1
-        return out_t
+            super()._step_t(dt, out_t)
+        else:
+            self._run_shards(solve_shard_t, self._workspace(), dt, out_t)
 
     # ---- lifecycle ---------------------------------------------------
-    @property
-    def m(self) -> int:
-        return self.request.m
-
-    @property
-    def n(self) -> int:
-        return self.request.n
-
-    @property
-    def dtype(self) -> np.dtype:
-        return self._dtype
-
     def describe(self) -> dict:
         """Session summary: mode, plan, factorization state, step count."""
         return {
-            "mode": self.mode,
+            **super().describe(),
             "transient": self.transient,
-            "m": self.request.m,
-            "n": self.request.n,
-            "dtype": np.dtype(self._dtype).name,
             "k": self.plan.k,
             "plan_cache": self.cache,
             "factorization": self.fp_state,
             "workers": self.request.workers,
-            "steps": self.steps,
         }
 
-    def close(self) -> None:
-        """Return held workspaces to the engine pool; drop buffers."""
-        if self.closed:
-            return
-        self.closed = True
+    def _release(self) -> None:
+        """Return the held workspace to the engine pool."""
         if self._ws is not None:
-            self.engine.checkin_prepared(self.plan, self._ws)
+            self.engine._checkin(self.plan, self._ws)
             self._ws = None
-        self._out = None
-        self._out_t = None
-
-    def __enter__(self) -> "BoundSolve":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()

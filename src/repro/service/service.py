@@ -63,6 +63,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.backends.base import bind_backend
 from repro.backends.registry import BackendRegistry, default_registry
 from repro.backends.request import SolveRequest
 from repro.backends.trace import record_trace
@@ -232,54 +233,22 @@ class SolveService:
         self._sessions_lock = threading.Lock()
 
     # ---- submission ---------------------------------------------------
-    async def submit(
-        self,
-        a,
-        b,
-        c,
-        d,
-        *,
-        tenant: str = "default",
-        periodic: bool = False,
-        check: bool = True,
-        out=None,
-        e=None,
-        f=None,
-        system=None,
-        **opts,
-    ):
+    async def submit(self, a, b, c, d, *, tenant: str = "default", **opts):
         """Solve one ``(M, N)`` fragment through the coalescing window.
 
-        Arguments mirror ``repro.solve_batch`` (plus the banded
-        ``e``/``f``/``system`` extensions); ``tenant`` attributes the
-        request in :attr:`stats`.  Returns the fragment's solution —
-        bitwise identical to the monolithic ``k = 0`` solve of any
-        batch this fragment coalesced into.  Raises
-        :class:`ServiceOverloaded` when admission control sheds the
-        request.
+        Arguments are :meth:`SolveRequest.build
+        <repro.backends.request.SolveRequest.build>`'s (the keywords of
+        ``repro.solve_batch`` plus the banded ``e``/``f``/``system``
+        extensions); ``tenant`` attributes the request in
+        :attr:`stats`.  Returns the fragment's solution — bitwise
+        identical to the monolithic ``k = 0`` solve of any batch this
+        fragment coalesced into.  Raises :class:`ServiceOverloaded`
+        when admission control sheds the request.
         """
-        future = self.submit_nowait(
-            a, b, c, d,
-            tenant=tenant, periodic=periodic, check=check,
-            out=out, e=e, f=f, system=system, **opts,
-        )
-        return await future
+        return await self.submit_nowait(a, b, c, d, tenant=tenant, **opts)
 
     def submit_nowait(
-        self,
-        a,
-        b,
-        c,
-        d,
-        *,
-        tenant: str = "default",
-        periodic: bool = False,
-        check: bool = True,
-        out=None,
-        e=None,
-        f=None,
-        system=None,
-        **opts,
+        self, a, b, c, d, *, tenant: str = "default", **opts
     ) -> asyncio.Future:
         """Admit a fragment and return the future of its result.
 
@@ -299,11 +268,7 @@ class SolveService:
                 "SolveService is bound to another event loop; create one "
                 "service per loop"
             )
-        request = SolveRequest.build(
-            a, b, c, d,
-            periodic=periodic, check=check, out=out,
-            e=e, f=f, system=system, **opts,
-        )
+        request = SolveRequest.build(a, b, c, d, **opts)
         rows = request.m
         if self._pending_rows + rows > self.config.max_pending_rows:
             self.stats.record_shed(tenant)
@@ -577,13 +542,9 @@ class SolveService:
             workers=first.workers,
             check=first.check,
         )
-        chosen = self._registry.resolve(self.config.backend, template)
-        binder = getattr(chosen, "bind", None)
-        if binder is not None:
-            return binder(template)
-        from repro.backends.base import PerStepSession
-
-        return PerStepSession(chosen, template)
+        return bind_backend(
+            self._registry.resolve(self.config.backend, template), template
+        )
 
     def _execute_session(self, session, d):
         """One window through a bound session (solve_via shape).

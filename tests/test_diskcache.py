@@ -78,8 +78,10 @@ def test_every_factorization_kind_round_trips(tmp_path, kind):
     assert out.trace.factorization == "hit" and out.trace.rhs_only
     assert eng2.stats.factorizations_built == 0
     assert np.array_equal(out.x, ref.x)
-    assert out.factorization.kind == ref.factorization.kind
-    assert out.factorization.nbytes == ref.factorization.nbytes
+    (built,) = eng1._facts.values()
+    (loaded,) = eng2._facts.values()
+    assert loaded.kind == built.kind
+    assert loaded.nbytes == built.nbytes
 
 
 def test_disk_cache_is_off_by_default():

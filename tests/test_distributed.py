@@ -7,6 +7,8 @@ the multiprocess backend (bitwise identical to the reference by
 construction: same functions, same values), and the registry/router
 negotiation — plus the satellite regressions this PR ships:
 
+* concurrent solves on the process-wide pool (each pipeline holds the
+  pool's lock from attach to gather)
 * executor oversubscription floor (``max(32, cpus)`` → proportional cap)
 * disk-cache LRU determinism on coarse-mtime filesystems
 * the generic cyclic fallback's merged inner-solve stage timings
@@ -15,6 +17,8 @@ negotiation — plus the satellite regressions this PR ships:
 from __future__ import annotations
 
 import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -22,7 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
-from repro.backends.registry import default_registry, reject_reason
+from repro.backends.registry import bind_via, default_registry, reject_reason
 from repro.backends.request import SolveRequest
 from repro.core.transition import TransitionHeuristic
 from repro.distributed import (
@@ -358,6 +362,70 @@ def test_worker_crash_raises_typed_error_and_recovers():
     x = backend.solve_batch(a, b, c, d, ranks=2)
     assert np.array_equal(x, partitioned_solve_reference(a, b, c, d, 2))
     assert get_pool(2) is not pool
+
+
+def test_concurrent_solves_on_one_pool_keep_their_bits():
+    # one-shots and a bound session on different systems share the
+    # process-wide ranks=2 pool from three threads; the N = 6144 system
+    # rebuilds the arenas whenever it takes the pool.  Each pipeline
+    # holds the pool from attach to gather, so every result keeps the
+    # reference bits instead of another thread's scatter
+    systems = [
+        huge_system_batch(4096, m=4, seed=31),
+        huge_system_batch(4096, m=4, seed=32),
+        huge_system_batch(6144, m=4, seed=33),
+    ]
+    steps = 6
+    rhs = [
+        [np.random.default_rng(100 * t + i).standard_normal(s[3].shape)
+         for i in range(steps)]
+        for t, s in enumerate(systems)
+    ]
+    results = [[] for _ in systems]
+    errors = []
+    barrier = threading.Barrier(len(systems))
+
+    def one_shots(t):
+        a, b, c, _ = systems[t]
+        barrier.wait(timeout=60)
+        for d in rhs[t]:
+            results[t].append(
+                repro.solve_batch(a, b, c, d, backend="distributed", ranks=2)
+            )
+
+    def session(t):
+        a, b, c, d0 = systems[t]
+        with bind_via(a, b, c, d0, backend="distributed", ranks=2) as s:
+            barrier.wait(timeout=60)
+            for d in rhs[t]:
+                results[t].append(s.step(d).copy())
+
+    def guarded(fn, t):
+        try:
+            fn(t)
+        except BaseException as exc:  # reported below, not swallowed
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        workers = [
+            threading.Thread(target=guarded, args=(fn, t))
+            for t, fn in enumerate((one_shots, session, one_shots))
+        ]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=240)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    assert not errors, errors
+    for t, (a, b, c, _) in enumerate(systems):
+        assert len(results[t]) == steps
+        for d, x in zip(rhs[t], results[t]):
+            ref = partitioned_solve_reference(a, b, c, d, 2)
+            assert np.array_equal(x, ref), t
 
 
 # ----------------------------------------- satellite: executor caps

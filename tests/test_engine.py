@@ -142,7 +142,12 @@ def test_hybrid_buffers_are_column_major(engine, fuse):
     engine.solve_batch(
         a, b, c, d, k=k, fuse=fuse, n_windows=2, fingerprint=False
     )
-    (ws,) = [w for pool in engine._pools.values() for w in pool]
+    (ws,) = [
+        w
+        for (cls, _), pool in engine._pools.items()
+        if cls is PlanWorkspace
+        for w in pool
+    ]
     tiled, pt = ws.tiled, ws.pthomas
     bufs = [ch for ring in tiled.rings for ch in ring.data]
     bufs += [*tiled.stage, tiled.k1, tiled.k2, tiled.tmp]

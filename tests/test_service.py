@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import repro
 from repro.backends import solve_via
+from repro.distributed import partitioned_solve_reference
 from repro.service import (
     ServiceConfig,
     ServiceOverloaded,
@@ -24,6 +25,7 @@ from repro.service import (
     SyncSolveClient,
 )
 from repro.workloads import (
+    huge_system_batch,
     random_batch,
     random_block_batch,
     random_penta_batch,
@@ -353,6 +355,35 @@ def test_ranks_fragments_keep_their_route_when_coalesced():
     assert np.array_equal(xs[2], repro.solve_batch(*frags[2], k=0))
     solo = solve_via(*frags[3], ranks=2, fingerprint=True)[0]
     assert np.array_equal(xs[3], solo)
+
+
+def test_concurrent_ranks_groups_of_different_n_keep_their_bits():
+    # two ranks=2 groups of different N flush together and dispatch on
+    # the service's two threads at once; each distributed pipeline
+    # holds the shared pool from attach to gather, so neither rebuilds
+    # the arenas (or scatters) under the other
+    systems = [huge_system_batch(n, m=4, seed=n) for n in (4096, 6144)]
+    rng = np.random.default_rng(57)
+    rounds = [
+        [rng.standard_normal(s[3].shape) for s in systems] for _ in range(10)
+    ]
+
+    async def main():
+        config = ServiceConfig(max_wait_us=0.0, dispatch_workers=2)
+        async with SolveService(config) as service:
+            return [
+                await asyncio.gather(
+                    *(
+                        service.submit(a, b, c, d, ranks=2)
+                        for (a, b, c, _), d in zip(systems, ds)
+                    )
+                )
+                for ds in rounds
+            ]
+
+    for ds, xs in zip(rounds, run(main())):
+        for (a, b, c, _), d, x in zip(systems, ds, xs):
+            assert np.array_equal(x, partitioned_solve_reference(a, b, c, d, 2))
 
 
 def test_sync_client_close_is_idempotent():

@@ -11,12 +11,19 @@ pin that contract across the four system kinds, both session paths
 backend surface — the engine, the generic per-step fallback, the
 service's shared-window sessions, and the distributed pipeline — plus
 the transposed-layout ``step_t`` fast path and the session lifecycle.
+Every session kind keeps the one ``Session`` contract (input scan,
+session-owned buffers, ``step_t``, ``describe``, ``close``), and
+``step_once`` stays reentrant across threads.
 """
 
 from __future__ import annotations
 
 import asyncio
 import multiprocessing
+import re
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -28,7 +35,7 @@ from repro.backends import bind_via, solve_via
 from repro.backends.base import PerStepSession
 from repro.backends.request import SolveRequest
 from repro.engine import ExecutionEngine
-from repro.engine.session import BoundSolve
+from repro.engine.session import BoundSolve, Session
 from repro.workloads.generators import (
     random_batch,
     random_block_batch,
@@ -289,6 +296,140 @@ def test_per_step_fallback_session_for_bindless_backends():
     session.close()
     with pytest.raises(RuntimeError, match="closed"):
         session.step(d)
+
+
+# ---------------------------------------------------------------------------
+# the one session contract, on every session kind
+# ---------------------------------------------------------------------------
+
+M, N = 4, 64
+
+#: every session ``bind_via`` or a handle returns, by the mode it reports
+CONTRACT_MODES = {
+    "engine-rhs": "rhs",
+    "engine-full": "full",
+    "engine-cyclic": "cyclic",
+    "engine-full-cyclic": "full-cyclic",
+    "engine-penta": "banded",
+    "engine-block": "banded",
+    "prepared": "rhs",
+    "distributed-plain": "distributed",
+    "distributed-periodic": "dispatch",
+    "numpy": "dispatch",
+    "gpusim": "dispatch",
+}
+
+
+def _contract_session(row):
+    """A fresh session of one kind, bound at ``(M, N)`` (block: B = 2)."""
+    if row == "engine-penta":
+        e, a, b, c, f, d = random_penta_batch(M, N, seed=83)
+        return bind_via(a, b, c, d, e=e, f=f, backend="engine")
+    if row == "engine-block":
+        A, B, C, d = random_block_batch(M, N, block_size=2, seed=83)
+        return bind_via(A, B, C, d, backend="engine")
+    periodic = row.endswith(("cyclic", "periodic"))
+    a, b, c, d = _cyclic_batch(M, N, 83) if periodic else random_batch(M, N, seed=83)
+    if row == "prepared":
+        return repro.prepare(a, b, c, k=0).bind()
+    backend, opts = {
+        "engine-rhs": ("engine", {"k": 0}),
+        "engine-full": ("engine", {"k": 6, "fingerprint": False}),
+        "engine-cyclic": ("engine", {"k": 0}),
+        "engine-full-cyclic": ("engine", {"k": 0, "fingerprint": False}),
+        "distributed-plain": ("distributed", {"ranks": 2}),
+        "distributed-periodic": ("distributed", {"ranks": 2}),
+        "numpy": ("numpy", {}),
+        "gpusim": ("gpusim", {}),
+    }[row]
+    return bind_via(a, b, c, d, backend=backend, periodic=periodic, **opts)
+
+
+@pytest.mark.parametrize("row", tuple(CONTRACT_MODES))
+def test_every_session_kind_keeps_the_contract(row):
+    shape = (M, N, 2) if row == "engine-block" else (M, N)
+    rng = np.random.default_rng(89)
+    fresh = lambda: rng.standard_normal(shape)
+    with _contract_session(row) as session:
+        assert isinstance(session, Session)
+        desc = session.describe()
+        assert desc["mode"] == CONTRACT_MODES[row]
+        assert (desc["m"], desc["n"], desc["dtype"], desc["steps"]) == (
+            M, N, "float64", 0
+        )
+        assert (session.m, session.n, session.dtype) == (M, N, np.float64)
+
+        # 1-D, wrong-M and wrong-N right-hand sides name the bound shape
+        for bad in ((N,), (M + 1, *shape[1:]), (M, N + 1, *shape[2:])):
+            with pytest.raises(ValueError, match=re.escape(str(shape))):
+                session.step(np.ones(bad))
+
+        # step reuses one session-owned buffer, or writes the caller's out
+        x = session.step(fresh())
+        assert session.step(fresh()) is x
+        out = np.empty(shape)
+        assert session.step(fresh(), out=out) is out
+
+        if row == "engine-block":
+            with pytest.raises(ValueError, match="block"):
+                session.step_t(np.ones((N, M)))
+        else:
+            with pytest.raises(ValueError, match=re.escape(str((N, M)))):
+                session.step_t(np.ones(shape))
+            d = fresh()
+            ref = session.step(d).copy()
+            dt = np.ascontiguousarray(d.T)
+            xt = session.step_t(dt)
+            assert np.array_equal(xt, ref.T)
+            assert session.step_t(dt) is xt
+            out_t = np.empty((N, M))
+            assert session.step_t(dt, out_t=out_t) is out_t
+            assert np.array_equal(out_t, ref.T)
+        assert session.describe()["steps"] == session.steps > 0
+    assert session.closed
+    with pytest.raises(RuntimeError, match="closed"):
+        session.step(fresh())
+    session.close()  # a second close is a no-op
+
+
+@pytest.mark.parametrize(
+    "row", ("engine-rhs", "engine-full", "prepared", "distributed-plain")
+)
+def test_step_once_is_reentrant(row):
+    # the service's two dispatch threads may step one session at once,
+    # and threads may share one prepared handle: step_once borrows its
+    # workspace per call (the ranks pipeline holds the pool's lock), so
+    # every thread gets the serial bits
+    if row == "prepared":
+        a, b, c, _ = random_batch(M, N, seed=83)
+        handle = repro.prepare(a, b, c, k=0)
+        solve, close = handle.solve, handle.close
+    else:
+        session = _contract_session(row)
+        solve, close = (lambda d: session.step_once(d).x), session.close
+    rng = np.random.default_rng(97)
+    ds = [rng.standard_normal((M, N)) for _ in range(6)]
+    threads = 4
+    barrier = threading.Barrier(threads)
+
+    def worker(t):
+        barrier.wait(timeout=60)
+        order = [(t + i) % len(ds) for i in range(2 * len(ds))]
+        return [(i, solve(ds[i])) for i in order]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        serial = [solve(d).copy() for d in ds]
+        with ThreadPoolExecutor(threads) as pool:
+            futures = [pool.submit(worker, t) for t in range(threads)]
+            results = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+        close()
+    for pairs in results:
+        for i, x in pairs:
+            assert np.array_equal(x, serial[i]), (row, i)
 
 
 # ---------------------------------------------------------------------------
