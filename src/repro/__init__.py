@@ -43,7 +43,6 @@ factorization cache automatically (see :mod:`repro.engine.prepared`).
 from repro.core import (
     GTX480_HEURISTIC,
     BlockThomasFactorization,
-    CyclicFactorization,
     CyclicSingularError,
     HybridFactorization,
     PentaFactorization,
@@ -103,7 +102,7 @@ from repro.service import (
 from repro.distributed import DistributedWorkerError, partitioned_solve_reference
 from repro.util import BatchTridiagonal, TridiagonalSystem
 
-__version__ = "1.9.0"
+__version__ = "1.10.0"
 
 __all__ = [
     "solve",
@@ -127,7 +126,6 @@ __all__ = [
     "block_thomas_solve_batch",
     "ThomasFactorization",
     "HybridFactorization",
-    "CyclicFactorization",
     "CyclicSingularError",
     "PentaFactorization",
     "BlockThomasFactorization",

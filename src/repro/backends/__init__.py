@@ -37,6 +37,7 @@ from repro.backends.base import (
     Backend,
     BackendBase,
     Capabilities,
+    CyclicSession,
     PerStepSession,
 )
 from repro.backends.engine_backend import EngineBackend
@@ -76,6 +77,7 @@ __all__ = [
     "BackendError",
     "BackendRegistry",
     "Capabilities",
+    "CyclicSession",
     "EngineBackend",
     "GpuSimBackend",
     "NumpyReferenceBackend",

@@ -36,12 +36,19 @@ from typing import Protocol, runtime_checkable
 
 from repro.backends.request import SolveOutcome, SolveRequest
 from repro.backends.trace import SolveTrace, StageTiming, record_trace
+from repro.core.periodic import (
+    apply_cyclic_correction,
+    correction_denominator,
+    correction_scale,
+    cyclic_reduce,
+)
 from repro.engine.session import Session
 
 __all__ = [
     "Backend",
     "BackendBase",
     "Capabilities",
+    "CyclicSession",
     "PerStepSession",
     "SolveOutcome",
     "SolveRequest",
@@ -117,8 +124,8 @@ class PerStepSession(Session):
     """Generic bound-solve session: full dispatch on every step.
 
     The fallback ``bind()`` result for backends with no native session
-    support (numpy reference, gpusim, periodic or RHS-only distributed
-    requests): the request is frozen once, and each step re-dispatches
+    support (the numpy reference and gpusim, periodic requests
+    included): the request is frozen once, and each step re-dispatches
     it through the backend's ``execute`` with a fresh right-hand side.
     No per-step work is saved — the value is *API parity*: it keeps
     the whole :class:`~repro.engine.session.Session` contract (the
@@ -164,6 +171,95 @@ class PerStepSession(Session):
         }
 
 
+def _prefixed(prefix: str, stages) -> list:
+    """Copies of ``stages`` renamed ``prefix + name``, predictions kept."""
+    return [StageTiming(prefix + s.name, s.seconds, s.predicted_us) for s in stages]
+
+
+class CyclicSession(Session):
+    """Bound Sherman–Morrison session over a backend's plain session.
+
+    The cyclic route of backends with no native one (numpy, the
+    distributed ranks, gpusim's ranks pricing).  Bind corner-reduces
+    the coefficients once (:func:`~repro.core.periodic.cyclic_reduce`),
+    binds the strictly tridiagonal ``A'`` on the same backend through
+    :func:`bind_backend` and solves the correction column ``A' q = u``
+    there once, so a singular correction raises
+    :class:`~repro.core.periodic.CyclicSingularError` at bind under
+    ``check``.  Each step is then one inner step ``A' y = d`` plus the
+    rank-one correction: a ranks session ships and factors ``A'`` once.
+    A one-shot periodic ``execute`` is a transient ``CyclicSession``
+    and one :meth:`step_once`, as ``ExecutionEngine.run`` is for the
+    engine.
+    """
+
+    mode = "cyclic"
+
+    def __init__(self, backend, request: SolveRequest):
+        super().__init__(request)
+        self.backend = backend
+        t0 = time.perf_counter()
+        ap, bp, cp, u, self._w = cyclic_reduce(
+            request.a, request.b, request.c, check=request.check
+        )
+        reduce = StageTiming("cyclic-reduce", time.perf_counter() - t0)
+        self.inner = bind_backend(
+            backend,
+            request.replace(
+                a=ap, b=bp, c=cp, periodic=False, fingerprint=False, out=None
+            ),
+        )
+        q_solve = self.inner.step_once(u)
+        self._q = q_solve.x
+        self._scale = correction_scale(
+            correction_denominator(self._q, self._w),
+            request.n,
+            check=request.check,
+        )
+        self._bind_stages = [reduce, *_prefixed("cyclic-q:", q_solve.trace.stages)]
+
+    def _correct(self, y, out):
+        return apply_cyclic_correction(y, self._q, self._w, self._scale, out=out)
+
+    def step_once(self, d=None, out=None) -> SolveOutcome:
+        """One instrumented step: the inner y-step's trace, marked
+        periodic, behind the bind's reduction and q-solve stages."""
+        if self.closed:
+            raise RuntimeError("session is closed")
+        d, out = self._once_args(d, out)
+        y = self.inner.step_once(d)
+        t0 = time.perf_counter()
+        x = self._correct(y.x, out)
+        correction = StageTiming("cyclic-correction", time.perf_counter() - t0)
+        trace = y.trace
+        trace.periodic = True
+        trace.stages = [
+            *self._bind_stages, *_prefixed("cyclic-y:", trace.stages), correction
+        ]
+        self.steps += 1
+        return SolveOutcome(x=x, trace=trace)
+
+    def _step(self, d, out) -> None:
+        self._correct(self.inner.step(d), out)
+
+    def _step_t(self, dt, out_t) -> None:
+        """Through the inner ``step_t`` (transposed-native on the
+        ranks); the row-wise correction reads transpose views."""
+        self._correct(self.inner.step_t(dt).T, out_t.T)
+
+    def describe(self) -> dict:
+        """Session summary: the common keys, backend and inner mode."""
+        return {
+            **super().describe(),
+            "backend": getattr(self.backend, "name", "?"),
+            "inner": self.inner.describe()["mode"],
+        }
+
+    def _release(self) -> None:
+        """Close the inner ``A'`` session."""
+        self.inner.close()
+
+
 def bind_backend(backend, request: SolveRequest):
     """``backend``'s native session for ``request``, else the generic
     :class:`PerStepSession` (``bind`` is optional on the protocol)."""
@@ -179,13 +275,12 @@ class BackendBase:
     Subclasses implement :meth:`capabilities` and :meth:`execute`, and
     store their trace with :meth:`_set_trace`; this base supplies
     thread-local trace storage, the :meth:`instrument` accessor, the
-    generic cyclic fallback (:meth:`_periodic_fallback`) for backends
-    with no native Sherman–Morrison pipeline, the generic per-step
-    :meth:`bind` (engine-family backends override it with native
-    :class:`~repro.engine.session.BoundSolve` sessions), and the
-    :meth:`solve_batch` convenience wrapper (validate → build request →
-    execute → record trace) used by standalone callers such as
-    benchmarks.
+    generic per-step :meth:`bind` (the engine and the distributed ranks
+    override it with native sessions), and the :meth:`solve_batch`
+    convenience wrapper (validate → build request → execute → record
+    trace) used by standalone callers such as benchmarks.  Backends
+    with no native cyclic pipeline serve periodic requests through a
+    transient :class:`CyclicSession`.
 
     ``bind`` is deliberately **not** part of the
     :class:`Backend` protocol — the protocol is runtime-checkable and
@@ -212,65 +307,6 @@ class BackendBase:
                 f"backend {self.name!r} has not executed on this thread yet"
             )
         return trace
-
-    # -- cyclic (Sherman–Morrison) fallback ----------------------------
-    def _periodic_fallback(self, request: SolveRequest) -> SolveOutcome:
-        """Generic cyclic solve: corner-reduce + two plain ``execute``\\ s.
-
-        Any backend that can solve plain batches can serve periodic
-        requests through this fallback — the correction algebra is the
-        shared implementation in :mod:`repro.core.periodic`, so results
-        stay elementwise identical to every other path.  Backends with
-        a cheaper route (the engine family's prepared cyclic sweep)
-        never call it.
-        """
-        from repro.core.periodic import (
-            apply_cyclic_correction,
-            correction_denominator,
-            correction_scale,
-            cyclic_reduce,
-        )
-
-        t0 = time.perf_counter()
-        ap, bp, cp, u, w = cyclic_reduce(
-            request.a, request.b, request.c, check=request.check
-        )
-        t_reduce = time.perf_counter() - t0
-
-        inner = request.replace(
-            a=ap, b=bp, c=cp, periodic=False, out=None, fingerprint=False
-        )
-        y_outcome = self.execute(inner)
-        y = y_outcome.x
-        q_outcome = self.execute(inner.replace(d=u))
-        q = q_outcome.x
-
-        t1 = time.perf_counter()
-        scale = correction_scale(
-            correction_denominator(q, w), request.n, check=request.check
-        )
-        x = apply_cyclic_correction(y, q, w, scale, out=request.out)
-        t_correct = time.perf_counter() - t1
-
-        # the q-solve's trace carries the plan detail; promote it to
-        # describe the whole cyclic solve, keeping *both* inner solves'
-        # stage timings (prefixed, so stage() lookups stay unambiguous)
-        trace = q_outcome.trace
-        trace.periodic = True
-        trace.stages = [
-            StageTiming("cyclic-reduce", t_reduce),
-            *(
-                StageTiming(f"cyclic-y:{s.name}", s.seconds, s.predicted_us)
-                for s in y_outcome.trace.stages
-            ),
-            *(
-                StageTiming(f"cyclic-q:{s.name}", s.seconds, s.predicted_us)
-                for s in trace.stages
-            ),
-            StageTiming("cyclic-correction", t_correct),
-        ]
-        self._set_trace(trace)
-        return SolveOutcome(x=x, trace=trace)
 
     # -- bind/execute split --------------------------------------------
     def bind(self, request: SolveRequest) -> PerStepSession:

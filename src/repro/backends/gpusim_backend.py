@@ -23,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from repro.backends.base import BackendBase, Capabilities
+from repro.backends.base import BackendBase, Capabilities, CyclicSession
 from repro.backends.request import SolveOutcome, SolveRequest
 from repro.backends.trace import SolveTrace, StageTiming
 from repro.kernels.hybrid_gpu import GpuHybridSolver
@@ -105,9 +105,11 @@ class GpuSimBackend(BackendBase):
         )
 
         if request.periodic:
-            # corner-reduce + two plain distributed solves; the inner
-            # requests keep ranks=, so each re-enters this route
-            return self._periodic_fallback(request)
+            # the inner A' request keeps ranks=, so its q- and y-solves
+            # re-enter this route
+            outcome = CyclicSession(self, request).step_once()
+            self._set_trace(outcome.trace)
+            return outcome
 
         dtype_bytes = np.dtype(request.dtype).itemsize
         predicted = {

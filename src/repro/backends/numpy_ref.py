@@ -17,7 +17,7 @@ import time
 
 import numpy as np
 
-from repro.backends.base import BackendBase, Capabilities
+from repro.backends.base import BackendBase, Capabilities, CyclicSession
 from repro.backends.request import SolveOutcome, SolveRequest
 from repro.backends.trace import SolveTrace, StageTiming
 from repro.core.hybrid import HybridSolver, choose_transition
@@ -108,9 +108,10 @@ class NumpyReferenceBackend(BackendBase):
         if request.system.kind != "tridiagonal":
             return self._execute_banded(request)
         if request.periodic:
-            # no native cyclic pipeline — corner-reduce and run two
-            # plain executes through the shared correction algebra
-            return self._periodic_fallback(request)
+            # no native cyclic pipeline: a transient bound correction
+            outcome = CyclicSession(self, request).step_once()
+            self._set_trace(outcome.trace)
+            return outcome
 
         t0 = time.perf_counter()
         heuristic = (

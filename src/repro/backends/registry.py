@@ -340,9 +340,12 @@ def bind_via(
     validate) the request → negotiate (the router's
     :class:`~repro.backends.trace.RouteDecision` is pinned on the
     request, so every step the session takes carries the same
-    provenance) → ``bind``.  Backends with a native bind (the engine
-    family) return a :class:`~repro.engine.session.BoundSolve`; others
-    fall back to a generic
+    provenance) → ``bind``.  Backends with a native bind return their
+    own session (the engine a :class:`~repro.engine.session.BoundSolve`,
+    the distributed ranks a
+    :class:`~repro.distributed.backend.DistributedBoundSolve`, or a
+    :class:`~repro.backends.base.CyclicSession` around one for periodic
+    systems); others fall back to a generic
     :class:`~repro.backends.base.PerStepSession`.  ``d`` is the
     template right-hand side — it fixes the shape/dtype the session is
     bound for (and is the default argument of ``step_once()``).

@@ -36,6 +36,7 @@ from repro.core.validation import (
     check_batch_arrays,
     check_block_batch_arrays,
     check_cyclic_batch_arrays,
+    check_out,
     check_penta_batch_arrays,
     coerce_batch_arrays,
     coerce_block_batch_arrays,
@@ -188,7 +189,7 @@ class SolveRequest:
     check:
         Validation / singular-guard policy for execution-time checks.
     out:
-        Optional preallocated ``(M, N)`` output.
+        Optional preallocated output of ``d``'s shape and dtype.
     label:
         Trace ``backend`` name override — the prepared adapter runs on
         the engine spine but reports its own name.
@@ -266,7 +267,8 @@ class SolveRequest:
         through the dedicated cyclic validators, whose corners are
         couplings the plain validator would zero, and which require
         ``N >= 3``.  Unknown options raise ``TypeError`` at this
-        boundary.
+        boundary.  An ``out`` must be an ``ndarray`` of ``d``'s shape
+        and the solve dtype in either mode (any memory layout).
 
         The system kind is inferred when ``system`` is not given:
         second sub-/super-diagonals ``e``/``f`` mean pentadiagonal, a
@@ -349,6 +351,8 @@ class SolveRequest:
             if b.ndim != 2:
                 raise ValueError(f"batch must be 2-D (M, N), got {b.ndim}-D")
             m, n = b.shape
+        if out is not None:
+            check_out(out, d.shape, d.dtype)
         return cls(
             a=a,
             b=b,

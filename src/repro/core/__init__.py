@@ -44,7 +44,6 @@ from repro.core.cost_model import (
     thomas_cost,
 )
 from repro.core.factorize import (
-    CyclicFactorization,
     HybridFactorization,
     ThomasFactorization,
 )
@@ -96,7 +95,6 @@ __all__ = [
     "solve_batch",
     "ThomasFactorization",
     "HybridFactorization",
-    "CyclicFactorization",
     "CyclicSingularError",
     "solve_periodic",
     "solve_periodic_batch",

@@ -30,7 +30,7 @@ import numpy as np
 from repro.core.transition import GTX480_HEURISTIC, clamp_k
 from repro.core.validation import check_batch_arrays
 
-__all__ = ["CyclicFactorization", "HybridFactorization", "ThomasFactorization"]
+__all__ = ["HybridFactorization", "ThomasFactorization"]
 
 
 def _shift_rhs(d: np.ndarray, offset: int) -> np.ndarray:
@@ -383,111 +383,3 @@ class HybridFactorization:
         if out is not None:
             return out
         return x[..., 0] if squeeze else x
-
-
-@dataclass
-class CyclicFactorization:
-    """Factored cyclic (periodic) tridiagonal batch — Sherman–Morrison.
-
-    Stores everything RHS-independent about the cyclic solve: the
-    factorization of the corner-reduced core ``A'`` (Thomas at ``k=0``,
-    hybrid above), the solved correction vector ``q`` (``A' q = u``),
-    the corner weight ``w = a_0/γ``, and the **precomputed** scale
-    ``1 / (1 + vᵀq)``.  A solve is then one RHS-only sweep through the
-    core plus a vectorized rank-one update — no re-elimination and no
-    second inner solve.
-
-    ``singular`` records the batch rows whose correction denominator
-    vanished at factor time.  A factorization built with
-    ``check=False`` keeps NaN scales for those rows; solving it with
-    ``check=True`` raises :class:`~repro.core.periodic.CyclicSingularError`.
-
-    Examples
-    --------
-    >>> import numpy as np
-    >>> from repro.core.factorize import CyclicFactorization
-    >>> rng = np.random.default_rng(0)
-    >>> a = rng.standard_normal((4, 64)); c = rng.standard_normal((4, 64))
-    >>> b = 5.0 + np.abs(a) + np.abs(c)
-    >>> fact = CyclicFactorization.factor(a, b, c)
-    >>> d = rng.standard_normal((4, 64))
-    >>> x = fact.solve(d)                 # RHS-only: no re-elimination
-    >>> x2 = fact.solve(2.0 * d)
-    >>> bool(np.allclose(x2, 2.0 * x))
-    True
-    """
-
-    core: object  # ThomasFactorization | HybridFactorization of A'
-    q: np.ndarray  # (M, N) solved correction column
-    w: np.ndarray  # (M,) v weight: a_0 / gamma
-    scale: np.ndarray  # (M,) precomputed 1 / (1 + v^T q)
-    singular: np.ndarray  # row indices with a vanishing denominator
-
-    @classmethod
-    def factor(
-        cls, a, b, c, *, k: int = 0, check: bool = True
-    ) -> "CyclicFactorization":
-        """Corner-reduce and factor a cyclic ``(M, N)`` coefficient set.
-
-        ``k = 0`` stores a :class:`ThomasFactorization` core (RHS-only
-        solves replay the Thomas elimination op-for-op); ``k > 0``
-        stores a :class:`HybridFactorization`.  ``check`` controls both
-        input validation and the singular-correction policy (raise vs
-        warn + NaN scale).
-        """
-        from repro.core.periodic import (
-            correction_denominator,
-            correction_scale,
-            cyclic_reduce,
-        )
-        from repro.core.validation import (
-            check_cyclic_batch_arrays,
-            coerce_cyclic_batch_arrays,
-        )
-
-        validate = check_cyclic_batch_arrays if check else coerce_cyclic_batch_arrays
-        a, b, c, _ = validate(a, b, c, np.zeros_like(np.asarray(b)))
-        n = b.shape[1]
-        ap, bp, cp, u, w = cyclic_reduce(a, b, c, check=check)
-        if k == 0:
-            core = ThomasFactorization.factor(ap, bp, cp, check=False)
-        else:
-            core = HybridFactorization.factor(ap, bp, cp, k=k, check=False)
-        q = core.solve(u)
-        denom = correction_denominator(q, w)
-        scale = correction_scale(denom, n, check=check)
-        from repro.core.periodic import singular_rows
-
-        return cls(
-            core=core, q=q, w=w, scale=scale,
-            singular=singular_rows(denom, n),
-        )
-
-    @property
-    def m(self) -> int:
-        """Number of factored systems."""
-        return self.q.shape[0]
-
-    @property
-    def n(self) -> int:
-        """System size."""
-        return self.q.shape[1]
-
-    @property
-    def nbytes(self) -> int:
-        """Bytes of stored cyclic state beyond the core factorization."""
-        return self.q.nbytes + self.w.nbytes + self.scale.nbytes
-
-    def solve(self, d, *, out=None, scratch=None, check: bool = True):
-        """Solve the cyclic systems against a fresh ``(M, N)`` RHS.
-
-        One core RHS-only sweep plus the precomputed rank-one update.
-        ``check=True`` refuses to apply a singular correction.
-        """
-        from repro.core.periodic import apply_cyclic_correction, refuse_singular
-
-        if check:
-            refuse_singular(self.singular)
-
-        y = self.core.solve(d, scratch=scratch)
-        return apply_cyclic_correction(y, self.q, self.w, self.scale, out=out)

@@ -27,11 +27,13 @@ batched, with whichever backend algorithm is requested:
 The helpers here (:func:`cyclic_reduce`,
 :func:`correction_denominator`, :func:`correction_scale`,
 :func:`apply_cyclic_correction`) are the *single* implementation of the
-corner algebra — the direct algorithm paths, the generic backend
-fallback, :class:`~repro.core.factorize.CyclicFactorization`, and the
-engine's prepared cyclic sweep all call them, so every backend runs the
-identical elementwise operation sequence (the cross-backend bitwise
-contract of ``tests/test_backends.py`` extends to periodic solves).
+corner algebra — the direct algorithm paths, the engine's full and
+prepared cyclic paths, and
+:class:`~repro.backends.base.CyclicSession` (the bound correction the
+numpy, distributed and gpusim-ranks routes run around their plain
+solves) all call them, so every backend runs the identical elementwise
+operation sequence (the cross-backend bitwise contract of
+``tests/test_backends.py`` extends to periodic solves).
 
 Singularity: the correction divides by ``1 + vᵀ q``.  A singular cyclic
 matrix (e.g. the periodic Laplacian, whose null space is the constant

@@ -21,6 +21,7 @@ __all__ = [
     "check_penta_batch_arrays",
     "coerce_block_batch_arrays",
     "check_block_batch_arrays",
+    "check_out",
     "require_power_of_two",
     "is_power_of_two",
 ]
@@ -293,6 +294,24 @@ def check_block_batch_arrays(A, B, C, d):
         C = C.copy()
         C[:, -1] = 0.0
     return A, B, C, d
+
+
+def check_out(out, shape: tuple, dtype, name: str = "out"):
+    """A caller's output array: an ``ndarray`` of ``shape`` and ``dtype``.
+
+    Any memory layout is legal; anything else is a ``ValueError``
+    naming both shapes, never a partly written or silently downcast
+    result.
+    """
+    if not (
+        isinstance(out, np.ndarray) and out.shape == shape and out.dtype == dtype
+    ):
+        raise ValueError(
+            f"{name} has shape {np.shape(out)} and dtype "
+            f"{getattr(out, 'dtype', type(out).__name__)}; the solve "
+            f"writes shape {shape} and dtype {np.dtype(dtype)}"
+        )
+    return out
 
 
 def is_power_of_two(x: int) -> bool:

@@ -12,9 +12,9 @@ back-substitute its interior in parallel.
 
 Negotiation is the normal :class:`~repro.backends.base.Backend`
 protocol — ``Capabilities.max_ranks`` advertises the multi-rank axis,
-periodic systems ride the generic
-:meth:`~repro.backends.base.BackendBase._periodic_fallback` (this
-backend is its long-promised non-engine consumer), and ``ranks=1``
+periodic systems bind a :class:`~repro.backends.base.CyclicSession`
+around the ranks (``A'`` factored and ``q`` solved once per session,
+then one pipeline plus the rank-one correction per step), and ``ranks=1``
 short-circuits to the engine's ``k = 0`` route so the single-rank
 anchor stays bitwise identical to the engine.  For ``P >= 2`` the
 result is bitwise identical to
@@ -47,7 +47,7 @@ import time
 
 import numpy as np
 
-from repro.backends.base import BackendBase, Capabilities
+from repro.backends.base import BackendBase, Capabilities, CyclicSession
 from repro.backends.request import SolveOutcome, SolveRequest
 from repro.backends.trace import SolveTrace, StageTiming
 from repro.distributed.partition import (
@@ -97,7 +97,7 @@ class DistributedBackend(BackendBase):
     def capabilities(self) -> Capabilities:
         if self._caps is None:
             self._caps = Capabilities(
-                periodic=True,  # via the generic Sherman–Morrison fallback
+                periodic=True,  # a CyclicSession around the ranks
                 max_workers=1,
                 max_ranks=MAX_RANKS,
                 prepared=False,
@@ -114,20 +114,25 @@ class DistributedBackend(BackendBase):
     def execute(self, request: SolveRequest) -> SolveOutcome:
         """A one-shot is a transient bind plus one instrumented step."""
         if request.periodic:
-            return self._periodic_fallback(request)
-        outcome = self._session(request, transient=True).step_once()
+            session = CyclicSession(self, request)
+        else:
+            session = self._session(request, transient=True)
+        outcome = session.step_once()
         self._set_trace(outcome.trace)
         return outcome
 
     def bind(self, request: SolveRequest):
         """Native session: coefficients partitioned and shipped once.
 
-        Periodic and RHS-only requests ride the generic
-        per-step-dispatch session (the corner-reduce pipeline rebuilds
-        per step anyway); everything else gets :meth:`_session`.
+        A periodic request binds a
+        :class:`~repro.backends.base.CyclicSession` whose inner
+        session is this backend's :meth:`_session` for the
+        corner-reduced ``A'``: the ranks factor ``A'`` once, solve
+        ``q`` once, and each step is one RHS-only pipeline plus the
+        rank-one correction.
         """
-        if request.periodic or request.rhs_only:
-            return super().bind(request)
+        if request.periodic:
+            return CyclicSession(self, request)
         return self._session(request)
 
     def _session(self, request: SolveRequest, *, transient: bool = False):

@@ -291,8 +291,8 @@ def build_factorization(plan, a, b, c):
 class CyclicRhsFactorization:
     """Engine-layer cyclic factorization: a core wrapped with the correction.
 
-    The engine sibling of
-    :class:`~repro.core.factorize.CyclicFactorization`: the core ``A'``
+    The factor-once cyclic state behind ``repro.prepare(...,
+    periodic=True)`` and the engine's fingerprint cache: the core ``A'``
     factorization is an engine RHS-only factorization
     (:class:`ThomasRhsFactorization` at ``k = 0`` — transposed layout,
     stored denominators, bitwise-identical sweeps — or

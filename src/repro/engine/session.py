@@ -10,12 +10,14 @@ workloads — ADI, Crank–Nicolson — are exactly this shape).
 
 :class:`Session` is the one session contract every backend's session
 shares — :class:`BoundSolve` here, the distributed tier's
-:class:`~repro.distributed.backend.DistributedBoundSolve` and the
-generic :class:`~repro.backends.base.PerStepSession`.  It owns the
-input scan (one dtype, C order, the bound shape; a mismatch is a
-``ValueError`` naming both shapes), the closed check, the
-session-owned ``out``/``out_t`` buffers, the ``step_t`` staging
-fallback, the common :meth:`~Session.describe` keys, an idempotent
+:class:`~repro.distributed.backend.DistributedBoundSolve`, the
+generic :class:`~repro.backends.base.PerStepSession` and the bound
+Sherman–Morrison :class:`~repro.backends.base.CyclicSession`.  It owns
+the input scan (one dtype, C order, the bound shape; a mismatch is a
+``ValueError`` naming both shapes), the same check of a caller's
+``out``/``out_t`` (the bound shape and dtype, any layout), the closed
+check, the session-owned ``out``/``out_t`` buffers, the ``step_t``
+staging fallback, the common :meth:`~Session.describe` keys, an idempotent
 ``close()`` and the context manager.  A subclass supplies only how one
 right-hand side runs, its instrumented ``step_once``, its extra
 ``describe()`` keys and what ``close()`` releases.
@@ -68,6 +70,7 @@ from repro.core.periodic import (
     refuse_singular,
 )
 from repro.core.tiled_pcr import TilingCounters
+from repro.core.validation import check_out
 from repro.engine.executor import execute_plan, shard_bounds
 from repro.engine.prepared import (
     coefficient_fingerprint,
@@ -153,11 +156,13 @@ class Session:
 
     def _once_args(self, d, out):
         """``step_once``'s ``(d, out)``: the bound request's arrays by
-        default (``SolveRequest.build`` made them), a passed ``d``
-        scanned like a step's."""
+        default (``SolveRequest.build`` checked them), a passed ``d``
+        or ``out`` scanned like a step's."""
         request = self.request
         d = request.d if d is None else self._canon(d, self._dshape)
-        return d, request.out if out is None else out
+        if out is None:
+            return d, request.out
+        return d, check_out(out, self._dshape, self._dtype)
 
     def _buffer(self):
         """The session-owned ``(M, N[, B])`` output, reused across steps."""
@@ -169,8 +174,9 @@ class Session:
         """The per-step hot loop: one right-hand side, no instrumentation.
 
         ``d`` is scanned (one dtype, C order, the bound shape) and
-        solved into ``out``, which defaults to a session-owned buffer
-        reused across steps — copy it if you keep references.  No
+        solved into ``out`` — a caller's array of the bound shape and
+        dtype, or by default a session-owned buffer reused across
+        steps (copy it if you keep references).  No
         stats, no stages, no trace: instrumentation belongs to
         ``step_once``.
         """
@@ -179,6 +185,8 @@ class Session:
         d = self._canon(d, self._dshape)
         if out is None:
             out = self._buffer()
+        else:
+            check_out(out, self._dshape, self._dtype)
         self._step(d, out)
         self.steps += 1
         return out
@@ -204,6 +212,8 @@ class Session:
             out_t = self._out_t
             if out_t is None:
                 out_t = self._out_t = np.empty((n, m), dtype=self._dtype)
+        else:
+            check_out(out_t, (n, m), self._dtype, "out_t")
         self._step_t(dt, out_t)
         self.steps += 1
         return out_t

@@ -302,18 +302,49 @@ def test_periodic_trace_fields():
     assert repro.last_trace().periodic is False
 
 
-@pytest.mark.parametrize("row", ALL_BACKENDS)
-def test_periodic_singular_raises_through_backends(row):
-    # the periodic Laplacian [-1, 2, -1] has the constant nullvector:
-    # |1 + v·q| collapses and every backend must surface the guard
-    backend, opts = BACKEND_ROWS[row]
-    n = 32
+def _periodic_laplacian(n=32):
+    """The periodic Laplacian [-1, 2, -1]: its constant nullvector
+    collapses |1 + v·q|."""
     a = np.full((2, n), -1.0)
     c = np.full((2, n), -1.0)
     b = np.full((2, n), 2.0)
-    d = np.zeros((2, n))
+    return a, b, c, np.zeros((2, n))
+
+
+@pytest.mark.parametrize("row", (*ALL_BACKENDS, "distributed", "gpusim-ranks"))
+def test_periodic_singular_raises_through_backends(row):
+    # every backend must surface the guard, the ranks routes included
+    backend, opts = {
+        **BACKEND_ROWS,
+        "distributed": ("distributed", {"ranks": 2}),
+        "gpusim-ranks": ("gpusim", {"ranks": 2}),
+    }[row]
     with pytest.raises(CyclicSingularError, match="row"):
-        solve_periodic_batch(a, b, c, d, backend=backend, **opts)
+        solve_periodic_batch(*_periodic_laplacian(), backend=backend, **opts)
+
+
+def test_periodic_singular_raises_at_a_distributed_bind():
+    # the bound correction solves q once, at bind: a singular system
+    # never yields a session whose first step would raise
+    with pytest.raises(CyclicSingularError, match="row"):
+        bind_via(
+            *_periodic_laplacian(), backend="distributed", ranks=2, periodic=True
+        )
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_gpusim_ranks_periodic_route_prices_both_inner_solves(dtype):
+    a, b, c, d = _cyclic_batch(4, 128, dtype=dtype, seed=23)
+    ref = solve_periodic_batch(a, b, c, d, backend="engine")
+    x = solve_periodic_batch(a, b, c, d, backend="gpusim", ranks=2)
+    assert x.dtype == ref.dtype
+    assert np.allclose(x, ref, rtol=TOL[dtype], atol=TOL[dtype])
+    trace = repro.last_trace()
+    assert trace.backend == "gpusim" and trace.periodic and trace.ranks == 2
+    predicted = {s.name: s.predicted_us for s in trace.stages}
+    for prefix in ("cyclic-q:", "cyclic-y:"):
+        for stage in ("local-eliminate [2 ranks]", "reduced-solve", "comms"):
+            assert predicted[prefix + stage] > 0, (prefix, stage)
 
 
 def test_out_parameter_is_written_in_place():
@@ -322,6 +353,58 @@ def test_out_parameter_is_written_in_place():
     x, trace = solve_via(a, b, c, d, out=out)
     assert x is out
     assert trace.backend == "engine"
+
+
+#: a caller's ``out`` that is not the solve's (4, 64) float64 result
+BAD_OUTS = {
+    "wrong-M": ((5, 64), np.float64),
+    "wrong-N": ((4, 65), np.float64),
+    "wrong-dtype": ((4, 64), np.float32),
+}
+
+
+#: one-shot routes by backend and options; the session row binds
+OUT_ROUTES = {
+    "engine": ("engine", {}),
+    "numpy": ("numpy", {}),
+    "gpusim": ("gpusim", {}),
+    "distributed": ("distributed", {"ranks": 2}),
+    "distributed-session": ("distributed", {"ranks": 2}),
+    "periodic": ("numpy", {"periodic": True}),
+}
+
+
+@pytest.mark.parametrize("bad", tuple(BAD_OUTS))
+@pytest.mark.parametrize("route", tuple(OUT_ROUTES))
+def test_a_wrong_out_is_a_value_error_on_every_route(route, bad):
+    # never a partly written result, a silent downcast or a bare
+    # broadcast error: the message names both shapes
+    m, n = 4, 64
+    shape, dtype = BAD_OUTS[bad]
+    out = np.zeros(shape, dtype=dtype)
+    backend, opts = OUT_ROUTES[route]
+    batch = _cyclic_batch if opts.get("periodic") else _batch
+    a, b, c, d = batch(m=m, n=n, seed=29)
+
+    def rejects(call, given, wanted):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(given) in str(info.value)
+        assert str(wanted) in str(info.value)
+        assert not out.any()
+
+    if route != "distributed-session":
+        rejects(
+            lambda: solve_via(a, b, c, d, backend=backend, out=out, **opts),
+            shape,
+            (m, n),
+        )
+        return
+    with bind_via(a, b, c, d, backend=backend, **opts) as session:
+        rejects(lambda: session.step(d, out=out), shape, (m, n))
+        rejects(lambda: session.step_once(d, out=out), shape, (m, n))
+        dt = np.ascontiguousarray(d.T)
+        rejects(lambda: session.step_t(dt, out_t=out.T), shape[::-1], (n, m))
 
 
 # -------------------------------------------------- prepared vs unprepared

@@ -314,7 +314,7 @@ CONTRACT_MODES = {
     "engine-block": "banded",
     "prepared": "rhs",
     "distributed-plain": "distributed",
-    "distributed-periodic": "dispatch",
+    "distributed-periodic": "cyclic",
     "numpy": "dispatch",
     "gpusim": "dispatch",
 }
@@ -605,6 +605,58 @@ def test_distributed_session_recovers_from_a_rank_crash(factor_calls):
         )
         assert get_pool(2) is not pool
         assert factor_calls.value == 4
+
+
+def test_distributed_periodic_session_solves_q_once_and_factors_once(
+    factor_calls, monkeypatch
+):
+    from repro.backends.base import CyclicSession
+    from repro.distributed.backend import DistributedBoundSolve
+
+    pipelines = []
+    real = DistributedBoundSolve._pipeline
+
+    def counting(self, *args):
+        pipelines.append(self)
+        return real(self, *args)
+
+    monkeypatch.setattr(DistributedBoundSolve, "_pipeline", counting)
+    a, b, c, d = _cyclic_batch(3, 64, 73)
+    rng = np.random.default_rng(73)
+    ds = [rng.standard_normal(d.shape) for _ in range(5)]
+    with bind_via(
+        a, b, c, d, backend="distributed", ranks=2, periodic=True
+    ) as session:
+        assert isinstance(session, CyclicSession)
+        desc = session.describe()
+        assert (desc["mode"], desc["inner"]) == ("cyclic", "distributed")
+        # the bind solved A' q = u: one pipeline, each rank factored
+        assert len(pipelines) == 1 and factor_calls.value == 2
+        xs = [
+            session.step(dd).copy() if i % 2 == 0
+            else session.step_t(np.ascontiguousarray(dd.T)).T.copy()
+            for i, dd in enumerate(ds)
+        ]
+        # one RHS-only pipeline per step, on the one inner session
+        assert len(pipelines) == 6 and set(pipelines) == {session.inner}
+        assert factor_calls.value == 2
+
+        refs = [
+            repro.solve_periodic_batch(
+                a, b, c, dd, backend="distributed", ranks=2
+            )
+            for dd in ds
+        ]
+        for x, ref in zip(xs, refs):
+            assert np.array_equal(x, ref)
+
+        # those one-shots scattered foreign coefficients: the next step
+        # re-ships A' and the ranks re-factor it once, bits unchanged
+        factored = factor_calls.value
+        assert np.array_equal(session.step(ds[0]), refs[0])
+        assert np.array_equal(session.step(ds[1]), refs[1])
+        assert factor_calls.value == factored + 2
+    assert session.inner.closed
 
 
 def test_distributed_bind_at_one_rank_is_the_engine_anchor():
