@@ -75,6 +75,15 @@ class GpuSimBackend(BackendBase):
             )
         return caps
 
+    def _price(self, counters, dtype_bytes: int) -> list:
+        """``(kernel name, predicted µs)`` for each ledger on the device."""
+        from repro.gpusim.timing import GpuTimingModel
+
+        model = GpuTimingModel(self.solver.device)
+        return [
+            (c.name, model.time(c, dtype_bytes).total_s * 1e6) for c in counters
+        ]
+
     def _execute_distributed(
         self, request: SolveRequest, ranks: int
     ) -> SolveOutcome:
@@ -104,14 +113,32 @@ class GpuSimBackend(BackendBase):
             solve_reduced,
         )
 
+        dtype_bytes = np.dtype(request.dtype).itemsize
         if request.periodic:
             # the inner A' request keeps ranks=, so its q- and y-solves
-            # re-enter this route
+            # re-enter this route; the correction pair is priced as on
+            # the single-device periodic path
+            from repro.kernels.rhs_kernel import cyclic_correction_counters
+
             outcome = CyclicSession(self, request).step_once()
-            self._set_trace(outcome.trace)
+            (_, dot_us), *rest = self._price(
+                cyclic_correction_counters(
+                    request.m, request.n, dtype_bytes,
+                    device=self.solver.device,
+                ),
+                dtype_bytes,
+            )
+            trace = outcome.trace
+            trace.stage("cyclic-correction").predicted_us = dot_us
+            trace.stages += [
+                StageTiming(f"{name} (predicted)", 0.0, us) for name, us in rest
+            ]
+            trace.predicted_total_us = sum(
+                s.predicted_us for s in trace.stages if s.predicted_us is not None
+            )
+            self._set_trace(trace)
             return outcome
 
-        dtype_bytes = np.dtype(request.dtype).itemsize
         predicted = {
             name: us
             for name, us in _distributed_plan_cached(
@@ -191,17 +218,14 @@ class GpuSimBackend(BackendBase):
     def _execute_banded(self, request: SolveRequest) -> SolveOutcome:
         """Run a penta/block request on the engine and price its sweep."""
         from repro.engine import default_engine
-        from repro.gpusim.timing import GpuTimingModel
         from repro.kernels.banded_kernel import banded_counters
 
         dtype_bytes = np.dtype(request.dtype).itemsize
         outcome = default_engine().run(request)
         rhs_only = outcome.trace.rhs_only
 
-        model = GpuTimingModel(self.solver.device)
-        predicted = [
-            (c.name, model.time(c, dtype_bytes).total_s * 1e6)
-            for c in banded_counters(
+        predicted = self._price(
+            banded_counters(
                 request.system.kind,
                 request.m,
                 request.n,
@@ -209,8 +233,9 @@ class GpuSimBackend(BackendBase):
                 block_size=request.system.block_size,
                 prepared=rhs_only,
                 device=self.solver.device,
-            )
-        ]
+            ),
+            dtype_bytes,
+        )
         predicted_total_us = sum(us for _, us in predicted)
 
         stages = list(outcome.trace.stages)
@@ -241,7 +266,6 @@ class GpuSimBackend(BackendBase):
 
     def execute(self, request: SolveRequest) -> SolveOutcome:
         from repro.engine import default_engine
-        from repro.gpusim.timing import GpuTimingModel
         from repro.kernels.rhs_kernel import (
             cyclic_correction_counters,
             rhs_only_counters,
@@ -281,26 +305,17 @@ class GpuSimBackend(BackendBase):
             request.m, request.n, dtype_bytes, k=k, n_windows=n_windows
         )
 
-        if request.periodic or rhs_only:
-            model = GpuTimingModel(self.solver.device)
-
-            def price(counters):
-                return [
-                    (c.name, model.time(c, dtype_bytes).total_s * 1e6)
-                    for c in counters
-                ]
-
         if rhs_only:
             # the stored factorization skipped elimination — price the
             # RHS-only kernel sequence instead of the full launch
-            sweep = price(rhs_only_counters(
+            sweep = self._price(rhs_only_counters(
                 request.m, request.n, report.k, dtype_bytes,
                 device=self.solver.device,
-            ))
+            ), dtype_bytes)
         if request.periodic:
-            correction = price(cyclic_correction_counters(
+            correction = self._price(cyclic_correction_counters(
                 request.m, request.n, dtype_bytes, device=self.solver.device,
-            ))
+            ), dtype_bytes)
             if rhs_only:
                 # prepared cyclic: one RHS-only sweep + the correction pair
                 predicted = sweep + correction

@@ -128,7 +128,10 @@ class NumpyReferenceBackend(BackendBase):
         )
         solver = reference_solver(
             k=k,
-            subtile_scale=request.subtile_scale,
+            # the reference keeps Table I's c = 1 unless told otherwise
+            subtile_scale=(
+                1 if request.subtile_scale is None else request.subtile_scale
+            ),
             n_windows=request.n_windows,
             fuse=request.fuse,
         )

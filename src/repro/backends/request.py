@@ -183,7 +183,13 @@ class SolveRequest:
         above 1).  Both counts must be ints ``>= 1`` or ``None``
         (``ValueError`` otherwise).
     k, fuse, n_windows, subtile_scale, parallelism, heuristic:
-        Plan options, exactly as ``solve_batch`` takes them.
+        Plan options, exactly as ``solve_batch`` takes them.  ``k`` and
+        ``subtile_scale`` left ``None`` are resolved by the backend's
+        plan: the transition table picks ``k``, and the engine sizes
+        Table I's sub-tile ``c`` for the host
+        (:func:`~repro.engine.plan.host_subtile_scale`; the numpy
+        reference runs ``c = 1``).  An explicit ``subtile_scale`` is
+        honoured as given; results are bitwise the same at any ``c``.
     factorization, plan:
         Prebuilt state for ``rhs_only`` requests (prepared handles).
     check:
@@ -222,7 +228,7 @@ class SolveRequest:
     k: int | None = None
     fuse: bool = False
     n_windows: int = 1
-    subtile_scale: int = 1
+    subtile_scale: int | None = None
     parallelism: int | None = None
     heuristic: object = None
     factorization: object = None
@@ -306,7 +312,7 @@ class SolveRequest:
             if (
                 opts.get("fuse")
                 or opts.get("n_windows", 1) != 1
-                or opts.get("subtile_scale", 1) != 1
+                or opts.get("subtile_scale") not in (None, 1)
             ):
                 raise ValueError(
                     "fuse/n_windows/subtile_scale are hybrid (tridiagonal) "

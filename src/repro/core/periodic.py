@@ -54,6 +54,7 @@ import numpy as np
 from repro.core.solver import solve_batch
 from repro.core.validation import (
     check_cyclic_batch_arrays,
+    check_out,
     coerce_cyclic_batch_arrays,
 )
 
@@ -260,7 +261,8 @@ def solve_periodic_batch(
         <repro.backends.request.SolveRequest.build>`; the direct
         algorithms validate here.
     out:
-        Optional ``(M, N)`` output array.
+        Optional ``(M, N)`` output array of the solve's dtype (any
+        layout); anything else is a ``ValueError`` on every algorithm.
     **kwargs:
         Solve options (``k``, ``fuse``, ``workers``, ``fingerprint``,
         …) forwarded to the dispatch layer / inner solves.
@@ -295,6 +297,8 @@ def solve_periodic_batch(
     # classic direct path: corner-reduce, two inner solves, correction
     validate = check_cyclic_batch_arrays if check else coerce_cyclic_batch_arrays
     a, b, c, d = validate(a, b, c, d)
+    if out is not None:
+        check_out(out, d.shape, d.dtype)
     n = b.shape[1]
     ap, bp, cp, u, w = cyclic_reduce(a, b, c)
     y = solve_batch(ap, bp, cp, d, algorithm=algorithm, check=check, **kwargs)

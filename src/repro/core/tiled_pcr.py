@@ -28,7 +28,8 @@ The ring-buffer realization
 Each per-level cache lives in a **fixed-capacity ring buffer**
 (:class:`repro.core.ringbuf.RingRows`): producers write new rows in
 place through ``append`` views, the trim is an offset advance, and the
-occasional compaction copy is the paper's once-per-round cache-
+compaction copy of the retained rows (once per round: a ring holds its
+retention budget plus one sub-tile) is the paper's per-round cache-
 management copy.  A sweep therefore performs *zero* per-sub-tile
 allocations — the buffers are owned by a :class:`TiledWorkspace` that
 the solve-plan engine (:mod:`repro.engine`) reuses across repeated
@@ -255,13 +256,14 @@ class TiledWorkspace:
     """Preallocated ring buffers and scratch for one sliding-window sweep.
 
     Owns everything a :meth:`TiledPCR.sweep` call writes besides its
-    output: the per-level trailing caches (ring buffers of capacity
-    ``2^{l+1} + 2S`` — retention budget plus append headroom, the
-    paper's ``3·f(k)``-style alignment margin), the level-``k`` staging
-    slab the finished rows are emitted from, and the ``k1/k2`` scratch
-    of the PCR elimination, all column-major.  Reusable across sweeps of
-    the same shape; the solve-plan engine (:mod:`repro.engine`) pools
-    these per plan.
+    output: the per-level trailing caches, the level-``k`` staging slab
+    the finished rows are emitted from, and the ``k1/k2`` scratch of the
+    PCR elimination, all column-major.  Level ``l``'s ring holds
+    ``2^{l+1} + S`` rows — its retention budget plus one sub-tile
+    append — so it compacts once per round, and each compaction copies
+    only the ``2^{l+1}`` retained rows (the paper's per-round cache-
+    management copy).  Reusable across sweeps of the same shape; the
+    solve-plan engine (:mod:`repro.engine`) pools these per plan.
     """
 
     def __init__(self, m: int, k: int, subtile: int, dtype):
@@ -272,7 +274,7 @@ class TiledWorkspace:
         self.dtype = dtype
         S = subtile
         self.rings = [
-            RingRows(m, 2 ** (l + 1) + 2 * S, dtype, channels=4)
+            RingRows(m, 2 ** (l + 1) + S, dtype, channels=4)
             for l in range(k)
         ]
         self.stage = tuple(
@@ -416,12 +418,20 @@ class TiledPCR:
     def _stream_region(
         self, provider: _RawProvider, sink, r0: int, r1: int, ws: TiledWorkspace
     ) -> None:
-        """Emit exact level-k rows ``[r0, r1)`` via one sliding window."""
+        """Emit exact level-k rows ``[r0, r1)`` via one sliding window.
+
+        Level ``l`` stops at the region's dependency cone: row
+        ``r1 + f(k) − f(l)`` is the first level-``l`` row no output in
+        ``[r0, r1)`` reads (level 0 stops at ``r1 + f(k)``).  Rows past
+        the cone are neither fetched nor eliminated, so the last round
+        does no extra work and the elimination ledger is the same at
+        every sub-tile size.
+        """
         k, S = self.k, self.subtile
         m = provider.m
         fk = f_redundant_loads(k)
         ext0 = r0 - fk  # raw stream start (lead-in)
-        ext1 = r1 + fk  # last raw row any output in [r0, r1) can reach
+        cone = [r1 + fk - f_redundant_loads(l) for l in range(k + 1)]
         region = (r0, r1)
 
         # Per-level trailing caches in the workspace's ring buffers:
@@ -433,27 +443,19 @@ class TiledPCR:
             rings[l].reset()
             _fill_identity(rings[l].append(2 ** (l + 1)))
         frontiers = [ext0] * (k + 1)  # F_l for l = 0..k
-        pos = ext0
 
         while frontiers[k] < r1:
-            # 1. load one raw sub-tile into the bottom of the window;
-            # rows past ext1 are outside every output's dependency cone,
-            # so they are padded as identity instead of fetched.
-            dst = rings[0].append(S)
-            fetch_hi = min(pos + S, ext1)
-            w0 = fetch_hi - pos
-            provider.fetch_into(
-                pos, fetch_hi, region, tuple(v[:, :w0] for v in dst)
-            )
-            if w0 < S:
-                _fill_identity(tuple(v[:, w0:] for v in dst))
-            pos += S
-            frontiers[0] += S
+            # 1. load one raw sub-tile into the bottom of the window
+            lo = frontiers[0]
+            hi = min(lo + S, cone[0])
+            provider.fetch_into(lo, hi, region, rings[0].append(hi - lo))
+            frontiers[0] = hi
 
-            # 2. advance each level as far as its input frontier allows
+            # 2. advance each level as far as its input frontier and
+            # the cone allow
             for l in range(k):
                 s = 1 << l
-                new_f = frontiers[l] - s  # F_{l+1} can reach this
+                new_f = min(frontiers[l] - s, cone[l + 1])
                 old_f = frontiers[l + 1]
                 w = new_f - old_f
                 if w <= 0:

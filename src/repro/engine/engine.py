@@ -187,7 +187,7 @@ class ExecutionEngine:
         k: int | None = None,
         fuse: bool = False,
         n_windows: int = 1,
-        subtile_scale: int = 1,
+        subtile_scale: int | None = None,
         parallelism: int | None = None,
         heuristic: TransitionHeuristic | None = None,
         info: dict | None = None,
@@ -197,9 +197,12 @@ class ExecutionEngine:
 
         ``heuristic`` overrides the engine default for this call; the
         cache key is the *resolved* ``k``, so plans from different
-        heuristics that agree on ``k`` share an entry.  ``info``, if
-        given, receives ``info["cache"] = "hit" | "miss"`` — the
-        instrumentation hook the backend layer's traces are built on.
+        heuristics that agree on ``k`` share an entry.  An unset
+        ``subtile_scale`` is resolved the same way, for this host
+        (:func:`~repro.engine.plan.host_subtile_scale`); an explicit
+        one is kept.  ``info``, if given, receives ``info["cache"] =
+        "hit" | "miss"`` — the instrumentation hook the backend layer's
+        traces are built on.
 
         Warm repeats skip even the transition resolution: a bounded
         memo maps raw request coordinates (pre-heuristic) to their
@@ -428,7 +431,7 @@ class ExecutionEngine:
         k: int | None = None,
         fuse: bool = False,
         n_windows: int = 1,
-        subtile_scale: int = 1,
+        subtile_scale: int | None = None,
         parallelism: int | None = None,
         heuristic: TransitionHeuristic | None = None,
         periodic: bool = False,

@@ -9,9 +9,12 @@ realization recomputed all of them — and reallocated every buffer —
 on *every* ``solve_batch`` call.
 
 A :class:`SolvePlan` freezes those decisions once per ``(M, N, dtype,
-k, fuse, n_windows, subtile_scale)`` signature.  Plans are immutable,
-hashable, and cheap; the heavy state they imply (ring buffers,
-modified-coefficient arrays, transpose scratch) lives in
+k, fuse, n_windows, subtile_scale)`` signature.  Where the caller leaves
+``k`` or ``subtile_scale`` unset the plan resolves it: ``k`` from the
+transition table, ``c`` from :func:`host_subtile_scale` — Table I's
+sub-tile sized for this host rather than for a GPU's shared memory.
+Plans are immutable, hashable, and cheap; the heavy state they imply
+(ring buffers, modified-coefficient arrays, transpose scratch) lives in
 :class:`~repro.engine.workspace.PlanWorkspace` objects the engine pools
 per plan.  Executing the same plan twice is bitwise deterministic.
 """
@@ -26,7 +29,19 @@ from repro.core.cost_model import f_redundant_loads
 from repro.core.hybrid import choose_transition
 from repro.core.transition import GTX480_HEURISTIC, TransitionHeuristic
 
-__all__ = ["SolvePlan", "build_plan", "plan_key"]
+__all__ = [
+    "HOST_BLOCK_ELEMENTS",
+    "SolvePlan",
+    "build_plan",
+    "host_subtile_scale",
+    "plan_key",
+]
+
+#: Elements per ``(M, c·2^k)`` ufunc block the host sub-tile grows to.
+#: Below it a window round's ~14 ufunc calls per level are dominated by
+#: their fixed per-call cost; fitted on a shape grid (powers of two from
+#: 2^13 to 2^15) by geometric-mean solve time, see docs/ALGORITHMS.md.
+HOST_BLOCK_ELEMENTS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -50,7 +65,9 @@ class SolvePlan:
     n_windows:
         Concurrent window regions per system (Fig. 11b).
     subtile_scale:
-        Table I's ``c`` — rows per thread per sliding-window round.
+        Table I's ``c`` — rows per thread per sliding-window round;
+        always resolved (:func:`build_plan` sizes an unset ``c`` for the
+        host with :func:`host_subtile_scale`).
     system:
         System-descriptor tag (``""`` for tridiagonal, ``"penta"`` /
         ``"block<B>"`` otherwise) — keeps plan-cache and
@@ -173,6 +190,34 @@ def plan_key(
     )
 
 
+def host_subtile_scale(
+    m: int, n: int, k: int, n_windows: int = 1, *, budget: int = HOST_BLOCK_ELEMENTS
+) -> int:
+    """Table I's ``c`` for this host: the sliding window's sub-tile size.
+
+    The paper sizes the ``c·2^k``-row sub-tile for the GPU's on-chip
+    memory.  On a NumPy host every window round issues a fixed number of
+    ufunc calls per level over ``(M, c·2^k)`` blocks, so the sub-tile
+    should grow until a block is wide enough that the per-call overhead
+    no longer dominates: the largest power of two ``c ≥ 1`` with
+    ``M·c·2^k ≤ budget`` (default :data:`HOST_BLOCK_ELEMENTS`) and
+    ``c·2^k ≤ max(2^k, region/2)``, a region being ``N / n_windows``
+    rows (so short regions keep several rounds).  ``k = 0`` plans run
+    no window: 1.
+
+    The choice changes no bits — every row sees the same operands in
+    the same order at any ``c`` — only how many rows a call covers.
+    """
+    if k == 0:
+        return 1
+    g = 1 << k
+    cap = max(g, (n // n_windows) // 2)
+    c = 1
+    while m * 2 * c * g <= budget and 2 * c * g <= cap:
+        c *= 2
+    return c
+
+
 def build_plan(
     m: int,
     n: int,
@@ -181,22 +226,26 @@ def build_plan(
     k: int | None = None,
     fuse: bool = False,
     n_windows: int = 1,
-    subtile_scale: int = 1,
+    subtile_scale: int | None = None,
     heuristic: TransitionHeuristic = GTX480_HEURISTIC,
     parallelism: int | None = None,
     system: str = "",
 ) -> SolvePlan:
-    """Resolve the transition and freeze a :class:`SolvePlan`.
+    """Resolve the transition and sub-tile and freeze a :class:`SolvePlan`.
 
     Uses the identical :func:`~repro.core.hybrid.choose_transition`
     logic as :class:`~repro.core.hybrid.HybridSolver`, so a plan always
-    encodes exactly the decision the reference solver would have made.
+    encodes exactly the ``k`` the reference solver would have chosen.
+    An unset ``subtile_scale`` is sized for the host by
+    :func:`host_subtile_scale` from the resolved ``k``; an explicit one
+    (Table I's ``c``, e.g. the ``c = 1`` the device model prices) is
+    kept as given.  Results are bitwise the same at any ``c``.
     """
     if m < 1 or n < 1:
         raise ValueError(f"need m, n >= 1, got ({m}, {n})")
     if n_windows < 1:
         raise ValueError(f"n_windows must be >= 1, got {n_windows}")
-    if subtile_scale < 1:
+    if subtile_scale is not None and subtile_scale < 1:
         raise ValueError(f"subtile_scale must be >= 1, got {subtile_scale}")
     if system:
         # banded (penta/block) plans have no PCR front-end: the schedule
@@ -210,6 +259,8 @@ def build_plan(
         kk, source = choose_transition(
             m, n, k=k, heuristic=heuristic, parallelism=parallelism
         )
+    if subtile_scale is None:
+        subtile_scale = host_subtile_scale(m, n, kk, n_windows)
     return SolvePlan(
         m=m,
         n=n,

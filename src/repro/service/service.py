@@ -308,7 +308,7 @@ class SolveService:
         hybrid_opts = (
             request.fuse
             or request.n_windows != 1
-            or request.subtile_scale != 1
+            or request.subtile_scale not in (None, 1)
             or request.parallelism is not None
             or request.heuristic is not None
         )

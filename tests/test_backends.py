@@ -347,6 +347,18 @@ def test_gpusim_ranks_periodic_route_prices_both_inner_solves(dtype):
             assert predicted[prefix + stage] > 0, (prefix, stage)
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_gpusim_ranks_periodic_total_is_the_sum_of_its_stages(dtype):
+    # both inner solves and the correction pair are priced, and the
+    # total is what the stage column adds up to
+    a, b, c, d = _cyclic_batch(4, 64, dtype=dtype, seed=31)
+    solve_periodic_batch(a, b, c, d, backend="gpusim", ranks=2)
+    trace = repro.last_trace()
+    assert trace.stage("cyclic-correction").predicted_us > 0
+    stages_us = sum(s.predicted_us or 0.0 for s in trace.stages)
+    assert trace.predicted_total_us == pytest.approx(stages_us, rel=1e-9)
+
+
 def test_out_parameter_is_written_in_place():
     a, b, c, d = _batch(m=4, n=64)
     out = np.empty_like(d)
@@ -371,6 +383,11 @@ OUT_ROUTES = {
     "distributed": ("distributed", {"ranks": 2}),
     "distributed-session": ("distributed", {"ranks": 2}),
     "periodic": ("numpy", {"periodic": True}),
+    # solve_periodic_batch's direct (in-process) algorithms
+    **{
+        f"periodic-{alg}": (None, {"periodic": True, "algorithm": alg})
+        for alg in ("thomas", "cr", "pcr", "rd")
+    },
 }
 
 
@@ -393,6 +410,15 @@ def test_a_wrong_out_is_a_value_error_on_every_route(route, bad):
         assert str(wanted) in str(info.value)
         assert not out.any()
 
+    if "algorithm" in opts:
+        rejects(
+            lambda: solve_periodic_batch(
+                a, b, c, d, algorithm=opts["algorithm"], out=out
+            ),
+            shape,
+            (m, n),
+        )
+        return
     if route != "distributed-session":
         rejects(
             lambda: solve_via(a, b, c, d, backend=backend, out=out, **opts),

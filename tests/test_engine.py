@@ -28,6 +28,8 @@ from repro.engine import (
     execute_plan,
     shard_bounds,
 )
+from repro.engine.plan import HOST_BLOCK_ELEMENTS
+from repro.kernels.hybrid_gpu import GpuHybridSolver
 
 from .conftest import make_batch, max_err, reference_solve
 
@@ -160,7 +162,7 @@ def test_hybrid_buffers_are_column_major(engine, fuse):
         assert x.flags.f_contiguous and not x.flags.c_contiguous, x.shape
 
     slabs = []
-    TiledPCR(k=k, n_windows=2).sweep(
+    TiledPCR(k=k, c=ws.plan.subtile_scale, n_windows=2).sweep(
         a, b, c, d, emit=lambda e0, e1, q: slabs.extend(q),
         workspace=tiled,
     )
@@ -260,7 +262,8 @@ def test_integer_lists_promote_to_float64():
 
 
 def test_plan_describes_schedule():
-    plan = build_plan(8, 256, np.float64, k=3, n_windows=2)
+    # Table I's c = 1 schedule (an unset c is sized for the host)
+    plan = build_plan(8, 256, np.float64, k=3, n_windows=2, subtile_scale=1)
     assert plan.g == 8
     assert plan.subtile == 8
     assert plan.lead_in == 7
@@ -282,6 +285,83 @@ def test_plan_rounds_match_the_sweep(engine, m, n, k, fuse, nw):
     report = engine.last_report
     plan = build_plan(m, n, np.float64, k=report.k, fuse=fuse, n_windows=nw)
     assert plan.rounds() == report.tiling.subtiles
+
+
+# ---------------------------------------------------------------------------
+# the host-sized sub-tile (Table I's c) is a pure schedule change
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("nw", [1, 2, 3])
+@pytest.mark.parametrize("fuse", [False, True])
+@pytest.mark.parametrize("k", range(1, 9))
+def test_host_subtile_keeps_the_bits(engine, k, fuse, nw, dtype):
+    # N = 12·2^k + 37 is a multiple of no sub-tile, and the host picks
+    # c = 2..8 across this grid
+    m, n = 3, 12 * (1 << k) + 37
+    a, b, c, d = make_batch(m, n, dtype=dtype, seed=k)
+    opts = dict(k=k, fuse=fuse, n_windows=nw)
+    assert engine.plan_for(m, n, dtype, **opts).subtile_scale > 1
+    x = engine.solve_batch(a, b, c, d, **opts)
+    for ref in (
+        engine.solve_batch(a, b, c, d, subtile_scale=1, **opts),
+        repro.solve_batch(a, b, c, d, backend="numpy", **opts),
+    ):
+        assert x.dtype == ref.dtype and x.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("fuse", [False, True])
+@pytest.mark.parametrize("m,n", [(16, 8192), (5, 1000)])
+def test_host_subtile_keeps_the_bits_sharded(engine, m, n, fuse):
+    # workers=2 shards keep the full batch's k and c
+    a, b, c, d = make_batch(m, n, seed=m)
+    x = engine.solve_batch(a, b, c, d, fuse=fuse, workers=2)
+    ref = repro.solve_batch(a, b, c, d, backend="numpy", fuse=fuse)
+    assert x.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("c", [2, 8, 64])
+@pytest.mark.parametrize("m,n,k", [(2, 40, 2), (1, 300, 6), (5, 1000, 3)])
+def test_explicit_subtile_scale_is_honoured(engine, m, n, k, c):
+    # sub-tiles up to and past N (N < 2S) still emit the same bits
+    a, b, cc, d = make_batch(m, n, seed=n)
+    plan = engine.plan_for(m, n, np.float64, k=k, subtile_scale=c)
+    assert plan.subtile_scale == c and plan.subtile == c << k
+    x = engine.solve_batch(a, b, cc, d, k=k, subtile_scale=c)
+    assert engine.last_report.tiling.subtiles == plan.rounds()
+    ref = repro.solve_batch(a, b, cc, d, backend="numpy", k=k)
+    assert x.tobytes() == ref.tobytes()
+
+
+def test_host_subtile_rule_at_the_fitted_budget():
+    # HOST_BLOCK_ELEMENTS = 2^14 elements per ufunc block, the fitted
+    # value; M·2^k at or above it keeps Table I's c = 1
+    assert HOST_BLOCK_ELEMENTS == 1 << 14
+    for (m, n), (k, c) in {
+        (16, 8192): (7, 8),
+        (64, 2048): (6, 4),
+        (256, 512): (6, 1),
+    }.items():
+        plan = build_plan(m, n, np.float64)
+        assert (plan.k, plan.subtile_scale) == (k, c), (m, n)
+    # short regions keep several rounds; k = 0 plans run no window
+    assert build_plan(1, 1024, np.float64, k=3, n_windows=4).subtile == 128
+    assert build_plan(4096, 64, np.float64).subtile_scale == 1
+
+
+def test_gpusim_still_prices_table_one_subtile():
+    m, n = 16, 2048
+    a, b, c, d = make_batch(m, n, seed=6)
+    repro.solve_batch(a, b, c, d, backend="gpusim")
+    trace = repro.last_trace()
+    assert trace.k > 0
+    table_one = GpuHybridSolver().predict(
+        m, n, 8, k=trace.k, n_windows=trace.n_windows
+    )
+    assert trace.predicted_total_us == pytest.approx(
+        sum(us for _, us in table_one.trace_stages()), rel=1e-12
+    )
 
 
 def test_plan_cache_hit_and_eviction():

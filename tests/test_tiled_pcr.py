@@ -78,15 +78,21 @@ def test_multi_window_redundancy_is_2fk_per_boundary(n_windows):
     assert cnt.rows_loaded_redundant == expected_extra
 
 
-def test_eliminations_close_to_k_times_n():
+@pytest.mark.parametrize("c", [1, 4, 16])
+def test_eliminations_close_to_k_times_n(c):
     """Cached tiling does ~k·N eliminations (plus lead-in warm-up only)."""
     n, k = 1024, 4
-    a, b, c, d = make_batch(1, n, seed=3)
+    a, b, cc, d = make_batch(1, n, seed=3)
     cnt = TilingCounters()
-    tiled_pcr_sweep(a, b, c, d, k, counters=cnt)
+    tiled_pcr_sweep(a, b, cc, d, k, subtile_scale=c, counters=cnt)
     assert cnt.eliminations >= k * n
     # overhead bounded by the window's lead-in, not proportional to tiles
     assert cnt.eliminations <= k * n + 4 * k * f_redundant_loads(k) + 4 * k * (1 << k)
+    # each level stops at the dependency cone, so the sub-tile size
+    # moves no elimination
+    ref = TilingCounters()
+    tiled_pcr_sweep(a, b, cc, d, k, counters=ref)
+    assert cnt.eliminations == ref.eliminations
 
 
 def test_naive_tiling_matches_but_costs_more():
