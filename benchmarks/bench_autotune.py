@@ -8,8 +8,8 @@ calibration actually route better than the shipped static table on
 Protocol, per swept ``(M, N)`` cell:
 
 1. **calibrate** — :func:`repro.autotune.calibrate` measures every
-   candidate route (backend x candidate k x workers x licensed
-   fingerprint tier) with interleaved rounds, filling a
+   candidate route (backend x candidate k x licensed fingerprint
+   tier) with interleaved rounds, filling a
    :class:`~repro.autotune.PerformanceModel`;
 2. **measure** — the *same* public dispatch (``solve_via``) runs under
    the static :class:`~repro.backends.registry.Router` and under an
@@ -81,7 +81,6 @@ def _route_of(trace) -> dict:
     return {
         "backend": trace.backend,
         "k": int(trace.k),
-        "workers": int(trace.workers),
         "fingerprint": applied.get("fingerprint", "auto"),
     }
 

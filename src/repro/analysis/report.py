@@ -66,7 +66,7 @@ def trace_markdown(trace) -> str:
         )
         + f"  (M={info['m']}, N={info['n']}, {info['dtype']})",
         f"plan: k={info['k']} ({info['k_source']}), fuse={info['fuse']}, "
-        f"windows={info['n_windows']}, workers={info['workers']}, "
+        f"windows={info['n_windows']}, "
         + (
             f"ranks={info['ranks']}, "
             if info.get("ranks", 1) and info["ranks"] > 1

@@ -9,7 +9,7 @@ tuned on a GTX480).  This package closes the loop on the actual host:
   a versioned, atomically-written JSON file;
 * :mod:`repro.autotune.router` — :class:`AdaptiveRouter`, a drop-in
   :class:`~repro.backends.registry.Router` that exploits the model
-  (backend, hybrid ``k``, workers, fingerprint tier), explores on a
+  (backend, hybrid ``k``, fingerprint tier, ranks), explores on a
   deterministic epsilon schedule, and degrades to the static heuristic
   on cold cells or a corrupt model file;
 * :mod:`repro.autotune.calibrate` — systematic offline calibration

@@ -7,7 +7,7 @@ engine behind ``repro tune`` and ``benchmarks/bench_autotune.py``:
 
 for each shape in the sweep, enumerate the candidate routes
 (:func:`~repro.autotune.router.candidate_routes` — measured backends ×
-candidate ``k`` × workers × licensed fingerprint tiers), then run
+candidate ``k`` × licensed fingerprint tiers, plus rank counts), then run
 *interleaved rounds* over them: every route solves once per round, so
 CPU frequency drift (thermal throttling penalizes whoever runs last in
 a sequential design) spreads evenly across routes instead of biasing
@@ -72,8 +72,6 @@ def _route_kwargs(route: dict, rtol) -> dict:
         "backend": route["backend"],
         "k": route["k"],
     }
-    if route.get("workers", 1) > 1:
-        kwargs["workers"] = route["workers"]
     if route.get("ranks", 1) > 1:
         kwargs["ranks"] = route["ranks"]
     tier = route.get("fingerprint", "auto")

@@ -12,9 +12,9 @@ estimates keyed by
   the paper scales (Tables I–III are all stated in powers of two) and
   keeps the model small: a few dozen cells cover any realistic sweep;
 * a **route** — the knobs the router controls: backend name, frozen
-  transition ``k``, worker count, and *effective* fingerprint tier
-  (``"auto"`` / ``"auto+rtol"`` / ``"forced"`` / ``"off"`` — see
-  :func:`effective_fingerprint_tier`).
+  transition ``k``, *effective* fingerprint tier (``"auto"`` /
+  ``"auto+rtol"`` / ``"forced"`` / ``"off"`` — see
+  :func:`effective_fingerprint_tier`) and rank count.
 
 Per (cell, route) the model keeps a running mean of measured solve
 seconds (validation excluded — its cost is route-independent) plus a
@@ -58,12 +58,14 @@ __all__ = [
 #: discarded on load (stale calibration is worthless, not dangerous).
 #: v2 added the ``ranks`` route axis (distributed N-partitioning) —
 #: v1 files never measured it, so discarding them is the safe reload.
-#: v3 retired the ``threaded`` backend (the engine shards ``workers``
-#: itself): v2 files hold routes no backend serves any more.
-MODEL_VERSION = 3
+#: v3 retired the ``threaded`` backend: v2 files hold routes no
+#: backend serves any more.  v4 retired the ``workers`` route axis
+#: (every solve runs on one thread): v3 costs were measured on routes
+#: that no longer exist.
+MODEL_VERSION = 4
 
 #: the knobs a route pins, in canonical serialization order
-ROUTE_FIELDS = ("backend", "k", "workers", "fingerprint", "ranks")
+ROUTE_FIELDS = ("backend", "k", "fingerprint", "ranks")
 
 
 class ModelLoadError(ValueError):
@@ -158,7 +160,6 @@ def route_from(request, trace) -> dict:
     return {
         "backend": backend,
         "k": int(trace.k),
-        "workers": int(trace.workers),
         "fingerprint": effective_fingerprint_tier(
             request.fingerprint, request.rtol, request.dtype, int(trace.k)
         ),

@@ -10,7 +10,7 @@ fully deterministic for a given call sequence:
   fallback), so a fresh process is bitwise-identical to the shipped
   heuristic until data says otherwise;
 * **exploit** — the cell has a trusted best route: pick its backend
-  and fill in any knobs the caller left unset (``k``, ``workers``,
+  and fill in any knobs the caller left unset (``k``, ``ranks``,
   ``fingerprint`` tier).  Routes are admissible only if the backend is
   among the capability-filtered candidates and every caller-pinned
   knob matches — the router refines requests, it never overrides them;
@@ -68,8 +68,8 @@ def candidate_routes(
 ) -> list:
     """The deterministic measurement/exploration set for one request.
 
-    One route dict per (measured backend, candidate ``k``, worker
-    count, fingerprint tier) combination the request's contracts allow:
+    One route dict per (measured backend, candidate ``k``, fingerprint
+    tier) combination the request's contracts allow:
     caller-pinned knobs stay pinned, simulated backends are skipped
     (their "time" is a model, not this host), and the ``forced``
     fingerprint tier appears only where numerically licensed (``k = 0``
@@ -94,12 +94,6 @@ def candidate_routes(
             ks = (request.k,)
         else:
             ks = candidate_ks(request.m, request.n, heuristic=heuristic)
-        if request.workers is not None:
-            workers_opts = (request.workers,)
-        elif caps.max_workers > 1 and request.m >= 64:
-            workers_opts = (1, 4)
-        else:
-            workers_opts = (1,)
         for k in ks:
             if request.fingerprint is not None:
                 tiers = (fingerprint_tier(request.fingerprint),)
@@ -113,15 +107,13 @@ def candidate_routes(
                     tiers = ["auto"]
                 if caps.prepared and (k == 0 or _rtol_permits(request)):
                     tiers.append("forced")
-            for w in workers_opts:
-                for tier in tiers:
-                    routes.append({
-                        "backend": backend.name,
-                        "k": int(k),
-                        "workers": int(w),
-                        "fingerprint": tier,
-                        "ranks": 1,
-                    })
+            for tier in tiers:
+                routes.append({
+                    "backend": backend.name,
+                    "k": int(k),
+                    "fingerprint": tier,
+                    "ranks": 1,
+                })
     # ranks axis: multi-rank backends partition N, so the variants only
     # make sense where the interface exchange can amortize (large N)
     if not banded:
@@ -144,7 +136,6 @@ def candidate_routes(
                     # interior's k itself (SLAB_HEURISTIC); the route
                     # records its knob as 0 unless pinned
                     "k": int(request.k) if request.k is not None else 0,
-                    "workers": 1,
                     "fingerprint": "auto",
                     "ranks": int(min(r, caps.max_ranks)),
                 })
@@ -282,9 +273,6 @@ class AdaptiveRouter(Router):
         if backend is None:
             return False  # not capability-approved for this request
         caps = backend.capabilities()
-        workers = route.get("workers")
-        if workers is not None and workers > 1 and caps.max_workers <= 1:
-            return False
         tier = route.get("fingerprint", "auto")
         k = route.get("k", 0) or 0
         if request.fingerprint is not None:
@@ -317,8 +305,6 @@ class AdaptiveRouter(Router):
         # caller-pinned knobs are contracts, not suggestions
         if request.k is not None and route.get("k") != request.k:
             return False
-        if request.workers is not None and workers != request.workers:
-            return False
         if request.ranks is not None and ranks != request.ranks:
             return False
         return True
@@ -347,9 +333,6 @@ class AdaptiveRouter(Router):
         if request.k is None and route.get("k") is not None:
             request.k = int(route["k"])
             applied["k"] = request.k
-        if request.workers is None and route.get("workers", 1) > 1:
-            request.workers = int(route["workers"])
-            applied["workers"] = request.workers
         if request.ranks is None and (route.get("ranks", 1) or 1) > 1:
             request.ranks = int(route["ranks"])
             applied["ranks"] = request.ranks

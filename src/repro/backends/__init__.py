@@ -1,8 +1,7 @@
 """Unified backend dispatch: one protocol behind every execution path.
 
 The repo's four execution strategies — the single-call reference
-solver, the plan-caching engine (which also shards ``workers > 1``
-batches over its thread pool), the simulated-GPU solver, and the
+solver, the plan-caching engine, the simulated-GPU solver, and the
 N-partitioned distributed solver — stand behind one two-method
 :class:`Backend` protocol (``capabilities()`` + ``execute(request)``)
 and one registry that negotiates a :class:`SolveRequest` against

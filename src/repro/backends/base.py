@@ -2,16 +2,15 @@
 
 A *backend* is one way of executing a tridiagonal batch solve.  The
 repo grew them organically — the single-call reference solver, the
-plan-caching engine (which also shards the batch over threads), the
-simulated-GPU solver, and the N-partitioned distributed solver — and
-for a while each solve flavour (plain, prepared, periodic) had its own
-protocol method.  The protocol is now
+plan-caching engine, the simulated-GPU solver, and the N-partitioned
+distributed solver — and for a while each solve flavour (plain,
+prepared, periodic) had its own protocol method.  The protocol is now
 two methods around one request shape:
 
 ``capabilities()``
-    What the backend can negotiate: dtypes, periodic systems, worker
-    and rank counts, prepared execution, system kinds, whether its
-    timing is simulated.
+    What the backend can negotiate: dtypes, periodic systems, rank
+    counts, prepared execution, system kinds, whether its timing is
+    simulated.
 ``execute(request)``
     Run one :class:`~repro.backends.request.SolveRequest` — plain,
     prepared (``rhs_only``), or cyclic (``periodic``) — and return a
@@ -70,8 +69,6 @@ class Capabilities:
     periodic:
         Whether the backend may serve cyclic (Sherman–Morrison)
         requests.
-    max_workers:
-        Largest useful ``workers=`` value (1 = no sharding).
     max_ranks:
         Largest useful ``ranks=`` value — the N-axis partition count of
         the distributed tier (1 = cannot partition; requests with
@@ -96,7 +93,6 @@ class Capabilities:
 
     dtypes: tuple = FLOAT_DTYPES
     periodic: bool = True
-    max_workers: int = 1
     max_ranks: int = 1
     simulated: bool = False
     prepared: bool = False
@@ -163,11 +159,10 @@ class PerStepSession(Session):
             out[...] = x
 
     def describe(self) -> dict:
-        """Session summary: the common keys, backend and workers."""
+        """Session summary: the common keys and the backend."""
         return {
             **super().describe(),
             "backend": getattr(self.backend, "name", "?"),
-            "workers": self.request.workers,
         }
 
 

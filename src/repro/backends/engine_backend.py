@@ -6,9 +6,7 @@ hands the request straight to :meth:`ExecutionEngine.run
 <repro.engine.engine.ExecutionEngine.run>` — the engine's one
 entrypoint answers plans from its LRU cache, serves repeat
 coefficients (and prepared handles) through the factorization cache,
-and runs against pooled workspaces.  ``workers > 1`` requests land
-here too: the bound session splits the batch into row shards on the
-engine's thread pool, bitwise independent of the shard count.
+and runs against pooled workspaces, on the caller's thread.
 """
 
 from __future__ import annotations
@@ -16,7 +14,6 @@ from __future__ import annotations
 from repro.backends.base import BackendBase, Capabilities
 from repro.backends.request import SolveOutcome, SolveRequest
 from repro.engine import ExecutionEngine, default_engine
-from repro.util.pools import executor_cap
 
 __all__ = ["EngineBackend"]
 
@@ -41,20 +38,13 @@ class EngineBackend(BackendBase):
         # dispatch (and router admissibility) hot path
         caps = getattr(self, "_caps", None)
         if caps is None:
-            # max_workers is the accepted limit, not the core count —
-            # sharding stays functional (and bitwise-safe) on any
-            # machine — but it is a *cap*, proportional to the host:
-            # the old max(32, cpus) floor pinned >= 32 threads onto
-            # 2-core machines.
             caps = self._caps = Capabilities(
-                max_workers=executor_cap(),
                 prepared=True,
                 systems=("tridiagonal", "pentadiagonal", "block"),
                 description=(
                     "plan-caching + workspace-pooling engine — warm solves "
                     "allocate only their result, repeat coefficients hit the "
-                    "factorization cache, workers= shards the batch "
-                    "(default)"
+                    "factorization cache (default)"
                 ),
             )
         return caps
@@ -68,7 +58,7 @@ class EngineBackend(BackendBase):
         """Native session: the engine's bind/execute split.
 
         Returns a :class:`~repro.engine.session.BoundSolve` — plan,
-        factorization, workspaces and shard geometry resolved once,
-        allocation-free ``step`` per right-hand side.
+        factorization and workspaces resolved once, allocation-free
+        ``step`` per right-hand side.
         """
         return self.engine.bind(request)

@@ -8,7 +8,10 @@ prices the same launch on the device model; the resulting trace carries
 each kernel stage's **predicted** device time next to the **measured**
 NumPy wall time, plus the predicted total.  Cyclic requests price the
 Sherman–Morrison pipeline (two inner launches — or the prepared
-RHS-only sweep — plus the rank-one correction pair).
+RHS-only sweep — plus the rank-one correction pair).  ``ranks > 1``
+requests run the N-partition pipeline in process and price it as
+``P`` devices; they bind a session whose slabs are factored once, so
+a periodic request's two inner solves share one set of slabs.
 
 Numerics note: the device planner caps ``k`` by shared-memory capacity
 and picks Fig. 11b window counts, so its plan can differ from the
@@ -19,6 +22,7 @@ path asserted in ``tests/test_backends.py``).
 
 from __future__ import annotations
 
+import time
 from functools import lru_cache
 
 import numpy as np
@@ -26,6 +30,7 @@ import numpy as np
 from repro.backends.base import BackendBase, Capabilities, CyclicSession
 from repro.backends.request import SolveOutcome, SolveRequest
 from repro.backends.trace import SolveTrace, StageTiming
+from repro.engine.session import Session
 from repro.kernels.hybrid_gpu import GpuHybridSolver
 
 __all__ = ["GpuSimBackend"]
@@ -34,6 +39,19 @@ __all__ = ["GpuSimBackend"]
 #: positional measured-vs-predicted kernel pairing
 _HOST_STAGES = ("prepare", "fingerprint", "factorize")
 _HOST_STAGES_PERIODIC = _HOST_STAGES + ("cyclic-reduce",)
+
+
+def _effective_ranks(request: SolveRequest) -> int:
+    """The rank count gpusim prices ``request`` on (1: one device)."""
+    if (
+        request.system.kind != "tridiagonal"
+        or request.ranks is None
+        or request.ranks <= 1
+    ):
+        return 1
+    from repro.distributed.partition import effective_ranks
+
+    return effective_ranks(request.n, request.ranks)
 
 
 @lru_cache(maxsize=64)
@@ -84,136 +102,29 @@ class GpuSimBackend(BackendBase):
             (c.name, model.time(c, dtype_bytes).total_s * 1e6) for c in counters
         ]
 
-    def _execute_distributed(
-        self, request: SolveRequest, ranks: int
-    ) -> SolveOutcome:
-        """Price a ``P``-rank N-partitioned solve on the device model.
+    def _execute_distributed(self, request: SolveRequest) -> SolveOutcome:
+        """A ranks one-shot: a transient :meth:`bind` plus one
+        instrumented ``step_once``, as the distributed backend runs it."""
+        outcome = self.bind(request).step_once()
+        self._set_trace(outcome.trace)
+        return outcome
 
-        Numerics run in-process through the same slab functions the
-        real distributed backend's workers run (and
-        :func:`~repro.distributed.partition.partitioned_solve_reference`
-        — bitwise identical to the multiprocess path by construction);
-        the predicted stage times come from the
-        :mod:`~repro.kernels.comm_kernel` ledgers, which model the
-        ranks as ``P`` concurrent devices exchanging interface rows
-        over a latency/bandwidth link.  The ledgers price a step, so
-        the one-time bind half
-        (:func:`~repro.distributed.partition.factor_slab`) is timed
-        under ``partition`` and ``local-eliminate`` measures the step
-        half alone.
+    def bind(self, request: SolveRequest):
+        """A bound ranks route for ``ranks > 1`` tridiagonal requests.
+
+        Each slab is factored once, at bind (:class:`_RanksSession`); a
+        periodic request wraps that session as the inner ``A'`` of a
+        :class:`_PricedCyclicSession`, so ``q`` and every ``y`` reuse
+        one set of slab factorizations.  Every other request gets the
+        generic per-step session, which re-prices each step through
+        :meth:`execute`.
         """
-        import time as _time
-
-        from repro.distributed.partition import (
-            assemble_reduced,
-            backsub_slab,
-            eliminate_slab,
-            factor_slab,
-            slab_bounds,
-            solve_reduced,
-        )
-
-        dtype_bytes = np.dtype(request.dtype).itemsize
+        ranks = _effective_ranks(request)
+        if ranks == 1:
+            return super().bind(request)
         if request.periodic:
-            # the inner A' request keeps ranks=, so its q- and y-solves
-            # re-enter this route; the correction pair is priced as on
-            # the single-device periodic path
-            from repro.kernels.rhs_kernel import cyclic_correction_counters
-
-            outcome = CyclicSession(self, request).step_once()
-            (_, dot_us), *rest = self._price(
-                cyclic_correction_counters(
-                    request.m, request.n, dtype_bytes,
-                    device=self.solver.device,
-                ),
-                dtype_bytes,
-            )
-            trace = outcome.trace
-            trace.stage("cyclic-correction").predicted_us = dot_us
-            trace.stages += [
-                StageTiming(f"{name} (predicted)", 0.0, us) for name, us in rest
-            ]
-            trace.predicted_total_us = sum(
-                s.predicted_us for s in trace.stages if s.predicted_us is not None
-            )
-            self._set_trace(trace)
-            return outcome
-
-        predicted = {
-            name: us
-            for name, us in _distributed_plan_cached(
-                request.m, request.n, ranks, dtype_bytes,
-                self.solver.device,
-            )
-        }
-
-        t0 = _time.perf_counter()
-        bounds = slab_bounds(request.n, ranks)
-        at = np.ascontiguousarray(request.a.T)
-        bt = np.ascontiguousarray(request.b.T)
-        ct = np.ascontiguousarray(request.c.T)
-        dt = np.ascontiguousarray(request.d.T)
-        facts = [
-            factor_slab(at[lo:hi], bt[lo:hi], ct[lo:hi]) for lo, hi in bounds
-        ]
-        t_partition = _time.perf_counter() - t0
-
-        t0 = _time.perf_counter()
-        reps, reduced_rows = [], []
-        for fact, (lo, hi) in zip(facts, bounds):
-            rep, reduced = eliminate_slab(fact, dt[lo:hi])
-            reps.append(rep)
-            reduced_rows.append(reduced)
-        t_eliminate = _time.perf_counter() - t0
-
-        t0 = _time.perf_counter()
-        xb = solve_reduced(*assemble_reduced(reduced_rows))
-        t_reduced = _time.perf_counter() - t0
-
-        t0 = _time.perf_counter()
-        xt = np.empty_like(bt)
-        for p, (lo, hi) in enumerate(bounds):
-            backsub_slab(
-                reps[p], xb[:, 2 * p], xb[:, 2 * p + 1], xt[lo:hi]
-            )
-        t_backsub = _time.perf_counter() - t0
-
-        t0 = _time.perf_counter()
-        if request.out is not None:
-            x = request.out
-            np.copyto(x, xt.T)
-        else:
-            x = np.ascontiguousarray(xt.T)
-        t_comms = _time.perf_counter() - t0
-
-        measured = [
-            ("partition", t_partition),
-            (f"local-eliminate [{ranks} ranks]", t_eliminate),
-            ("reduced-solve", t_reduced),
-            (f"backsub [{ranks} ranks]", t_backsub),
-            ("comms", t_comms),
-        ]
-        stages = [
-            StageTiming(name, secs, predicted.get(name))
-            for name, secs in measured
-        ]
-        trace = self._set_trace(
-            SolveTrace(
-                backend=request.label or self.name,
-                m=request.m,
-                n=request.n,
-                dtype=request.dtype,
-                k=0,
-                k_source="fixed",
-                ranks=ranks,
-                plan_cache="n/a",
-                factorization="n/a",
-                system=request.system.kind,
-                stages=stages,
-                predicted_total_us=sum(predicted.values()),
-            )
-        )
-        return SolveOutcome(x=x, trace=trace)
+            return _PricedCyclicSession(self, request)
+        return _RanksSession(self, request, ranks)
 
     def _execute_banded(self, request: SolveRequest) -> SolveOutcome:
         """Run a penta/block request on the engine and price its sweep."""
@@ -256,7 +167,6 @@ class GpuSimBackend(BackendBase):
                 plan_cache=outcome.trace.plan_cache,
                 factorization=outcome.trace.factorization,
                 rhs_only=rhs_only,
-                workers=outcome.trace.workers,
                 system=request.system.kind,
                 stages=stages,
                 predicted_total_us=predicted_total_us,
@@ -274,12 +184,8 @@ class GpuSimBackend(BackendBase):
         if request.system.kind != "tridiagonal":
             return self._execute_banded(request)
 
-        if request.ranks is not None and request.ranks > 1:
-            from repro.distributed.partition import effective_ranks
-
-            ranks = effective_ranks(request.n, request.ranks)
-            if ranks > 1:
-                return self._execute_distributed(request, ranks)
+        if _effective_ranks(request) > 1:
+            return self._execute_distributed(request)
 
         dtype_bytes = np.dtype(request.dtype).itemsize
         if request.k is None:
@@ -358,3 +264,153 @@ class GpuSimBackend(BackendBase):
             )
         )
         return SolveOutcome(x=outcome.x, trace=trace)
+
+
+class _RanksSession(Session):
+    """gpusim's bound ranks route: the N-partition pipeline in process.
+
+    Numerics run through the slab functions the distributed backend's
+    workers run, so every step is bitwise
+    :func:`~repro.distributed.partition.partitioned_solve_reference`.
+    Bind transposes the coefficients and runs each slab's bind half
+    (:func:`~repro.distributed.partition.factor_slab`) once, timed as
+    ``partition``; each step runs the step half — eliminate → reduced
+    solve → back-substitution.  ``step_once`` prices that step on the
+    device model (:mod:`~repro.kernels.comm_kernel`), which treats the
+    ranks as ``P`` concurrent devices exchanging interface rows over a
+    latency/bandwidth link; its measured ``comms`` covers the staging
+    transposes in and out.
+    """
+
+    mode = "distributed"
+
+    def __init__(self, backend: GpuSimBackend, request: SolveRequest, ranks: int):
+        from repro.distributed.partition import factor_slab, slab_bounds
+
+        super().__init__(request)
+        self.backend = backend
+        self.ranks = ranks
+        self._predicted = dict(_distributed_plan_cached(
+            request.m, request.n, ranks, self._dtype.itemsize,
+            backend.solver.device,
+        ))
+        t0 = time.perf_counter()
+        self.bounds = slab_bounds(request.n, ranks)
+        at, bt, ct = (
+            np.ascontiguousarray(v.T) for v in (request.a, request.b, request.c)
+        )
+        self._slabs = [
+            factor_slab(at[lo:hi], bt[lo:hi], ct[lo:hi]) for lo, hi in self.bounds
+        ]
+        self._t_partition = time.perf_counter() - t0
+
+    def _pipeline(self, dt, out_t, timings=None) -> None:
+        """The ``(N, M)`` right-hand side ``dt`` through eliminate →
+        reduced solve → back-substitution into ``out_t``."""
+        from repro.distributed.partition import (
+            assemble_reduced,
+            backsub_slab,
+            eliminate_slab,
+            solve_reduced,
+        )
+
+        t0 = time.perf_counter()
+        reps, reduced_rows = [], []
+        for slab, (lo, hi) in zip(self._slabs, self.bounds):
+            rep, reduced = eliminate_slab(slab, dt[lo:hi])
+            reps.append(rep)
+            reduced_rows.append(reduced)
+        t1 = time.perf_counter()
+        xb = solve_reduced(*assemble_reduced(reduced_rows))
+        t2 = time.perf_counter()
+        for p, (lo, hi) in enumerate(self.bounds):
+            backsub_slab(reps[p], xb[:, 2 * p], xb[:, 2 * p + 1], out_t[lo:hi])
+        if timings is not None:
+            timings += [
+                (f"local-eliminate [{self.ranks} ranks]", t1 - t0),
+                ("reduced-solve", t2 - t1),
+                (f"backsub [{self.ranks} ranks]", time.perf_counter() - t2),
+            ]
+
+    def _step(self, d, out) -> None:
+        """The pipeline through transpose views of ``d`` and ``out``."""
+        self._pipeline(d.T, out.T)
+
+    def _step_t(self, dt, out_t) -> None:
+        """The pipeline is transposed-native: no staging copies."""
+        self._pipeline(dt, out_t)
+
+    def step_once(self, d=None, out=None) -> SolveOutcome:
+        """One instrumented step, each stage beside its prediction."""
+        if self.closed:
+            raise RuntimeError("session is closed")
+        request = self.request
+        d, out = self._once_args(d, out)
+        t0 = time.perf_counter()
+        dt = np.ascontiguousarray(d.T)
+        xt = np.empty_like(dt)
+        t_staging = time.perf_counter() - t0
+        timings = [("partition", self._t_partition)]
+        self._pipeline(dt, xt, timings)
+        t0 = time.perf_counter()
+        if out is None:
+            x = np.ascontiguousarray(xt.T)
+        else:
+            x = out
+            np.copyto(x, xt.T)
+        timings.append(("comms", t_staging + time.perf_counter() - t0))
+        predicted = self._predicted
+        trace = SolveTrace(
+            backend=request.label or self.backend.name,
+            m=request.m,
+            n=request.n,
+            dtype=request.dtype,
+            k=0,
+            k_source="fixed",
+            ranks=self.ranks,
+            plan_cache="n/a",
+            factorization="n/a",
+            system=request.system.kind,
+            stages=[
+                StageTiming(name, secs, predicted.get(name))
+                for name, secs in timings
+            ],
+            predicted_total_us=sum(predicted.values()),
+        )
+        trace.decision = request.decision
+        self.backend._set_trace(trace)
+        self.steps += 1
+        return SolveOutcome(x=x, trace=trace)
+
+    def describe(self) -> dict:
+        """Session summary: the common keys, backend and rank count."""
+        return {**super().describe(), "backend": self.backend.name, "ranks": self.ranks}
+
+
+class _PricedCyclicSession(CyclicSession):
+    """gpusim's periodic ranks session: the bound Sherman–Morrison
+    route, whose instrumented step also prices the correction pair as
+    the single-device periodic path does and totals the stage column."""
+
+    def step_once(self, d=None, out=None) -> SolveOutcome:
+        from repro.kernels.rhs_kernel import cyclic_correction_counters
+
+        outcome = super().step_once(d, out)
+        request = self.request
+        dtype_bytes = self._dtype.itemsize
+        (_, dot_us), *rest = self.backend._price(
+            cyclic_correction_counters(
+                request.m, request.n, dtype_bytes,
+                device=self.backend.solver.device,
+            ),
+            dtype_bytes,
+        )
+        trace = outcome.trace
+        trace.stage("cyclic-correction").predicted_us = dot_us
+        trace.stages += [
+            StageTiming(f"{name} (predicted)", 0.0, us) for name, us in rest
+        ]
+        trace.predicted_total_us = sum(
+            s.predicted_us for s in trace.stages if s.predicted_us is not None
+        )
+        return outcome

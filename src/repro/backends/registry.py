@@ -4,8 +4,8 @@ The paper's runtime picks an execution strategy per problem shape
 (Table III); :class:`Router` generalizes that idea one level up — a
 deterministic, pluggable policy choosing *which backend* serves a
 :class:`~repro.backends.request.SolveRequest`, after the registry has
-filtered the candidates by capability (dtype, periodic, workers,
-prepared).
+filtered the candidates by capability (dtype, periodic, system
+kind, ranks, prepared).
 
 Resolution is fully deterministic:
 
@@ -14,9 +14,8 @@ Resolution is fully deterministic:
 2. ``backend="auto"`` filters registered backends by capability, then
    asks the router.  The default policy routes ``ranks > 1`` solves to
    the multi-rank tier and everything else to the highest-priority
-   capable backend (ties broken by name) — so the plan-caching engine,
-   which also shards ``workers > 1`` batches, wins unless something
-   better registers itself.
+   capable backend (ties broken by name) — so the plan-caching engine
+   wins unless something better registers itself.
 
 :func:`solve_via` is the single dispatch seam every public entry path
 (``repro.solve_batch``, ``solve_periodic_batch``, ``api.gtsv*``, the
@@ -75,12 +74,6 @@ def reject_reason(caps: Capabilities, request: SolveRequest) -> str | None:
             f"{', '.join(caps.systems)})"
         )
     if (
-        request.workers is not None
-        and request.workers > 1
-        and caps.max_workers <= 1
-    ):
-        return f"workers={request.workers} unsupported (single-worker backend)"
-    if (
         request.ranks is not None
         and request.ranks > 1
         and caps.max_ranks <= 1
@@ -105,7 +98,7 @@ class Router:
     provenance onto the request (which policy chose, from what
     candidates, and why); subclasses — notably
     :class:`repro.autotune.AdaptiveRouter` — may additionally refine
-    request knobs the caller left unset (``k``, ``workers``,
+    request knobs the caller left unset (``k``, ``ranks``,
     ``fingerprint``) before execution.
     """
 
@@ -298,7 +291,8 @@ def solve_via(
     Sherman–Morrison pipeline inside its one ``execute``.  Remaining
     keywords are the :data:`~repro.backends.request.OPTION_NAMES`
     options (``k``, ``fuse``, ``n_windows``, ``subtile_scale``,
-    ``parallelism``, ``workers``, ``heuristic``, ``fingerprint``).
+    ``parallelism``, ``heuristic``, ``fingerprint``, ``rtol``,
+    ``ranks``).
     """
     reg = registry if registry is not None else default_registry()
     t0 = time.perf_counter()

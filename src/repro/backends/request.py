@@ -8,7 +8,7 @@ module collapses that Cartesian product into two dataclasses:
 :class:`SolveRequest`
     Everything one solve needs: the coerced ``(M, N)`` diagonals and
     right-hand side (or a factorization handle plus the RHS alone),
-    the negotiation axes (dtype, ``periodic``, ``workers``,
+    the negotiation axes (dtype, ``periodic``, ``ranks``,
     ``fingerprint``), the plan options (``k``, ``fuse``, windows…),
     and the execution flags (``rhs_only``, ``check``, ``out``).
     Built by the public adapters (``repro.solve_batch``,
@@ -111,7 +111,7 @@ def block_system(block_size: int) -> SystemDescriptor:
 
 
 def _count(name: str, value):
-    """A shard or rank count: an int ``>= 1``, or ``None`` (default)."""
+    """A rank count: an int ``>= 1``, or ``None`` (default)."""
     if value is None:
         return None
     try:
@@ -132,7 +132,6 @@ OPTION_NAMES = (
     "n_windows",
     "subtile_scale",
     "parallelism",
-    "workers",
     "periodic",
     "heuristic",
     "fingerprint",
@@ -174,13 +173,11 @@ class SolveRequest:
         lets the auto tier also reuse hybrid ``k > 0`` factorizations,
         whose RHS-only sweeps are allclose-grade, and licenses the
         adaptive router to select forced-fingerprint routes.
-    workers:
-        Requested batch-axis shard count (``None`` = unsharded).
     ranks:
         Requested N-axis partition count for the distributed tier
         (``None`` = not partitioned; ``ranks > 1`` restricts
         negotiation to backends advertising ``Capabilities.max_ranks``
-        above 1).  Both counts must be ints ``>= 1`` or ``None``
+        above 1).  It must be an int ``>= 1`` or ``None``
         (``ValueError`` otherwise).
     k, fuse, n_windows, subtile_scale, parallelism, heuristic:
         Plan options, exactly as ``solve_batch`` takes them.  ``k`` and
@@ -223,7 +220,6 @@ class SolveRequest:
     rhs_only: bool = False
     fingerprint: bool | None = None
     rtol: float | None = None
-    workers: int | None = None
     ranks: int | None = None
     k: int | None = None
     fuse: bool = False
@@ -242,9 +238,8 @@ class SolveRequest:
     system: SystemDescriptor = TRIDIAGONAL
 
     def __post_init__(self):
-        # every entry point builds a request, so the counts are checked
-        # here once: the registry negotiates on them, autotune keys on them
-        self.workers = _count("workers", self.workers)
+        # every entry point builds a request, so the count is checked
+        # here once: the registry negotiates on it, autotune keys on it
         self.ranks = _count("ranks", self.ranks)
 
     @classmethod

@@ -72,7 +72,7 @@ class RouteDecision:
         True when this pick was an epsilon-exploration sample rather
         than the believed-best route.
     route:
-        The knobs the policy applied (``{"backend", "k", "workers",
+        The knobs the policy applied (``{"backend", "k", "ranks",
         "fingerprint"}``); empty when nothing was overridden.
     reason:
         One-line human rationale.
@@ -122,8 +122,8 @@ class SolveTrace:
         :data:`~repro.distributed.partition.SLAB_HEURISTIC` (see the
         session's ``describe()``), and routes are recorded and learned
         on this ``k``.
-    fuse, n_windows, workers:
-        Remaining plan knobs (``workers`` is 1 for unsharded solves).
+    fuse, n_windows:
+        Remaining plan knobs.
     ranks:
         N-axis partition count the solve ran under (1 = not
         distributed; ``> 1`` only for the distributed tier and the
@@ -167,7 +167,6 @@ class SolveTrace:
     k_source: str = "heuristic"
     fuse: bool = False
     n_windows: int = 1
-    workers: int = 1
     ranks: int = 1
     plan_cache: str = "n/a"
     factorization: str = "n/a"
@@ -201,7 +200,6 @@ class SolveTrace:
             "k_source": self.k_source,
             "fuse": self.fuse,
             "n_windows": self.n_windows,
-            "workers": self.workers,
             "ranks": self.ranks,
             "plan_cache": self.plan_cache,
             "factorization": self.factorization,

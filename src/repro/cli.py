@@ -74,10 +74,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(auto, or a name from `repro backends`)",
     )
     solve.add_argument(
-        "--workers", type=int, default=None,
-        help="shard the batch across this many threads",
-    )
-    solve.add_argument(
         "--ranks", type=int, default=None, metavar="P",
         help="partition each system's N rows across P ranks "
         "(the distributed backend's reduced-interface pipeline)",
@@ -295,12 +291,11 @@ def _cmd_solve(args) -> int:
     hybrid = args.algorithm in ("auto", "hybrid")
     if not hybrid and (
         args.backend != "auto"
-        or args.workers is not None
         or args.ranks is not None
         or args.prepare is not None
     ):
         print(
-            f"--backend/--workers/--ranks/--prepare apply to the "
+            f"--backend/--ranks/--prepare apply to the "
             f"hybrid/auto algorithms only, not {args.algorithm!r}",
             file=sys.stderr,
         )
@@ -321,8 +316,6 @@ def _cmd_solve(args) -> int:
     if hybrid:
         kwargs["fuse"] = args.fuse
         kwargs["backend"] = args.backend
-        if args.workers is not None:
-            kwargs["workers"] = args.workers
         if args.ranks is not None:
             kwargs["ranks"] = args.ranks
     if args.periodic:
@@ -365,8 +358,6 @@ def _solve_banded(args) -> int:
     )
 
     kwargs = {"backend": args.backend}
-    if args.workers is not None:
-        kwargs["workers"] = args.workers
     if args.system == "penta":
         e, a, b, c, f, d = random_penta_batch(args.M, args.N, seed=args.seed)
         t0 = time.perf_counter()
@@ -422,17 +413,13 @@ def _solve_prepared(args) -> int:
     rhs = [d0] + [
         rng.standard_normal((args.M, args.N)) for _ in range(args.prepare - 1)
     ]
-    workers = args.workers
-
     handle = repro.prepare(a, b, c, fuse=args.fuse, periodic=args.periodic)
     t0 = time.perf_counter()
-    xs = [handle.solve(di, workers=workers) for di in rhs]
+    xs = [handle.solve(di) for di in rhs]
     prepared_ms = (time.perf_counter() - t0) * 1e3
 
     kwargs = {"fuse": args.fuse, "backend": args.backend,
               "fingerprint": False}
-    if workers is not None:
-        kwargs["workers"] = workers
     t0 = time.perf_counter()
     if args.periodic:
         ref = [repro.solve_periodic_batch(a, b, c, di, **kwargs)
@@ -487,14 +474,13 @@ def _cmd_backends(_args) -> int:
     resolved = registry.backends()
     width = max(len(b.name) for b in resolved)
     print(f"{'name':<{width}}  prio  dtypes           periodic  "
-          f"workers  kind       description")
+          f"kind       description")
     for b in resolved:
         caps = b.capabilities()
         print(
             f"{b.name:<{width}}  {b.priority:>4}  "
             f"{'/'.join(caps.dtypes):<15}  "
             f"{'yes' if caps.periodic else 'no ':<8}  "
-            f"{caps.max_workers:>7}  "
             f"{'simulated' if caps.simulated else 'measured ':<9}  "
             f"{caps.description}"
         )
@@ -706,8 +692,7 @@ def _print_model_summary(model) -> None:
         else:
             route, stats = best
             knobs = ", ".join(
-                f"{f}={route[f]}" for f in ("backend", "k", "workers",
-                                            "fingerprint")
+                f"{f}={route[f]}" for f in ("backend", "k", "fingerprint")
                 if route.get(f) is not None
             )
             print(f"    best: {knobs}  "

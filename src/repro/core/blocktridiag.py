@@ -127,23 +127,20 @@ class BlockThomasFactorization:
             )
         if out is None:
             out = np.empty_like(d)
-        self.solve_shard(None, d, out, 0, self.m)
+        self.solve_shard(None, d, out)
         return out
 
-    def solve_shard(self, ws, d, out, lo: int, hi: int) -> None:
-        """Sweep systems ``lo:hi`` into ``out[lo:hi]``.
+    def solve_shard(self, ws, d, out) -> None:
+        """Sweep the ``(M, N, B)`` batch ``d`` into ``out``.
 
-        Stacked ``matmul`` / ``linalg.solve`` treat each system
-        independently, so shard results do not depend on the bounds.
         The sweep allocates its own scratch; ``ws`` is unused.
         """
-        s = slice(lo, hi)
         n = self.n
         A, Cp, piv = self.A, self.Cp, self.piv
         if self.block_size == 1:
-            a = A[s, :, 0, 0]
-            sp, scp = piv[s, :, 0, 0], Cp[s, :, 0, 0]
-            dv, xv = d[s, :, 0], out[s, :, 0]
+            a = A[:, :, 0, 0]
+            sp, scp = piv[:, :, 0, 0], Cp[:, :, 0, 0]
+            dv, xv = d[:, :, 0], out[:, :, 0]
             dp = np.empty_like(dv)
             dp[:, 0] = dv[:, 0] / sp[:, 0]
             for i in range(1, n):
@@ -152,14 +149,14 @@ class BlockThomasFactorization:
             for i in range(n - 2, -1, -1):
                 xv[:, i] = dp[:, i] - scp[:, i] * xv[:, i + 1]
             return
-        dp = np.empty(d[s].shape, dtype=d.dtype)
-        dp[:, 0] = np.linalg.solve(piv[s, 0], d[s, 0][..., None])[..., 0]
+        dp = np.empty(d.shape, dtype=d.dtype)
+        dp[:, 0] = np.linalg.solve(piv[:, 0], d[:, 0][..., None])[..., 0]
         for i in range(1, n):
-            rhs = d[s, i] - (A[s, i] @ dp[:, i - 1][..., None])[..., 0]
-            dp[:, i] = np.linalg.solve(piv[s, i], rhs[..., None])[..., 0]
-        out[s, n - 1] = dp[:, n - 1]
+            rhs = d[:, i] - (A[:, i] @ dp[:, i - 1][..., None])[..., 0]
+            dp[:, i] = np.linalg.solve(piv[:, i], rhs[..., None])[..., 0]
+        out[:, n - 1] = dp[:, n - 1]
         for i in range(n - 2, -1, -1):
-            out[s, i] = dp[:, i] - (Cp[s, i] @ out[s, i + 1][..., None])[..., 0]
+            out[:, i] = dp[:, i] - (Cp[:, i] @ out[:, i + 1][..., None])[..., 0]
 
 
 def block_factor(A, B, C, *, check: bool = True) -> BlockThomasFactorization:

@@ -207,27 +207,10 @@ class HybridFactorization:
             ),
         )
 
-    def solve_shard(self, ws, d, out, lo: int, hi: int) -> None:
-        """RHS-only solve of batch rows ``[lo, hi)`` into ``out``.
-
-        Runs on a zero-copy row view: level factors slice along the
-        batch axis, and the reduced interleaved rows of batch row ``i``
-        are ``[i·g, (i+1)·g)``.  Elementwise along ``M`` throughout, so
-        a shard produces the exact bits the whole-batch solve would.
-        ``ws.scratch_for(lo, hi)`` supplies the shard's buffers.
-        """
-        g = 1 << self.k
-        red = self.reduced
-        rows = HybridFactorization(
-            k=self.k,
-            level_factors=[(k1[lo:hi], k2[lo:hi]) for k1, k2 in self.level_factors],
-            reduced=ThomasFactorization(
-                a=red.a[lo * g : hi * g],
-                cp=red.cp[lo * g : hi * g],
-                inv_denom=red.inv_denom[lo * g : hi * g],
-            ),
-        )
-        rows.solve(d[lo:hi], out=out[lo:hi], scratch=ws.scratch_for(lo, hi))
+    def solve_shard(self, ws, d, out) -> None:
+        """RHS-only solve of the ``(M, N)`` batch ``d`` into ``out``,
+        keyed into the workspace's ``ws.scratch`` buffers."""
+        self.solve(d, out=out, scratch=ws.scratch)
 
     @classmethod
     def factor(

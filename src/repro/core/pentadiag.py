@@ -142,47 +142,43 @@ class PentaFactorization:
             )
         if out is None:
             out = np.empty_like(d)
-        self.solve_shard(None, d, out, 0, self.m)
+        self.solve_shard(None, d, out)
         return out
 
-    def solve_shard(self, ws, d, out, lo: int, hi: int) -> None:
-        """Sweep systems ``lo:hi`` of the batch into ``out[lo:hi]``.
+    def solve_shard(self, ws, d, out) -> None:
+        """Sweep the ``(M, N)`` batch ``d`` into ``out``.
 
-        Every operation is elementwise along the batch axis, so shard
-        results are bitwise independent of the shard bounds.  The sweep
-        allocates its own scratch; ``ws`` is unused.
+        The sweep allocates its own scratch; ``ws`` is unused.
         """
-        s = slice(lo, hi)
-        n = self.n
-        w = hi - lo
+        n, m = self.n, self.m
         dtype = self.alpha.dtype
-        z = np.empty((n, w), dtype=dtype)
-        t1 = np.empty(w, dtype=dtype)
+        z = np.empty((n, m), dtype=dtype)
+        t1 = np.empty(m, dtype=dtype)
         te, beta, alpha = self.te, self.beta, self.alpha
         gamma, delta = self.gamma, self.delta
         # forward: L z = d
-        z[0] = d[s, 0]
-        np.divide(z[0], alpha[0, s], out=z[0])
+        z[0] = d[:, 0]
+        np.divide(z[0], alpha[0], out=z[0])
         if n > 1:
-            np.multiply(beta[1, s], z[0], out=t1)
-            np.subtract(d[s, 1], t1, out=z[1])
-            np.divide(z[1], alpha[1, s], out=z[1])
+            np.multiply(beta[1], z[0], out=t1)
+            np.subtract(d[:, 1], t1, out=z[1])
+            np.divide(z[1], alpha[1], out=z[1])
         for i in range(2, n):
-            np.multiply(te[i, s], z[i - 2], out=t1)
-            np.subtract(d[s, i], t1, out=z[i])
-            np.multiply(beta[i, s], z[i - 1], out=t1)
+            np.multiply(te[i], z[i - 2], out=t1)
+            np.subtract(d[:, i], t1, out=z[i])
+            np.multiply(beta[i], z[i - 1], out=t1)
             np.subtract(z[i], t1, out=z[i])
-            np.divide(z[i], alpha[i, s], out=z[i])
+            np.divide(z[i], alpha[i], out=z[i])
         # backward: U x = z (reuse z as x, bottom-up)
         if n > 1:
-            np.multiply(gamma[n - 2, s], z[n - 1], out=t1)
+            np.multiply(gamma[n - 2], z[n - 1], out=t1)
             np.subtract(z[n - 2], t1, out=z[n - 2])
         for i in range(n - 3, -1, -1):
-            np.multiply(gamma[i, s], z[i + 1], out=t1)
+            np.multiply(gamma[i], z[i + 1], out=t1)
             np.subtract(z[i], t1, out=z[i])
-            np.multiply(delta[i, s], z[i + 2], out=t1)
+            np.multiply(delta[i], z[i + 2], out=t1)
             np.subtract(z[i], t1, out=z[i])
-        out[s] = z.T
+        out[...] = z.T
 
 
 def penta_factor(e, a, b, c, f, *, check: bool = True) -> PentaFactorization:

@@ -264,7 +264,7 @@ def solve_periodic_batch(
         Optional ``(M, N)`` output array of the solve's dtype (any
         layout); anything else is a ``ValueError`` on every algorithm.
     **kwargs:
-        Solve options (``k``, ``fuse``, ``workers``, ``fingerprint``,
+        Solve options (``k``, ``fuse``, ``fingerprint``, ``ranks``,
         …) forwarded to the dispatch layer / inner solves.
 
     Returns

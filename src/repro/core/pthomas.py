@@ -130,8 +130,8 @@ def pthomas_solve_interleaved(
         solves; omitted, state is allocated for this call in the
         inputs' memory order (row-major callers keep a row-major walk).
     out:
-        Optional ``(M, N)`` destination for the solution (e.g. a shard
-        slice of a larger batch).  Must match shape and dtype.
+        Optional ``(M, N)`` destination for the solution (e.g. a
+        caller's preallocated buffer).  Must match shape and dtype.
 
     Returns
     -------

@@ -22,11 +22,11 @@ comparisons and education).
 :class:`~repro.backends.request.SolveRequest` and dispatch it through
 the **backend registry** (:mod:`repro.backends`): capability
 negotiation against the request picks an execution backend (the
-plan-caching engine by default, which also shards ``workers=W``
-batches over its thread pool; ``backend="name"`` forces one), and
+plan-caching engine by default; ``backend="name"`` forces one), and
 every solve records a :class:`~repro.backends.trace.SolveTrace`
-queryable via :func:`repro.last_trace`.  Results are bitwise identical
-across the engine and numpy-reference backends, whatever ``workers``.
+queryable via :func:`repro.last_trace`.  Every solve runs on the
+calling thread, and results are bitwise identical across the engine
+and numpy-reference backends.
 """
 
 from __future__ import annotations
@@ -94,8 +94,7 @@ def solve_batch(
         For the hybrid/auto algorithms: the solve-request options
         (``k``, ``fuse``, ``n_windows``, ``subtile_scale``,
         ``heuristic``, ``parallelism``, ``periodic``, ``rtol``,
-        ``ranks``) plus ``workers=W`` to shard the
-        batch across a thread pool and ``fingerprint`` to control the
+        ``ranks``) plus ``fingerprint`` to control the
         factorization cache — ``None`` (default) auto-detects repeated
         coefficients where the RHS-only path is bitwise identical
         (``k = 0``), ``True`` forces prepared execution (``k > 0``

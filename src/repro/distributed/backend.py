@@ -98,7 +98,6 @@ class DistributedBackend(BackendBase):
         if self._caps is None:
             self._caps = Capabilities(
                 periodic=True,  # a CyclicSession around the ranks
-                max_workers=1,
                 max_ranks=MAX_RANKS,
                 prepared=False,
                 systems=("tridiagonal",),
@@ -297,7 +296,6 @@ class DistributedBoundSolve(Session):
             dtype=request.dtype,
             k=0,
             k_source="fixed",
-            workers=1,
             ranks=self.ranks,
             plan_cache="n/a",
             factorization="n/a",

@@ -143,12 +143,11 @@ def _solve_interior(fact, ws, d, y) -> None:
     ``k = 0`` route) reads and writes the slab rows in place; the
     hybrid solves their ``(M, L-2)`` transposed views.
     """
-    m = d.shape[1]
     solve_t = getattr(fact, "solve_shard_t", None)
     if solve_t is None:
-        fact.solve_shard(ws, d[1:-1].T, y[1:-1].T, 0, m)
+        fact.solve_shard(ws, d[1:-1].T, y[1:-1].T)
     else:
-        solve_t(ws, d[1:-1], y[1:-1], 0, m)
+        solve_t(ws, d[1:-1], y[1:-1])
 
 
 @dataclass(slots=True)

@@ -3,8 +3,9 @@
 Freezes the paper's launch-time decisions (transition ``k``, sliding-
 window schedule, buffer layout) into cached :class:`SolvePlan` objects,
 pools the preallocated workspaces they imply, and executes repeated
-solves against them — optionally sharded across a thread pool with
-``workers=``.  Results are bitwise identical to the single-call
+solves against them on the calling thread: the batch's ``M`` lanes are
+the parallel axis every NumPy call vectorizes over.  Results are
+bitwise identical to the single-call
 :class:`~repro.core.hybrid.HybridSolver` reference path.
 
 Typical use::
@@ -14,14 +15,13 @@ Typical use::
     eng = default_engine()
     x = eng.solve_batch(a, b, c, d)          # cold: plans + allocates
     x = eng.solve_batch(a, b, c, d)          # warm: reuses both
-    x = eng.solve_batch(a, b, c, d, workers=4)
 
     handle = eng.prepare(a, b, c)            # factor once…
     x = handle.solve(d)                      # …solve RHS-only forever
 
 Time-stepping loops that own their request can go one layer lower and
-bind a session — plan, factorization, workspaces and shard geometry
-resolved once, then an allocation-free ``step`` per right-hand side::
+bind a session — plan, factorization and workspaces resolved once,
+then an allocation-free ``step`` per right-hand side::
 
     from repro.backends.request import SolveRequest
 
@@ -38,7 +38,7 @@ cache on their own (see :mod:`repro.engine.prepared`).
 
 from repro.engine.diskcache import FactorizationDiskCache
 from repro.engine.engine import EngineStats, ExecutionEngine, default_engine
-from repro.engine.executor import execute_plan, shard_bounds
+from repro.engine.executor import execute_plan
 from repro.engine.plan import SolvePlan, build_plan, plan_key
 from repro.engine.prepared import (
     CyclicRhsFactorization,
@@ -67,5 +67,4 @@ __all__ = [
     "execute_plan",
     "plan_key",
     "prepare",
-    "shard_bounds",
 ]

@@ -10,13 +10,14 @@ batch solves.  It keeps
 * a **workspace pool per plan** — ring buffers, p-Thomas state and
   transpose scratch are checked out for the duration of one execution
   and returned, so warm solves allocate only their result;
-* a persistent **thread pool** — ``workers=W`` splits the batch axis
-  into contiguous row shards that a bound session
-  (:class:`~repro.engine.session.BoundSolve`) runs concurrently, each
-  writing into one shared output.  Results are bitwise independent of
-  ``workers`` because every solver operation is elementwise along the
-  batch axis and the transition ``k`` is frozen from the *full* batch
-  before sharding.
+* a **factorization cache** keyed on a coefficient fingerprint, so a
+  repeated matrix runs the RHS-only sweep.
+
+The engine starts no threads: every solve runs on its caller's thread,
+and the paper's parallel axis — the batch's ``M`` (or, above the
+transition, ``2^k·M``) independent lanes — is what each NumPy call
+vectorizes over.  Callers that share one engine across threads (the
+service's dispatch threads) each borrow their own pooled workspace.
 
 The engine's results are bitwise identical to
 :class:`~repro.core.hybrid.HybridSolver` for every signature; the
@@ -31,7 +32,6 @@ import os
 import threading
 import time
 from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,7 +46,6 @@ from repro.engine.prepared import (
     coefficient_fingerprint,
 )
 from repro.engine.workspace import PlanWorkspace, PreparedWorkspace
-from repro.util.pools import executor_cap
 
 __all__ = ["EngineStats", "ExecutionEngine", "default_engine"]
 
@@ -62,7 +61,6 @@ class EngineStats:
     workspaces_built: int = 0
     workspaces_reused: int = 0
     solves: int = 0
-    sharded_solves: int = 0
     workspace_bytes: int = 0  #: bytes currently held by pooled workspaces
     fingerprint_hits: int = 0  #: coefficient digests answered from cache
     fingerprint_misses: int = 0  #: digests with no cached factorization
@@ -90,8 +88,8 @@ class ExecutionEngine:
         are simply not returned to a pool that no longer exists).
     pool_size:
         Workspaces retained per plan.  ``1`` suffices for serial use;
-        sharded solves pool one per shard sub-plan, so the default
-        covers ``workers`` up to ``pool_size`` without re-allocation.
+        threads solving one plan at once each borrow one, so the
+        default covers four in flight without re-allocation.
     heuristic:
         Default Table-III-style transition table for plans that do not
         fix ``k`` explicitly.
@@ -157,12 +155,6 @@ class ExecutionEngine:
         # (the dominant per-call dispatch cost for tiny batches)
         self._plan_memo: OrderedDict = OrderedDict()
         self._plan_memo_cap = 4 * max_plans
-        self._executor: ThreadPoolExecutor | None = None
-        self._executor_workers = 0
-        # pools replaced by growth stay alive here until shutdown():
-        # a concurrent sharded solve may still be submitting to one,
-        # and ThreadPoolExecutor raises on submit-after-shutdown
-        self._retired_executors: list = []
 
     @property
     def router_model_path(self) -> str | None:
@@ -427,7 +419,6 @@ class ExecutionEngine:
         b,
         c,
         *,
-        workers: int | None = None,
         k: int | None = None,
         fuse: bool = False,
         n_windows: int = 1,
@@ -469,7 +460,7 @@ class ExecutionEngine:
         )
         # b stands in for the right-hand side: same shape, same dtype
         request = SolveRequest.build(
-            a, b, c, b, periodic=periodic, check=check, workers=workers, **opts
+            a, b, c, b, periodic=periodic, check=check, **opts
         )
         a, b, c = request.a, request.b, request.c
         plan = self.plan_for(request.m, request.n, b.dtype, **opts)
@@ -477,16 +468,14 @@ class ExecutionEngine:
         fact, _ = self._factorization_for(
             plan, digest, a, b, c, force=True, periodic=periodic, check=check
         )
-        return PreparedPlan(
-            self, plan, fact, digest, workers=request.workers, periodic=periodic
-        )
+        return PreparedPlan(self, plan, fact, digest, periodic=periodic)
 
     # ---- execution ---------------------------------------------------
     def bind(self, request, *, transient: bool = False):
         """Bind a ``SolveRequest`` into a reusable :class:`BoundSolve`.
 
         The bind phase runs once: plan resolution, the
-        fingerprint/factorization lifecycle, shard geometry, and the
+        fingerprint/factorization lifecycle, workspace binding, and the
         trace template.  The returned session's
         :meth:`~repro.engine.session.BoundSolve.step` is the
         allocation-free per-step hot loop;
@@ -508,9 +497,9 @@ class ExecutionEngine:
         Composes the orthogonal stages every solve flavour shares —
         **plan** (cached, or frozen in the request), **factorize or
         cache** (the ``fingerprint`` tri-state, or the handle the
-        request carries), **execute** (RHS-only sweep, pooled plan, or
-        sharded plan; cyclic requests corner-reduce and correct around
-        the same core), **trace** — and returns a
+        request carries), **execute** (RHS-only sweep or pooled plan;
+        cyclic requests corner-reduce and correct around the same
+        core), **trace** — and returns a
         :class:`~repro.backends.request.SolveOutcome`.
 
         Since the bind/execute split, this is literally a transient
@@ -536,9 +525,7 @@ class ExecutionEngine:
         validator; unknown options are a ``TypeError``), the outcome's
         trace is recorded for :func:`repro.last_trace`, and the
         solution is returned.  ``periodic=True`` solves cyclic systems
-        (corners in ``a[:, 0]`` / ``c[:, -1]``).  ``workers=W`` shards
-        the batch axis across the engine's thread pool; results are
-        bitwise independent of ``W``.  ``ranks > 1`` is a
+        (corners in ``a[:, 0]`` / ``c[:, -1]``).  ``ranks > 1`` is a
         ``ValueError``: N-partitioning is the distributed backend's.
 
         ``fingerprint`` controls the factorization fast path: ``None``
@@ -570,27 +557,6 @@ class ExecutionEngine:
         a, b, c, d = (np.asarray(v)[None] for v in (a, b, c, d))
         return self.solve_batch(a, b, c, d, **opts)[0]
 
-    def thread_pool(self, workers: int) -> ThreadPoolExecutor:
-        """The engine's persistent pool, grown to ≥ ``workers`` threads."""
-        # cap the materialized pool at a machine-proportional size;
-        # oversized shard counts still complete (excess shards queue),
-        # and shard *results* are independent of the thread count, so
-        # clamping is bitwise-safe
-        workers = min(workers, executor_cap())
-        with self._lock:
-            if self._executor is None or self._executor_workers < workers:
-                # never shut the old pool down here: another thread may
-                # hold a reference from a racing thread_pool() call and
-                # still be submitting shards to it.  Retire it instead;
-                # shutdown() drains the graveyard.
-                if self._executor is not None:
-                    self._retired_executors.append(self._executor)
-                self._executor = ThreadPoolExecutor(
-                    max_workers=workers, thread_name_prefix="repro-engine"
-                )
-                self._executor_workers = workers
-            return self._executor
-
     # ---- lifecycle -----------------------------------------------------
     def clear(self) -> None:
         """Drop every cached plan, workspace and factorization
@@ -610,18 +576,6 @@ class ExecutionEngine:
             workspace_bytes=self.stats.workspace_bytes,
             factorization_bytes=self.stats.factorization_bytes,
         )
-
-    def shutdown(self) -> None:
-        """Release the thread pool (the engine remains usable; a later
-        sharded solve lazily builds a fresh pool)."""
-        with self._lock:
-            executor, self._executor = self._executor, None
-            retired, self._retired_executors = self._retired_executors, []
-            self._executor_workers = 0
-        for old in retired:
-            old.shutdown(wait=True)
-        if executor is not None:
-            executor.shutdown(wait=True)
 
 
 _default_engine: ExecutionEngine | None = None

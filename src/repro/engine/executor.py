@@ -4,8 +4,8 @@
 :class:`~repro.engine.plan.SolvePlan` using a matching
 :class:`~repro.engine.workspace.PlanWorkspace`.  All intermediate state
 lives in the workspace; the only allocation per call is the result
-array (and even that can be supplied via ``out=``, which is how the
-sharded executor writes worker results straight into one shared batch).
+array (and even that can be supplied via ``out=``, which is how a
+session writes straight into a caller's or its own buffer).
 
 Every path is held **bitwise identical** to the reference
 :class:`~repro.core.hybrid.HybridSolver`:
@@ -24,12 +24,6 @@ Every path is held **bitwise identical** to the reference
   identical operations in identical order, just a different memory
   walk — so results match :func:`repro.core.thomas.thomas_solve_batch`
   bit for bit.
-
-Sharding along the batch axis is bitwise-safe for the same reason:
-every solver operation is elementwise along ``M``, so solving rows
-``[lo, hi)`` in a worker produces the exact bits the full-batch solve
-would.  The one global decision — the transition ``k`` — is frozen in
-the plan *before* sharding, from the full ``M``.
 """
 
 from __future__ import annotations
@@ -42,18 +36,7 @@ from repro.core.hybrid import _FusedPThomas
 from repro.core.pthomas import pthomas_solve_interleaved
 from repro.core.tiled_pcr import TiledPCR, TilingCounters
 
-__all__ = ["execute_plan", "shard_bounds"]
-
-
-def shard_bounds(m: int, workers: int) -> list:
-    """Split ``m`` batch rows into at most ``workers`` contiguous shards."""
-    workers = max(1, min(int(workers), m))
-    bounds = np.linspace(0, m, workers + 1).astype(int)
-    return [
-        (int(bounds[i]), int(bounds[i + 1]))
-        for i in range(workers)
-        if bounds[i + 1] > bounds[i]
-    ]
+__all__ = ["execute_plan"]
 
 
 def _thomas_transposed(ws, a, b, c, d, out=None) -> np.ndarray:
@@ -113,7 +96,7 @@ def execute_plan(
     Inputs must already be contiguous arrays of ``plan.dtype`` and shape
     ``(plan.m, plan.n)`` (the engine guarantees this).  ``counters``, if
     given, accumulates the sweep's :class:`TilingCounters`.  ``out``, if
-    given, receives the solution (shard writes).  ``stage_times``, if
+    given, receives the solution.  ``stage_times``, if
     given, receives ``(stage name, seconds)`` pairs — the per-stage
     wall-time hook behind :class:`~repro.backends.trace.SolveTrace`.
     """

@@ -23,9 +23,9 @@ the factor/solve split; this module wires it through the engine:
   opt-in (``fingerprint=True`` or a :class:`PreparedPlan` handle).
 * :class:`PreparedPlan` — the explicit handle
   (``repro.prepare(a, b, c)``) for callers who know their matrix is
-  fixed: holds the plan + factorization, executes RHS-only sweeps into
-  pooled :class:`~repro.engine.workspace.PreparedWorkspace` buffers,
-  optionally sharded across the engine's thread pool.
+  fixed: holds the plan + factorization and executes RHS-only sweeps
+  into pooled :class:`~repro.engine.workspace.PreparedWorkspace`
+  buffers.
 
 Every factorization the engine caches — the two above,
 :class:`CyclicRhsFactorization`,
@@ -33,14 +33,11 @@ Every factorization the engine caches — the two above,
 :class:`~repro.core.blocktridiag.BlockThomasFactorization` — speaks one
 duck-typed protocol: a ``kind`` tag (:data:`FACTORIZATION_KINDS` maps
 it back to the class), ``nbytes``, ``arrays()`` / ``from_arrays()``
-(the spill-file layout), ``solve_shard(ws, d, out, lo, hi)`` and,
-optionally, the transposed-layout ``solve_shard_t``.  Bound sessions
-(:mod:`repro.engine.session`) run any of them through one shard loop.
-
-Sharding the RHS-only phase is bitwise-safe for the same reason full
-solves are (:mod:`repro.engine.executor`): every operation is
-elementwise along the batch axis, and the one global decision — ``k``
-— is frozen in the plan before any shard runs.
+(the spill-file layout), the whole-batch RHS-only sweep
+``solve_shard(ws, d, out)`` and, optionally, the transposed-layout
+``solve_shard_t(ws, dt, out_t)``.  Bound sessions
+(:mod:`repro.engine.session`) run any of them on one thread; the
+batch parallelism is the ``M`` lanes every ufunc call vectorizes over.
 """
 
 from __future__ import annotations
@@ -229,20 +226,17 @@ class ThomasRhsFactorization:
             np.divide(ci, ri, cpi)
         return cls(ta=ta, cp=cp, denom=denom)
 
-    def solve_shard(self, ws, d, out, lo: int, hi: int) -> None:
-        """RHS-only sweep for batch rows ``[lo, hi)`` into ``out``.
+    def solve_shard(self, ws, d, out) -> None:
+        """RHS-only sweep of the ``(M, N)`` batch ``d`` into ``out``.
 
-        Shards are column slices of the transposed ``(N, M)`` workspace
-        buffers, so concurrent shards share one workspace and write
-        disjoint regions.  The sweep is :meth:`solve_shard_t` on the
-        staged transpose (copies never change bits).
+        The sweep is :meth:`solve_shard_t` on the workspace's staged
+        ``(N, M)`` transpose (copies never change bits).
         """
-        s = slice(lo, hi)
-        ws.td[:, s] = d[s].T
-        self.solve_shard_t(ws, ws.td, ws.xt, lo, hi)
-        out[s] = ws.xt[:, s].T
+        ws.td[...] = d.T
+        self.solve_shard_t(ws, ws.td, ws.xt)
+        out[...] = ws.xt.T
 
-    def solve_shard_t(self, ws, dt, out_t, lo: int, hi: int) -> None:
+    def solve_shard_t(self, ws, dt, out_t) -> None:
         """Transposed-layout RHS sweep: ``(N, M)`` in, ``(N, M)`` out.
 
         The sweep runs in the transposed layout, so this entry point
@@ -256,10 +250,8 @@ class ThomasRhsFactorization:
         views with positional outputs.
         """
         n = self.n
-        s = slice(lo, hi)
-        ta, cp, denom = self.ta[:, s], self.cp[:, s], self.denom[:, s]
-        dt, dp, xt = dt[:, s], ws.dp[:, s], out_t[:, s]
-        t1, t2 = ws.t1[lo:hi], ws.t2[lo:hi]
+        ta, cp, denom = self.ta, self.cp, self.denom
+        dp, xt, t1, t2 = ws.dp, out_t, ws.t1, ws.t2
         np.divide(dt[0], denom[0], out=dp[0])
         for dprev, ai, di, ri, dpi in zip(
             dp[:-1], ta[1:], dt[1:], denom[1:], dp[1:]
@@ -342,23 +334,16 @@ class CyclicRhsFactorization:
             singular=arrays["singular"],
         )
 
-    def solve_shard(self, ws, d, out, lo: int, hi: int) -> None:
-        """Core sweep of rows ``[lo, hi)`` into ``ws.cyclic_y()``, then
-        the rank-one correction of those rows into ``out``."""
+    def solve_shard(self, ws, d, out) -> None:
+        """Core sweep into ``ws.cyclic_y()``, then the rank-one
+        correction into ``out``."""
         y = ws.cyclic_y()
-        self.core.solve_shard(ws, d, y, lo, hi)
-        self.correct(y, out, lo, hi)
+        self.core.solve_shard(ws, d, y)
+        self.correct(y, out)
 
-    def correct(self, y, out, lo: int, hi: int) -> None:
-        """``out = y − (vᵀy · scale) q`` on rows ``[lo, hi)``.
-
-        The update is row-wise, so correcting shard by shard gives the
-        bits of one whole-batch correction.
-        """
-        s = slice(lo, hi)
-        apply_cyclic_correction(
-            y[s], self.q[s], self.w[s], self.scale[s], out=out[s]
-        )
+    def correct(self, y, out) -> None:
+        """``out = y − (vᵀy · scale) q``, row by row."""
+        apply_cyclic_correction(y, self.q, self.w, self.scale, out=out)
 
 
 #: ``kind`` tag → class, for every factorization the engine caches.
@@ -401,7 +386,7 @@ def build_cyclic_factorization(
     q = np.empty_like(u)
     ws = engine._checkout(plan, PreparedWorkspace)
     try:
-        core.solve_shard(ws, u, q, 0, plan.m)
+        core.solve_shard(ws, u, q)
     finally:
         engine._checkin(plan, ws)
     denom = correction_denominator(q, w)
@@ -418,7 +403,7 @@ class PreparedPlan:
     Returned by :func:`prepare` / :meth:`ExecutionEngine.prepare
     <repro.engine.engine.ExecutionEngine.prepare>`.  Each
     :meth:`solve` runs the RHS-only sweep — no re-elimination, pooled
-    workspaces, optional batch-axis sharding — and records a
+    workspaces — and records a
     :class:`~repro.backends.trace.SolveTrace` with
     ``factorization="handle"``.
 
@@ -429,19 +414,17 @@ class PreparedPlan:
     """
 
     def __init__(
-        self, engine, plan, fact, fingerprint: str, workers=None,
-        periodic: bool = False,
+        self, engine, plan, fact, fingerprint: str, periodic: bool = False,
     ):
         self.engine = engine
         self.plan = plan
         self.factorization = fact
         self.fingerprint = fingerprint
-        self.default_workers = workers
         self.periodic = periodic
         self.solves = 0
-        # (workers, check) -> BoundSolve: the handle is a thin wrapper
-        # over bound sessions since the bind/execute split — one bind
-        # per effective configuration, per-call costs amortized away
+        # check -> BoundSolve: the handle is a thin wrapper over bound
+        # sessions since the bind/execute split — one bind per check
+        # policy, per-call costs amortized away
         self._sessions: dict = {}
 
     @property
@@ -474,10 +457,9 @@ class PreparedPlan:
         desc["periodic"] = self.periodic
         return desc
 
-    def _session(self, workers, check: bool):
-        """The bound session for this effective configuration."""
-        key = (workers, check)
-        session = self._sessions.get(key)
+    def _session(self, check: bool):
+        """The bound session for this check policy."""
+        session = self._sessions.get(check)
         if session is None:
             from repro.backends.request import SolveRequest
 
@@ -494,32 +476,28 @@ class PreparedPlan:
                     rhs_only=True,
                     factorization=self.factorization,
                     plan=self.plan,
-                    workers=workers,
                     check=check,
                     label="prepared",
                 )
             )
-            self._sessions[key] = session
+            self._sessions[check] = session
         return session
 
-    def bind(self, *, workers: int | None = None, check: bool = True):
+    def bind(self, *, check: bool = True):
         """The handle's :class:`~repro.engine.session.BoundSolve`.
 
         For callers who want the raw hot loop: ``session.step(d)``
         reuses a session-owned output buffer and skips per-call
         stats/trace entirely.  The session is cached — repeated calls
-        with one configuration return the same object.
+        with one ``check`` return the same object.
         """
-        if workers is None:
-            workers = self.default_workers
-        return self._session(workers, check)
+        return self._session(check)
 
     def solve(
         self,
         d,
         *,
         out: np.ndarray | None = None,
-        workers: int | None = None,
         check: bool = True,
     ) -> np.ndarray:
         """Solve the prepared system against a fresh ``(M, N)`` RHS.
@@ -527,18 +505,16 @@ class PreparedPlan:
         A thin wrapper over a cached
         :class:`~repro.engine.session.BoundSolve`: the ``rhs_only``
         request carrying the stored factorization is bound once per
-        ``(workers, check)`` configuration and each call runs one
+        ``check`` policy and each call runs one
         instrumented session step — identical stats, stages and trace
         to the classic per-call dispatch, without re-resolving the plan
         or rebuilding the request every right-hand side.
         """
         if check and not np.all(np.isfinite(d)):
             raise ValueError("d contains non-finite values")
-        if workers is None:
-            workers = self.default_workers
         from repro.backends.trace import record_trace
 
-        outcome = self._session(workers, check).step_once(d, out=out)
+        outcome = self._session(check).step_once(d, out=out)
         self.solves += 1
         record_trace(outcome.trace)
         return outcome.x
@@ -567,7 +543,7 @@ def prepare(
     The module-level convenience over
     :meth:`ExecutionEngine.prepare`.  Keywords mirror ``solve_batch``
     (``k``, ``fuse``, ``n_windows``, ``subtile_scale``,
-    ``parallelism``, ``heuristic``, ``workers``).
+    ``parallelism``, ``heuristic``).
 
     ``periodic=True`` prepares a *cyclic* (Sherman–Morrison) system:
     the corner entries ``a[:, 0]`` / ``c[:, -1]`` are real couplings

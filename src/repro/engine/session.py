@@ -28,8 +28,7 @@ right-hand side runs, its instrumented ``step_once``, its extra
 * ``engine.bind(request)`` performs validation-independent setup once —
   plan resolution, the fingerprint/factorization phase (or, on the
   full cyclic path, the corner reduction and correction column),
-  workspace and shard-geometry binding, trace-template capture — and
-  returns a session.
+  workspace binding, trace-template capture — and returns a session.
 * :meth:`Session.step` is the allocation-free per-step hot loop: a
   canonical-input scan, a direct factorization sweep into session-owned
   buffers, no stats, no trace, no stage lists.
@@ -71,7 +70,7 @@ from repro.core.periodic import (
 )
 from repro.core.tiled_pcr import TilingCounters
 from repro.core.validation import check_out
-from repro.engine.executor import execute_plan, shard_bounds
+from repro.engine.executor import execute_plan
 from repro.engine.prepared import (
     coefficient_fingerprint,
     rtol_permits_hybrid_reuse,
@@ -79,20 +78,6 @@ from repro.engine.prepared import (
 from repro.engine.workspace import PreparedWorkspace
 
 __all__ = ["BoundSolve", "Session"]
-
-
-def _merge_shard_stages(per_shard: list) -> list:
-    """The parent-trace view of per-shard ``(name, seconds)`` stage lists.
-
-    Every shard runs the same stage sequence concurrently, so a stage
-    costs the parent its slowest shard: ``(f"{name} [w shards]", max
-    seconds)`` pairs, in stage order.
-    """
-    w = len(per_shard)
-    return [
-        (f"{name} [{w} shards]", max(stages[i][1] for stages in per_shard))
-        for i, (name, _) in enumerate(per_shard[0])
-    ]
 
 
 class Session:
@@ -272,8 +257,8 @@ class BoundSolve(Session):
     **factored**
         A stored factorization — an explicit prepared handle, a
         fingerprint-cache entry, or the sweep a banded bind builds for
-        itself — runs its ``solve_shard`` over the bound batch shards.
-        Every kind in :data:`~repro.engine.prepared.FACTORIZATION_KINDS`
+        itself — runs its ``solve_shard`` over the whole batch.  Every
+        kind in :data:`~repro.engine.prepared.FACTORIZATION_KINDS`
         rides this one path.
     **full**
         No factorization is licensed or cached: the full hybrid plan
@@ -294,34 +279,10 @@ class BoundSolve(Session):
         self._ws = None
         self._cyc = None
         self._bind(request)
-        plan = self.plan
-        workers = request.workers
-        shards = (
-            shard_bounds(request.m, workers)
-            if workers is not None and workers > 1
-            else [(0, request.m)]
-        )
-        self._shards = shards
-        self._sharded = len(shards) > 1
-        if self.fact is None:
-            # the full path runs one sub-plan per shard, its k frozen
-            # from the full batch (a shard's own M could pick another);
-            # resolved once here so no step ever calls plan_for
-            self._subplans = {
-                lo: engine.plan_for(
-                    hi - lo, plan.n, plan.dtype,
-                    k=plan.k,
-                    fuse=plan.fuse,
-                    n_windows=plan.n_windows,
-                    subtile_scale=plan.subtile_scale,
-                ) if self._sharded else plan
-                for lo, hi in shards
-            }
-            if request.periodic:
-                self._bind_cyclic()
+        if self.fact is None and request.periodic:
+            self._bind_cyclic()
         sweep = "rhs-only" if self._served else "sweep"
-        shard_note = f" [{len(shards)} shards]" if len(shards) > 1 else ""
-        self._stage = f"{sweep} {self._label}{shard_note}"
+        self._stage = f"{sweep} {self._label}"
 
     # ---- bind phase --------------------------------------------------
     def _bind(self, request) -> None:
@@ -464,8 +425,6 @@ class BoundSolve(Session):
                     engine.stats.solves += 1
                 if self._served:
                     engine.stats.rhs_only_solves += 1
-                if self._sharded:
-                    engine.stats.sharded_solves += 1
         if self._report_plain:
             engine.last_report = HybridReport(
                 m=request.m,
@@ -478,7 +437,6 @@ class BoundSolve(Session):
                 tiling=counters,
             )
 
-        workers = request.workers
         trace = SolveTrace(
             backend=request.label or "engine",
             m=request.m,
@@ -488,7 +446,6 @@ class BoundSolve(Session):
             k_source=plan.k_source,
             fuse=plan.fuse,
             n_windows=plan.n_windows,
-            workers=workers if workers is not None else 1,
             plan_cache=self.cache,
             factorization=self.fp_state,
             rhs_only=self._served,
@@ -516,15 +473,16 @@ class BoundSolve(Session):
             t0 = time.perf_counter()
             core = getattr(fact, "core", None)
             if core is None:
-                self._run_shards(fact.solve_shard, ws, d, out)
+                fact.solve_shard(ws, d, out)
                 stage_times.append((self._stage, time.perf_counter() - t0))
             else:
                 # a wrapped core is timed apart from its correction:
                 # gpusim pairs both stages with its predictions by position
-                y = self._run_shards(core.solve_shard, ws, d, ws.cyclic_y())
+                y = ws.cyclic_y()
+                core.solve_shard(ws, d, y)
                 t1 = time.perf_counter()
                 stage_times.append((self._stage, t1 - t0))
-                fact.correct(y, out, 0, self.request.m)
+                fact.correct(y, out)
                 stage_times.append(
                     ("cyclic-correction", time.perf_counter() - t1)
                 )
@@ -553,60 +511,23 @@ class BoundSolve(Session):
 
     def _solve_plan(self, a, b, c, d, *, out=None, counters=None,
                     stage_times=None):
-        """One execution of the bound plan: every shard runs its sub-plan
-        on a pooled workspace through :meth:`_run_shards`.
-
-        An instrumented call (``stage_times`` given) counts one solve;
-        sharded, it reports each stage at its slowest shard, then the
-        whole ``sharded-execute[w]`` span.
-        """
+        """One execution of the bound plan on a pooled workspace; an
+        instrumented call (``stage_times`` given) counts one solve."""
         if out is None:
             out = np.empty(self._dshape, dtype=self._dtype)
         engine = self.engine
-        subplans = self._subplans
-        sharded = self._sharded
-        if sharded:
-            # concurrent shards keep their own stage lists and counters
-            ledgers = {
-                lo: (
-                    [] if stage_times is not None else None,
-                    TilingCounters() if counters is not None else None,
-                )
-                for lo in subplans
-            }
-        else:
-            ledgers = {0: (stage_times, counters)}
-
-        def solve_shard(_, d, out, lo, hi):
-            plan = subplans[lo]
-            times, ctr = ledgers[lo]
-            ws = engine._checkout(plan)
-            try:
-                execute_plan(
-                    plan, ws, a[lo:hi], b[lo:hi], c[lo:hi], d[lo:hi],
-                    counters=ctr, out=out[lo:hi], stage_times=times,
-                )
-            finally:
-                engine._checkin(plan, ws)
-
-        t0 = time.perf_counter()
-        self._run_shards(solve_shard, None, d, out)
-        if sharded and counters is not None:
-            for _, ctr in ledgers.values():
-                counters.merge(ctr)
+        plan = self.plan
+        ws = engine._checkout(plan)
+        try:
+            execute_plan(
+                plan, ws, a, b, c, d,
+                counters=counters, out=out, stage_times=stage_times,
+            )
+        finally:
+            engine._checkin(plan, ws)
         if stage_times is not None:
-            if sharded:
-                stage_times.extend(
-                    _merge_shard_stages([t for t, _ in ledgers.values()])
-                )
-                stage_times.append((
-                    f"sharded-execute[{len(subplans)}]",
-                    time.perf_counter() - t0,
-                ))
             with engine._lock:
                 engine.stats.solves += 1
-                if sharded:
-                    engine.stats.sharded_solves += 1
         return out
 
     # ---- hot loop ----------------------------------------------------
@@ -615,23 +536,6 @@ class BoundSolve(Session):
         if self._ws is None and self._pooled:
             self._ws = self.engine._checkout(self.plan, PreparedWorkspace)
         return self._ws
-
-    def _run_shards(self, solve_shard, ws, d, out):
-        """``solve_shard(ws, d, out, lo, hi)`` over the bound shards.
-
-        The one shard loop: factored sweeps and full-plan executions
-        alike split the batch here, one contiguous row block per task
-        on the engine's thread pool.  Every operation is elementwise
-        along the batch, so results are bitwise independent of the
-        shard count.
-        """
-        shards = self._shards
-        if not self._sharded:
-            solve_shard(ws, d, out, *shards[0])
-        else:
-            pool = self.engine.thread_pool(len(shards))
-            list(pool.map(lambda s: solve_shard(ws, d, out, *s), shards))
-        return out
 
     def _step(self, d, out) -> None:
         """A direct factorization sweep, or the full plan.
@@ -643,7 +547,7 @@ class BoundSolve(Session):
         if self.fact is None:
             self._solve_full(d, out)
         else:
-            self._run_shards(self.fact.solve_shard, self._workspace(), d, out)
+            self.fact.solve_shard(self._workspace(), d, out)
 
     def _step_t(self, dt, out_t) -> None:
         """A factorization with a transposed sweep (``solve_shard_t`` —
@@ -655,7 +559,7 @@ class BoundSolve(Session):
         if solve_shard_t is None:
             super()._step_t(dt, out_t)
         else:
-            self._run_shards(solve_shard_t, self._workspace(), dt, out_t)
+            solve_shard_t(self._workspace(), dt, out_t)
 
     # ---- lifecycle ---------------------------------------------------
     def describe(self) -> dict:
@@ -666,7 +570,6 @@ class BoundSolve(Session):
             "k": self.plan.k,
             "plan_cache": self.cache,
             "factorization": self.fp_state,
-            "workers": self.request.workers,
         }
 
     def _release(self) -> None:

@@ -104,10 +104,9 @@ class PreparedWorkspace:
     sibling of :class:`PlanWorkspace`: for ``k = 0`` plans just the
     transposed RHS / modified-RHS / solution buffers (the coefficient
     triple lives in the factorization); for ``k > 0`` plans a family of
-    named-buffer dicts that
+    named-buffer dict, :attr:`scratch`, that
     :meth:`HybridFactorization.solve <repro.core.factorize.HybridFactorization.solve>`
-    keys its ping-pong and regroup buffers into — one dict per shard,
-    so sharded solves share one workspace without aliasing.
+    keys its ping-pong and regroup buffers into.
     """
 
     def __init__(self, plan):
@@ -120,13 +119,10 @@ class PreparedWorkspace:
             self.xt = np.empty((n, m), dtype=dtype)
             self.t1 = np.empty(m, dtype=dtype)
             self.t2 = np.empty(m, dtype=dtype)
-            self._scratch = None
+            self.scratch = None
         else:
-            self._scratch = {}
-
-    def scratch_for(self, lo: int, hi: int) -> dict:
-        """The named-buffer dict for rows ``[lo, hi)`` (``k > 0`` plans only)."""
-        return self._scratch.setdefault((lo, hi), {})
+            #: the hybrid sweep's named buffers (``k > 0`` plans only)
+            self.scratch = {}
 
     def cyclic_y(self) -> np.ndarray:
         """The intermediate ``A' y = d`` buffer for prepared cyclic solves.
@@ -145,16 +141,12 @@ class PreparedWorkspace:
     def nbytes(self) -> int:
         """Bytes currently held (hybrid dicts fill lazily)."""
         extra = 0 if self._cyclic_y is None else self._cyclic_y.nbytes
-        if self._scratch is None:
+        if self.scratch is None:
             return extra + sum(
                 v.nbytes
                 for v in (self.td, self.dp, self.xt, self.t1, self.t2)
             )
-        return extra + sum(
-            arr.nbytes
-            for bufs in self._scratch.values()
-            for arr in bufs.values()
-        )
+        return extra + sum(arr.nbytes for arr in self.scratch.values())
 
     def fits(self, plan) -> bool:
         """True if this workspace serves exactly ``plan``'s signature."""

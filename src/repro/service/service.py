@@ -24,8 +24,8 @@ pinned to ``k = 0`` — the large-M fast path — *before* dispatch, so the
 frozen transition never depends on how traffic happened to coalesce:
 any partition of a workload into service submissions returns bits
 identical to the monolithic ``k = 0`` solve (every solver operation is
-elementwise along the batch axis; the same argument that makes
-``workers=`` sharding bitwise-safe).  Callers that pin ``k`` (or any
+elementwise along the batch axis, so a row's bits never depend on
+which rows share its call).  Callers that pin ``k`` (or any
 hybrid plan option) group among themselves under those exact options.
 Requests whose auto-``k`` would be ambiguous under coalescing (unset
 ``k`` with hybrid-only options like ``fuse=True``) are passed through
@@ -228,7 +228,7 @@ class SolveService:
         self._closed = False
         self._executor: ThreadPoolExecutor | None = None
         self._executor_lock = threading.Lock()
-        # (digest, reps, m_frag, n, dtype, workers, check) -> bound session
+        # (digest, reps, m_frag, n, dtype, check) -> bound session
         self._sessions: OrderedDict = OrderedDict()
         self._sessions_lock = threading.Lock()
 
@@ -333,7 +333,6 @@ class SolveService:
             request.subtile_scale,
             request.parallelism,
             id(request.heuristic) if request.heuristic is not None else None,
-            request.workers,
             request.ranks,
             request.fingerprint,
             request.rtol,
@@ -474,8 +473,7 @@ class SolveService:
             return None
         reps = len(items)
         key = (
-            bucket.digest, reps, m_frag,
-            first.n, first.dtype, first.workers, first.check,
+            bucket.digest, reps, m_frag, first.n, first.dtype, first.check,
         )
         with self._sessions_lock:
             session = self._sessions.get(key)
@@ -539,7 +537,6 @@ class SolveService:
             fingerprint=True,
             factorization=tiled,
             plan=plan,
-            workers=first.workers,
             check=first.check,
         )
         return bind_backend(

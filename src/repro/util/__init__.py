@@ -22,7 +22,6 @@ from repro.util.numerics import (
     max_relative_error,
     residual_norm,
 )
-from repro.util.pools import executor_cap
 
 __all__ = [
     "BatchTridiagonal",
@@ -30,7 +29,6 @@ __all__ = [
     "as_batch",
     "dense_from_diagonals",
     "diagonal_dominance_margin",
-    "executor_cap",
     "is_diagonally_dominant",
     "max_relative_error",
     "residual_norm",

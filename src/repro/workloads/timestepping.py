@@ -135,7 +135,7 @@ class ADIDiffusion2D:
         Diffusivity and time step.
     dx, dy:
         Grid spacings (``dy`` defaults to ``dx``).
-    backend, workers, check:
+    backend, check:
         Forwarded to :func:`~repro.backends.registry.bind_via` for both
         sessions.
     """
@@ -149,7 +149,6 @@ class ADIDiffusion2D:
         dy: float | None = None,
         *,
         backend: str = "auto",
-        workers: int | None = None,
         check: bool = True,
     ):
         self.u = _own_field(u0, ("ny", "nx"), min_points=2)
@@ -165,7 +164,7 @@ class ADIDiffusion2D:
         # fingerprint=True declares the many-RHS reuse intent: the bind
         # licenses a stored factorization at any batch size, so every
         # step runs the RHS-only fast path
-        kw = dict(backend=backend, workers=workers, check=check, fingerprint=True)
+        kw = dict(backend=backend, check=check, fingerprint=True)
         self._row = bind_via(ax, bx, cx, np.zeros_like(bx), **kw)
         self._col = bind_via(ay, by, cy, np.zeros_like(by), **kw)
         # the whole step runs in the sweeps' native transposed layout:
@@ -267,7 +266,6 @@ class ADIDiffusion3D:
         dx: float = 1.0,
         *,
         backend: str = "auto",
-        workers: int | None = None,
         check: bool = True,
     ):
         self.u = _own_field(u0, ("nz", "ny", "nx"), min_points=2)
@@ -276,7 +274,7 @@ class ADIDiffusion3D:
         self.dt = dt
         self.t = 0.0
         self.steps = 0
-        kw = dict(backend=backend, workers=workers, check=check, fingerprint=True)
+        kw = dict(backend=backend, check=check, fingerprint=True)
         nz, ny, nx = self.nz, self.ny, self.nx
         ax, bx, cx = adi_row_coefficients(nz * ny, nx, self.beta)
         ay, by, cy = adi_row_coefficients(nz * nx, ny, self.beta)
@@ -378,7 +376,6 @@ class CrankNicolsonCubic:
         gamma: float = 1.0,
         periodic: bool = False,
         backend: str = "auto",
-        workers: int | None = None,
         check: bool = True,
     ):
         self.u = _own_field(u0, ("M", "N"))
@@ -395,7 +392,7 @@ class CrankNicolsonCubic:
         self._session = bind_via(
             a, b, c, np.zeros_like(b),
             backend=backend, periodic=periodic,
-            workers=workers, check=check, fingerprint=True,
+            check=check, fingerprint=True,
         )
         self._r = alpha * dt / (2.0 * dx * dx)
         self._d = np.empty_like(self.u)

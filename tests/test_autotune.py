@@ -62,10 +62,8 @@ def _request(m=8, n=64, *, seed=0, dtype="float64", **opts):
 def test_model_running_mean_and_best():
     model = PerformanceModel(min_samples=2)
     cell = "c"
-    fast = {"backend": "engine", "k": 3, "workers": 1,
-            "fingerprint": "auto", "ranks": 1}
-    slow = {"backend": "numpy", "k": 0, "workers": 1,
-            "fingerprint": "auto", "ranks": 1}
+    fast = {"backend": "engine", "k": 3, "fingerprint": "auto", "ranks": 1}
+    slow = {"backend": "numpy", "k": 0, "fingerprint": "auto", "ranks": 1}
     model.observe(cell, fast, 1.0)
     assert model.best(cell) is None  # one sample is below min_samples
     model.observe(cell, fast, 3.0)
@@ -81,10 +79,8 @@ def test_model_running_mean_and_best():
 def test_model_best_admissibility_filter():
     model = PerformanceModel(min_samples=1)
     cell = "c"
-    model.observe(cell, {"backend": "a", "k": 0, "workers": 1,
-                         "fingerprint": "auto"}, 1.0)
-    model.observe(cell, {"backend": "b", "k": 0, "workers": 1,
-                         "fingerprint": "auto"}, 2.0)
+    model.observe(cell, {"backend": "a", "k": 0, "fingerprint": "auto"}, 1.0)
+    model.observe(cell, {"backend": "b", "k": 0, "fingerprint": "auto"}, 2.0)
     route, _ = model.best(cell, admissible=lambda r: r["backend"] == "b")
     assert route["backend"] == "b"
     assert model.best(cell, admissible=lambda r: False) is None
@@ -92,8 +88,7 @@ def test_model_best_admissibility_filter():
 
 def test_model_best_returns_copy():
     model = PerformanceModel(min_samples=1)
-    model.observe("c", {"backend": "a", "k": 0, "workers": 1,
-                        "fingerprint": "auto"}, 1.0)
+    model.observe("c", {"backend": "a", "k": 0, "fingerprint": "auto"}, 1.0)
     route, _ = model.best("c")
     route["backend"] = "mutated"
     route2, _ = model.best("c")
@@ -130,8 +125,7 @@ def test_model_roundtrip_bitwise(tmp_path):
         for j in range(4):
             model.observe(
                 cell,
-                {"backend": "engine", "k": j, "workers": 1,
-                 "fingerprint": "auto"},
+                {"backend": "engine", "k": j, "fingerprint": "auto"},
                 0.001 * (i + 1) * (j + 1) / 3.0,  # non-trivial floats
             )
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
@@ -170,8 +164,7 @@ def test_model_load_missing_corrupt_and_foreign(tmp_path):
     # v2 files hold routes of the retired threaded backend
     v2 = tmp_path / "v2.json"
     rkey = route_key({
-        "backend": "threaded", "k": 0, "workers": 4,
-        "fingerprint": "auto", "ranks": 1,
+        "backend": "threaded", "k": 0, "fingerprint": "auto", "ranks": 1,
     })
     v2.write_text(json.dumps({
         "kind": "repro-autotune-model", "version": 2, "min_samples": 2,
@@ -179,7 +172,7 @@ def test_model_load_missing_corrupt_and_foreign(tmp_path):
             rkey: {"count": 3, "mean_s": 1e-3},
         }},
     }))
-    assert MODEL_VERSION == 3
+    assert MODEL_VERSION == 4
     model, note = PerformanceModel.load_or_new(v2)
     assert model.cells() == [] and "version 2" in note
     assert AdaptiveRouter(model_path=v2).load_note == note
@@ -189,6 +182,28 @@ def test_model_load_missing_corrupt_and_foreign(tmp_path):
     alien.write_text(json.dumps({"kind": "something-else", "version": 1}))
     model, note = PerformanceModel.load_or_new(alien)
     assert model.cells() == [] and "kind" in note
+
+
+def test_v3_model_with_workers_routes_loads_empty(tmp_path):
+    # v3 routes carried a workers axis; its costs were measured on
+    # sharded routes that no longer exist, so the file is discarded
+    v3 = tmp_path / "v3.json"
+    rkey = json.dumps({
+        "backend": "engine", "fingerprint": "auto", "k": 0, "ranks": 1,
+        "workers": 4,
+    }, sort_keys=True)
+    v3.write_text(json.dumps({
+        "kind": "repro-autotune-model", "version": 3, "min_samples": 2,
+        "cells": {"M2^6|N2^8|float64|plain": {
+            rkey: {"count": 3, "mean_s": 1e-3},
+        }},
+    }))
+    with pytest.raises(ModelLoadError, match="version 3"):
+        PerformanceModel.load(v3)
+    model, note = PerformanceModel.load_or_new(v3)
+    assert model.cells() == [] and "version 3" in note
+    router = AdaptiveRouter(model_path=v3)
+    assert router.load_note == note and router.model.cells() == []
 
 
 def test_adaptive_router_degrades_on_corrupt_model(tmp_path):
@@ -345,10 +360,10 @@ def test_adaptive_never_selects_incapable_backend(
         for cell_n in (4, 64, 256):
             cell = cell_key(cell_m, cell_n, dtype, periodic)
             model.observe(cell, {"backend": "nonexistent", "k": 1,
-                                 "workers": 1, "fingerprint": "auto"}, 1e-9)
-            model.observe(cell, {"backend": "numpy", "k": 2, "workers": 8,
+                                 "fingerprint": "auto"}, 1e-9)
+            model.observe(cell, {"backend": "numpy", "k": 2,
                                  "fingerprint": "forced"}, 1e-9)
-            model.observe(cell, {"backend": "engine", "k": 2, "workers": 1,
+            model.observe(cell, {"backend": "engine", "k": 2,
                                  "fingerprint": "forced"}, 1e-8)
     router = AdaptiveRouter(model, epsilon=epsilon)
     opts = {} if rtol is None else {"rtol": rtol}
@@ -508,6 +523,6 @@ def test_rtol_validation():
 
 
 def test_route_key_is_stable():
-    r1 = {"backend": "engine", "k": 1, "workers": 1, "fingerprint": "auto"}
-    r2 = {"fingerprint": "auto", "workers": 1, "k": 1, "backend": "engine"}
+    r1 = {"backend": "engine", "k": 1, "fingerprint": "auto", "ranks": 1}
+    r2 = {"ranks": 1, "fingerprint": "auto", "k": 1, "backend": "engine"}
     assert route_key(r1) == route_key(r2)

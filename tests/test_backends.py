@@ -1,9 +1,9 @@
 """Backend dispatch layer: registry negotiation, router, cross-backend
 agreement, and per-solve traces.
 
-The engine — sharded over ``workers`` threads or not — must be
-*bitwise* identical to the single-call NumPy reference.  The gpusim backend routes its numerics
-through the engine too, but its device planner may choose a different
+The engine must be *bitwise* identical to the single-call NumPy
+reference.  The gpusim backend routes its numerics through the engine
+too, but its device planner may choose a different
 transition ``k`` / window split than the reference heuristic (shared
 memory caps it), so agreement there is to rounding tolerance, not
 bitwise — that tolerance is part of its contract.
@@ -62,7 +62,7 @@ def test_registry_lists_all_four_backends():
 
 
 def test_threaded_backend_name_is_unknown():
-    # the engine shards workers itself; the old name has no alias
+    # the retired backend name has no alias
     a, b, c, d = _batch(m=2, n=32)
     with pytest.raises(BackendError, match="unknown backend 'threaded'"):
         repro.solve_batch(a, b, c, d, backend="threaded")
@@ -74,17 +74,6 @@ def test_auto_picks_the_engine():
     assert repro.last_trace().backend == "engine"
 
 
-def test_workers_route_to_engine():
-    a, b, c, d = _batch()
-    x1 = repro.solve_batch(a, b, c, d)
-    xw = repro.solve_batch(a, b, c, d, workers=3)
-    trace = repro.last_trace()
-    assert trace.backend == "engine"
-    assert trace.decision.reason == "highest-priority capable backend"
-    assert trace.workers == 3
-    assert np.array_equal(x1, xw)  # sharding is bitwise-invisible
-
-
 @pytest.mark.parametrize("row", ALL_BACKENDS)
 def test_named_backend_is_honoured(row):
     name, opts = BACKEND_ROWS[row]
@@ -92,7 +81,6 @@ def test_named_backend_is_honoured(row):
     repro.solve_batch(a, b, c, d, backend=name, **opts)
     trace = repro.last_trace()
     assert trace.backend == name
-    assert trace.workers == opts.get("workers", 1)
 
 
 def test_unknown_backend_name_is_a_clear_error():
@@ -113,27 +101,49 @@ def test_unknown_solve_option_is_a_type_error():
         repro.solve_batch(a, b, c, d, tile=4)
 
 
-@pytest.mark.parametrize("bad", [0, -1, 2.5, "3"])
-def test_workers_must_be_a_positive_int_at_every_entry(bad):
+def _workers_entries(value):
+    """Every entry point that took ``workers=`` -> a call passing it.
+
+    The CLI's ``--workers`` flag is checked in ``test_cli``.
+    """
+    from repro.workloads.timestepping import (
+        ADIDiffusion2D,
+        ADIDiffusion3D,
+        CrankNicolsonCubic,
+    )
+
     a, b, c, d = _batch(m=4, n=32)
     engine = ExecutionEngine()
     handle = engine.prepare(a, b, c, k=0)
-    entries = {
-        "repro.solve_batch": lambda: repro.solve_batch(a, b, c, d, workers=bad),
-        "bind_via": lambda: bind_via(a, b, c, d, workers=bad),
-        "engine.solve_batch": lambda: engine.solve_batch(
-            a, b, c, d, workers=bad
+    u2, u3 = np.zeros((4, 8)), np.zeros((3, 4, 5))
+    return engine, {
+        "repro.solve_batch": lambda: repro.solve_batch(
+            a, b, c, d, workers=value
         ),
-        "engine.solve_batch(periodic)": lambda: engine.solve_batch(
-            a, b, c, d, periodic=True, workers=bad
+        "solve_periodic_batch": lambda: solve_periodic_batch(
+            a, b, c, d, workers=value
         ),
-        "prepared.solve": lambda: handle.solve(d, workers=bad),
-        "prepared.bind": lambda: handle.bind(workers=bad),
-        "repro.prepare": lambda: repro.prepare(a, b, c, workers=bad),
-        "engine.prepare": lambda: engine.prepare(a, b, c, workers=bad),
+        "bind_via": lambda: bind_via(a, b, c, d, workers=value),
+        "repro.prepare": lambda: repro.prepare(a, b, c, workers=value),
+        "engine.prepare": lambda: engine.prepare(a, b, c, workers=value),
+        "handle.solve": lambda: handle.solve(d, workers=value),
+        "handle.bind": lambda: handle.bind(workers=value),
+        "ADIDiffusion2D": lambda: ADIDiffusion2D(u2, 0.1, 0.1, workers=value),
+        "ADIDiffusion3D": lambda: ADIDiffusion3D(u3, 0.1, 0.1, workers=value),
+        "CrankNicolsonCubic": lambda: CrankNicolsonCubic(
+            u2, 0.1, 0.1, workers=value
+        ),
     }
+
+
+@pytest.mark.parametrize("value", [0, -1, 2.5, 3])
+def test_workers_is_rejected_at_every_entry(value):
+    # every solve runs on one thread: the retired option is an unknown
+    # keyword at every entry that took it, whether its value was once
+    # refused (0, -1, 2.5) or once honoured (3)
+    engine, entries = _workers_entries(value)
     for entry, call in entries.items():
-        with pytest.raises(ValueError, match="workers must be an int >= 1"):
+        with pytest.raises(TypeError, match="workers"):
             call()
     assert engine.stats.solves == 0
 
@@ -359,6 +369,43 @@ def test_gpusim_ranks_periodic_total_is_the_sum_of_its_stages(dtype):
     assert trace.predicted_total_us == pytest.approx(stages_us, rel=1e-9)
 
 
+def test_gpusim_ranks_periodic_factors_each_slab_once(monkeypatch):
+    from repro.core.periodic import (
+        apply_cyclic_correction,
+        correction_denominator,
+        correction_scale,
+        cyclic_reduce,
+    )
+    from repro.distributed import partition, partitioned_solve_reference
+
+    calls = []
+    real = partition.factor_slab
+    monkeypatch.setattr(
+        partition, "factor_slab", lambda *args: calls.append(1) or real(*args)
+    )
+    a, b, c, d = _cyclic_batch(4, 64, seed=29)
+    x = solve_periodic_batch(a, b, c, d, backend="gpusim", ranks=2)
+    # one bind half per slab: the q- and y-solves share the slabs
+    assert len(calls) == 2
+    trace = repro.last_trace()
+    stages_us = sum(s.predicted_us or 0.0 for s in trace.stages)
+    assert trace.predicted_total_us == pytest.approx(stages_us, rel=1e-9)
+    # the bits of two partitioned solves of A' and the correction
+    ap, bp, cp, u, w = cyclic_reduce(a, b, c)
+    q = partitioned_solve_reference(ap, bp, cp, u, 2)
+    y = partitioned_solve_reference(ap, bp, cp, d, 2)
+    scale = correction_scale(correction_denominator(q, w), 64)
+    assert x.tobytes() == apply_cyclic_correction(y, q, w, scale).tobytes()
+    # a bound session factors at bind and steps RHS-only
+    calls.clear()
+    with bind_via(a, b, c, d, backend="gpusim", ranks=2, periodic=True) as s:
+        assert s.describe()["inner"] == "distributed"
+        for _ in range(3):
+            assert s.step(d).tobytes() == x.tobytes()
+        assert s.step_once(d).x.tobytes() == x.tobytes()
+    assert len(calls) == 2
+
+
 def test_out_parameter_is_written_in_place():
     a, b, c, d = _batch(m=4, n=64)
     out = np.empty_like(d)
@@ -482,17 +529,6 @@ def test_fingerprint_true_negotiates_past_numpy():
     a, b, c, d = _batch(m=4, n=64, seed=44)
     _, trace = solve_via(a, b, c, d, fingerprint=True, registry=registry)
     assert trace.backend == "engine"
-
-
-def test_threaded_trace_merges_shard_stages():
-    a, b, c, d = _batch(m=32, n=128, seed=45)
-    repro.solve_batch(a, b, c, d, workers=4, fingerprint=False)
-    trace = repro.last_trace()
-    assert trace.backend == "engine"
-    # per-shard stage ledgers are merged into a critical-path view
-    names = [s.name for s in trace.stages]
-    assert any("[4 shards]" in name for name in names)
-    assert names[-1] == "sharded-execute[4]"
 
 
 # ------------------------------------------------------------- negotiation

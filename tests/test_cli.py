@@ -102,24 +102,24 @@ def test_backends_command(capsys):
     out = capsys.readouterr().out
     for name in ("engine", "distributed", "numpy", "gpusim"):
         assert name in out
-    assert "threaded" not in out  # the engine shards workers itself
+    assert "threaded" not in out  # the retired backend stays gone
     assert "simulated" in out
     assert "float32/float64" in out
 
 
-#: ``--backend`` rows -> CLI flags; ``threaded`` is the engine sharding
-#: the batch over three threads
+#: ``--backend`` rows -> CLI flags; the ``threaded`` row runs the CLI
+#: on a worker thread (see ``conftest.pytest_pyfunc_call``)
 BACKEND_FLAGS = {
     "engine": ["--backend", "engine"],
     "numpy": ["--backend", "numpy"],
-    "threaded": ["--backend", "engine", "--workers", "3"],
+    "threaded": ["--backend", "engine"],
     "gpusim": ["--backend", "gpusim"],
 }
 
 
-@pytest.mark.parametrize("backend", tuple(BACKEND_FLAGS))
-def test_solve_backend_flag(capsys, backend):
-    argv = ["solve", "-M", "4", "-N", "128", *BACKEND_FLAGS[backend]]
+@pytest.mark.parametrize("row", tuple(BACKEND_FLAGS))
+def test_solve_backend_flag(capsys, row):
+    argv = ["solve", "-M", "4", "-N", "128", *BACKEND_FLAGS[row]]
     assert main(argv) == 0
     assert "relative residual" in capsys.readouterr().out
 
@@ -143,10 +143,11 @@ def test_solve_trace_shows_gpusim_predictions(capsys):
 
 
 def test_solve_workers_flag(capsys):
-    assert main(["solve", "-M", "8", "-N", "128", "--workers", "2", "--trace"]) == 0
-    out = capsys.readouterr().out
-    assert "backend: engine" in out
-    assert "sharded-execute[2]" in out
+    # every solve runs on one thread: --workers is an unknown flag
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "-M", "8", "-N", "128", "--workers", "2", "--trace"])
+    assert exc.value.code == 2
+    assert "--workers" in capsys.readouterr().err
 
 
 def test_solve_backend_rejected_for_classic_algorithms(capsys):

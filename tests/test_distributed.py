@@ -43,12 +43,6 @@ from repro.distributed.partition import (
     factor_slab,
     slab_interior_k,
 )
-from repro.engine import default_engine
-from repro.util.pools import (
-    EXECUTOR_HARD_CAP,
-    EXECUTOR_PER_CPU,
-    executor_cap,
-)
 from repro.workloads.generators import huge_system_batch, random_batch
 
 
@@ -426,31 +420,6 @@ def test_concurrent_solves_on_one_pool_keep_their_bits():
         for d, x in zip(rhs[t], results[t]):
             ref = partitioned_solve_reference(a, b, c, d, 2)
             assert np.array_equal(x, ref), t
-
-
-# ----------------------------------------- satellite: executor caps
-
-
-def test_executor_cap_is_proportional_not_floored():
-    assert executor_cap(1) == max(2, EXECUTOR_PER_CPU)
-    assert executor_cap(2) == 8
-    assert executor_cap(64) == EXECUTOR_HARD_CAP
-    cpus = os.cpu_count() or 1
-    assert executor_cap() <= max(2, EXECUTOR_PER_CPU * cpus)
-    assert executor_cap() <= EXECUTOR_HARD_CAP
-
-
-def test_backend_caps_respect_executor_cap():
-    caps = default_registry().get("engine").capabilities()
-    assert caps.max_workers == executor_cap()
-    # the old bug: max(32, cpus) pinned >= 32 onto small hosts
-    assert caps.max_workers <= EXECUTOR_HARD_CAP
-
-
-def test_engine_thread_pool_never_oversubscribes():
-    engine = default_engine()
-    pool = engine.thread_pool(10_000)
-    assert pool._max_workers <= executor_cap()
 
 
 # --------------------------------------- satellite: disk-cache recency

@@ -1,16 +1,20 @@
-"""Solve-plan engine: plan caching, workspace reuse, sharding, parity.
+"""Solve-plan engine: plan caching, workspace reuse, parity.
 
 The engine's contract is strict: for every ``(M, N, k, fuse,
 n_windows)`` signature its result must be **bitwise identical** to the
 single-call :class:`~repro.core.hybrid.HybridSolver` reference path —
-cold (first solve, plans + allocates), warm (cached plan, pooled
-workspace), and sharded (``workers=W``) alike.
+cold (first solve, plans + allocates) and warm (cached plan, pooled
+workspace) alike.
 """
+
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 import repro
+from repro.backends.request import SolveRequest
 from repro.core.hybrid import HybridReport, HybridSolver, _FusedPThomas
 from repro.core.pcr import pcr_sweep
 from repro.core.pthomas import (
@@ -23,10 +27,8 @@ from repro.core.tiled_pcr import TiledPCR
 from repro.engine import (
     ExecutionEngine,
     PlanWorkspace,
-    SolvePlan,
     build_plan,
     execute_plan,
-    shard_bounds,
 )
 from repro.engine.plan import HOST_BLOCK_ELEMENTS
 from repro.kernels.hybrid_gpu import GpuHybridSolver
@@ -83,42 +85,9 @@ def test_warm_plan_bitwise_equals_cold(engine, m, n, k, fuse, nw):
     )
 
 
-@pytest.mark.parametrize("workers", [2, 3, 8])
-@pytest.mark.parametrize(
-    "m,n,k,fuse",
-    [(7, 200, 2, False), (64, 256, None, True), (1100, 96, None, False)],
-)
-def test_sharded_solve_bitwise_independent_of_workers(
-    engine, workers, m, n, k, fuse
-):
-    a, b, c, d = make_batch(m, n, seed=workers)
-    serial = engine.solve_batch(a, b, c, d, k=k, fuse=fuse)
-    sharded = engine.solve_batch(a, b, c, d, k=k, fuse=fuse, workers=workers)
-    assert np.array_equal(serial, sharded)
-    assert engine.stats.sharded_solves >= 1
-
-
-@pytest.mark.parametrize("fingerprint", [False, True])  # full / RHS-only
-def test_one_shard_is_not_a_sharded_solve(engine, fingerprint):
-    # a 1-row batch yields one shard however many workers are asked for
-    a, b, c, d = make_batch(1, 64, seed=5)
-    engine.solve_batch(a, b, c, d, k=0, workers=4, fingerprint=fingerprint)
-    assert engine.stats.rhs_only_solves == int(fingerprint)
-    assert engine.stats.sharded_solves == 0
-    assert not any("shard" in s.name for s in repro.last_trace().stages)
-
-
-def test_sharded_k_frozen_from_full_batch(engine):
-    # M = 1100 selects k = 0 (Table III); a shard of ~275 rows alone
-    # would select k = 6 — the sub-plans must inherit the full-M choice.
-    a, b, c, d = make_batch(1100, 64, seed=9)
-    engine.solve_batch(a, b, c, d, workers=4)
-    assert engine.last_report.k == 0
-
-
 def test_engine_result_is_correct(engine):
     a, b, c, d = make_batch(40, 333, seed=3)
-    x = engine.solve_batch(a, b, c, d, workers=2)
+    x = engine.solve_batch(a, b, c, d)
     assert max_err(x, reference_solve(a, b, c, d)) < 1e-12
 
 
@@ -212,7 +181,14 @@ def test_dtype_preserved(dtype, route):
     elif route == "engine":
         x = ExecutionEngine().solve_batch(a, b, c, d, k=3)
     elif route == "engine-workers":
-        x = ExecutionEngine().solve_batch(a, b, c, d, k=3, workers=3)
+        # one engine shared by three caller-owned worker threads
+        engine = ExecutionEngine()
+        with ThreadPoolExecutor(max_workers=3) as pool:
+            xs = list(pool.map(
+                lambda _: engine.solve_batch(a, b, c, d, k=3), range(3)
+            ))
+        x = xs[0]
+        assert all(np.array_equal(x, y) for y in xs[1:])
     else:
         x = solve_batch(a, b, c, d, k=3)
     assert x.dtype == np.dtype(dtype)
@@ -311,16 +287,6 @@ def test_host_subtile_keeps_the_bits(engine, k, fuse, nw, dtype):
         assert x.dtype == ref.dtype and x.tobytes() == ref.tobytes()
 
 
-@pytest.mark.parametrize("fuse", [False, True])
-@pytest.mark.parametrize("m,n", [(16, 8192), (5, 1000)])
-def test_host_subtile_keeps_the_bits_sharded(engine, m, n, fuse):
-    # workers=2 shards keep the full batch's k and c
-    a, b, c, d = make_batch(m, n, seed=m)
-    x = engine.solve_batch(a, b, c, d, fuse=fuse, workers=2)
-    ref = repro.solve_batch(a, b, c, d, backend="numpy", fuse=fuse)
-    assert x.tobytes() == ref.tobytes()
-
-
 @pytest.mark.parametrize("c", [2, 8, 64])
 @pytest.mark.parametrize("m,n,k", [(2, 40, 2), (1, 300, 6), (5, 1000, 3)])
 def test_explicit_subtile_scale_is_honoured(engine, m, n, k, c):
@@ -407,13 +373,21 @@ def test_clear_drops_plans_but_engine_stays_usable():
     assert np.array_equal(x1, x2)
 
 
-def test_shard_bounds_cover_batch():
-    for m, w in [(1, 4), (7, 3), (100, 8), (5, 5), (3, 100)]:
-        bounds = shard_bounds(m, w)
-        assert bounds[0][0] == 0 and bounds[-1][1] == m
-        for (l0, h0), (l1, h1) in zip(bounds, bounds[1:]):
-            assert h0 == l1 and h0 > l0
-        assert len(bounds) <= min(m, w)
+def test_engine_owns_no_threads():
+    # every solve runs on its caller's thread: solve -> bind -> step ->
+    # prepare -> close starts none
+    before = set(threading.enumerate())
+    engine = ExecutionEngine()
+    a, b, c, d = make_batch(64, 256, seed=8)
+    engine.solve_batch(a, b, c, d)
+    session = engine.bind(SolveRequest.build(a, b, c, d, k=0))
+    session.step(d)
+    session.step_t(np.ascontiguousarray(d.T))
+    handle = engine.prepare(a, b, c, k=3)
+    handle.solve(d)
+    handle.close()
+    session.close()
+    assert set(threading.enumerate()) <= before
 
 
 def test_default_engine_backs_public_api():

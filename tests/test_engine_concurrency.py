@@ -3,10 +3,9 @@
 The service tier runs ``ExecutionEngine.run()`` concurrently from its
 dispatch executor while direct callers keep using the same default
 engine from their own threads.  These tests drive the shared mutable
-state — the plan/factorization LRUs, the workspace pools, the sharding
-thread pool, and the disk spill tier's mtime-LRU eviction — hard
-enough that a missing lock or a shutdown race surfaces as an exception
-or a wrong answer.
+state — the plan/factorization LRUs, the workspace pools, and the disk
+spill tier's mtime-LRU eviction — hard enough that a missing lock
+surfaces as an exception or a wrong answer.
 """
 
 from __future__ import annotations
@@ -55,7 +54,6 @@ def test_concurrent_solves_share_plan_and_workspace_pools():
             assert np.array_equal(x, refs[which])
 
     hammer(worker)
-    engine.shutdown()
 
 
 def test_concurrent_fingerprint_reuse_under_tiny_lru():
@@ -73,7 +71,6 @@ def test_concurrent_fingerprint_reuse_under_tiny_lru():
             assert np.array_equal(x, refs[which])
 
     hammer(worker)
-    engine.shutdown()
 
 
 def test_concurrent_engines_share_disk_cache_with_eviction_churn(tmp_path):
@@ -87,7 +84,6 @@ def test_concurrent_engines_share_disk_cache_with_eviction_churn(tmp_path):
     probe.solve_batch(pa, pb, pc, pd, k=0, fingerprint=True)
     assert probe.disk_cache is not None
     one_file = max(probe.disk_cache.nbytes(), 1)
-    probe.shutdown()
 
     engines = [
         ExecutionEngine(
@@ -109,26 +105,6 @@ def test_concurrent_engines_share_disk_cache_with_eviction_churn(tmp_path):
     hammer(worker)
     evictions = sum(e.disk_cache.evictions for e in engines)
     assert evictions > 0, "cap never forced an eviction; stress is vacuous"
-    for e in engines:
-        e.shutdown()
-
-
-def test_thread_pool_grows_while_sharded_solves_run():
-    # workers=2..8 concurrently: the sharding executor is swapped for a
-    # bigger one while siblings still submit to the old one (the
-    # retired-executor graveyard keeps submit-after-shutdown away)
-    engine = ExecutionEngine(pool_size=8)
-    a, b, c, d = random_batch(32, 128, seed=300)
-    ref = repro.solve_batch(a, b, c, d, k=0)
-
-    def worker(i):
-        for j in range(ITERS):
-            workers = 2 + ((i + j) % 4) * 2
-            x = engine.solve_batch(a, b, c, d, k=0, workers=workers)
-            assert np.array_equal(x, ref)
-
-    hammer(worker)
-    engine.shutdown()
 
 
 def test_service_and_direct_callers_share_default_engine():

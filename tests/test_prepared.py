@@ -1,6 +1,6 @@
 """Prepared-solve pipeline: coefficient fingerprinting, the engine's
 factorization cache, the explicit ``repro.prepare`` handle, and the
-RHS-only fast path's numerics/sharding/trace contract."""
+RHS-only fast path's numerics/trace contract."""
 
 import numpy as np
 import pytest
@@ -309,32 +309,6 @@ def test_prepared_solve_preserves_float32():
     )
 
 
-# -------------------------------------------------------------- sharding
-
-
-@pytest.mark.parametrize("k", [0, 4], ids=["thomas", "hybrid"])
-def test_prepared_sharding_is_bitwise_invisible(k):
-    a, b, c, d = make_batch(64, 256, seed=17)
-    engine = ExecutionEngine()
-    handle = engine.prepare(a, b, c, k=k)
-    x1 = handle.solve(d)
-    xw = handle.solve(d, workers=3)
-    assert np.array_equal(x1, xw)
-    assert engine.stats.sharded_solves >= 1
-
-
-def test_prepared_workers_route_through_engine_backend():
-    m, n = K0_SHAPE
-    a, b, c, d = make_batch(m, n, seed=18)
-    x1 = repro.solve_batch(a, b, c, d, fingerprint=True)
-    xw = repro.solve_batch(a, b, c, d, workers=3, fingerprint=True)
-    trace = repro.last_trace()
-    assert trace.backend == "engine"
-    assert trace.workers == 3
-    assert trace.rhs_only is True
-    assert np.array_equal(x1, xw)
-
-
 # ----------------------------------------------------- periodic prepared
 
 
@@ -412,14 +386,6 @@ def test_periodic_prepare_seeds_solve_periodic_cache():
     assert np.array_equal(handle.solve(d), x)
 
 
-def test_periodic_prepared_sharding_is_bitwise_invisible():
-    a, b, c, d = _cyclic_batch(64, 256, seed=37)
-    engine = ExecutionEngine()
-    handle = engine.prepare(a, b, c, periodic=True, k=0)
-    assert np.array_equal(handle.solve(d), handle.solve(d, workers=3))
-    assert engine.stats.sharded_solves >= 1
-
-
 def test_periodic_prepare_singular_raises_at_factor_time():
     from repro.core.periodic import CyclicSingularError
 
@@ -459,5 +425,5 @@ def test_thomas_rhs_factorization_matches_reference():
     plan = engine.plan_for(16, 40, np.dtype(np.float64), k=0)
     ws = PreparedWorkspace(plan)
     out = np.empty_like(d)
-    fact.solve_shard(ws, d, out, 0, 16)
+    fact.solve_shard(ws, d, out)
     assert max_err(out, reference_solve(a, b, c, d)) < 1e-11

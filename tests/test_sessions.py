@@ -7,8 +7,7 @@ through one bound session produces, step for step, the **bitwise**
 result of independent one-shot solves wherever the one-shot path makes
 that promise (every ``k = 0`` route, all banded routes).  These tests
 pin that contract across the four system kinds, both session paths
-(factored and full) sharded over ``workers`` threads or not, and the
-backend surface — the engine, the generic per-step fallback, the
+(factored and full), and the backend surface — the engine, the generic per-step fallback, the
 service's shared-window sessions, and the distributed pipeline — plus
 the transposed-layout ``step_t`` fast path and the session lifecycle.
 Every session kind keeps the one ``Session`` contract (input scan,
@@ -59,8 +58,8 @@ def _cyclic_batch(m, n, seed):
 def _make(kind, seed, backend="engine", fingerprint=None, **opts):
     """(session, one_shot(d), fresh_d()) for one system kind.
 
-    ``opts`` (e.g. ``workers``) ride on the bind only: the one-shot
-    reference is always the unsharded solve.
+    ``opts`` ride on the bind only: the one-shot reference is the
+    plain solve.
     """
     rng = np.random.default_rng(seed + 1000)
     if fingerprint is None:
@@ -114,23 +113,16 @@ def _make(kind, seed, backend="engine", fingerprint=None, **opts):
 @settings(max_examples=8, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=10_000),
-    workers=st.sampled_from((1, 2, 3)),
     fingerprint=st.booleans(),
 )
-def test_step_sequence_matches_one_shot_bitwise(
-    kind, seed, workers, fingerprint
-):
+def test_step_sequence_matches_one_shot_bitwise(kind, seed, fingerprint):
     # fingerprint=False binds plain and cyclic systems on the full path
-    # (banded kinds always sweep a factorization); workers > 1 splits
-    # every step through the session's shard loop
-    session, one_shot, fresh_d = _make(
-        kind, seed, fingerprint=fingerprint, workers=workers
-    )
+    # (banded kinds always sweep a factorization)
+    session, one_shot, fresh_d = _make(kind, seed, fingerprint=fingerprint)
     with session:
         assert isinstance(session, BoundSolve)
         full = not fingerprint and kind in ("plain", "cyclic")
         assert (session.fact is None) == full
-        assert session.describe()["workers"] == workers
         for step in range(3):
             d = fresh_d()
             x = session.step(d)
@@ -149,8 +141,8 @@ def test_step_sequence_matches_one_shot_bitwise(
 @pytest.mark.parametrize("kind", ("plain", "cyclic"))
 @pytest.mark.parametrize("fingerprint", (True, False), ids=("factored", "full"))
 def test_step_leaves_engine_stats_alone_on_both_paths(kind, fingerprint):
-    # step() is the uninstrumented hot loop: a sharded session counts no
-    # solve and resolves no plan per step (its sub-plans bind once)
+    # step() is the uninstrumented hot loop: a session counts no solve
+    # and resolves no plan per step (its plan binds once)
     engine = ExecutionEngine()
     if kind == "plain":
         a, b, c, d = random_batch(4, 40, seed=71)
@@ -158,9 +150,9 @@ def test_step_leaves_engine_stats_alone_on_both_paths(kind, fingerprint):
         a, b, c, d = _cyclic_batch(4, 40, seed=71)
     request = SolveRequest.build(
         a, b, c, d, periodic=(kind == "cyclic"), k=0,
-        fingerprint=fingerprint, workers=2,
+        fingerprint=fingerprint,
     )
-    fields = ("solves", "sharded_solves", "plan_requests", "plans_built")
+    fields = ("solves", "plan_requests", "plans_built")
     rng = np.random.default_rng(71)
     with engine.bind(request) as session:
         assert (session.fact is None) == (not fingerprint)

@@ -14,6 +14,7 @@ the caller's initial array.
 from __future__ import annotations
 
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -54,27 +55,41 @@ def neumann_mode(n: int) -> tuple[np.ndarray, float]:
 
 
 # (32, 36, 40) runs all three sweeps on k = 0 Thomas (step_t proper);
-# (6, 7, 9) runs them on k > 0, where step_t falls back to step
+# (6, 7, 9) runs them on k > 0, where step_t falls back to step.
+# callers=3 steps three simulators at once, each from its own
+# caller-owned thread, all sharing the default engine
 @pytest.mark.parametrize("shape, thomas", [((32, 36, 40), True), ((6, 7, 9), False)])
-@pytest.mark.parametrize("workers", [None, 3])
-def test_lod_step_is_bitwise_the_per_call_loop(shape, thomas, workers):
+@pytest.mark.parametrize("callers", [None, 3])
+def test_lod_step_is_bitwise_the_per_call_loop(shape, thomas, callers):
     nz, ny, nx = shape
     u0 = np.random.default_rng(sum(shape)).random(shape)
-    sim = ADIDiffusion3D(u0, ALPHA, DT, workers=workers)
-    beta = sim.beta
+    sims = [ADIDiffusion3D(u0, ALPHA, DT) for _ in range(callers or 1)]
+    beta = sims[0].beta
     handles = [
         repro.prepare(*adi_row_coefficients(m, n, beta))
         for m, n in ((nz * ny, nx), (nz * nx, ny), (ny * nx, nz))
     ]
+
+    def run(sim):
+        return [sim.step().copy() for _ in range(5)]
+
     try:
-        ks = {s.describe()["k"] for s in (sim._sx, sim._sy, sim._sz)}
-        assert ks == {0} if thomas else 0 not in ks, ks
+        for sim in sims:
+            ks = {s.describe()["k"] for s in (sim._sx, sim._sy, sim._sz)}
+            assert ks == {0} if thomas else 0 not in ks, ks
+        if callers is None:
+            runs = [run(sims[0])]
+        else:
+            with ThreadPoolExecutor(max_workers=callers) as pool:
+                runs = list(pool.map(run, sims))
         u = u0
         for step in range(5):
             u = _prepared_step(handles, u, beta)
-            assert np.array_equal(sim.step(), u), step
+            for steps in runs:
+                assert np.array_equal(steps[step], u), step
     finally:
-        sim.close()
+        for sim in sims:
+            sim.close()
         for handle in handles:
             handle.close()
 

@@ -68,7 +68,6 @@ def test_every_route_populates_the_full_trace(route, row):
     assert trace.dtype == "float64"
     assert isinstance(trace.k, int) and trace.k >= 0
     assert trace.k_source
-    assert trace.workers == opts.get("workers", 1)
     assert trace.plan_cache in _PLAN_CACHE_STATES
     assert trace.factorization in _FACTORIZATION_STATES
     assert isinstance(trace.rhs_only, bool)
@@ -110,17 +109,6 @@ def test_routed_dispatch_stamps_static_decision(periodic):
     assert trace.decision.reason
 
 
-def test_workers_decision_is_the_priority_fallback():
-    # workers is a negotiated axis, not a routing rule: the engine
-    # serves a sharded request by priority
-    a, b, c, d = _batch("plain", "workers-rule")
-    _, trace = solve_via(a, b, c, d, workers=2)
-    assert trace.decision.router == "static"
-    assert trace.decision.chosen == "engine"
-    assert trace.decision.reason == "highest-priority capable backend"
-    assert trace.workers == 2
-
-
 def _penta_batch(backend: str, m=8, n=64):
     from repro.workloads.generators import random_penta_batch
 
@@ -155,7 +143,6 @@ def test_banded_routes_populate_the_same_trace_schema(system, row):
     assert trace.m == m and trace.n == n
     assert trace.dtype == "float64"
     assert trace.k == 0 and trace.k_source == "banded"
-    assert trace.workers == opts.get("workers", 1)
     assert trace.plan_cache in _PLAN_CACHE_STATES
     assert trace.factorization in _FACTORIZATION_STATES
     assert isinstance(trace.rhs_only, bool)
@@ -231,7 +218,6 @@ def test_session_step_once_populates_the_full_trace(route, row):
     assert trace.m == 8 and trace.n == 64
     assert trace.dtype == "float64"
     assert isinstance(trace.k, int) and trace.k >= 0
-    assert trace.workers == opts.get("workers", 1)
     assert trace.plan_cache in _PLAN_CACHE_STATES
     assert trace.factorization in _FACTORIZATION_STATES
     assert isinstance(trace.rhs_only, bool)
