@@ -9,7 +9,7 @@ factorization) plus the multi-RHS path.
 import numpy as np
 import pytest
 
-from repro.core.factorize import HybridFactorization, ThomasFactorization
+from repro.core.factorize import HybridFactorization
 from repro.core.thomas import thomas_solve_batch
 
 from .conftest import make_batch, verify
@@ -17,7 +17,7 @@ from .conftest import make_batch, verify
 
 def test_thomas_factor_cost(benchmark):
     a, b, c, d = make_batch(64, 1024, seed=1)
-    fact = benchmark(ThomasFactorization.factor, a, b, c)
+    fact = benchmark(HybridFactorization.factor, a, b, c, k=0)
     x = fact.solve(d)
     verify(a, b, c, d, x)
     benchmark.extra_info.update({"suite": "factorization", "phase": "factor"})
@@ -25,7 +25,7 @@ def test_thomas_factor_cost(benchmark):
 
 def test_thomas_factored_solve_cost(benchmark):
     a, b, c, d = make_batch(64, 1024, seed=1)
-    fact = ThomasFactorization.factor(a, b, c)
+    fact = HybridFactorization.factor(a, b, c, k=0)
     x = benchmark(fact.solve, d)
     verify(a, b, c, d, x)
     benchmark.extra_info.update({"suite": "factorization", "phase": "solve"})
@@ -44,7 +44,7 @@ def test_multi_rhs_amortization(benchmark):
     a, b, c, _ = make_batch(m, n, seed=2)
     rng = np.random.default_rng(0)
     D = rng.standard_normal((m, n, r))
-    fact = ThomasFactorization.factor(a, b, c)
+    fact = HybridFactorization.factor(a, b, c, k=0)
 
     X = benchmark(fact.solve, D)
     assert X.shape == (m, n, r)

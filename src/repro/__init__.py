@@ -46,7 +46,6 @@ from repro.core import (
     CyclicSingularError,
     HybridFactorization,
     PentaFactorization,
-    ThomasFactorization,
     block_thomas_solve_batch,
     pentadiag_solve_batch,
     HybridReport,
@@ -102,7 +101,7 @@ from repro.service import (
 from repro.distributed import DistributedWorkerError, partitioned_solve_reference
 from repro.util import BatchTridiagonal, TridiagonalSystem
 
-__version__ = "1.12.0"
+__version__ = "1.13.0"
 
 __all__ = [
     "solve",
@@ -124,7 +123,6 @@ __all__ = [
     "rd_solve_batch",
     "pentadiag_solve_batch",
     "block_thomas_solve_batch",
-    "ThomasFactorization",
     "HybridFactorization",
     "CyclicSingularError",
     "PentaFactorization",

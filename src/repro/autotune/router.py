@@ -20,11 +20,13 @@ fully deterministic for a given call sequence:
   route instead, so non-winning routes keep earning samples and the
   model tracks the host as it changes.
 
-Numeric safety is part of admissibility: a ``forced`` fingerprint tier
-(allclose-grade RHS-only reuse on ``k > 0`` plans) is only applied
-when the route is ``k = 0`` — where reuse is bitwise — or the request
-carries an ``rtol=`` contract clearing the dtype floor
-(:func:`repro.engine.prepared.rtol_permits_hybrid_reuse`).
+Reuse intent is part of admissibility: a ``forced`` fingerprint tier
+is only applied when the route is ``k = 0`` or the request carries an
+``rtol=`` contract clearing the dtype floor
+(:func:`repro.engine.prepared.rtol_permits_hybrid_reuse`).  RHS-only
+reuse keeps the one-shot's bits at every ``k``; the floor keeps a
+``k > 0`` factorization's ``2k + 3`` stored arrays off requests that
+did not declare it.
 
 The model feeds itself: :meth:`AdaptiveRouter.observe` is called by
 ``solve_via`` after every registry dispatch (explicit-backend solves

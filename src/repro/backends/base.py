@@ -218,7 +218,9 @@ class CyclicSession(Session):
 
     def step_once(self, d=None, out=None) -> SolveOutcome:
         """One instrumented step: the inner y-step's trace, marked
-        periodic, behind the bind's reduction and q-solve stages."""
+        periodic, behind the bind's reduction and q-solve stages.  The
+        inner session's bind stages ran once and are reported once,
+        under ``cyclic-q:``, so the y-step lists only its own stages."""
         if self.closed:
             raise RuntimeError("session is closed")
         d, out = self._once_args(d, out)
@@ -228,8 +230,9 @@ class CyclicSession(Session):
         correction = StageTiming("cyclic-correction", time.perf_counter() - t0)
         trace = y.trace
         trace.periodic = True
+        y_stages = trace.stages[len(self.inner.bind_stages):]
         trace.stages = [
-            *self._bind_stages, *_prefixed("cyclic-y:", trace.stages), correction
+            *self._bind_stages, *_prefixed("cyclic-y:", y_stages), correction
         ]
         self.steps += 1
         return SolveOutcome(x=x, trace=trace)

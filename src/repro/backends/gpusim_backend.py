@@ -302,7 +302,7 @@ class _RanksSession(Session):
         self._slabs = [
             factor_slab(at[lo:hi], bt[lo:hi], ct[lo:hi]) for lo, hi in self.bounds
         ]
-        self._t_partition = time.perf_counter() - t0
+        self.bind_stages = [("partition", time.perf_counter() - t0)]
 
     def _pipeline(self, dt, out_t, timings=None) -> None:
         """The ``(N, M)`` right-hand side ``dt`` through eliminate →
@@ -350,7 +350,7 @@ class _RanksSession(Session):
         dt = np.ascontiguousarray(d.T)
         xt = np.empty_like(dt)
         t_staging = time.perf_counter() - t0
-        timings = [("partition", self._t_partition)]
+        timings = list(self.bind_stages)
         self._pipeline(dt, xt, timings)
         t0 = time.perf_counter()
         if out is None:

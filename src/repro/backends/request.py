@@ -160,19 +160,22 @@ class SolveRequest:
         The request carries a prebuilt ``factorization`` (and usually a
         frozen ``plan``); execution is the RHS-only sweep.
     fingerprint:
-        Factorization-cache tri-state: ``None`` auto-engages where
-        bitwise safe (``k = 0``), ``True`` forces prepared execution
-        (and restricts negotiation to prepared-capable backends),
-        ``False`` disables hashing.
+        Factorization-cache tri-state: ``None`` auto-engages at
+        ``k = 0``, ``True`` forces prepared execution (and restricts
+        negotiation to prepared-capable backends), ``False`` disables
+        hashing.  Prepared execution keeps the one-shot's bits at
+        every ``k``.
     rtol:
         The caller's accuracy contract: the relative drift (vs the
         unprepared solve) this request tolerates.  ``None`` (default)
-        means *bitwise* — fingerprinting auto-engages only where it is
-        bit-exact (``k = 0``).  A positive ``rtol`` above the dtype
-        floor (:data:`repro.engine.prepared.FINGERPRINT_RTOL_FLOOR`)
-        lets the auto tier also reuse hybrid ``k > 0`` factorizations,
-        whose RHS-only sweeps are allclose-grade, and licenses the
-        adaptive router to select forced-fingerprint routes.
+        declares none — fingerprinting auto-engages only at ``k = 0``.
+        A positive ``rtol`` above the dtype floor
+        (:data:`repro.engine.prepared.FINGERPRINT_RTOL_FLOOR`) lets the
+        auto tier also reuse hybrid ``k > 0`` factorizations and
+        licenses the adaptive router to select forced-fingerprint
+        routes (and a different ``k``).  Those sweeps keep the bits, so
+        the floor is an intent and cost gate: a ``k > 0``
+        factorization holds ``2k + 3`` ``(N, M)`` arrays.
     ranks:
         Requested N-axis partition count for the distributed tier
         (``None`` = not partitioned; ``ranks > 1`` restricts

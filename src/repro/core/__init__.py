@@ -43,10 +43,7 @@ from repro.core.cost_model import (
     pcr_cost,
     thomas_cost,
 )
-from repro.core.factorize import (
-    HybridFactorization,
-    ThomasFactorization,
-)
+from repro.core.factorize import HybridFactorization
 from repro.core.blocktridiag import (
     BlockThomasFactorization,
     block_factor,
@@ -93,7 +90,6 @@ __all__ = [
     "thomas_cost",
     "solve",
     "solve_batch",
-    "ThomasFactorization",
     "HybridFactorization",
     "CyclicSingularError",
     "solve_periodic",

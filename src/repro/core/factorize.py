@@ -2,157 +2,216 @@
 
 Time-stepping applications (Crank–Nicolson, ADI, multigrid smoothing —
 exactly the paper's motivating workloads) solve the *same* tridiagonal
-matrix against a new right-hand side every step.  Both algorithm
-families split cleanly into a coefficient-only phase and an
-RHS-dependent phase:
+matrix against a new right-hand side every step.  The paper's hybrid
+splits cleanly into a coefficient-only phase and an RHS-dependent
+phase:
 
-* **Thomas**: the forward-elimination multipliers ``c'_i`` and pivots
-  depend only on ``(a, b, c)``; a solve is then one forward and one
-  backward O(n) sweep over ``d``.
-* **k-step PCR + p-Thomas**: each PCR level's reduction factors
-  ``k1 = a/b_{−s}`` and ``k2 = c/b_{+s}`` depend only on coefficients;
-  applying a level to a right-hand side is
-  ``d' = d − k1·d_{−s} − k2·d_{+s}``.  Storing the ``(k1, k2)`` of all
-  ``k`` levels plus a Thomas factorization of the reduced interleaved
-  system gives an O(kN + N) solve per RHS with zero re-elimination.
+* each PCR level's reduction factors ``k1 = a/b_{−s}`` and
+  ``k2 = c/b_{+s}`` depend only on coefficients; applying a level to a
+  right-hand side is ``d' = d − k1·d_{−s} − k2·d_{+s}``;
+* p-Thomas over the reduced interleaved system (§III-B) is plain
+  Thomas at stride ``g = 2^k``: its forward *denominators*
+  ``b − c'_{−g}·a`` and multipliers ``c' = c / denom`` depend only on
+  coefficients, and a solve is one forward and one backward sweep over
+  ``d``.
 
-Both factorizations accept multiple right-hand sides at once
-(``d`` of shape ``(M, N)`` or ``(M, N, R)``), vectorizing over the
-trailing RHS axis.
+:class:`ThomasRhsFactorization` is that stride-``g`` Thomas, stored in
+the transposed ``(N, M)`` layout the engine sweeps in: row ``i`` holds
+position ``i`` of all ``M`` systems, so a level slab of ``g`` rows is
+one contiguous block (at ``g = 1``, one row).  Its RHS sweep runs
+p-Thomas's operations in p-Thomas's order — multiply, subtract, divide
+by the stored denominator — so every factored solve gives the bits of
+the one-shot it replaces: ``g = 1`` is the engine's ``k = 0`` Thomas
+(whose one-shot is this factor plus this sweep),
+:class:`HybridFactorization` wraps it at ``g = 2^k`` behind its stored
+PCR levels.  Both accept one ``(M, N)`` right-hand side or a stack of
+them, ``(M, N, R)``, vectorizing over the trailing axis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
+from repro.core.layout import transpose_into
 from repro.core.transition import GTX480_HEURISTIC, clamp_k
 from repro.core.validation import check_batch_arrays
 
-__all__ = ["HybridFactorization", "ThomasFactorization"]
+__all__ = ["HybridFactorization", "RhsWorkspace", "ThomasRhsFactorization"]
 
 
-def _shift_rhs(d: np.ndarray, offset: int) -> np.ndarray:
-    """Shift along axis 1 with zero fill: ``out[:, i] = d[:, i + offset]``."""
-    out = np.zeros_like(d)
-    n = d.shape[1]
-    if offset > 0:
-        if offset < n:
-            out[:, : n - offset] = d[:, offset:]
-    elif offset < 0:
-        k = -offset
-        if k < n:
-            out[:, k:] = d[:, : n - k]
-    else:
-        out[...] = d
-    return out
+def _slabs(arr: np.ndarray, g: int):
+    """``arr`` cut into ``g``-row level slabs from the top, the last one
+    short when ``g`` does not divide its rows.  At ``g = 1`` this is
+    ``arr`` itself: a zip walks its rows as views, the cheapest walk
+    when the sweep is ufunc-call bound."""
+    if g == 1:
+        return arr
+    return [arr[lo:lo + g] for lo in range(0, len(arr), g)]
 
 
-def _match_buffer(buf, d: np.ndarray, squeeze: bool) -> np.ndarray:
-    """Adapt a caller-owned buffer to ``d``'s expanded ``(M, N, R)`` shape.
-
-    Accepts the buffer in either the caller's original shape (``(M, N)``
-    when ``squeeze``) or already-expanded form; allocates when ``buf`` is
-    ``None``.
-    """
-    if buf is None:
-        return np.empty_like(d)
-    if squeeze and buf.ndim == 2:
-        buf = buf[..., None]
-    if buf.shape != d.shape or buf.dtype != d.dtype:
-        raise ValueError(
-            f"buffer has shape {buf.shape} dtype {buf.dtype}, "
-            f"expected {d.shape} {d.dtype}"
-        )
-    return buf
+def _slabs_up(arr: np.ndarray, g: int):
+    """``arr`` cut into ``g``-row level slabs from the bottom, bottom
+    first (the backward sweep's order); at ``g = 1``, its rows reversed."""
+    if g == 1:
+        return arr[::-1]
+    return [arr[max(hi - g, 0):hi] for hi in range(len(arr), 0, -g)]
 
 
-@dataclass
-class ThomasFactorization:
-    """LU-without-pivoting of a batch of tridiagonal matrices.
+def _scratch(t: np.ndarray, slabs, g: int):
+    """One ``t`` view per slab, matching its row count (``t`` itself,
+    row by row, at ``g = 1``)."""
+    if g == 1:
+        return repeat(t[0])
+    return [t[:len(s)] for s in slabs]
 
-    Stores the forward multipliers so each subsequent solve is two O(n)
-    sweeps over the right-hand side only.
 
-    Examples
-    --------
-    >>> import numpy as np
-    >>> from repro.core.factorize import ThomasFactorization
-    >>> from repro.workloads.generators import random_batch
-    >>> a, b, c, d = random_batch(4, 64, seed=0)
-    >>> fact = ThomasFactorization.factor(a, b, c)
-    >>> x = fact.solve(d)             # first RHS
-    >>> x2 = fact.solve(d * 2.0)      # reuse: no re-elimination
-    >>> bool(np.allclose(x2, 2.0 * x))
-    True
+class RhsWorkspace:
+    """Buffers of one RHS-only sweep over ``(N, M[, R])`` right-hand sides.
+
+    ``td``/``xt`` stage a row-major batch in and out of the transposed
+    layout, ``dp`` holds the forward sweep's ``d'`` and ``t`` one level
+    slab of products.  A ``k > 0`` sweep also applies its PCR levels
+    through ``dq`` and ``dp`` (the last level lands in ``dq``, which
+    the reduced sweep then reads) and forms their products in ``tm``.
     """
 
-    a: np.ndarray  # sub-diagonal (needed in the d-forward sweep)
-    cp: np.ndarray  # modified super-diagonal c'_i
-    inv_denom: np.ndarray  # 1 / (b_i - a_i c'_{i-1})
+    def __init__(self, shape, k: int, dtype):
+        self.td, self.xt, self.dp = (np.empty(shape, dtype=dtype) for _ in range(3))
+        self.t = np.empty((min(1 << k, shape[0]), *shape[1:]), dtype=dtype)
+        self.nbytes = 3 * self.dp.nbytes + self.t.nbytes
+        if k:
+            self.dq, self.tm = (np.empty(shape, dtype=dtype) for _ in range(2))
+            self.nbytes += 2 * self.dp.nbytes
+
+
+class ThomasRhsFactorization:
+    """Factored Thomas at stride ``g`` in the transposed ``(N, M)`` layout.
+
+    Stores the sub-diagonal ``ta``, the modified super-diagonal ``cp``
+    and the forward-elimination *denominators* as ``(N, M)`` arrays.
+    Row ``i`` couples to rows ``i ± g``: ``g = 1`` is plain Thomas,
+    ``g = 2^k`` the reduced system ``k`` PCR levels leave behind, whose
+    ``M · g`` interleaved subsystems p-Thomas solves (§III-B).  The RHS
+    sweep divides by the stored denominators in p-Thomas's order, so a
+    solve gives the bits of the engine's one-shot at the same ``k``.
+    """
+
+    __slots__ = ("ta", "cp", "denom", "g", "nbytes")
+    kind = "thomas"
+
+    def __init__(self, ta, cp, denom, g: int = 1):
+        self.ta = ta
+        self.cp = cp
+        self.denom = denom
+        self.g = g
+        self.nbytes = ta.nbytes + cp.nbytes + denom.nbytes
+
+    def arrays(self) -> dict:
+        """Every stored array by name (the spill-file layout)."""
+        return {"ta": self.ta, "cp": self.cp, "denom": self.denom}
 
     @classmethod
-    def factor(cls, a, b, c, *, check: bool = True) -> "ThomasFactorization":
-        """Run the coefficient-only part of the forward elimination."""
-        if check:
-            d0 = np.zeros_like(np.asarray(b))
-            a, b, c, _ = check_batch_arrays(a, b, c, d0)
-        else:
-            a, b, c = (np.asarray(v) for v in (a, b, c))
-        m, n = b.shape
-        cp = np.empty((m, n), dtype=b.dtype)
-        inv = np.empty((m, n), dtype=b.dtype)
-        inv[:, 0] = 1.0 / b[:, 0]
-        cp[:, 0] = c[:, 0] * inv[:, 0]
-        for i in range(1, n):
-            denom = b[:, i] - cp[:, i - 1] * a[:, i]
-            inv[:, i] = 1.0 / denom
-            cp[:, i] = c[:, i] * inv[:, i]
-        return cls(a=a.copy(), cp=cp, inv_denom=inv)
+    def from_arrays(cls, arrays, g: int = 1) -> "ThomasRhsFactorization":
+        """Rebuild from :meth:`arrays`' layout."""
+        return cls(ta=arrays["ta"], cp=arrays["cp"], denom=arrays["denom"], g=g)
 
     @property
     def m(self) -> int:
-        """Number of factored systems."""
-        return self.cp.shape[0]
+        return self.ta.shape[1]
 
     @property
     def n(self) -> int:
-        """System size."""
-        return self.cp.shape[1]
+        return self.ta.shape[0]
 
-    def solve(self, d, *, out=None, scratch=None) -> np.ndarray:
-        """Solve for one RHS set: ``d`` is ``(M, N)`` or ``(M, N, R)``.
+    @classmethod
+    def factor(cls, a, b, c, g: int = 1) -> "ThomasRhsFactorization":
+        """Factor ``(M, N)`` diagonals: :meth:`factor_t` on staged
+        transposes."""
+        m, n = b.shape
+        staged = [transpose_into(v, np.empty((n, m), dtype=b.dtype)) for v in (a, b, c)]
+        return cls.factor_t(*staged, g=g)
 
-        ``out`` receives the solution (same shape as ``d``); ``scratch``
-        is an optional caller-owned buffer of ``d``'s shape for the
-        modified RHS, so a warm RHS-only solve allocates nothing.  The
-        solve runs in the factorization's dtype (a float32
-        factorization keeps float32 right-hand sides in float32).
+    @classmethod
+    def factor_t(cls, ta, tb, tc, g: int = 1) -> "ThomasRhsFactorization":
+        """Forward elimination over ``(N, M)`` diagonals the caller has
+        staged for it, in place: ``tb`` becomes the denominators and
+        ``tc`` the ``c'``; ``ta`` is kept as the sub-diagonal.
+
+        Level by level as p-Thomas runs it: the first ``g`` rows keep
+        ``denom = b`` and take ``c' = c / b``; every later row takes
+        ``denom = b − c'_{i−g}·a`` (that multiply-then-subtract order)
+        and ``c' = c / denom``.
         """
-        d = np.asarray(d, dtype=self.cp.dtype)
-        squeeze = d.ndim == 2
-        if squeeze:
-            d = d[..., None]
-        if d.shape[:2] != self.cp.shape:
-            raise ValueError(
-                f"d has leading shape {d.shape[:2]}, expected {self.cp.shape}"
-            )
-        m, n, r = d.shape
-        a = self.a[..., None]
-        inv = self.inv_denom[..., None]
-        cp = self.cp[..., None]
-        dp = _match_buffer(scratch, d, squeeze)
-        x = _match_buffer(out, d, squeeze)
-        dp[:, 0] = d[:, 0] * inv[:, 0]
-        for i in range(1, n):
-            dp[:, i] = (d[:, i] - dp[:, i - 1] * a[:, i]) * inv[:, i]
-        x[:, n - 1] = dp[:, n - 1]
-        for i in range(n - 2, -1, -1):
-            x[:, i] = dp[:, i] - cp[:, i] * x[:, i + 1]
-        if out is not None:
-            return out
-        return x[..., 0] if squeeze else x
+        h = min(g, len(tb))
+        np.divide(tc[:h], tb[:h], out=tc[:h])
+        cur = _slabs(tb[g:], g)
+        t = np.empty((h, *tb.shape[1:]), dtype=tb.dtype)
+        for cprev, ai, bi, ci, ti in zip(
+            _slabs(tc[:-g], g), _slabs(ta[g:], g), cur, _slabs(tc[g:], g),
+            _scratch(t, cur, g),
+        ):
+            np.multiply(cprev, ai, ti)
+            np.subtract(bi, ti, bi)
+            np.divide(ci, bi, ci)
+        return cls(ta=ta, cp=tc, denom=tb, g=g)
+
+    def solve_shard(self, ws, d, out) -> None:
+        """RHS-only sweep of the ``(M, N)`` batch ``d`` into ``out``:
+        :meth:`solve_shard_t` between two staging copies of the
+        workspace (copies never change bits)."""
+        transpose_into(d, ws.td)
+        self.solve_shard_t(ws, ws.td, ws.xt)
+        transpose_into(ws.xt, out)
+
+    def solve_shard_t(self, ws, dt, out_t) -> None:
+        """Transposed-layout RHS sweep: ``(N, M[, R])`` in and out.
+
+        Reads the right-hand side straight from the caller's ``dt`` and
+        writes the solution into the caller's ``out_t`` — no staging
+        copies — using ``ws.dp`` and ``ws.t``.  This is the ADI fast
+        path: alternating sweep directions hand each solve its input in
+        exactly this orientation.  Forward, level by level:
+        ``d' = (d − d'_{i−g}·a) / denom``; backward from the bottom:
+        ``x = d' − c'·x_{i+g}``, where the last ``g`` rows (each
+        subsystem's last row) keep ``x = d'``.
+        """
+        ta, cp, denom, g = self.ta, self.cp, self.denom, self.g
+        if dt.ndim == 3:
+            ta, cp, denom = ta[..., None], cp[..., None], denom[..., None]
+        n = len(dt)
+        h = min(g, n)
+        dp, t = ws.dp, ws.t
+        np.divide(dt[:h], denom[:h], out=dp[:h])
+        cur = _slabs(dp[g:], g)
+        for dprev, ai, di, ri, dpi, ti in zip(
+            _slabs(dp[:-g], g), _slabs(ta[g:], g), _slabs(dt[g:], g),
+            _slabs(denom[g:], g), cur, _scratch(t, cur, g),
+        ):
+            np.multiply(dprev, ai, ti)
+            np.subtract(di, ti, ti)
+            np.divide(ti, ri, dpi)
+        out_t[n - h:] = dp[n - h:]
+        up = _slabs_up(out_t[:-g], g)
+        for ci, xnext, dpi, xi, ti in zip(
+            _slabs_up(cp[:-g], g), _slabs_up(out_t[g:], g),
+            _slabs_up(dp[:-g], g), up, _scratch(t, up, g),
+        ):
+            np.multiply(ci, xnext, ti)
+            np.subtract(dpi, ti, xi)
+
+
+def _shift_rows(x: np.ndarray, offset: int) -> np.ndarray:
+    """Shift along axis 0 with zero fill: ``out[i] = x[i + offset]``."""
+    out = np.zeros_like(x)
+    n = len(x)
+    if offset > 0:
+        out[: max(n - offset, 0)] = x[offset:]
+    else:
+        out[-offset:] = x[: max(n + offset, 0)]
+    return out
 
 
 @dataclass
@@ -160,35 +219,43 @@ class HybridFactorization:
     """Factored k-step PCR + p-Thomas hybrid.
 
     ``factor`` runs the PCR sweep once on the coefficients, storing each
-    level's ``(k1, k2)`` reduction factors, and Thomas-factorizes the
-    reduced interleaved system.  ``solve`` then applies the stored level
-    factors to the RHS (O(kN)) and back-substitutes through the stored
-    Thomas factors (O(N)) — no eliminations are ever repeated.
+    level's ``(k1, k2)`` reduction factors, and factors the reduced
+    interleaved system as a :class:`ThomasRhsFactorization` at stride
+    ``2^k`` — everything in the transposed ``(N, M)`` layout.  ``solve``
+    then applies the stored level factors to the RHS (O(kN)) and runs
+    the reduced sweep (O(N)) — no eliminations are ever repeated, and
+    the result has the bits of the engine's one-shot at the same ``k``.
+    ``k = 0`` is plain factor-once Thomas.
     """
 
     k: int
     level_factors: list = field(default_factory=list)  # [(k1, k2), ...]
-    reduced: ThomasFactorization | None = None
+    reduced: ThomasRhsFactorization | None = None
 
     kind = "hybrid"
 
     @property
     def nbytes(self) -> int:
         """Bytes of stored elimination state."""
-        red = self.reduced
         return (
             sum(k1.nbytes + k2.nbytes for k1, k2 in self.level_factors)
-            + red.a.nbytes + red.cp.nbytes + red.inv_denom.nbytes
+            + self.reduced.nbytes
         )
 
     def arrays(self) -> dict:
-        """Every stored array by name (the spill-file layout)."""
+        """Every stored array by name (the spill-file layout).
+
+        The names differ from the row-major layout's (``lvl{i}_k1``,
+        ``red_cp``, …), so a file in that layout never loads as this
+        one: rebuilding it raises ``KeyError`` and the spill tier
+        re-factors.
+        """
         named = {"k": np.array(self.k)}
         for i, (k1, k2) in enumerate(self.level_factors):
-            named[f"lvl{i}_k1"] = k1
-            named[f"lvl{i}_k2"] = k2
-        red = self.reduced
-        named.update(red_a=red.a, red_cp=red.cp, red_inv_denom=red.inv_denom)
+            named[f"level{i}_k1"] = k1
+            named[f"level{i}_k2"] = k2
+        for name, arr in self.reduced.arrays().items():
+            named[f"reduced_{name}"] = arr
         return named
 
     @classmethod
@@ -198,171 +265,121 @@ class HybridFactorization:
         return cls(
             k=k,
             level_factors=[
-                (arrays[f"lvl{i}_k1"], arrays[f"lvl{i}_k2"]) for i in range(k)
+                (arrays[f"level{i}_k1"], arrays[f"level{i}_k2"]) for i in range(k)
             ],
-            reduced=ThomasFactorization(
-                a=arrays["red_a"],
-                cp=arrays["red_cp"],
-                inv_denom=arrays["red_inv_denom"],
+            reduced=ThomasRhsFactorization.from_arrays(
+                {name: arrays[f"reduced_{name}"] for name in ("ta", "cp", "denom")},
+                g=1 << k,
             ),
         )
-
-    def solve_shard(self, ws, d, out) -> None:
-        """RHS-only solve of the ``(M, N)`` batch ``d`` into ``out``,
-        keyed into the workspace's ``ws.scratch`` buffers."""
-        self.solve(d, out=out, scratch=ws.scratch)
 
     @classmethod
     def factor(
         cls, a, b, c, *, k: int | None = None, check: bool = True
     ) -> "HybridFactorization":
-        """Factor a batch; ``k`` defaults to the Table III heuristic."""
-        d0 = np.zeros_like(np.asarray(b))
+        """Factor an ``(M, N)`` batch; ``k`` defaults to the Table III
+        heuristic."""
         if check:
-            a, b, c, _ = check_batch_arrays(a, b, c, d0)
+            a, b, c, _ = check_batch_arrays(a, b, c, np.zeros_like(np.asarray(b)))
         else:
             a, b, c = (np.asarray(v) for v in (a, b, c))
         m, n = b.shape
         if k is None:
             k = GTX480_HEURISTIC.k_for(m, n)
         k = clamp_k(k, n)
+        a, b, c = (transpose_into(v, np.empty((n, m), dtype=b.dtype)) for v in (a, b, c))
 
         fact = cls(k=k)
         one = b.dtype.type(1)
         s = 1
         for _ in range(k):
-            b_m = _shift_rhs(b, -s)
-            b_m[:, :s] = one
-            b_p = _shift_rhs(b, +s)
-            b_p[:, n - s :] = one
+            b_m = _shift_rows(b, -s)
+            b_m[:s] = one
+            b_p = _shift_rows(b, +s)
+            b_p[n - s :] = one
             k1 = a / b_m
             k2 = c / b_p
-            if s < n:
-                k1[:, :s] = 0.0
-                k2[:, n - s :] = 0.0
-            else:
-                k1[...] = 0.0
-                k2[...] = 0.0
-            a_new = -_shift_rhs(a, -s) * k1
-            b_new = b - _shift_rhs(c, -s) * k1 - _shift_rhs(a, +s) * k2
-            c_new = -_shift_rhs(c, +s) * k2
+            k1[:s] = 0.0
+            k2[n - s :] = 0.0
+            a_new = -_shift_rows(a, -s) * k1
+            b_new = b - _shift_rows(c, -s) * k1 - _shift_rows(a, +s) * k2
+            c_new = -_shift_rows(c, +s) * k2
             fact.level_factors.append((k1, k2))
             a, b, c = a_new, b_new, c_new
             s *= 2
-
-        # Thomas-factor the reduced system subsystem-wise: regroup the
-        # interleaved rows into (M * 2^k, L) with identity padding.
-        g = 1 << k
-        if g == 1:
-            fact.reduced = ThomasFactorization.factor(a, b, c, check=False)
-            return fact
-        L = -(-n // g)
-        ra = np.zeros((m * g, L), dtype=b.dtype)
-        rb = np.ones((m * g, L), dtype=b.dtype)
-        rc = np.zeros((m * g, L), dtype=b.dtype)
-        for j in range(g):
-            cols = slice(j, n, g)
-            w = len(range(j, n, g))
-            ra[j::g, :w] = a[:, cols]
-            rb[j::g, :w] = b[:, cols]
-            rc[j::g, :w] = c[:, cols]
-        ra[:, 0] = 0.0
-        rc[:, -1] = 0.0
-        fact.reduced = ThomasFactorization.factor(ra, rb, rc, check=False)
+        fact.reduced = ThomasRhsFactorization.factor_t(a, b, c, g=1 << k)
         return fact
 
     @property
     def dtype(self) -> np.dtype:
         """Dtype the factorization was built in (solves run in it too)."""
-        if self.level_factors:
-            return self.level_factors[0][0].dtype
         if self.reduced is None:
             raise RuntimeError("factorization not initialized; use factor()")
         return self.reduced.cp.dtype
 
-    def _scratch(self, scratch, name: str, shape, dtype) -> np.ndarray:
-        """Fetch-or-allocate a named buffer from the scratch dict."""
-        if scratch is None:
-            return np.empty(shape, dtype=dtype)
-        arr = scratch.get(name)
-        if arr is None or arr.shape != shape or arr.dtype != dtype:
-            arr = np.empty(shape, dtype=dtype)
-            scratch[name] = arr
-        return arr
+    def solve_shard(self, ws, d, out) -> None:
+        """RHS-only sweep of the ``(M, N)`` batch ``d`` into ``out``:
+        :meth:`solve_shard_t` between two staging copies of the
+        workspace (copies never change bits)."""
+        transpose_into(d, ws.td)
+        self.solve_shard_t(ws, ws.td, ws.xt)
+        transpose_into(ws.xt, out)
+
+    def solve_shard_t(self, ws, dt, out_t) -> None:
+        """Transposed-layout sweep, ``(N, M[, R])`` in and out.
+
+        Applies the stored PCR levels to ``dt`` (never mutated) through
+        ``ws.dp``/``ws.dq``, one strided apply per level on the interior
+        rows — the boundary rows carry ``k1``/``k2 == 0`` (set at factor
+        time), so skipping them is bitwise identical (``x − 0.0·y == x``
+        for every finite ``x`` and for ``−0.0``) — then runs the reduced
+        system's sweep from ``ws.dq`` into ``out_t``.
+        """
+        cur = dt
+        n = len(dt)
+        s = 1
+        for lvl, (k1, k2) in enumerate(self.level_factors):
+            if dt.ndim == 3:
+                k1, k2 = k1[..., None], k2[..., None]
+            # alternate so the last level lands in dq
+            nxt = ws.dq if (self.k - lvl) & 1 else ws.dp
+            tm = ws.tm[: n - s]
+            np.multiply(k1[s:], cur[: n - s], out=nxt[s:])
+            np.subtract(cur[s:], nxt[s:], out=nxt[s:])
+            nxt[:s] = cur[:s]
+            np.multiply(k2[: n - s], cur[s:], out=tm)
+            np.subtract(nxt[: n - s], tm, out=nxt[: n - s])
+            cur = nxt
+            s *= 2
+        self.reduced.solve_shard_t(ws, cur, out_t)
 
     def solve(self, d, *, out=None, scratch=None) -> np.ndarray:
         """Solve for ``d`` of shape ``(M, N)`` or ``(M, N, R)``.
 
-        ``scratch`` is an optional dict the solve keys its intermediate
-        buffers into — pass the same dict every time step and the warm
-        RHS-only path allocates nothing.  ``out`` receives the solution.
-        The input is never mutated, and the solve runs in the
+        ``scratch`` is an optional dict the solve keeps its
+        :class:`RhsWorkspace` in — pass the same dict every time step
+        and the warm RHS-only path allocates nothing.  ``out`` (``d``'s
+        shape and the factorization's dtype) receives the solution.  The
+        input is never mutated, and the solve runs in the
         factorization's dtype.
         """
-        if self.reduced is None:
-            raise RuntimeError("factorization not initialized; use factor()")
-        d = np.asarray(d, dtype=self.dtype)
-        squeeze = d.ndim == 2
-        if squeeze:
-            d = d[..., None]
-        m, n, r = d.shape
-        g = 1 << self.k
-
-        # Apply the stored PCR level factors to the RHS, ping-ponging
-        # between two scratch buffers (the input is left untouched).
-        # Each level is one strided apply on the interior slices — the
-        # zero-filled shift buffers the loop used to materialize are
-        # gone; the boundary rows they zeroed carry k1/k2 == 0 (set at
-        # factor time), so skipping them is bitwise identical
-        # (x - 0.0*y == x for every finite x and for -0.0).
-        cur = d
-        if self.level_factors:
-            work = (
-                self._scratch(scratch, "lvl0", d.shape, d.dtype),
-                self._scratch(scratch, "lvl1", d.shape, d.dtype),
+        dtype = self.dtype
+        d = np.asarray(d, dtype=dtype)
+        n, m = self.reduced.ta.shape
+        if d.ndim not in (2, 3) or d.shape[:2] != (m, n):
+            raise ValueError(f"d has leading shape {d.shape[:2]}, expected {(m, n)}")
+        if out is None:
+            out = np.empty(d.shape, dtype=dtype)
+        elif out.shape != d.shape or out.dtype != dtype:
+            raise ValueError(
+                f"out has shape {out.shape} dtype {out.dtype}, "
+                f"expected {d.shape} {dtype}"
             )
-            tm = self._scratch(scratch, "shift", d.shape, d.dtype)
-            s = 1
-            for lvl, (k1, k2) in enumerate(self.level_factors):
-                nxt = work[lvl & 1]
-                if s < n:
-                    np.multiply(k1[:, s:, None], cur[:, : n - s],
-                                out=nxt[:, s:])
-                    np.subtract(cur[:, s:], nxt[:, s:], out=nxt[:, s:])
-                    nxt[:, :s] = cur[:, :s]
-                    np.multiply(k2[:, : n - s, None], cur[:, s:],
-                                out=tm[:, : n - s])
-                    np.subtract(nxt[:, : n - s], tm[:, : n - s],
-                                out=nxt[:, : n - s])
-                else:  # stride exceeds N: this level is the identity
-                    nxt[...] = cur
-                cur = nxt
-                s *= 2
-
-        if g == 1:
-            dp = self._scratch(scratch, "dp", cur.shape, cur.dtype)
-            x = _match_buffer(out, cur, squeeze)
-            self.reduced.solve(cur, out=x, scratch=dp)
-            if out is not None:
-                return out
-            return x[..., 0] if squeeze else x
-
-        # regroup into subsystems, back-substitute, regroup back
-        L = self.reduced.n
-        rshape = (m * g, L, r)
-        rd = self._scratch(scratch, "rd", rshape, cur.dtype)
-        rdp = self._scratch(scratch, "rdp", rshape, cur.dtype)
-        rx = self._scratch(scratch, "rx", rshape, cur.dtype)
-        for j in range(g):
-            w = len(range(j, n, g))
-            rd[j::g, :w] = cur[:, j::g]
-            if w < L:  # identity-padded tail rows: re-zero reused buffers
-                rd[j::g, w:] = 0.0
-        self.reduced.solve(rd, out=rx, scratch=rdp)
-        x = _match_buffer(out, cur, squeeze)
-        for j in range(g):
-            w = len(range(j, n, g))
-            x[:, j::g] = rx[j::g, :w]
-        if out is not None:
-            return out
-        return x[..., 0] if squeeze else x
+        shape = (n, m, *d.shape[2:])
+        ws = None if scratch is None else scratch.get(shape)
+        if ws is None:
+            ws = RhsWorkspace(shape, self.k, dtype)
+            if scratch is not None:
+                scratch[shape] = ws
+        self.solve_shard(ws, d, out)
+        return out

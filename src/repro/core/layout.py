@@ -15,7 +15,9 @@ The paper's observation (Section III-B): a k-step PCR sweep leaves its
 ``2^k`` subsystems *already* in interleaved order, so the p-Thomas stage
 gets the coalesced layout for free.  The helpers below convert between
 the two (used by baselines that don't get it for free, and by the
-layout ablation benchmark).
+layout ablation benchmark).  :func:`transpose_into` is the blocked
+``(M, N)`` ↔ ``(N, M)`` copy the engine stages its transposed Thomas
+layout with.
 """
 
 from __future__ import annotations
@@ -24,7 +26,19 @@ import enum
 
 import numpy as np
 
-__all__ = ["Layout", "interleave", "deinterleave", "interleave_batch"]
+__all__ = [
+    "Layout",
+    "TRANSPOSE_BLOCK",
+    "deinterleave",
+    "interleave",
+    "interleave_batch",
+    "transpose_into",
+]
+
+#: Source rows per block of :func:`transpose_into`.  A block's reads are
+#: whole rows and its writes short contiguous runs, so both sides stay
+#: within a few cache lines per output row.
+TRANSPOSE_BLOCK = 64
 
 
 class Layout(enum.Enum):
@@ -43,6 +57,7 @@ def interleave(arr: np.ndarray) -> np.ndarray:
     if arr.ndim != 2:
         raise ValueError(f"expected (G, L) array, got {arr.ndim}-D")
     return np.ascontiguousarray(arr.T).reshape(-1)
+
 
 def deinterleave(flat: np.ndarray, g: int) -> np.ndarray:
     """Inverse of :func:`interleave`: flat interleaved → ``(G, L)``.
@@ -68,3 +83,23 @@ def interleave_batch(arr: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected (M, G, L) array, got {arr.ndim}-D")
     m, g, L = arr.shape
     return np.ascontiguousarray(arr.transpose(0, 2, 1)).reshape(m, g * L)
+
+
+def transpose_into(src: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``out[...] = src`` with its first two axes swapped; returns ``out``.
+
+    A plain strided copy of a large batch walks each column of ``src``
+    across every row, a new cache line (and often a new page) per
+    element.  This copies :data:`TRANSPOSE_BLOCK` rows of ``src`` at a
+    time, so each output row is written in short contiguous runs from a
+    handful of lines.  A source with rows shorter than a block is copied
+    in one pass: its column walk already stays within a few lines.  A
+    copy never changes bits; this is how the ``(M, N)`` ↔ ``(N, M)``
+    staging of the transposed Thomas layout is done.
+    """
+    if src.shape[1] < TRANSPOSE_BLOCK:
+        out[...] = src.swapaxes(0, 1)
+        return out
+    for lo in range(0, src.shape[0], TRANSPOSE_BLOCK):
+        out[:, lo:lo + TRANSPOSE_BLOCK] = src[lo:lo + TRANSPOSE_BLOCK].swapaxes(0, 1)
+    return out

@@ -96,9 +96,9 @@ def solve_batch(
         ``heuristic``, ``parallelism``, ``periodic``, ``rtol``,
         ``ranks``) plus ``fingerprint`` to control the
         factorization cache — ``None`` (default) auto-detects repeated
-        coefficients where the RHS-only path is bitwise identical
-        (``k = 0``), ``True`` forces prepared execution (``k > 0``
-        agrees to rounding), ``False`` disables fingerprinting.  For
+        coefficients at ``k = 0``, ``True`` forces prepared execution
+        at any ``k`` (bitwise identical to the unprepared solve either
+        way), ``False`` disables fingerprinting.  For
         coefficients known to be fixed, :func:`repro.prepare` returns
         an explicit handle that skips the hashing too.
 

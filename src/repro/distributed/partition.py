@@ -52,7 +52,8 @@ right-hand sides.  ``T`` is factored by the engine's
 :data:`SLAB_HEURISTIC` picks: for ``M < 32`` a
 :class:`~repro.core.factorize.HybridFactorization` (the paper's tiled
 PCR + p-Thomas, Table III's small-``M`` rows), otherwise a
-:class:`~repro.engine.prepared.ThomasRhsFactorization`.  The Thomas
+:class:`~repro.core.factorize.ThomasRhsFactorization`; both sweep
+the ``(L, M)`` slab rows in place.  The Thomas
 sweeps run the operations of Akkurt et al.'s fused modified-Thomas
 elimination (forward sweep tracking the coupling to ``x0``, backward
 sweep onto ``(x0, xl)``) in its order, so ``k = 0`` slabs keep its
@@ -73,10 +74,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.factorize import HybridFactorization
+from repro.core.factorize import HybridFactorization, ThomasRhsFactorization
 from repro.core.transition import TransitionHeuristic
 from repro.engine.plan import build_plan
-from repro.engine.prepared import ThomasRhsFactorization, build_factorization
+from repro.engine.prepared import build_factorization
 from repro.engine.workspace import PreparedWorkspace
 
 __all__ = [
@@ -137,17 +138,9 @@ def slab_interior_k(m: int, slab_rows: int) -> int:
 
 
 def _solve_interior(fact, ws, d, y) -> None:
-    """``T y = d`` over slab rows ``1..L-2`` of ``(L, M)`` arrays.
-
-    A factorization with a transposed sweep (``solve_shard_t``, the
-    ``k = 0`` route) reads and writes the slab rows in place; the
-    hybrid solves their ``(M, L-2)`` transposed views.
-    """
-    solve_t = getattr(fact, "solve_shard_t", None)
-    if solve_t is None:
-        fact.solve_shard(ws, d[1:-1].T, y[1:-1].T)
-    else:
-        solve_t(ws, d[1:-1], y[1:-1])
+    """``T y = d`` over slab rows ``1..L-2`` of ``(L, M)`` arrays: the
+    factorization's transposed sweep reads and writes them in place."""
+    fact.solve_shard_t(ws, d[1:-1], y[1:-1])
 
 
 @dataclass(slots=True)

@@ -529,13 +529,15 @@ class ExecutionEngine:
         ``ValueError``: N-partitioning is the distributed backend's.
 
         ``fingerprint`` controls the factorization fast path: ``None``
-        (default) hashes the coefficients and — for ``k = 0`` plans,
-        whose RHS-only sweep is bitwise identical — serves repeat
-        sightings from the factorization cache; ``True`` additionally
-        engages the (allclose-grade) hybrid factorization for
-        ``k > 0`` plans and factors on first sight; ``False`` disables
-        fingerprinting entirely.  ``rtol`` is the accuracy contract
-        that widens the auto tier to ``k > 0`` plans (see
+        (default) hashes the coefficients and — for ``k = 0`` plans —
+        serves repeat sightings from the factorization cache; ``True``
+        additionally engages the hybrid factorization for ``k > 0``
+        plans and factors on first sight; ``False`` disables
+        fingerprinting entirely.  Every RHS-only sweep keeps the
+        one-shot's bits; ``k > 0`` waits for ``True`` or an ``rtol``
+        because its factorization holds ``2k + 3`` ``(N, M)`` arrays
+        (an intent and cost gate, not a bits gate).  ``rtol`` widens
+        the auto tier to ``k > 0`` plans (see
         :func:`repro.engine.prepared.rtol_permits_hybrid_reuse`).
         Remaining options mirror :class:`~repro.core.hybrid.HybridSolver`.
         """

@@ -20,10 +20,19 @@ Every path is held **bitwise identical** to the reference
   the diagonals are copied once into ``(N, M)`` buffers so the
   sequential row loop streams contiguous memory instead of striding
   across the batch (each of the ``2N`` recurrence steps touches one
-  contiguous ``M``-vector).  The arithmetic per system is unchanged —
+  contiguous ``M``-vector).  The one-shot is a transient
+  :class:`~repro.core.factorize.ThomasRhsFactorization` — factor, then
+  its RHS sweep — so there is one ``k = 0`` recurrence, shared with
+  every prepared solve.  The arithmetic per system is unchanged —
   identical operations in identical order, just a different memory
   walk — so results match :func:`repro.core.thomas.thomas_solve_batch`
   bit for bit.
+
+Every factored route at ``k > 0`` (a prepared handle, a fingerprinted
+session, a rank's slab interior) runs the same
+:class:`~repro.core.factorize.ThomasRhsFactorization` sweep at stride
+``2^k`` over the stored reduced system, in p-Thomas's operation order,
+so it too gives this module's one-shot bits.
 """
 
 from __future__ import annotations
@@ -32,7 +41,9 @@ import time
 
 import numpy as np
 
+from repro.core.factorize import ThomasRhsFactorization
 from repro.core.hybrid import _FusedPThomas
+from repro.core.layout import transpose_into
 from repro.core.pthomas import pthomas_solve_interleaved
 from repro.core.tiled_pcr import TiledPCR, TilingCounters
 
@@ -40,43 +51,24 @@ __all__ = ["execute_plan"]
 
 
 def _thomas_transposed(ws, a, b, c, d, out=None) -> np.ndarray:
-    """Batched Thomas over transposed ``(N, M)`` workspace buffers.
+    """Batched ``k = 0`` Thomas one-shot on pooled ``(N, M)`` buffers.
 
-    Same recurrence, same operation order as
-    :func:`repro.core.thomas.thomas_solve_batch`; the transpose only
-    changes which axis is contiguous during the sequential row loop.
+    Stages the four diagonals into the workspace, factors the staged
+    coefficients in place (:meth:`ThomasRhsFactorization.factor_t
+    <repro.core.factorize.ThomasRhsFactorization.factor_t>`) and runs
+    the RHS sweep — the same sweep a stored ``k = 0`` factorization
+    runs, so prepared and one-shot solves share their bits by
+    construction.  The transient factorization is neither cached nor
+    counted.
     """
-    n = ws.tb.shape[0]
-    ta, tb, tc, td = ws.ta, ws.tb, ws.tc, ws.td
-    ta[...] = a.T
-    tb[...] = b.T
-    tc[...] = c.T
-    td[...] = d.T
-    cp, dp, xt = ws.cp, ws.dp, ws.xt
-    t1, t2 = ws.t1, ws.t2
-    # Forward reduction (Eqs. 2-3): denom = b_i - cp_{i-1} * a_i,
-    # cp_i = c_i / denom, dp_i = (d_i - dp_{i-1} * a_i) / denom.
-    np.divide(tc[0], tb[0], out=cp[0])
-    np.divide(td[0], tb[0], out=dp[0])
-    for i in range(1, n):
-        np.multiply(cp[i - 1], ta[i], out=t1)
-        np.subtract(tb[i], t1, out=t1)
-        np.divide(tc[i], t1, out=cp[i])
-        np.multiply(dp[i - 1], ta[i], out=t2)
-        np.subtract(td[i], t2, out=t2)
-        np.divide(t2, t1, out=dp[i])
-    # Backward substitution (Eq. 4): x_i = dp_i - cp_i * x_{i+1}.
-    xt[n - 1] = dp[n - 1]
-    for i in range(n - 2, -1, -1):
-        np.multiply(cp[i], xt[i + 1], out=t1)
-        np.subtract(dp[i], t1, out=xt[i])
-    if out is not None:
-        out[...] = xt.T
-        return out
-    # .copy() (not ascontiguousarray) — for m == 1 the transpose is
-    # already contiguous and ascontiguousarray would return a view into
-    # the pooled workspace, which the next same-plan solve overwrites.
-    return xt.T.copy()
+    rhs = ws.rhs
+    for src, dst in zip((a, b, c, d), (ws.ta, ws.tb, ws.tc, rhs.td)):
+        transpose_into(src, dst)
+    fact = ThomasRhsFactorization.factor_t(ws.ta, ws.tb, ws.tc)
+    fact.solve_shard_t(rhs, rhs.td, rhs.xt)
+    if out is None:
+        out = np.empty(d.shape, dtype=rhs.xt.dtype)
+    return transpose_into(rhs.xt, out)
 
 
 def execute_plan(

@@ -11,16 +11,21 @@ the factor/solve split; this module wires it through the engine:
   factorization cache on the digest, so a time-stepping loop written
   as plain repeated ``solve_batch`` calls silently stops
   re-eliminating after its first few steps.
-* :class:`ThomasRhsFactorization` — the ``k = 0`` factorization in the
-  engine's transposed ``(N, M)`` layout.  Its forward sweep stores the
-  *denominator* (not its reciprocal) and the RHS sweep divides by it,
-  mirroring :func:`repro.engine.executor._thomas_transposed` operation
-  for operation — prepared ``k = 0`` solves are **bitwise identical**
-  to unprepared ones.  This is why only ``k = 0`` plans auto-engage
-  the fingerprint fast path; ``k > 0`` factorizations
-  (:class:`~repro.core.factorize.HybridFactorization`) reuse stored
-  reciprocals and are "only" allclose, so they require an explicit
-  opt-in (``fingerprint=True`` or a :class:`PreparedPlan` handle).
+* :class:`~repro.core.factorize.ThomasRhsFactorization` (re-exported
+  here) — the factored Thomas sweep in the engine's transposed
+  ``(N, M)`` layout.  It stores the *denominators* (not their
+  reciprocals) and its RHS sweep divides by them: at ``k = 0`` it *is*
+  the one-shot (:func:`repro.engine.executor._thomas_transposed`
+  factors and sweeps through it), and at stride ``2^k`` it is the
+  reduced-system sweep of
+  :class:`~repro.core.factorize.HybridFactorization`, in p-Thomas's
+  order.  Prepared solves are therefore **bitwise identical** to
+  unprepared ones at every ``k``.  Only ``k = 0`` plans auto-engage the
+  fingerprint fast path: that gate is about intent and cost, not bits
+  — a ``k > 0`` factorization holds ``2k + 3`` ``(N, M)`` arrays, so it
+  needs an explicit opt-in (``fingerprint=True``, an ``rtol`` at or
+  above :data:`FINGERPRINT_RTOL_FLOOR`, or a :class:`PreparedPlan`
+  handle).
 * :class:`PreparedPlan` — the explicit handle
   (``repro.prepare(a, b, c)``) for callers who know their matrix is
   fixed: holds the plan + factorization and executes RHS-only sweeps
@@ -47,7 +52,7 @@ import hashlib
 import numpy as np
 
 from repro.core.blocktridiag import BlockThomasFactorization
-from repro.core.factorize import HybridFactorization
+from repro.core.factorize import HybridFactorization, ThomasRhsFactorization
 from repro.core.pentadiag import PentaFactorization
 from repro.core.periodic import (
     apply_cyclic_correction,
@@ -72,12 +77,14 @@ __all__ = [
     "rtol_permits_hybrid_reuse",
 ]
 
-#: Per-dtype drift floor for the ``rtol=`` accuracy contract: hybrid
-#: (``k > 0``) RHS-only sweeps reuse stored reciprocals and agree with
-#: the unprepared solve only to rounding (allclose grade, empirically a
-#: few hundred ulps on dominant systems).  A request whose ``rtol`` is
-#: at or above this floor has declared it tolerates that drift, so the
-#: fingerprint auto tier may engage on ``k > 0`` plans too.
+#: Per-dtype floor of the ``rtol=`` accuracy contract at which the
+#: fingerprint auto tier may engage on ``k > 0`` plans too.  A hybrid
+#: RHS-only sweep keeps the one-shot's bits, so the floor no longer
+#: guards accuracy: it is the intent and cost gate that keeps ``2k + 3``
+#: stored ``(N, M)`` arrays off callers who did not ask for reuse.  The
+#: values are the drift bounds the row-major sweep this replaced needed
+#: (a few hundred ulps), kept so existing ``rtol`` callers route as
+#: before.
 FINGERPRINT_RTOL_FLOOR = {
     "float64": 1e-12,
     "float32": 1e-5,
@@ -87,9 +94,10 @@ FINGERPRINT_RTOL_FLOOR = {
 def rtol_permits_hybrid_reuse(rtol, dtype) -> bool:
     """Does this accuracy contract license hybrid factorization reuse?
 
-    ``rtol=None`` means bitwise (never); otherwise the tolerance must
-    clear the dtype's :data:`FINGERPRINT_RTOL_FLOOR`.  Unknown dtypes
-    are conservative: only an explicit ``fingerprint=True`` engages.
+    ``rtol=None`` means no declared tolerance (never); otherwise the
+    tolerance must clear the dtype's :data:`FINGERPRINT_RTOL_FLOOR`.
+    Unknown dtypes are conservative: only an explicit
+    ``fingerprint=True`` engages.
     """
     if rtol is None:
         return False
@@ -163,120 +171,14 @@ def coefficient_fingerprint(*arrays) -> str:
     return h.hexdigest()
 
 
-class ThomasRhsFactorization:
-    """``k = 0`` factorization in the engine's transposed layout.
-
-    Stores the sub-diagonal, the modified super-diagonal ``c'`` and the
-    forward-elimination *denominators* as ``(N, M)`` arrays.  The RHS
-    sweep divides by the stored denominator — the identical operation
-    sequence as :func:`~repro.engine.executor._thomas_transposed`, so a
-    prepared solve reproduces an unprepared engine solve bit for bit.
-    """
-
-    __slots__ = ("ta", "cp", "denom", "nbytes")
-    kind = "thomas"
-
-    def __init__(self, ta, cp, denom):
-        self.ta = ta
-        self.cp = cp
-        self.denom = denom
-        self.nbytes = ta.nbytes + cp.nbytes + denom.nbytes
-
-    def arrays(self) -> dict:
-        """Every stored array by name (the spill-file layout)."""
-        return {"ta": self.ta, "cp": self.cp, "denom": self.denom}
-
-    @classmethod
-    def from_arrays(cls, arrays) -> "ThomasRhsFactorization":
-        """Rebuild from :meth:`arrays`' layout."""
-        return cls(ta=arrays["ta"], cp=arrays["cp"], denom=arrays["denom"])
-
-    @property
-    def m(self) -> int:
-        return self.ta.shape[1]
-
-    @property
-    def n(self) -> int:
-        return self.ta.shape[0]
-
-    @classmethod
-    def factor(cls, a, b, c) -> "ThomasRhsFactorization":
-        """Coefficient-only forward elimination over ``(M, N)`` inputs.
-
-        Operation-for-operation the coefficient half of
-        ``_thomas_transposed``: ``denom_i = b_i − c'_{i−1} a_i`` (that
-        exact multiply-then-subtract order), ``c'_i = c_i / denom_i``.
-        """
-        m, n = b.shape
-        ta = np.ascontiguousarray(a.T)
-        tb = np.ascontiguousarray(b.T)
-        tc = np.ascontiguousarray(c.T)
-        cp = np.empty((n, m), dtype=b.dtype)
-        denom = np.empty((n, m), dtype=b.dtype)
-        t1 = np.empty(m, dtype=b.dtype)
-        denom[0] = tb[0]
-        np.divide(tc[0], tb[0], out=cp[0])
-        # the loop is ufunc-call bound at small M: zipped row views and
-        # positional outputs (cheaper than per-row indexing and out=)
-        for cprev, ai, bi, ci, ri, cpi in zip(
-            cp[:-1], ta[1:], tb[1:], tc[1:], denom[1:], cp[1:]
-        ):
-            np.multiply(cprev, ai, t1)
-            np.subtract(bi, t1, ri)
-            np.divide(ci, ri, cpi)
-        return cls(ta=ta, cp=cp, denom=denom)
-
-    def solve_shard(self, ws, d, out) -> None:
-        """RHS-only sweep of the ``(M, N)`` batch ``d`` into ``out``.
-
-        The sweep is :meth:`solve_shard_t` on the workspace's staged
-        ``(N, M)`` transpose (copies never change bits).
-        """
-        ws.td[...] = d.T
-        self.solve_shard_t(ws, ws.td, ws.xt)
-        out[...] = ws.xt.T
-
-    def solve_shard_t(self, ws, dt, out_t) -> None:
-        """Transposed-layout RHS sweep: ``(N, M)`` in, ``(N, M)`` out.
-
-        The sweep runs in the transposed layout, so this entry point
-        reads the right-hand side straight from the caller's ``(N, M)``
-        array and writes the solution into the caller's ``(N, M)``
-        output — no staging copies at all.  This is the ADI fast path:
-        alternating sweep directions hand each solve its input in
-        exactly this orientation.  Operation order: multiply, subtract,
-        divide by the stored denominator forward; multiply, subtract
-        backward.  Like :meth:`factor`'s, the loops walk zipped row
-        views with positional outputs.
-        """
-        n = self.n
-        ta, cp, denom = self.ta, self.cp, self.denom
-        dp, xt, t1, t2 = ws.dp, out_t, ws.t1, ws.t2
-        np.divide(dt[0], denom[0], out=dp[0])
-        for dprev, ai, di, ri, dpi in zip(
-            dp[:-1], ta[1:], dt[1:], denom[1:], dp[1:]
-        ):
-            np.multiply(dprev, ai, t2)
-            np.subtract(di, t2, t2)
-            np.divide(t2, ri, dpi)
-        xt[n - 1] = dp[n - 1]
-        for ci, xnext, dpi, xi in zip(
-            cp[-2::-1], xt[:0:-1], dp[-2::-1], xt[-2::-1]
-        ):
-            np.multiply(ci, xnext, t1)
-            np.subtract(dpi, t1, xi)
-
-
 def build_factorization(plan, a, b, c):
     """Factor coefficients for ``plan``: Thomas at ``k=0``, hybrid above.
 
-    ``a``, ``b``, ``c`` are ``(M, N)`` in any memory layout; each route
-    copies them into its own (transposed rows for Thomas, contiguous
-    rows for the hybrid) only where they are not already in it.
+    ``a``, ``b``, ``c`` are ``(M, N)`` in any memory layout; both routes
+    stage them into the transposed ``(N, M)`` layout they sweep in.
     """
     if plan.uses_thomas:
         return ThomasRhsFactorization.factor(a, b, c)
-    a, b, c = (np.ascontiguousarray(v) for v in (a, b, c))
     return HybridFactorization.factor(a, b, c, k=plan.k, check=False)
 
 
@@ -286,9 +188,9 @@ class CyclicRhsFactorization:
     The factor-once cyclic state behind ``repro.prepare(...,
     periodic=True)`` and the engine's fingerprint cache: the core ``A'``
     factorization is an engine RHS-only factorization
-    (:class:`ThomasRhsFactorization` at ``k = 0`` — transposed layout,
-    stored denominators, bitwise-identical sweeps — or
-    :class:`~repro.core.factorize.HybridFactorization` above), and the
+    (:class:`ThomasRhsFactorization` at ``k = 0``,
+    :class:`~repro.core.factorize.HybridFactorization` above — both
+    transposed, stored denominators, bitwise-identical sweeps), and the
     Sherman–Morrison state (``q``, ``w = a_0/γ``, the precomputed
     ``1/(1 + vᵀq)`` scale) is stored alongside.  A cyclic solve against
     a cached instance is **one** core RHS-only sweep plus a vectorized
@@ -378,7 +280,7 @@ def build_cyclic_factorization(
     core factorization's own RHS-only sweep, so the stored ``q`` is
     bitwise identical to what an unprepared engine solve of
     ``A' q = u`` would produce — which is what keeps the prepared
-    cyclic path bitwise-equal to re-elimination at ``k = 0``.
+    cyclic path bitwise-equal to re-elimination at every ``k``.
     ``check`` sets the singular-correction policy (raise vs warn+NaN).
     """
     ap, bp, cp, u, w = cyclic_reduce(a, b, c, check=check)
@@ -407,10 +309,9 @@ class PreparedPlan:
     :class:`~repro.backends.trace.SolveTrace` with
     ``factorization="handle"``.
 
-    ``k = 0`` handles are bitwise identical to unprepared engine
-    solves; ``k > 0`` handles agree to rounding (the stored hybrid
-    reciprocals differ from the live p-Thomas divisions in the last
-    ulp).
+    Handles at every ``k`` are bitwise identical to unprepared engine
+    solves at the same ``k``: the stored sweep divides by the stored
+    denominators in the one-shot's order.
     """
 
     def __init__(

@@ -45,10 +45,11 @@ right-hand side runs, its instrumented ``step_once``, its extra
 fingerprint two-sighting ledger, ``force`` only on explicit
 ``fingerprint=True``).  A persistent bind declares reuse intent: when
 the fingerprint gate admits the plan at all, the factorization is
-forced at bind time so the first step already runs RHS-only.  Plans the
-gate rejects (``k > 0`` without an ``rtol``/``fingerprint=True``
-license) execute the full plan every step — the bitwise contract is
-never traded for session speed.
+forced at bind time so the first step already runs RHS-only, with the
+one-shot's bits at every ``k``.  Plans the gate rejects (``k > 0``
+without an ``rtol``/``fingerprint=True`` license) execute the full plan
+every step: the gate is about intent and the factorization's cost
+(``2k + 3`` stored ``(N, M)`` arrays), not about bits.
 """
 
 from __future__ import annotations
@@ -98,9 +99,13 @@ class Session:
       must stay reentrant: it may run on several threads at once, so
       it never uses the session-held buffers or workspaces;
     * ``_release()`` — what :meth:`close` gives back.
+
+    ``bind_stages`` lists the ``(name, seconds)`` stages bind ran; an
+    instrumented step reports them first, ahead of its own.
     """
 
     mode = "session"
+    bind_stages: tuple = ()
 
     def __init__(self, request):
         self.request = request
@@ -551,10 +556,10 @@ class BoundSolve(Session):
 
     def _step_t(self, dt, out_t) -> None:
         """A factorization with a transposed sweep (``solve_shard_t`` —
-        :class:`~repro.engine.prepared.ThomasRhsFactorization`) reads
-        the caller's ``(N, M)`` right-hand side in place, skipping both
-        staging transposes (only copies are elided, never arithmetic);
-        every other session stages through :meth:`_step`."""
+        every tridiagonal one, Thomas or hybrid) reads the caller's
+        ``(N, M)`` right-hand side in place, skipping both staging
+        transposes (only copies are elided, never arithmetic); every
+        other session stages through :meth:`_step`."""
         solve_shard_t = getattr(self.fact, "solve_shard_t", None)
         if solve_shard_t is None:
             super()._step_t(dt, out_t)

@@ -10,12 +10,15 @@ function of the plan alone, decided once, reused every launch.
 Two shapes of state exist:
 
 * ``k = 0`` plans (pure Thomas): transposed ``(N, M)`` copies of the
-  four diagonals plus modified-coefficient and solution buffers.  The
-  Thomas recurrence walks rows sequentially; in the natural ``(M, N)``
-  layout each step strides across cache lines, so the executor copies
-  the batch into column-major-equivalent buffers once and streams
-  contiguous memory for all ``2N`` passes.  The arithmetic is
-  elementwise per system, so results stay bitwise identical to
+  three coefficient diagonals, which the one-shot factors in place
+  (``tb`` becomes the denominators, ``tc`` the ``c'``), plus the
+  :class:`~repro.core.factorize.RhsWorkspace` its RHS sweep runs in —
+  six ``(N, M)`` buffers in all.  The Thomas recurrence walks rows
+  sequentially; in the natural ``(M, N)`` layout each step strides
+  across cache lines, so the executor copies the batch into
+  column-major-equivalent buffers once and streams contiguous memory
+  for all ``2N`` passes.  The arithmetic is elementwise per system, so
+  results stay bitwise identical to
   :func:`repro.core.thomas.thomas_solve_batch`.
 * ``k > 0`` plans (hybrid): the sliding-window ring buffers
   (:class:`~repro.core.tiled_pcr.TiledWorkspace`), the p-Thomas
@@ -27,12 +30,18 @@ Two shapes of state exist:
   range of all ``M`` systems, which this layout makes one contiguous
   block.  The input is transposed by the sweep's per-round raw fetch
   and the output by the final copy into the caller's row-major result.
+
+A :class:`PreparedWorkspace` serves RHS-only sweeps: the plan's
+:class:`~repro.core.factorize.RhsWorkspace` at its ``k``, allocated up
+front — the staging, ``d'`` and level-slab buffers every factored sweep
+uses, plus the PCR level buffers of a hybrid factorization.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.core.factorize import RhsWorkspace
 from repro.core.pthomas import PThomasWorkspace
 from repro.core.tiled_pcr import TiledWorkspace
 
@@ -47,24 +56,15 @@ class PlanWorkspace:
         m, n, dtype = plan.m, plan.n, plan.dtype
         self.nbytes = 0
         if plan.uses_thomas:
-            # Transposed layout: rows of the Thomas recurrence become
-            # contiguous (N, M) rows.
+            # Transposed layout: the one-shot factors these staged
+            # (N, M) coefficient copies in place (tb becomes the
+            # denominators, tc the c'), then sweeps the staged RHS
+            # through the RHS-only buffers.
             self.ta = np.empty((n, m), dtype=dtype)
             self.tb = np.empty((n, m), dtype=dtype)
             self.tc = np.empty((n, m), dtype=dtype)
-            self.td = np.empty((n, m), dtype=dtype)
-            self.cp = np.empty((n, m), dtype=dtype)
-            self.dp = np.empty((n, m), dtype=dtype)
-            self.xt = np.empty((n, m), dtype=dtype)
-            self.t1 = np.empty(m, dtype=dtype)
-            self.t2 = np.empty(m, dtype=dtype)
-            self.nbytes = sum(
-                v.nbytes
-                for v in (
-                    self.ta, self.tb, self.tc, self.td,
-                    self.cp, self.dp, self.xt, self.t1, self.t2,
-                )
-            )
+            self.rhs = RhsWorkspace((n, m), 0, dtype)
+            self.nbytes = 3 * self.ta.nbytes + self.rhs.nbytes
         else:
             self.tiled = TiledWorkspace(m, plan.k, plan.subtile, dtype)
             self.pthomas = PThomasWorkspace(m, n, plan.k, dtype)
@@ -97,32 +97,21 @@ class PlanWorkspace:
         return self.plan.signature() == plan.signature()
 
 
-class PreparedWorkspace:
+class PreparedWorkspace(RhsWorkspace):
     """Scratch for one in-flight RHS-only prepared solve.
 
     The prepared path never touches coefficients, so this is the slim
-    sibling of :class:`PlanWorkspace`: for ``k = 0`` plans just the
-    transposed RHS / modified-RHS / solution buffers (the coefficient
-    triple lives in the factorization); for ``k > 0`` plans a family of
-    named-buffer dict, :attr:`scratch`, that
-    :meth:`HybridFactorization.solve <repro.core.factorize.HybridFactorization.solve>`
-    keys its ping-pong and regroup buffers into.
+    sibling of :class:`PlanWorkspace`: the
+    :class:`~repro.core.factorize.RhsWorkspace` of the plan's
+    ``(N, M)`` sweep at its ``k`` — the staging, ``d'`` and slab
+    buffers every factorization sweep uses, plus the PCR level buffers
+    at ``k > 0`` — all allocated up front.
     """
 
     def __init__(self, plan):
+        super().__init__((plan.n, plan.m), plan.k, plan.dtype)
         self.plan = plan
-        m, n, dtype = plan.m, plan.n, plan.dtype
         self._cyclic_y = None
-        if plan.uses_thomas:
-            self.td = np.empty((n, m), dtype=dtype)
-            self.dp = np.empty((n, m), dtype=dtype)
-            self.xt = np.empty((n, m), dtype=dtype)
-            self.t1 = np.empty(m, dtype=dtype)
-            self.t2 = np.empty(m, dtype=dtype)
-            self.scratch = None
-        else:
-            #: the hybrid sweep's named buffers (``k > 0`` plans only)
-            self.scratch = {}
 
     def cyclic_y(self) -> np.ndarray:
         """The intermediate ``A' y = d`` buffer for prepared cyclic solves.
@@ -135,18 +124,8 @@ class PreparedWorkspace:
             self._cyclic_y = np.empty(
                 (self.plan.m, self.plan.n), dtype=self.plan.dtype
             )
+            self.nbytes += self._cyclic_y.nbytes
         return self._cyclic_y
-
-    @property
-    def nbytes(self) -> int:
-        """Bytes currently held (hybrid dicts fill lazily)."""
-        extra = 0 if self._cyclic_y is None else self._cyclic_y.nbytes
-        if self.scratch is None:
-            return extra + sum(
-                v.nbytes
-                for v in (self.td, self.dp, self.xt, self.t1, self.t2)
-            )
-        return extra + sum(arr.nbytes for arr in self.scratch.values())
 
     def fits(self, plan) -> bool:
         """True if this workspace serves exactly ``plan``'s signature."""

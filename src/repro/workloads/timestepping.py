@@ -45,6 +45,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.backends.registry import bind_via
+from repro.core.layout import transpose_into
 from repro.workloads.pde import (
     adi_row_coefficients,
     crank_nicolson_coefficients,
@@ -193,13 +194,13 @@ class ADIDiffusion2D:
         mirror_laplacian(u, axis=0, out=lap)
         np.multiply(lap, self.beta_y, out=tmp)
         np.add(tmp, u, out=tmp)
-        self._d1t[:] = tmp.T
+        transpose_into(tmp, self._d1t)
         ustar_t = self._row.step_t(self._d1t)  # (nx, ny) session buffer
         # half-step 2: d2 = 2·u* − d1, already in (nx, ny); transpose
         # into the column sweep's (ny, nx) layout and solve in place
         np.multiply(ustar_t, 2.0, out=self._tmp_t)
         np.subtract(self._tmp_t, self._d1t, out=self._tmp_t)
-        self._d2[:] = self._tmp_t.T
+        transpose_into(self._tmp_t, self._d2)
         self._col.step_t(self._d2, out_t=self.u)
         self.t += self.dt
         self.steps += 1

@@ -502,10 +502,10 @@ def test_rtol_auto_engages_hybrid_reuse_progression():
     # the RHS pass, so rhs_only flips on one solve early
     assert states[1] == ("factored", True)
     assert states[2] == ("hit", True)
-    # the reused answer matches a fresh solve to the contract
+    # the reused answer keeps a fresh solve's bits
     x_reused, _ = solve_via(a, b, c, d, backend="engine", k=3, rtol=1e-9)
     x_fresh, _ = solve_via(a, b, c, d, backend="engine", k=3, fingerprint=False)
-    np.testing.assert_allclose(x_reused, x_fresh, rtol=1e-9)
+    assert x_reused.tobytes() == x_fresh.tobytes()
 
 
 def test_rtol_below_floor_does_not_engage():

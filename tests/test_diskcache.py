@@ -147,3 +147,68 @@ def test_cache_filenames_are_digest_named():
 def test_disk_cache_rejects_bad_cap(tmp_path):
     with pytest.raises(ValueError, match="max_bytes"):
         FactorizationDiskCache(tmp_path, max_bytes=0)
+
+
+def _row_major_hybrid_arrays(fact, prefix=""):
+    """A hybrid entry in the retired row-major layout: ``(M, N)`` level
+    factors under ``lvl{i}_k1``/``lvl{i}_k2`` and the identity-padded
+    ``(M·2^k, L)`` reduced Thomas factors under ``red_a``, ``red_cp`` and
+    ``red_inv_denom`` (placeholder values: only names and shapes count)."""
+    n, m = fact.reduced.ta.shape
+    g = 1 << fact.k
+    padded = np.ones((m * g, -(-n // g)))
+    arrays = {"kind": np.array("hybrid"), "k": np.array(fact.k)}
+    for i, (k1, k2) in enumerate(fact.level_factors):
+        arrays[f"lvl{i}_k1"], arrays[f"lvl{i}_k2"] = k1.T, k2.T
+    arrays.update(red_a=padded, red_cp=padded, red_inv_denom=padded)
+    return {prefix + name: arr for name, arr in arrays.items()}
+
+
+@pytest.mark.parametrize("kind", ["hybrid", "cyclic-hybrid"])
+def test_row_major_hybrid_spill_files_are_refactored(tmp_path, kind):
+    # M = N: a row-major file has the very shapes of the transposed
+    # layout, so only its names keep it from loading with transposed
+    # meaning; rebuilding it must fail and the torn-file path re-factor
+    periodic = kind == "cyclic-hybrid"
+    a, b, c, d = _batch(m=64, n=64, seed=11, cyclic=periodic)
+    opts = dict(periodic=periodic, k=3, fingerprint=True)
+    ref = ExecutionEngine().solve_batch(a, b, c, d, periodic=periodic, k=3,
+                                        fingerprint=False)
+    eng1 = ExecutionEngine(cache_dir=tmp_path)
+    eng1.solve_batch(a, b, c, d, **opts)
+    (path,) = eng1.disk_cache.files()
+    (fact,) = eng1._facts.values()
+    if periodic:
+        old = {name: getattr(fact, name) for name in ("q", "w", "scale", "singular")}
+        old.update(_row_major_hybrid_arrays(fact.core, prefix="core_"))
+        old["kind"] = np.array("cyclic")
+    else:
+        old = _row_major_hybrid_arrays(fact)
+    with open(path, "wb") as fh:
+        np.savez(fh, **old)
+
+    eng2 = ExecutionEngine(cache_dir=tmp_path)
+    x = eng2.solve_batch(a, b, c, d, **opts)
+    assert repro.last_trace().factorization == "factored"
+    assert eng2.stats.factorizations_built == 1
+    assert x.tobytes() == ref.tobytes()
+    # the file was replaced by one in the current layout
+    eng3 = ExecutionEngine(cache_dir=tmp_path)
+    assert eng3.solve_batch(a, b, c, d, **opts).tobytes() == ref.tobytes()
+    assert eng3.stats.factorizations_built == 0
+
+
+def test_thomas_spill_layout_is_unchanged(tmp_path):
+    # k = 0 files keep their (N, M) names and meaning: a file written
+    # in this layout by an older version still loads and keeps the bits
+    a, b, c, d = _batch(m=16, n=64, seed=12)
+    ref = ExecutionEngine().solve_batch(a, b, c, d, k=0, fingerprint=False)
+    eng1 = ExecutionEngine(cache_dir=tmp_path)
+    eng1.solve_batch(a, b, c, d, k=0, fingerprint=True)
+    (path,) = eng1.disk_cache.files()
+    with np.load(path) as data:
+        assert sorted(data.files) == ["cp", "denom", "kind", "ta"]
+        assert data["ta"].shape == (64, 16)
+    eng2 = ExecutionEngine(cache_dir=tmp_path)
+    assert eng2.solve_batch(a, b, c, d, k=0, fingerprint=True).tobytes() == ref.tobytes()
+    assert eng2.stats.factorizations_built == 0

@@ -1,17 +1,27 @@
-"""Factorization reuse: Thomas and hybrid factor-once / solve-many."""
+"""Factorization reuse: the hybrid factor-once / solve-many, Thomas at k = 0."""
 
 import numpy as np
 import pytest
 
-from repro.core.factorize import HybridFactorization, ThomasFactorization
+from repro.core.factorize import HybridFactorization
 
 from .conftest import make_batch, max_err, reference_solve
+
+
+# ---- k = 0: factor-once Thomas --------------------------------------------------
+
+
+def _thomas(a, b, c):
+    """The factor-once Thomas: the hybrid factorization at ``k = 0``."""
+    fact = HybridFactorization.factor(a, b, c, k=0)
+    assert fact.k == 0 and not fact.level_factors
+    return fact
 
 
 @pytest.mark.parametrize("m,n", [(1, 64), (4, 100), (16, 33)])
 def test_thomas_factor_solve(m, n):
     a, b, c, d = make_batch(m, n, seed=m + n)
-    fact = ThomasFactorization.factor(a, b, c)
+    fact = _thomas(a, b, c)
     x = fact.solve(d)
     assert max_err(x, reference_solve(a, b, c, d)) < 1e-11
 
@@ -20,13 +30,13 @@ def test_thomas_factor_matches_direct():
     from repro.core.thomas import thomas_solve_batch
 
     a, b, c, d = make_batch(3, 50, seed=1)
-    fact = ThomasFactorization.factor(a, b, c)
-    assert np.allclose(fact.solve(d), thomas_solve_batch(a, b, c, d), atol=1e-13)
+    fact = _thomas(a, b, c)
+    assert fact.solve(d).tobytes() == thomas_solve_batch(a, b, c, d).tobytes()
 
 
 def test_thomas_factor_reuse_is_linear():
     a, b, c, d = make_batch(2, 40, seed=2)
-    fact = ThomasFactorization.factor(a, b, c)
+    fact = _thomas(a, b, c)
     x1 = fact.solve(d)
     x2 = fact.solve(3.0 * d)
     assert np.allclose(x2, 3.0 * x1, atol=1e-12)
@@ -37,11 +47,12 @@ def test_thomas_multi_rhs():
     a, b, c, _ = make_batch(m, n, seed=3)
     rng = np.random.default_rng(0)
     D = rng.standard_normal((m, n, r))
-    fact = ThomasFactorization.factor(a, b, c)
+    fact = _thomas(a, b, c)
     X = fact.solve(D)
     assert X.shape == (m, n, r)
     for j in range(r):
         assert max_err(X[:, :, j], reference_solve(a, b, c, D[:, :, j])) < 1e-11
+        assert X[:, :, j].tobytes() == fact.solve(D[:, :, j]).tobytes()
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -49,7 +60,7 @@ def test_thomas_multi_rhs_preserves_dtype(dtype):
     m, n, r = 4, 48, 3
     a, b, c, _ = make_batch(m, n, dtype=dtype, seed=30)
     D = np.random.default_rng(5).standard_normal((m, n, r)).astype(dtype)
-    fact = ThomasFactorization.factor(a, b, c)
+    fact = _thomas(a, b, c)
     X = fact.solve(D)
     assert X.dtype == dtype
     tol = 1e-4 if dtype == np.float32 else 1e-11
@@ -60,7 +71,7 @@ def test_thomas_multi_rhs_preserves_dtype(dtype):
 def test_thomas_solve_accepts_f_ordered_and_strided_d():
     m, n = 6, 80
     a, b, c, d = make_batch(m, n, seed=31)
-    fact = ThomasFactorization.factor(a, b, c)
+    fact = _thomas(a, b, c)
     ref = fact.solve(d)
     assert np.array_equal(fact.solve(np.asfortranarray(d)), ref)
     wide = np.zeros((m, 2 * n))
@@ -76,8 +87,8 @@ def test_thomas_solve_scratch_and_out_reuse_is_clean():
     m, n = 5, 64
     a, b, c, d = make_batch(m, n, seed=32)
     d2 = np.random.default_rng(6).standard_normal((m, n))
-    fact = ThomasFactorization.factor(a, b, c)
-    scratch = np.empty_like(d)
+    fact = _thomas(a, b, c)
+    scratch: dict = {}
     out = np.empty_like(d)
     x1 = fact.solve(d, out=out, scratch=scratch).copy()
     x2 = fact.solve(d2, out=out, scratch=scratch)
@@ -88,15 +99,16 @@ def test_thomas_solve_scratch_and_out_reuse_is_clean():
 
 def test_thomas_factor_shape_check():
     a, b, c, _ = make_batch(2, 16, seed=4)
-    fact = ThomasFactorization.factor(a, b, c)
+    fact = _thomas(a, b, c)
     with pytest.raises(ValueError, match="leading shape"):
         fact.solve(np.zeros((2, 17)))
 
 
 def test_thomas_factor_properties():
     a, b, c, _ = make_batch(5, 20, seed=5)
-    fact = ThomasFactorization.factor(a, b, c)
-    assert fact.m == 5 and fact.n == 20
+    fact = _thomas(a, b, c)
+    assert fact.reduced.m == 5 and fact.reduced.n == 20
+    assert fact.reduced.g == 1
 
 
 # ---- hybrid factorization -----------------------------------------------------
@@ -125,7 +137,7 @@ def test_hybrid_factor_matches_hybrid_solver():
     fact = HybridFactorization.factor(a, b, c, k=3)
     x1 = fact.solve(d)
     x2 = HybridSolver(k=3).solve_batch(a, b, c, d)
-    assert np.allclose(x1, x2, atol=1e-11)
+    assert x1.tobytes() == x2.tobytes()
 
 
 def test_hybrid_factor_reuse_many_rhs():
@@ -166,9 +178,9 @@ def test_hybrid_multi_rhs_preserves_dtype(dtype):
 
 def test_hybrid_solve_scratch_dict_reuse_is_clean():
     # the same scratch dict over many steps (the prepared-path pattern)
-    # must give the same bits as fresh allocations — including the
-    # regroup pad re-zeroing when n does not divide by 2^k
-    m, n, k = 4, 100, 3  # 100 not divisible by 8 -> padded regroup
+    # must give the same bits as fresh allocations — including a short
+    # last level slab when n does not divide by 2^k
+    m, n, k = 4, 100, 3  # 100 not divisible by 8 -> short last level
     a, b, c, d = make_batch(m, n, seed=34)
     d2 = np.random.default_rng(8).standard_normal((m, n))
     fact = HybridFactorization.factor(a, b, c, k=k)
@@ -200,7 +212,8 @@ def test_hybrid_factor_stores_k_levels():
     fact = HybridFactorization.factor(a, b, c, k=4)
     assert len(fact.level_factors) == 4
     for k1, k2 in fact.level_factors:
-        assert k1.shape == (1, 128)
+        assert k1.shape == k2.shape == (128, 1)  # the transposed (N, M) layout
+    assert fact.reduced.g == 16 and fact.reduced.ta.shape == (128, 1)
 
 
 def test_hybrid_factor_uninitialized():

@@ -44,10 +44,10 @@ def test_periodic_float32():
 
 
 def test_factorization_float32():
-    from repro.core.factorize import ThomasFactorization
+    from repro.core.factorize import HybridFactorization
 
     a, b, c, d = make_batch(2, 40, dtype=np.float32, seed=3)
-    fact = ThomasFactorization.factor(a, b, c)
+    fact = HybridFactorization.factor(a, b, c, k=0)
     x = fact.solve(d)
     assert x.dtype == np.float32
     assert max_err(x, reference_solve(a, b, c, d)) < 1e-3

@@ -163,8 +163,9 @@ def test_changed_coefficients_miss():
 
 
 def test_auto_stays_off_for_hybrid_plans():
-    # k > 0 RHS-only agrees to rounding, not bitwise — the default
-    # (fingerprint=None) must not silently change results there
+    # k > 0 RHS-only keeps the one-shot's bits, but a k > 0
+    # factorization holds 2k + 3 (N, M) arrays: the default
+    # (fingerprint=None) does not pay for one without a reuse intent
     a, b, c, d = make_batch(8, 256, seed=6)
     engine = ExecutionEngine()
     for _ in range(3):
@@ -182,8 +183,8 @@ def test_forced_fingerprint_runs_hybrid_prepared():
     x2, i2 = _info_solve(engine, a, b, c, d, k=4, fingerprint=True)
     assert i1.factorization == "factored"   # True forces factor-on-first
     assert i2.factorization == "hit" and i2.rhs_only
-    assert np.allclose(x1, ref, rtol=1e-10, atol=1e-13)
-    assert np.array_equal(x1, x2)
+    assert x1.tobytes() == ref.tobytes()
+    assert x2.tobytes() == ref.tobytes()
 
 
 def test_fingerprint_false_disables_cache():
@@ -241,12 +242,14 @@ def test_prepare_handle_bitwise_k0():
     assert handle.solves == 1
 
 
-def test_prepare_handle_hybrid_allclose():
+def test_prepare_handle_hybrid_bitwise():
     a, b, c, d = make_batch(8, 300, seed=11)
     engine = ExecutionEngine()
     handle = engine.prepare(a, b, c, k=3)
     x = handle.solve(d)
     assert max_err(x, reference_solve(a, b, c, d)) < 1e-10
+    ref = engine.solve_batch(a, b, c, d, k=3, fingerprint=False)
+    assert x.tobytes() == ref.tobytes()
 
 
 def test_prepare_seeds_solve_batch_cache():
@@ -366,13 +369,13 @@ def test_periodic_prepare_handle_bitwise_k0():
     )
 
 
-def test_periodic_prepare_handle_hybrid_allclose():
+def test_periodic_prepare_handle_hybrid_bitwise():
     a, b, c, d = _cyclic_batch(8, 300, seed=35)
     engine = ExecutionEngine()
     handle = engine.prepare(a, b, c, periodic=True, k=3)
     x = handle.solve(d)
     ref = engine.solve_batch(a, b, c, d, periodic=True, k=3, fingerprint=False)
-    assert np.allclose(x, ref, rtol=1e-10, atol=1e-13)
+    assert x.tobytes() == ref.tobytes()
 
 
 def test_periodic_prepare_seeds_solve_periodic_cache():
@@ -427,3 +430,63 @@ def test_thomas_rhs_factorization_matches_reference():
     out = np.empty_like(d)
     fact.solve_shard(ws, d, out)
     assert max_err(out, reference_solve(a, b, c, d)) < 1e-11
+
+
+# ------------------------------------------ factored bits at every k > 0
+
+#: (M, N, one-shot options) per case: a ragged N (2^k does not divide
+#: it), M = 1, both schedule options, and N = 2^k, where the requested
+#: 2^k reaches N and the plan clamps k on both routes alike.
+BITS_CASES = {
+    "ragged": (4, 777, {}),
+    "m1": (1, 1500, {}),
+    "fuse": (8, 640, {"fuse": True}),
+    "windows": (8, 640, {"n_windows": 3}),
+    "2^k=N": (3, None, {}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BITS_CASES))
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("k", [1, 3, 5, 7, 8])
+def test_every_factored_route_has_the_one_shot_bits(k, dtype, case):
+    from repro.backends import bind_via
+
+    m, n, opts = BITS_CASES[case]
+    n = n or 1 << k
+    a, b, c, d = make_batch(m, n, dtype=dtype, seed=k + n)
+    engine = ExecutionEngine()
+    ref = engine.solve_batch(a, b, c, d, k=k, fingerprint=False, **opts)
+
+    with bind_via(a, b, c, d, backend="engine", k=k, fingerprint=True, **opts) as s:
+        assert s.describe()["mode"] == "rhs"
+        assert s.step(d).tobytes() == ref.tobytes()
+        xt = s.step_t(np.ascontiguousarray(d.T))
+        assert xt.T.tobytes(order="C") == ref.tobytes()
+        assert s.step_once(d).x.tobytes() == ref.tobytes()
+    handle = repro.prepare(a, b, c, engine=engine, k=k, **opts)
+    assert handle.solve(d).tobytes() == ref.tobytes()
+
+    if n < 3:  # a cyclic system needs N >= 3
+        return
+    ca, cb, cc, cd = _cyclic_batch(m, n, dtype=dtype, seed=k)
+    cref = engine.solve_batch(
+        ca, cb, cc, cd, periodic=True, k=k, fingerprint=False, **opts
+    )
+    periodic = repro.prepare(ca, cb, cc, engine=engine, periodic=True, k=k, **opts)
+    assert periodic.solve(cd).tobytes() == cref.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 5, 8, 13, 100])
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 4, 7])
+def test_thomas_rhs_sweep_at_stride_g_is_pthomas(k, n):
+    # below the engine's clamp too: a short last level and 2^k >= N
+    # (every row its own subsystem) keep p-Thomas's bits
+    from repro.core.factorize import RhsWorkspace
+    from repro.core.pthomas import pthomas_solve_interleaved
+
+    a, b, c, d = make_batch(3, n, seed=k * 100 + n)
+    fact = ThomasRhsFactorization.factor(a, b, c, g=1 << k)
+    x = np.empty_like(d)
+    fact.solve_shard(RhsWorkspace((n, 3), k, d.dtype), d, x)
+    assert x.tobytes() == pthomas_solve_interleaved(a, b, c, d, k).tobytes()

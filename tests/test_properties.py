@@ -233,7 +233,7 @@ def test_periodic_solver_residual(batch):
     scale=st.floats(0.1, 10.0),
 )
 def test_factorization_reuse_linearity(batch, k, scale):
-    """fact.solve is linear in d and matches the direct hybrid."""
+    """fact.solve is linear in d and has the direct hybrid's bits."""
     from repro.core.factorize import HybridFactorization
     from repro.core.hybrid import HybridSolver
 
@@ -241,6 +241,7 @@ def test_factorization_reuse_linearity(batch, k, scale):
     fact = HybridFactorization.factor(a, b, c, k=k)
     x1 = fact.solve(d)
     direct = HybridSolver(k=k).solve_batch(a, b, c, d)
+    assert x1.tobytes() == direct.tobytes()
     ref = reference_solve(a, b, c, d)
     assert max_err(x1, ref) < 1e-6
     assert max_err(direct, ref) < 1e-6
