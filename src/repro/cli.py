@@ -819,9 +819,12 @@ def _cmd_serve_stats(args) -> int:
           f"(mean batch {report['mean_batch_rows']:.0f} rows, "
           f"max {report['max_batch_rows']}; "
           f"size={flushes['size']} timer={flushes['timer']} "
-          f"solo={flushes['solo']} close={flushes['close']})")
+          f"solo={flushes['solo']} close={flushes['close']}; "
+          f"held={report['held_windows']})")
     print(f"shared     : {report['shared_factorizations']} "
-          f"shared-factorization dispatch(es)")
+          f"shared-factorization dispatch(es), "
+          f"{report['bound_sessions']} bound session(s) holding "
+          f"{report['bound_session_bytes'] / 2**20:.1f} MiB")
     print()
     print(f"{'tenant':<12} {'req':>5} {'shed':>5} {'rows':>7} "
           f"{'p50 ms':>8} {'p99 ms':>8} {'max ms':>8}  backends")

@@ -71,20 +71,31 @@ def _scratch(t: np.ndarray, slabs, g: int):
 class RhsWorkspace:
     """Buffers of one RHS-only sweep over ``(N, M[, R])`` right-hand sides.
 
-    ``td``/``xt`` stage a row-major batch in and out of the transposed
-    layout, ``dp`` holds the forward sweep's ``d'`` and ``t`` one level
-    slab of products.  A ``k > 0`` sweep also applies its PCR levels
-    through ``dq`` and ``dp`` (the last level lands in ``dq``, which
-    the reduced sweep then reads) and forms their products in ``tm``.
+    ``dp`` holds the forward sweep's ``d'`` and ``t`` one level slab of
+    products.  A ``k > 0`` sweep also applies its PCR levels through
+    ``dq`` and ``dp`` (the last level lands in ``dq``, which the reduced
+    sweep then reads) and forms their products in ``tm``.  The pair
+    that stages a row-major batch in and out of the transposed layout
+    is allocated by :meth:`staging` on first use, so a workspace that
+    only ever sweeps the transposed layout in place never holds it.
     """
 
     def __init__(self, shape, k: int, dtype):
-        self.td, self.xt, self.dp = (np.empty(shape, dtype=dtype) for _ in range(3))
+        self.dp = np.empty(shape, dtype=dtype)
         self.t = np.empty((min(1 << k, shape[0]), *shape[1:]), dtype=dtype)
-        self.nbytes = 3 * self.dp.nbytes + self.t.nbytes
+        self.nbytes = self.dp.nbytes + self.t.nbytes
+        self._staging = None
         if k:
             self.dq, self.tm = (np.empty(shape, dtype=dtype) for _ in range(2))
             self.nbytes += 2 * self.dp.nbytes
+
+    def staging(self) -> tuple:
+        """The ``(td, xt)`` staging pair, allocated (and counted in
+        ``nbytes``) on first use and kept for the workspace's life."""
+        if self._staging is None:
+            self._staging = (np.empty_like(self.dp), np.empty_like(self.dp))
+            self.nbytes += 2 * self.dp.nbytes
+        return self._staging
 
 
 class ThomasRhsFactorization:
@@ -162,9 +173,9 @@ class ThomasRhsFactorization:
         """RHS-only sweep of the ``(M, N)`` batch ``d`` into ``out``:
         :meth:`solve_shard_t` between two staging copies of the
         workspace (copies never change bits)."""
-        transpose_into(d, ws.td)
-        self.solve_shard_t(ws, ws.td, ws.xt)
-        transpose_into(ws.xt, out)
+        td, xt = ws.staging()
+        self.solve_shard_t(ws, transpose_into(d, td), xt)
+        transpose_into(xt, out)
 
     def solve_shard_t(self, ws, dt, out_t) -> None:
         """Transposed-layout RHS sweep: ``(N, M[, R])`` in and out.
@@ -321,9 +332,9 @@ class HybridFactorization:
         """RHS-only sweep of the ``(M, N)`` batch ``d`` into ``out``:
         :meth:`solve_shard_t` between two staging copies of the
         workspace (copies never change bits)."""
-        transpose_into(d, ws.td)
-        self.solve_shard_t(ws, ws.td, ws.xt)
-        transpose_into(ws.xt, out)
+        td, xt = ws.staging()
+        self.solve_shard_t(ws, transpose_into(d, td), xt)
+        transpose_into(xt, out)
 
     def solve_shard_t(self, ws, dt, out_t) -> None:
         """Transposed-layout sweep, ``(N, M[, R])`` in and out.

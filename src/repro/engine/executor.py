@@ -61,14 +61,14 @@ def _thomas_transposed(ws, a, b, c, d, out=None) -> np.ndarray:
     construction.  The transient factorization is neither cached nor
     counted.
     """
-    rhs = ws.rhs
-    for src, dst in zip((a, b, c, d), (ws.ta, ws.tb, ws.tc, rhs.td)):
+    td, xt = ws.rhs.staging()
+    for src, dst in zip((a, b, c, d), (ws.ta, ws.tb, ws.tc, td)):
         transpose_into(src, dst)
     fact = ThomasRhsFactorization.factor_t(ws.ta, ws.tb, ws.tc)
-    fact.solve_shard_t(rhs, rhs.td, rhs.xt)
+    fact.solve_shard_t(ws.rhs, td, xt)
     if out is None:
-        out = np.empty(d.shape, dtype=rhs.xt.dtype)
-    return transpose_into(rhs.xt, out)
+        out = np.empty(d.shape, dtype=xt.dtype)
+    return transpose_into(xt, out)
 
 
 def execute_plan(

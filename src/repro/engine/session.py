@@ -61,6 +61,7 @@ import numpy as np
 
 from repro.core.blocktridiag import BlockThomasFactorization
 from repro.core.hybrid import HybridReport
+from repro.core.layout import transpose_into
 from repro.core.pentadiag import PentaFactorization
 from repro.core.periodic import (
     apply_cyclic_correction,
@@ -117,6 +118,7 @@ class Session:
             self._dshape += (request.system.block_size,)
         self._out = None
         self._out_t = None
+        self._d_stage = None
 
     @property
     def m(self) -> int:
@@ -213,10 +215,14 @@ class Session:
         raise NotImplementedError
 
     def _step_t(self, dt, out_t) -> None:
-        """The staging fallback: transposes around :meth:`_step`."""
+        """The staging fallback: blocked transposes around :meth:`_step`,
+        ``dt`` staged into a session-held ``(M, N)`` buffer (copies
+        never change bits)."""
+        if self._d_stage is None:
+            self._d_stage = np.empty(self._dshape, dtype=self._dtype)
         x = self._buffer()
-        self._step(np.ascontiguousarray(dt.T), x)
-        out_t[:] = x.T
+        self._step(transpose_into(dt, self._d_stage), x)
+        transpose_into(x, out_t)
 
     def describe(self) -> dict:
         """Session summary: bound path, shape, dtype and step count."""
@@ -237,6 +243,7 @@ class Session:
         self._release()
         self._out = None
         self._out_t = None
+        self._d_stage = None
 
     def _release(self) -> None:
         """What :meth:`close` gives back beyond the buffers."""

@@ -32,9 +32,12 @@ Two shapes of state exist:
   and the output by the final copy into the caller's row-major result.
 
 A :class:`PreparedWorkspace` serves RHS-only sweeps: the plan's
-:class:`~repro.core.factorize.RhsWorkspace` at its ``k``, allocated up
-front — the staging, ``d'`` and level-slab buffers every factored sweep
-uses, plus the PCR level buffers of a hybrid factorization.
+:class:`~repro.core.factorize.RhsWorkspace` at its ``k`` — the ``d'``
+and level-slab buffers every factored sweep uses, plus the PCR level
+buffers of a hybrid factorization, allocated up front, and the staging
+pair allocated by the first sweep that stages (a ``step_t`` session or
+a ranks slab interior sweeps the transposed layout in place and never
+does).
 """
 
 from __future__ import annotations
@@ -64,6 +67,7 @@ class PlanWorkspace:
             self.tb = np.empty((n, m), dtype=dtype)
             self.tc = np.empty((n, m), dtype=dtype)
             self.rhs = RhsWorkspace((n, m), 0, dtype)
+            self.rhs.staging()  # the one-shot stages on every call
             self.nbytes = 3 * self.ta.nbytes + self.rhs.nbytes
         else:
             self.tiled = TiledWorkspace(m, plan.k, plan.subtile, dtype)
@@ -103,9 +107,11 @@ class PreparedWorkspace(RhsWorkspace):
     The prepared path never touches coefficients, so this is the slim
     sibling of :class:`PlanWorkspace`: the
     :class:`~repro.core.factorize.RhsWorkspace` of the plan's
-    ``(N, M)`` sweep at its ``k`` — the staging, ``d'`` and slab
-    buffers every factorization sweep uses, plus the PCR level buffers
-    at ``k > 0`` — all allocated up front.
+    ``(N, M)`` sweep at its ``k`` — the ``d'`` and slab buffers every
+    factorization sweep uses, plus the PCR level buffers at ``k > 0``,
+    allocated up front; the staging pair comes with the first
+    ``solve_shard`` (:meth:`~repro.core.factorize.RhsWorkspace.staging`),
+    and ``nbytes`` grows by it then.
     """
 
     def __init__(self, plan):

@@ -12,12 +12,20 @@ Concurrent ``submit`` calls are validated into per-fragment
 :class:`~repro.backends.request.SolveRequest` objects, grouped by
 compatibility (same ``N``/dtype/system descriptor/periodic flag and the
 same plan-shaping options), and concatenated along the batch (``M``)
-axis into **one** request per group — flushed when the group reaches
-``max_batch_rows`` or when the oldest fragment has waited
-``max_wait_us``.  The coalesced request dispatches through the backend
-registry exactly like ``repro.solve_batch`` (the adaptive router's
-``observe`` hook sees the *aggregate* route), and each caller receives
-its row slice of the result.
+axis into **one** request per group.  A group flushes at once when it
+reaches ``max_batch_rows`` (a *full* window), and otherwise when its
+oldest fragment has waited ``max_wait_us`` (a *partial* window) — but
+at most one partial window is in flight, Nagle's rule (RFC 896) for
+windows.  A group whose timer fires while a partial window runs stays
+open, keeps admitting compatible fragments, and dispatches when that
+window finishes (oldest held group first): the callers it just answered
+resubmit into the open groups before the next one leaves, so the
+service's concurrency becomes ``M`` instead of a queue of small
+windows.  Full windows, solo requests and ``drain()`` never wait.  The
+coalesced request dispatches through the backend registry exactly like
+``repro.solve_batch`` (the adaptive router's ``observe`` hook sees the
+*aggregate* route), and each caller receives its row slice of the
+result.
 
 **Bitwise contract.**  Grouped requests that leave ``k`` unset are
 pinned to ``k = 0`` — the large-M fast path — *before* dispatch, so the
@@ -57,7 +65,7 @@ from __future__ import annotations
 import asyncio
 import threading
 import time
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -102,9 +110,12 @@ class ServiceConfig:
         Flush a group as soon as its pending fragments reach this many
         batch rows — the ceiling on coalesced ``M``.
     max_wait_us:
-        The coalesce window: a group flushes at latest this long after
-        its *first* fragment arrived.  The latency cost of batching is
-        bounded by this plus one dispatch.
+        The coalesce window: a group flushes this long after its
+        *first* fragment arrived, or — when a partial (timer-flushed)
+        window is still running then — as soon as that window
+        finishes.  An idle service waits exactly this long; under
+        load the latency cost of batching is bounded by this plus the
+        dispatch of the partial window in flight.
     max_pending_rows:
         Admission bound on rows admitted but not yet delivered; beyond
         it ``submit`` raises :class:`ServiceOverloaded`.
@@ -113,7 +124,10 @@ class ServiceConfig:
         (``"auto"`` = let the router choose, the default).
     dispatch_workers:
         Threads executing coalesced batches, so the event loop never
-        blocks on NumPy sweeps and independent groups overlap.
+        blocks on NumPy sweeps.  At most one partial window runs at a
+        time; full windows (``max_batch_rows``, solo requests,
+        ``drain()``) dispatch at once on a free thread, so only they
+        overlap — with each other and with the partial window.
     tile_cache:
         LRU entries for the bound sessions serving repeat digest
         windows (one per digest-window shape actually seen); each
@@ -163,9 +177,14 @@ class _Pending:
 
 
 class _Bucket:
-    """The pending fragments of one compatibility group."""
+    """The pending fragments of one compatibility group.
 
-    __slots__ = ("key", "items", "rows", "timer", "digest", "solo")
+    ``held`` marks a group whose timer fired while a partial window was
+    in flight: it stays open, is not re-timed, and waits in
+    ``SolveService._held`` for that window to finish.
+    """
+
+    __slots__ = ("key", "items", "rows", "timer", "digest", "solo", "held")
 
     def __init__(self, key, digest, solo):
         self.key = key
@@ -174,6 +193,7 @@ class _Bucket:
         self.timer = None
         self.digest = digest
         self.solo = solo
+        self.held = False
 
 
 #: group-key sentinel counter for solo (never-coalesced) requests
@@ -225,6 +245,10 @@ class SolveService:
         self._buckets: dict = {}
         self._pending_rows = 0
         self._inflight: set = set()
+        # the partial (timer-flushed) window in flight, if any, and the
+        # groups whose timers fired while it ran, oldest first
+        self._partial: asyncio.Future | None = None
+        self._held: deque = deque()
         self._closed = False
         self._executor: ThreadPoolExecutor | None = None
         self._executor_lock = threading.Lock()
@@ -289,7 +313,7 @@ class SolveService:
         bucket.rows += rows
         if solo or bucket.rows >= self.config.max_batch_rows:
             self._flush(bucket, cause="size" if not solo else "solo")
-        elif bucket.timer is None:
+        elif bucket.timer is None and not bucket.held:
             bucket.timer = loop.call_later(
                 self.config.max_wait_us * 1e-6, self._flush_timer, bucket
             )
@@ -343,12 +367,38 @@ class SolveService:
 
     # ---- flushing -----------------------------------------------------
     def _flush_timer(self, bucket: _Bucket) -> None:
+        """A group's wait is up: flush it, unless a partial window is in
+        flight — then hold it open until that window finishes."""
         bucket.timer = None
-        if self._buckets.get(bucket.key) is bucket:
+        if self._buckets.get(bucket.key) is not bucket:
+            return
+        if self._partial is not None:
+            bucket.held = True
+            self._held.append(bucket)
+        else:
             self._flush(bucket, cause="timer")
 
+    def _partial_done(self, fut) -> None:
+        """The partial window finished: flush the oldest held group that
+        is still open (a held group may have size-flushed or drained).
+
+        Runs as the window's done-callback, which the loop schedules
+        after ``_deliver`` has woken the window's callers — so they
+        have resubmitted into the open groups by now, and ride along.
+        """
+        self._partial = None
+        while self._held:
+            bucket = self._held.popleft()
+            if self._buckets.get(bucket.key) is bucket:
+                self.stats.record_held()
+                self._flush(bucket, cause="timer")
+                return
+
     def _flush(self, bucket: _Bucket, *, cause: str) -> None:
-        """Detach ``bucket`` and hand its fragments to the executor."""
+        """Detach ``bucket`` and hand its fragments to the executor.
+
+        A ``"timer"`` window becomes the partial window in flight.
+        """
         self._buckets.pop(bucket.key, None)
         if bucket.timer is not None:
             bucket.timer.cancel()
@@ -361,6 +411,9 @@ class SolveService:
         )
         self._inflight.add(fut)
         fut.add_done_callback(self._inflight.discard)
+        if cause == "timer":
+            self._partial = fut
+            fut.add_done_callback(self._partial_done)
 
     def _dispatch_executor(self) -> ThreadPoolExecutor:
         with self._executor_lock:
@@ -651,10 +704,14 @@ class SolveService:
             "max_pending_rows": self.config.max_pending_rows,
             "backend": self.config.backend,
             "dispatch_workers": self.config.dispatch_workers,
+            "tile_cache": self.config.tile_cache,
         }
         desc["pending_rows"] = self._pending_rows
         with self._sessions_lock:
             desc["bound_sessions"] = len(self._sessions)
+            desc["bound_session_bytes"] = sum(
+                s.request.factorization.nbytes for s in self._sessions.values()
+            )
         return desc
 
     @property
@@ -664,7 +721,8 @@ class SolveService:
 
     # ---- lifecycle ----------------------------------------------------
     async def drain(self) -> None:
-        """Flush every open window and wait for in-flight dispatches."""
+        """Flush every open window, held ones included, and wait for
+        in-flight dispatches."""
         for bucket in list(self._buckets.values()):
             self._flush(bucket, cause="close")
         while self._inflight:

@@ -11,8 +11,9 @@ is attributed to a *tenant* (an arbitrary caller-chosen string, default
   each tenant's requests rode in on — the service-tier sibling of
   :func:`repro.last_trace`, reachable via
   :meth:`SolveService.last_trace <repro.service.service.SolveService.last_trace>`;
-* which backends executed the coalesced batches, and how large those
-  batches were.
+* which backends executed the coalesced batches, how large those
+  batches were, what flushed them, and how many timer windows were
+  held open behind the partial window in flight.
 
 ``repro serve-stats`` renders :meth:`ServiceStats.describe` as a table.
 """
@@ -132,6 +133,7 @@ class ServiceStats:
         self.timer_flushes = 0     #: flushes triggered by the wait window
         self.solo_flushes = 0      #: ungroupable requests passed through
         self.close_flushes = 0     #: flushes triggered by close()/drain()
+        self.held_windows = 0      #: timer windows that waited for a partial one
         self.shared_factorizations = 0  #: digest-tiled RHS-only dispatches
 
     def tenant(self, name: str) -> TenantStats:
@@ -157,6 +159,10 @@ class ServiceStats:
     def record_shed(self, tenant: str) -> None:
         with self._lock:
             self._tenant_locked(tenant).shed += 1
+
+    def record_held(self) -> None:
+        with self._lock:
+            self.held_windows += 1
 
     def record_failed(self, tenant: str) -> None:
         with self._lock:
@@ -230,6 +236,7 @@ class ServiceStats:
                     "solo": self.solo_flushes,
                     "close": self.close_flushes,
                 },
+                "held_windows": self.held_windows,
                 "shared_factorizations": self.shared_factorizations,
                 "tenants": [t.describe() for t in tenants],
             }

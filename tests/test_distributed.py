@@ -159,6 +159,30 @@ def test_factor_slab_leaves_the_slab_untouched(m):
         assert v.tobytes() == w.tobytes()
 
 
+@pytest.mark.parametrize("m", [4, 64])
+def test_slab_interiors_hold_no_staging_pair(m):
+    # a slab interior sweeps its rows in place (solve_shard_t), so its
+    # workspace neither holds nor counts the row-major staging pair
+    rng = np.random.default_rng(m + 7)
+    a, c, d = rng.standard_normal((3, 300, m))
+    b = 4.0 + np.abs(a) + np.abs(c)
+    fact = factor_slab(a, b, c)
+    held = fact.ws.nbytes
+    rep, reduced = eliminate_slab(fact, d)
+    assert fact.ws.nbytes == held
+    td, xt = fact.ws.staging()
+    assert fact.ws.nbytes == held + td.nbytes + xt.nbytes
+    # the step's bits do not depend on the staging pair being there
+    # (rows 0 and L-1 of the representation are scratch)
+    again = eliminate_slab(fact, d)
+    interior = slice(1, -1)
+    assert (
+        np.stack(again[0])[:, interior].tobytes()
+        == np.stack(rep)[:, interior].tobytes()
+    )
+    assert again[1].tobytes() == reduced.tobytes()
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     ranks=st.integers(min_value=1, max_value=4),

@@ -7,7 +7,12 @@ import pytest
 
 import repro
 from repro.engine import ExecutionEngine, PreparedPlan, coefficient_fingerprint
-from repro.engine.prepared import FINGERPRINT_SAMPLE, ThomasRhsFactorization
+from repro.engine.prepared import (
+    FINGERPRINT_SAMPLE,
+    ThomasRhsFactorization,
+    build_factorization,
+)
+from repro.engine.workspace import PreparedWorkspace
 
 from .conftest import make_batch, max_err, reference_solve
 
@@ -422,14 +427,34 @@ def test_thomas_rhs_factorization_matches_reference():
     fact = ThomasRhsFactorization.factor(a, b, c)
     assert fact.m == 16 and fact.n == 40
     assert fact.nbytes == 3 * a.nbytes
-    from repro.engine.workspace import PreparedWorkspace
-
     engine = ExecutionEngine()
     plan = engine.plan_for(16, 40, np.dtype(np.float64), k=0)
     ws = PreparedWorkspace(plan)
     out = np.empty_like(d)
     fact.solve_shard(ws, d, out)
     assert max_err(out, reference_solve(a, b, c, d)) < 1e-11
+
+
+@pytest.mark.parametrize("k", [0, 3])
+def test_prepared_workspace_counts_staging_from_the_first_solve_shard(k):
+    # the staging pair is allocated by the first sweep that stages, and
+    # the engine's ledger takes the grown nbytes at check-in
+    a, b, c, d = make_batch(8, 100, seed=23 + k)
+    engine = ExecutionEngine()
+    plan = engine.plan_for(8, 100, np.dtype(np.float64), k=k)
+    fact = build_factorization(plan, a, b, c)
+    ws = engine._checkout(plan, PreparedWorkspace)
+    held = ws.nbytes
+    x = np.empty_like(d)
+    fact.solve_shard(ws, d, x)
+    staged = held + 2 * ws.dp.nbytes
+    assert ws.nbytes == staged
+    fact.solve_shard(ws, d, x)  # allocated once
+    assert ws.nbytes == staged
+    engine._checkin(plan, ws)
+    assert engine.stats.workspace_bytes == staged
+    ref = engine.solve_batch(a, b, c, d, k=k, fingerprint=False)
+    assert x.tobytes() == ref.tobytes()
 
 
 # ------------------------------------------ factored bits at every k > 0

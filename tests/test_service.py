@@ -215,6 +215,133 @@ def test_shared_matrix_requests_share_one_factorization():
 
 
 # ---------------------------------------------------------------------------
+# flush rule: at most one partial (timer-flushed) window in flight
+# ---------------------------------------------------------------------------
+
+#: comfortably past ``WAIT_US``, so a window's timer has fired
+PAST_WAIT_S = 0.05
+WAIT_US = 1000.0
+
+
+def _block_first_dispatch(svc):
+    """Make the service's first registry dispatch wait for the returned
+    event (later dispatches run straight through)."""
+    release = threading.Event()
+    execute = svc._execute
+    calls = []
+
+    def execute_blocked(request):
+        calls.append(request.m)
+        if len(calls) == 1:
+            release.wait(TIMEOUT)
+        return execute(request)
+
+    svc._execute = execute_blocked
+    return release
+
+
+async def _partial_window_in_flight(svc, batch):
+    """Submit ``batch`` and let its timer flush it: it becomes the
+    partial window in flight (blocked by :func:`_block_first_dispatch`)."""
+    future = svc.submit_nowait(*batch)
+    await asyncio.sleep(PAST_WAIT_S)
+    assert not future.done()
+    return future
+
+
+@pytest.mark.parametrize("fingerprint", (False, True), ids=("plain", "digest"))
+def test_timer_window_waits_for_the_partial_window_in_flight(fingerprint):
+    # B's timer fires while A's window runs: B stays open, C joins it,
+    # and B + C leave as one window when A's finishes
+    first = random_batch(4, 128, seed=60)
+    if fingerprint:
+        (a, b, c), ds = shared_matrix_traffic(2, 4, 128, seed=61)
+        batches = [(a, b, c, d) for _, d in ds]
+    else:
+        batches = [random_batch(4, 128, seed=seed) for seed in (62, 63)]
+    opts = {"fingerprint": True} if fingerprint else {}
+
+    async def main():
+        async with SolveService(ServiceConfig(max_wait_us=WAIT_US)) as svc:
+            release = _block_first_dispatch(svc)
+            try:
+                fa = await _partial_window_in_flight(svc, first)
+                fb = svc.submit_nowait(*batches[0], **opts)
+                await asyncio.sleep(PAST_WAIT_S)  # B's timer fires: held
+                fc = svc.submit_nowait(*batches[1], **opts)
+                assert not fb.done()
+            finally:
+                release.set()
+            xs = await asyncio.gather(fa, fb, fc)
+            return xs, svc.describe()
+
+    xs, desc = run(main())
+    assert desc["dispatches"] == 2
+    assert desc["held_windows"] == 1
+    assert desc["flushes"]["timer"] == 2
+    assert desc["shared_factorizations"] == int(fingerprint)
+    for x, batch in zip(xs, [first, *batches]):
+        assert x.tobytes() == repro.solve_batch(*batch, k=0).tobytes()
+
+
+def test_size_flush_is_not_held_behind_a_partial_window():
+    # B is held behind A; C fills B's window to max_batch_rows, so it
+    # dispatches at once on the free thread while A is still running
+    first, b, c = (random_batch(4, 128, seed=seed) for seed in (64, 65, 66))
+
+    async def main():
+        config = ServiceConfig(max_batch_rows=8, max_wait_us=WAIT_US)
+        async with SolveService(config) as svc:
+            release = _block_first_dispatch(svc)
+            try:
+                fa = await _partial_window_in_flight(svc, first)
+                fb = svc.submit_nowait(*b)
+                await asyncio.sleep(PAST_WAIT_S)  # B's timer fires: held
+                fc = svc.submit_nowait(*c)  # 8 rows: a full window
+                xb, xc = await asyncio.gather(fb, fc)
+                assert not fa.done()
+            finally:
+                release.set()
+            await fa
+            return fa.result(), xb, xc, svc.describe()
+
+    xa, xb, xc, desc = run(main())
+    assert desc["dispatches"] == 2
+    assert desc["flushes"]["size"] == 1
+    assert desc["held_windows"] == 0  # B left as a size flush, not held
+    for x, batch in zip((xa, xb, xc), (first, b, c)):
+        assert x.tobytes() == repro.solve_batch(*batch, k=0).tobytes()
+
+
+@pytest.mark.parametrize("how", ("drain", "close"))
+def test_drain_and_close_deliver_a_held_window(how):
+    first, b = (random_batch(4, 128, seed=seed) for seed in (67, 68))
+
+    async def main():
+        svc = SolveService(ServiceConfig(max_wait_us=WAIT_US))
+        release = _block_first_dispatch(svc)
+        try:
+            fa = await _partial_window_in_flight(svc, first)
+            fb = svc.submit_nowait(*b)
+            await asyncio.sleep(PAST_WAIT_S)  # B's timer fires: held
+            stopping = asyncio.ensure_future(getattr(svc, how)())
+            xb = await fb  # flushed at once, while A still runs
+            assert not fa.done()
+        finally:
+            release.set()
+        await stopping
+        await svc.close()
+        return fa.result(), xb, svc.describe()
+
+    xa, xb, desc = run(main())
+    assert desc["dispatches"] == 2
+    assert desc["flushes"]["close"] == 1
+    assert desc["held_windows"] == 0
+    for x, batch in zip((xa, xb), (first, b)):
+        assert x.tobytes() == repro.solve_batch(*batch, k=0).tobytes()
+
+
+# ---------------------------------------------------------------------------
 # stats, traces, backpressure
 # ---------------------------------------------------------------------------
 
@@ -358,8 +485,8 @@ def test_ranks_fragments_keep_their_route_when_coalesced():
 
 
 def test_concurrent_ranks_groups_of_different_n_keep_their_bits():
-    # two ranks=2 groups of different N flush together and dispatch on
-    # the service's two threads at once; each distributed pipeline
+    # two ranks=2 groups of different N size-flush together and dispatch
+    # on the service's two threads at once; each distributed pipeline
     # holds the shared pool from attach to gather, so neither rebuilds
     # the arenas (or scatters) under the other
     systems = [huge_system_batch(n, m=4, seed=n) for n in (4096, 6144)]
@@ -369,7 +496,11 @@ def test_concurrent_ranks_groups_of_different_n_keep_their_bits():
     ]
 
     async def main():
-        config = ServiceConfig(max_wait_us=0.0, dispatch_workers=2)
+        # each fragment fills its window (4 rows), so both dispatch at
+        # once: only full windows overlap, partial ones run one at a time
+        config = ServiceConfig(
+            max_batch_rows=4, max_wait_us=0.0, dispatch_workers=2
+        )
         async with SolveService(config) as service:
             return [
                 await asyncio.gather(

@@ -224,15 +224,40 @@ def test_step_t_fast_path_matches_step_bitwise():
         assert session.steps == 4
 
 
+def _fallback_session(mode, m, n, seed):
+    """An engine session of ``mode`` at ``(m, n)``: one with no
+    transposed sweep, so its ``step_t`` stages through ``step``."""
+    opts = {"fingerprint": mode in ("cyclic", "banded")}
+    if mode == "banded":
+        e, a, b, c, f, d = random_penta_batch(m, n, seed=seed)
+        opts.update(e=e, f=f)
+    elif mode in ("cyclic", "full-cyclic"):
+        a, b, c, d = _cyclic_batch(m, n, seed)
+        opts.update(periodic=True, k=0)
+    else:
+        a, b, c, d = random_batch(m, n, seed=seed)
+        opts.update(k=0)
+    return bind_via(a, b, c, d, backend="engine", **opts)
+
+
 def test_step_t_fallback_modes_match_step():
-    # cyclic sessions have no transposed sweep: step_t canonicalizes
-    # through step() and must agree bitwise
-    session, one_shot, fresh_d = _make("cyclic", seed=31)
-    with session:
-        d = fresh_d()
-        x = one_shot(d)
-        assert np.array_equal(session.step_t(np.ascontiguousarray(d.T)), x.T)
-        assert session.steps == 1  # the fallback counts once, not twice
+    # sessions with no transposed sweep stage step_t through step() and
+    # must agree bitwise with step(dtᵀ)ᵀ; at (96, 128) both staging
+    # copies take transpose_into's blocked path
+    rng = np.random.default_rng(31)
+    for m, n in ((4, 40), (96, 128)):
+        for mode in ("cyclic", "full", "full-cyclic", "banded"):
+            with _fallback_session(mode, m, n, seed=31) as session:
+                assert session.mode == mode
+                for step in range(2):
+                    d = rng.standard_normal((m, n))
+                    x = session.step(d).copy()
+                    xt = session.step_t(np.ascontiguousarray(d.T))
+                    assert xt.tobytes() == np.ascontiguousarray(x.T).tobytes(), (
+                        mode, (m, n), step,
+                    )
+                # the fallback counts once, not twice
+                assert session.steps == 4
 
 
 def test_step_t_rejects_block_sessions_and_bad_shapes():
@@ -475,8 +500,10 @@ def test_service_reuses_bound_sessions_across_windows():
         ref = solve_via(a, b, c, d, backend="numpy")[0]
         for x in xs:
             np.testing.assert_allclose(x, ref, rtol=1e-10, atol=1e-12)
-    # identical windows land on one cached bound session
+    # identical windows land on one cached bound session, which holds
+    # at least one fragment's factorization (ta, cp, denom)
     assert desc["bound_sessions"] >= 1
+    assert desc["bound_session_bytes"] >= 3 * a.nbytes
 
 
 # ---------------------------------------------------------------------------
