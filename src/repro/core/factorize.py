@@ -26,6 +26,11 @@ the one-shot it replaces: ``g = 1`` is the engine's ``k = 0`` Thomas
 :class:`HybridFactorization` wraps it at ``g = 2^k`` behind its stored
 PCR levels.  Both accept one ``(M, N)`` right-hand side or a stack of
 them, ``(M, N, R)``, vectorizing over the trailing axis.
+
+A *uniform* batch — every row of ``a``, ``b`` and ``c`` bytewise equal
+to row 0, as in every ADI or Crank–Nicolson sweep, where the ``M``
+systems are one matrix — factors at ``g = 1`` into one ``(N, 1)``
+column per array, and that column serves a batch of any width.
 """
 
 from __future__ import annotations
@@ -58,6 +63,26 @@ def _slabs_up(arr: np.ndarray, g: int):
     if g == 1:
         return arr[::-1]
     return [arr[max(hi - g, 0):hi] for hi in range(len(arr), 0, -g)]
+
+
+def _uniform_rows(*arrays) -> bool:
+    """Is every row of each ``(M, N)`` array bytewise equal to its row 0?
+
+    Rows are compared as unsigned integers of the itemsize, so ``+0.0``
+    and ``−0.0`` differ and NaN payloads count: a row that passes is the
+    same bits as row 0.  Row 1 is compared first, so an ordinary batch
+    is rejected in O(N), before any full pass.
+    """
+    words = []
+    for arr in arrays:
+        if arr.itemsize not in (1, 2, 4, 8):
+            return False
+        words.append(arr.view(f"u{arr.itemsize}"))
+    if len(words[0]) < 2:
+        return len(words[0]) == 1
+    return all(np.array_equal(w[1], w[0]) for w in words) and all(
+        bool((w[2:] == w[0]).all()) for w in words
+    )
 
 
 def _scratch(t: np.ndarray, slabs, g: int):
@@ -108,6 +133,11 @@ class ThomasRhsFactorization:
     ``M · g`` interleaved subsystems p-Thomas solves (§III-B).  The RHS
     sweep divides by the stored denominators in p-Thomas's order, so a
     solve gives the bits of the engine's one-shot at the same ``k``.
+
+    State of width 1 — what :meth:`factor` stores for a uniform batch —
+    serves a right-hand side of any width: every system of the batch
+    reads the one column.  ``m`` reports the stored width, so it is 1
+    there whatever the batch width.
     """
 
     __slots__ = ("ta", "cp", "denom", "g", "nbytes")
@@ -140,7 +170,29 @@ class ThomasRhsFactorization:
     @classmethod
     def factor(cls, a, b, c, g: int = 1) -> "ThomasRhsFactorization":
         """Factor ``(M, N)`` diagonals: :meth:`factor_t` on staged
-        transposes."""
+        transposes.
+
+        At ``g = 1`` a uniform batch (every row of ``a``, ``b`` and
+        ``c`` bytewise equal to row 0) stages and factors row 0 alone:
+        the state is three ``(N, 1)`` columns, factored in O(N), and
+        every system of the batch sweeps them with the same operations
+        in the same order, so no bit changes.
+
+        >>> import numpy as np, repro
+        >>> from repro.workloads.pde import adi_row_coefficients
+        >>> a, b, c = adi_row_coefficients(64, 256, 0.3)
+        >>> fact = ThomasRhsFactorization.factor(a, b, c)
+        >>> fact.cp.shape, fact.nbytes == 3 * 256 * 8
+        ((256, 1), True)
+        >>> d = np.random.default_rng(0).random((64, 256))
+        >>> x = np.empty_like(d)
+        >>> fact.solve_shard(RhsWorkspace((256, 64), 0, d.dtype), d, x)
+        >>> ref = repro.solve_batch(a, b, c, d, k=0, fingerprint=False)
+        >>> x.tobytes() == ref.tobytes()
+        True
+        """
+        if g == 1 and _uniform_rows(a, b, c):
+            a, b, c = a[:1], b[:1], c[:1]
         m, n = b.shape
         staged = [transpose_into(v, np.empty((n, m), dtype=b.dtype)) for v in (a, b, c)]
         return cls.factor_t(*staged, g=g)
@@ -188,10 +240,17 @@ class ThomasRhsFactorization:
         ``d' = (d − d'_{i−g}·a) / denom``; backward from the bottom:
         ``x = d' − c'·x_{i+g}``, where the last ``g`` rows (each
         subsystem's last row) keep ``x = d'``.
+
+        Width-1 state is read through a broadcast view of ``dt``'s
+        shape, built here: its rows have stride 0 and ``dt``'s row
+        shape, which NumPy's trivial loop takes at a full row's cost,
+        where a ``(1,)`` row would go through the broadcasting iterator.
         """
         ta, cp, denom, g = self.ta, self.cp, self.denom, self.g
         if dt.ndim == 3:
             ta, cp, denom = ta[..., None], cp[..., None], denom[..., None]
+        if ta.shape[1] != dt.shape[1]:
+            ta, cp, denom = (np.broadcast_to(v, dt.shape) for v in (ta, cp, denom))
         n = len(dt)
         h = min(g, n)
         dp, t = ws.dp, ws.t

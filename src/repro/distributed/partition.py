@@ -181,8 +181,9 @@ def factor_slab(a, b, c) -> SlabFactorization:
     columns ``p = T^-1 a_1 e_1`` and ``q = T^-1 c_{L-2} e_{L-2}`` once
     through its RHS-only sweep and fixes the coefficient halves of both
     boundary equations (see the module derivation).  The slab arrays
-    are not mutated; a ``k = 0`` interior keeps reading ``a`` in place,
-    so the factorization must be rebuilt whenever the slab's
+    are not mutated: the interior factorization holds staged copies
+    (one ``(L - 2, 1)`` column per array when every system of the
+    slab is one matrix), so it must be rebuilt whenever the slab's
     coefficients change.
     """
     L, M = b.shape

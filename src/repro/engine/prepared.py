@@ -175,7 +175,11 @@ def build_factorization(plan, a, b, c):
     """Factor coefficients for ``plan``: Thomas at ``k=0``, hybrid above.
 
     ``a``, ``b``, ``c`` are ``(M, N)`` in any memory layout; both routes
-    stage them into the transposed ``(N, M)`` layout they sweep in.
+    stage them into the transposed ``(N, M)`` layout they sweep in.  At
+    ``k = 0`` a uniform batch (every row bytewise equal to row 0)
+    stages one row and stores ``(N, 1)`` columns, so every caller that
+    factors through here — handles, the fingerprint cache, periodic
+    cores, rank slab interiors — holds ``3·N`` elements for it.
     """
     if plan.uses_thomas:
         return ThomasRhsFactorization.factor(a, b, c)

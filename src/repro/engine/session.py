@@ -575,13 +575,19 @@ class BoundSolve(Session):
 
     # ---- lifecycle ---------------------------------------------------
     def describe(self) -> dict:
-        """Session summary: mode, plan, factorization state, step count."""
+        """Session summary: mode, plan, factorization state, step count.
+
+        ``factorization_bytes`` is what the bound factorization holds
+        (0 on the full path): three ``(N, M)`` arrays for a ``k = 0``
+        batch, three ``(N, 1)`` columns for a uniform one.
+        """
         return {
             **super().describe(),
             "transient": self.transient,
             "k": self.plan.k,
             "plan_cache": self.cache,
             "factorization": self.fp_state,
+            "factorization_bytes": 0 if self.fact is None else self.fact.nbytes,
         }
 
     def _release(self) -> None:

@@ -44,12 +44,13 @@ digest-grouped: fragments carrying the *same coefficient digest* (a
 time-stepping ensemble solving one matrix) skip concatenating their
 coefficients entirely — the service fetches the fragment-level
 ``k = 0`` factorization from the engine's cache once, tiles it along
-the batch axis, and **binds a session** for the aggregate RHS-only
-shape.  Repeat windows of the same digest group (the steady state of a
-time-stepping ensemble) re-enter the bound session: per dispatch the
-service concatenates the right-hand sides and calls ``step_once`` —
-no request rebuild, no registry negotiation, no factorization-cache
-round trip.  The sweep's operations are elementwise along ``M``, so
+the batch axis (a uniform fragment's one-column factorization serves
+the window as it is), and **binds a session** for the aggregate
+RHS-only shape.  Repeat windows of the same digest group (the steady
+state of a time-stepping ensemble) re-enter the bound session: per
+dispatch the service concatenates the right-hand sides and calls
+``step_once`` — no request rebuild, no registry negotiation, no
+factorization-cache round trip.  The sweep's operations are elementwise along ``M``, so
 the tiled sweep is bitwise identical to each caller's solo prepared
 solve.
 
@@ -131,7 +132,8 @@ class ServiceConfig:
     tile_cache:
         LRU entries for the bound sessions serving repeat digest
         windows (one per digest-window shape actually seen); each
-        session holds its own tiled factorization.
+        session holds its own tiled factorization (one column, untiled,
+        for a uniform fragment).
     """
 
     max_batch_rows: int = 2048
@@ -634,10 +636,12 @@ class SolveService:
 
         ``np.tile(arr, (1, reps))`` on the ``(N, m)`` state repeats the
         fragment's columns block-by-block — exactly the column layout
-        of ``reps`` concatenated fragments.  Not cached: it runs only
+        of ``reps`` concatenated fragments.  Width-1 state (a uniform
+        fragment's, or a one-row fragment's) already serves every batch
+        width and passes through untiled.  Not cached: it runs only
         when binding a session, and the session keeps the result.
         """
-        if reps == 1:
+        if reps == 1 or fact.m == 1:
             return fact
         return ThomasRhsFactorization(
             ta=np.tile(fact.ta, (1, reps)),

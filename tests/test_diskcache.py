@@ -7,7 +7,9 @@ import repro
 from repro.backends.request import SolveRequest
 from repro.engine import ExecutionEngine, FactorizationDiskCache
 from repro.engine.diskcache import _key_filename
+from repro.engine.prepared import ThomasRhsFactorization, factorization_arrays
 from repro.workloads.generators import random_block_batch, random_penta_batch
+from repro.workloads.pde import adi_row_coefficients
 
 
 def _batch(m=16, n=64, seed=0, cyclic=False, dtype=np.float64):
@@ -212,3 +214,44 @@ def test_thomas_spill_layout_is_unchanged(tmp_path):
     eng2 = ExecutionEngine(cache_dir=tmp_path)
     assert eng2.solve_batch(a, b, c, d, k=0, fingerprint=True).tobytes() == ref.tobytes()
     assert eng2.stats.factorizations_built == 0
+
+
+def test_a_uniform_thomas_entry_spills_its_one_column(tmp_path):
+    # a uniform batch's k = 0 entry is three (N, 1) columns under the
+    # same names, and it reloads with the one-shot's bits
+    a, b, c = adi_row_coefficients(16, 64, 0.3)
+    d = np.random.default_rng(13).standard_normal((16, 64))
+    ref = ExecutionEngine().solve_batch(a, b, c, d, k=0, fingerprint=False)
+    eng1 = ExecutionEngine(cache_dir=tmp_path)
+    eng1.solve_batch(a, b, c, d, k=0, fingerprint=True)
+    (path,) = eng1.disk_cache.files()
+    with np.load(path) as data:
+        assert sorted(data.files) == ["cp", "denom", "kind", "ta"]
+        assert {data[name].shape for name in ("ta", "cp", "denom")} == {(64, 1)}
+    eng2 = ExecutionEngine(cache_dir=tmp_path)
+    assert eng2.solve_batch(a, b, c, d, k=0, fingerprint=True).tobytes() == ref.tobytes()
+    assert eng2.stats.factorizations_built == 0
+    (loaded,) = eng2._facts.values()
+    assert loaded.m == 1 and loaded.nbytes == 3 * 64 * 8
+
+
+def test_a_full_width_file_of_a_uniform_batch_loads_as_written(tmp_path):
+    # older versions spilled a uniform batch at full width: that file
+    # still loads unconverted and sweeps with the same bits
+    a, b, c = adi_row_coefficients(16, 64, 0.3)
+    d = np.random.default_rng(14).standard_normal((16, 64))
+    ref = ExecutionEngine().solve_batch(a, b, c, d, k=0, fingerprint=False)
+    eng1 = ExecutionEngine(cache_dir=tmp_path)
+    eng1.solve_batch(a, b, c, d, k=0, fingerprint=True)
+    (path,) = eng1.disk_cache.files()
+    full = ThomasRhsFactorization.factor_t(
+        *(np.ascontiguousarray(v.T) for v in (a, b, c))
+    )
+    with open(path, "wb") as fh:
+        np.savez(fh, **factorization_arrays(full))
+    eng2 = ExecutionEngine(cache_dir=tmp_path)
+    assert eng2.solve_batch(a, b, c, d, k=0, fingerprint=True).tobytes() == ref.tobytes()
+    assert repro.last_trace().factorization == "hit"
+    assert eng2.stats.factorizations_built == 0
+    (loaded,) = eng2._facts.values()
+    assert loaded.m == 16 and loaded.nbytes == 3 * a.nbytes

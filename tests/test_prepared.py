@@ -13,6 +13,7 @@ from repro.engine.prepared import (
     build_factorization,
 )
 from repro.engine.workspace import PreparedWorkspace
+from repro.workloads.pde import adi_row_coefficients, periodic_heat_coefficients
 
 from .conftest import make_batch, max_err, reference_solve
 
@@ -515,3 +516,103 @@ def test_thomas_rhs_sweep_at_stride_g_is_pthomas(k, n):
     x = np.empty_like(d)
     fact.solve_shard(RhsWorkspace((n, 3), k, d.dtype), d, x)
     assert x.tobytes() == pthomas_solve_interleaved(a, b, c, d, k).tobytes()
+
+
+# ------------------------------------- one coefficient column at k = 0
+
+
+def _uniform_batch(m, n, dtype, seed):
+    """ADI coefficients (every row one matrix) and a random ``d``."""
+    a, b, c = adi_row_coefficients(m, n, 0.3, dtype=dtype)
+    d = np.random.default_rng(seed).standard_normal((m, n)).astype(dtype)
+    return a, b, c, d
+
+
+def _assert_one_column(fact, n, dtype):
+    assert fact.m == 1
+    assert fact.ta.shape == fact.cp.shape == fact.denom.shape == (n, 1)
+    assert fact.nbytes == 3 * n * np.dtype(dtype).itemsize
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (8, 97), (1024, 1024)])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_a_uniform_batch_sweeps_one_column_with_the_one_shot_bits(dtype, shape):
+    from repro.backends import bind_via
+
+    m, n = shape
+    a, b, c, d = _uniform_batch(m, n, dtype, seed=m + n)
+    engine = ExecutionEngine()
+    ref = repro.solve_batch(a, b, c, d, k=0, fingerprint=False)
+
+    with bind_via(a, b, c, d, backend="engine", k=0, fingerprint=True) as s:
+        _assert_one_column(s.fact, n, dtype)
+        assert s.describe()["factorization_bytes"] == s.fact.nbytes
+        assert s.step(d).tobytes() == ref.tobytes()
+        xt = s.step_t(np.ascontiguousarray(d.T))
+        assert xt.T.tobytes(order="C") == ref.tobytes()
+        assert s.step_once(d).x.tobytes() == ref.tobytes()
+    handle = repro.prepare(a, b, c, engine=engine, k=0)
+    _assert_one_column(handle.factorization, n, dtype)
+    assert handle.describe()["factorization_bytes"] == handle.nbytes
+    assert handle.solve(d).tobytes() == ref.tobytes()
+
+    ca, cb, cc = periodic_heat_coefficients(m, n, 1.0, 0.5, 1.0, dtype=dtype)
+    cref = repro.solve_batch(
+        ca, cb, cc, d, periodic=True, k=0, fingerprint=False
+    )
+    periodic = repro.prepare(ca, cb, cc, engine=engine, periodic=True, k=0)
+    _assert_one_column(periodic.factorization.core, n, dtype)
+    assert periodic.solve(d).tobytes() == cref.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_a_uniform_column_sweeps_a_stack_of_right_hand_sides(dtype):
+    from repro.core.factorize import RhsWorkspace
+
+    m, n, r = 16, 97, 3
+    a, b, c, _ = _uniform_batch(m, n, dtype, seed=1)
+    d = np.random.default_rng(2).standard_normal((m, n, r)).astype(dtype)
+    fact = ThomasRhsFactorization.factor(a, b, c)
+    _assert_one_column(fact, n, dtype)
+    x = np.empty_like(d)
+    fact.solve_shard(RhsWorkspace((n, m, r), 0, dtype), d, x)
+    for j in range(r):
+        dj = np.ascontiguousarray(d[..., j])
+        ref = repro.solve_batch(a, b, c, dj, k=0, fingerprint=False)
+        assert np.ascontiguousarray(x[..., j]).tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_a_uniform_ranks_session_keeps_the_reference_bits(dtype):
+    from repro.backends import bind_via
+    from repro.distributed import partitioned_solve_reference
+    from repro.distributed.partition import factor_slab, slab_bounds
+
+    m, n = 64, 512
+    a, b, c, d = _uniform_batch(m, n, dtype, seed=5)
+    lo, hi = slab_bounds(n, 2)[0]
+    slab = factor_slab(*(np.ascontiguousarray(v.T[lo:hi]) for v in (a, b, c)))
+    _assert_one_column(slab.fact, hi - lo - 2, dtype)
+    rng = np.random.default_rng(6)
+    with bind_via(a, b, c, d, backend="distributed", ranks=2) as s:
+        for _ in range(2):
+            dd = rng.standard_normal((m, n)).astype(dtype)
+            ref = partitioned_solve_reference(a, b, c, dd, 2)
+            assert s.step(dd).tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("edit", ["sign of one zero", "last row"])
+def test_a_batch_that_is_not_bytewise_uniform_keeps_full_width(edit):
+    m, n = 8, 97
+    a, b, c, d = _uniform_batch(m, n, np.float64, seed=7)
+    if edit == "sign of one zero":
+        # rows that compare equal as floats but not as bits
+        a[:, 40] = 0.0
+        a[3, 40] = -0.0
+    else:
+        b[-1, 50] = np.nextafter(b[-1, 50], 2.0)
+    ref = repro.solve_batch(a, b, c, d, k=0, fingerprint=False)
+    handle = repro.prepare(a, b, c, engine=ExecutionEngine(), k=0)
+    fact = handle.factorization
+    assert fact.m == m and fact.nbytes == 3 * a.nbytes
+    assert handle.solve(d).tobytes() == ref.tobytes()

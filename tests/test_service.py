@@ -25,6 +25,7 @@ from repro.service import (
     SyncSolveClient,
 )
 from repro.workloads import (
+    adi_row_coefficients,
     huge_system_batch,
     random_batch,
     random_block_batch,
@@ -212,6 +213,29 @@ def test_shared_matrix_requests_share_one_factorization():
     assert trace is not None and trace.rhs_only
     for x, r in zip(xs, ref):
         assert np.array_equal(x, r)
+
+
+def test_uniform_fragments_share_one_untiled_column():
+    # an ADI matrix factors into one (N, 1) column, which serves the
+    # 48-row window as it is: tiling it six times would misshape it
+    a, b, c = adi_row_coefficients(8, 256, 0.3)
+    rng = np.random.default_rng(24)
+    ds = [rng.standard_normal((8, 256)) for _ in range(6)]
+    ref = [repro.solve_batch(a, b, c, d, k=0, fingerprint=False) for d in ds]
+
+    async def main():
+        async with SolveService(ServiceConfig(max_wait_us=500.0)) as svc:
+            xs = await asyncio.gather(*[
+                svc.submit(a, b, c, d, fingerprint=True) for d in ds
+            ])
+            return xs, svc.describe()
+
+    xs, desc = run(main())
+    assert desc["dispatches"] == 1
+    assert desc["shared_factorizations"] == 1
+    assert desc["bound_session_bytes"] == 3 * 256 * 8
+    for x, r in zip(xs, ref):
+        assert x.tobytes() == r.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -200,6 +200,23 @@ def test_session_modes_and_buffer_ownership():
         )
 
 
+def test_sessions_report_the_bytes_their_factorization_holds():
+    from repro.workloads.timestepping import ADIDiffusion2D
+
+    # every ADI row solves one matrix: one (N, 1) column per array
+    # (1024 rows: Table III keeps the row sweep on k = 0 Thomas)
+    sim = ADIDiffusion2D(np.zeros((1024, 48)), alpha=0.2, dt=0.5)
+    try:
+        assert sim._row.describe()["factorization_bytes"] == 3 * 48 * 8
+    finally:
+        sim.close()
+    a, b, c, d = random_batch(16, 40, seed=4)
+    with bind_via(a, b, c, d, backend="engine", k=0, fingerprint=True) as s:
+        assert s.describe()["factorization_bytes"] == 3 * 16 * 40 * 8
+    with bind_via(a, b, c, d, backend="engine", k=0, fingerprint=False) as s:
+        assert s.describe()["factorization_bytes"] == 0
+
+
 # ---------------------------------------------------------------------------
 # step_t: the transposed-layout hot path
 # ---------------------------------------------------------------------------
