@@ -123,10 +123,9 @@ def gtsv(
             backend=backend, fingerprint=fingerprint, rtol=rtol,
         )
         return x[0]
-    nrhs = B.shape[1]
-    aa = np.tile(a, (nrhs, 1))
-    bb = np.tile(d, (nrhs, 1))
-    cc = np.tile(c, (nrhs, 1))
+    # one matrix for every column: stride-0 broadcasts, never copies
+    shape = (B.shape[1], n)
+    aa, bb, cc = (np.broadcast_to(v, shape) for v in (a, d, c))
     # B.T is evaluated by value, so Fortran-ordered / strided B is fine.
     x = solve_batch(
         aa, bb, cc, np.ascontiguousarray(B.T),
@@ -225,10 +224,8 @@ def gtsv_cyclic(
             rtol=rtol,
         )
         return x[0]
-    nrhs = B.shape[1]
-    aa = np.tile(dl, (nrhs, 1))
-    bb = np.tile(d, (nrhs, 1))
-    cc = np.tile(du, (nrhs, 1))
+    shape = (B.shape[1], n)
+    aa, bb, cc = (np.broadcast_to(v, shape) for v in (dl, d, du))
     x = solve_periodic_batch(
         aa, bb, cc, np.ascontiguousarray(B.T),
         backend=backend, check=check, fingerprint=fingerprint, rtol=rtol,

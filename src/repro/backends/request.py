@@ -147,9 +147,12 @@ class SolveRequest:
     Attributes
     ----------
     a, b, c, d:
-        Coerced contiguous ``(M, N)`` diagonals and right-hand side.
-        For ``rhs_only`` requests the coefficients may be ``None`` —
-        the elimination already lives in ``factorization``.
+        Coerced contiguous ``(M, N)`` diagonals and right-hand side, or
+        stride-0 broadcasts of one contiguous row (a batch of one
+        matrix; see :mod:`repro.core.validation`).  Routes only read
+        them.  For ``rhs_only`` requests, and in a factored session's
+        request, the coefficients are ``None`` — the elimination lives
+        in ``factorization``.
     m, n, dtype:
         Problem shape and canonical dtype name — the negotiation axes
         the registry filters capabilities against.
@@ -267,7 +270,8 @@ class SolveRequest:
         The one validator of every solve: the public entry points hand
         their raw arrays here.  Inputs are checked (``check=True``:
         shapes, finiteness, pads, pivots) or merely coerced to one
-        contiguous float dtype (``check=False``) — cyclic requests
+        contiguous float dtype (``check=False``; a broadcast batch stays
+        a stride-0 view of one contiguous row) — cyclic requests
         through the dedicated cyclic validators, whose corners are
         couplings the plain validator would zero, and which require
         ``N >= 3``.  Unknown options raise ``TypeError`` at this

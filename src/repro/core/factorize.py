@@ -30,7 +30,10 @@ them, ``(M, N, R)``, vectorizing over the trailing axis.
 A *uniform* batch — every row of ``a``, ``b`` and ``c`` bytewise equal
 to row 0, as in every ADI or Crank–Nicolson sweep, where the ``M``
 systems are one matrix — factors at ``g = 1`` into one ``(N, 1)``
-column per array, and that column serves a batch of any width.
+column per array, and that column serves a batch of any width.  A
+broadcast batch (``np.broadcast_to(row, (M, N))``, batch-axis stride 0)
+is uniform without a comparison, so it factors in O(N) from input to
+stored column.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ import numpy as np
 
 from repro.core.layout import transpose_into
 from repro.core.transition import GTX480_HEURISTIC, clamp_k
-from repro.core.validation import check_batch_arrays
+from repro.core.validation import check_batch_arrays, is_broadcast_batch
 
 __all__ = ["HybridFactorization", "RhsWorkspace", "ThomasRhsFactorization"]
 
@@ -70,16 +73,18 @@ def _uniform_rows(*arrays) -> bool:
 
     Rows are compared as unsigned integers of the itemsize, so ``+0.0``
     and ``−0.0`` differ and NaN payloads count: a row that passes is the
-    same bits as row 0.  Row 1 is compared first, so an ordinary batch
-    is rejected in O(N), before any full pass.
+    same bits as row 0.  A broadcast batch (batch-axis stride 0) is one
+    row by construction and is not read.  Row 1 is compared first, so
+    an ordinary batch is rejected in O(N), before any full pass.
     """
     words = []
     for arr in arrays:
         if arr.itemsize not in (1, 2, 4, 8):
             return False
-        words.append(arr.view(f"u{arr.itemsize}"))
-    if len(words[0]) < 2:
-        return len(words[0]) == 1
+        if not is_broadcast_batch(arr):
+            words.append(arr.view(f"u{arr.itemsize}"))
+    if len(arrays[0]) < 2:
+        return len(arrays[0]) == 1
     return all(np.array_equal(w[1], w[0]) for w in words) and all(
         bool((w[2:] == w[0]).all()) for w in words
     )

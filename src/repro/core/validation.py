@@ -5,6 +5,29 @@ Solvers accept "padded" diagonals (``a[0] == c[-1] == 0``; see
 agreement, zeroes the out-of-matrix pads, and optionally checks
 finiteness.  All checks are cheap relative to a solve and can be skipped
 with ``check=False`` in inner loops.
+
+A batch of one repeated row — batch-axis stride 0, what
+``np.broadcast_to(row, (M, N))`` returns (:func:`is_broadcast_batch`) —
+stays one: coercion makes its row contiguous in the solve dtype and
+broadcasts it again, finiteness and pivots are checked on that row, and
+a nonzero pad is zeroed in a copy of the row.  Binding ``M`` systems of
+one matrix then costs O(N), and no validator ever writes into the
+caller's memory.  A stride-0 right-hand side is kept the same way; every
+route only reads request arrays.
+
+>>> import numpy as np, repro
+>>> from repro.backends.request import SolveRequest
+>>> from repro.workloads.pde import adi_row_coefficients
+>>> row = adi_row_coefficients(1, 512, 0.3)
+>>> a, b, c = (np.broadcast_to(v, (256, 512)) for v in row)
+>>> request = SolveRequest.build(a, b, c, np.zeros((256, 512)))
+>>> [v.strides[0] for v in (request.a, request.b, request.c)]
+[0, 0, 0]
+>>> d = np.random.default_rng(0).random((256, 512))
+>>> x = repro.solve_batch(a, b, c, d)
+>>> full = [np.ascontiguousarray(v) for v in (a, b, c)]
+>>> x.tobytes() == repro.solve_batch(*full, d).tobytes()
+True
 """
 
 from __future__ import annotations
@@ -22,6 +45,7 @@ __all__ = [
     "coerce_block_batch_arrays",
     "check_block_batch_arrays",
     "check_out",
+    "is_broadcast_batch",
     "require_power_of_two",
     "is_power_of_two",
 ]
@@ -59,8 +83,61 @@ def _already_canonical(arrays) -> bool:
     return True
 
 
+def is_broadcast_batch(arr) -> bool:
+    """Is ``arr`` an ``(M, N)`` batch of one repeated row?
+
+    True for a batch axis of stride 0 over more than one row, which is
+    what ``np.broadcast_to(row, (M, N))`` returns: every row is the same
+    memory, so a check or a hash of row 0 covers the whole batch.
+    """
+    return arr.ndim == 2 and arr.strides[0] == 0 and arr.shape[0] > 1
+
+
+def _rows(arr: np.ndarray) -> np.ndarray:
+    """The rows of ``arr`` a check must read: row 0 alone of a broadcast
+    batch, every row otherwise."""
+    return arr[:1] if is_broadcast_batch(arr) else arr
+
+
+def _contiguous(arr: np.ndarray, dtype) -> np.ndarray:
+    """``arr`` contiguous in ``dtype``; a broadcast batch's row is made
+    contiguous and broadcast again, in O(N)."""
+    if is_broadcast_batch(arr):
+        row = np.ascontiguousarray(arr[0], dtype=dtype)
+        return np.broadcast_to(row, arr.shape)
+    return np.ascontiguousarray(arr, dtype=dtype)
+
+
+def _zero_pad(arr: np.ndarray, cols) -> np.ndarray:
+    """``arr`` with its pad ``arr[:, cols]`` zeroed, copied only when the
+    pad is nonzero: the caller's memory is never written.  A broadcast
+    batch copies its one row and broadcasts it again."""
+    rows = _rows(arr)
+    if not np.any(rows[:, cols] != 0.0):
+        return arr
+    if rows is arr:
+        arr = arr.copy()
+        arr[:, cols] = 0.0
+        return arr
+    row = rows[0].copy()
+    row[cols] = 0.0
+    return np.broadcast_to(row, arr.shape)
+
+
+def _check_finite(names, arrays) -> None:
+    for name, arr in zip(names, arrays):
+        if not np.all(np.isfinite(_rows(arr))):
+            raise ValueError(f"{name!r} contains non-finite values")
+
+
+def _check_pivots(b: np.ndarray) -> None:
+    if np.any(_rows(b) == 0.0):
+        raise ValueError("zero on the main diagonal (pivot-free solvers need b != 0)")
+
+
 def _uniform_float(arrays):
-    """Coerce a sequence to one contiguous allowed float dtype."""
+    """Coerce a sequence to one contiguous allowed float dtype (a
+    broadcast batch to a broadcast of one contiguous row)."""
     if _already_canonical(arrays):
         return list(arrays)
     arrays = [np.asarray(v) for v in arrays]
@@ -73,7 +150,7 @@ def _uniform_float(arrays):
         if len(_result_dtype_cache) > 64:
             _result_dtype_cache.clear()
         _result_dtype_cache[key] = dtype
-    return [np.ascontiguousarray(v, dtype=dtype) for v in arrays]
+    return [_contiguous(v, dtype) for v in arrays]
 
 
 def coerce_batch_arrays(a, b, c, d):
@@ -85,7 +162,8 @@ def coerce_batch_arrays(a, b, c, d):
     integer lists) is promoted to float64 — otherwise a ``check=False``
     solve would silently truncate float results into integer storage.
     Shape agreement, pad zeroing and finiteness are *not* checked;
-    that is :func:`check_batch_arrays`'s job.
+    that is :func:`check_batch_arrays`'s job.  A broadcast batch stays
+    one (see the module docs).
     """
     return tuple(_uniform_float((a, b, c, d)))
 
@@ -100,9 +178,7 @@ def _common(arrays, ndim: int):
             raise ValueError(f"{name!r} has shape {arr.shape}, expected {shape}")
     if any(s == 0 for s in shape):
         raise ValueError("empty system")
-    for name, arr in zip("abcd", arrays):
-        if not np.all(np.isfinite(arr)):
-            raise ValueError(f"{name!r} contains non-finite values")
+    _check_finite("abcd", arrays)
     return arrays
 
 
@@ -121,16 +197,15 @@ def check_system_arrays(a, b, c, d):
 
 
 def check_batch_arrays(a, b, c, d):
-    """Validate an ``(M, N)`` batch's diagonals."""
+    """Validate an ``(M, N)`` batch's diagonals.
+
+    A broadcast batch is checked on its one row and returned as a
+    stride-0 view (see the module docs).
+    """
     a, b, c, d = _common((a, b, c, d), ndim=2)
-    if np.any(a[:, 0] != 0.0):
-        a = a.copy()
-        a[:, 0] = 0.0
-    if np.any(c[:, -1] != 0.0):
-        c = c.copy()
-        c[:, -1] = 0.0
-    if np.any(b == 0.0):
-        raise ValueError("zero on the main diagonal (pivot-free solvers need b != 0)")
+    a = _zero_pad(a, 0)
+    c = _zero_pad(c, -1)
+    _check_pivots(b)
     return a, b, c, d
 
 
@@ -144,7 +219,8 @@ def coerce_cyclic_batch_arrays(a, b, c, d):
     Sherman–Morrison solve would otherwise surface as an opaque
     broadcasting error two layers down.  1-D inputs are promoted to a
     single-system batch.  ``N >= 3`` is required: in a 2-cycle both
-    "corners" collide with the ordinary couplings.
+    "corners" collide with the ordinary couplings.  A broadcast batch
+    stays one (see the module docs).
     """
     arrays = (a, b, c, d)
     if _already_canonical(arrays) and all(arr.ndim == 2 for arr in arrays):
@@ -175,9 +251,7 @@ def coerce_cyclic_batch_arrays(a, b, c, d):
 def check_cyclic_batch_arrays(a, b, c, d):
     """Validate a cyclic ``(M, N)`` batch (corners kept, finiteness on)."""
     arrays = coerce_cyclic_batch_arrays(a, b, c, d)
-    for name, arr in zip("abcd", arrays):
-        if not np.all(np.isfinite(arr)):
-            raise ValueError(f"{name!r} contains non-finite values")
+    _check_finite("abcd", arrays)
     return arrays
 
 
@@ -220,26 +294,20 @@ def coerce_penta_batch_arrays(e, a, b, c, f, d):
 
 
 def check_penta_batch_arrays(e, a, b, c, f, d):
-    """Validate a pentadiagonal batch: pads zeroed, finiteness, pivots."""
+    """Validate a pentadiagonal batch: pads zeroed, finiteness, pivots.
+
+    A broadcast batch stays one, as in :func:`check_batch_arrays`:
+    :class:`~repro.core.pentadiag.PentaFactorization` only reads its
+    inputs (it factors transposed copies).
+    """
     e, a, b, c, f, d = coerce_penta_batch_arrays(e, a, b, c, f, d)
-    for name, arr in zip("eabcfd", (e, a, b, c, f, d)):
-        if not np.all(np.isfinite(arr)):
-            raise ValueError(f"{name!r} contains non-finite values")
+    _check_finite("eabcfd", (e, a, b, c, f, d))
     n = b.shape[1]
-    if np.any(e[:, : min(2, n)] != 0.0):
-        e = e.copy()
-        e[:, : min(2, n)] = 0.0
-    if np.any(a[:, 0] != 0.0):
-        a = a.copy()
-        a[:, 0] = 0.0
-    if np.any(c[:, -1] != 0.0):
-        c = c.copy()
-        c[:, -1] = 0.0
-    if np.any(f[:, max(0, n - 2) :] != 0.0):
-        f = f.copy()
-        f[:, max(0, n - 2) :] = 0.0
-    if np.any(b == 0.0):
-        raise ValueError("zero on the main diagonal (pivot-free solvers need b != 0)")
+    e = _zero_pad(e, slice(0, min(2, n)))
+    a = _zero_pad(a, 0)
+    c = _zero_pad(c, -1)
+    f = _zero_pad(f, slice(max(0, n - 2), None))
+    _check_pivots(b)
     return e, a, b, c, f, d
 
 
@@ -282,17 +350,15 @@ def coerce_block_batch_arrays(A, B, C, d):
 
 
 def check_block_batch_arrays(A, B, C, d):
-    """Validate a block-tridiagonal batch: pads zeroed, finiteness."""
+    """Validate a block-tridiagonal batch: pads zeroed, finiteness.
+
+    Block stacks are 4-D, so a broadcast block batch is made contiguous
+    like any other layout.
+    """
     A, B, C, d = coerce_block_batch_arrays(A, B, C, d)
-    for name, arr in zip(("A", "B", "C", "d"), (A, B, C, d)):
-        if not np.all(np.isfinite(arr)):
-            raise ValueError(f"{name!r} contains non-finite values")
-    if np.any(A[:, 0] != 0.0):
-        A = A.copy()
-        A[:, 0] = 0.0
-    if np.any(C[:, -1] != 0.0):
-        C = C.copy()
-        C[:, -1] = 0.0
+    _check_finite(("A", "B", "C", "d"), (A, B, C, d))
+    A = _zero_pad(A, 0)
+    C = _zero_pad(C, -1)
     return A, B, C, d
 
 

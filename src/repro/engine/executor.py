@@ -85,8 +85,9 @@ def execute_plan(
 ) -> np.ndarray:
     """Execute ``plan`` on coerced ``(M, N)`` diagonals using ``ws``.
 
-    Inputs must already be contiguous arrays of ``plan.dtype`` and shape
-    ``(plan.m, plan.n)`` (the engine guarantees this).  ``counters``, if
+    Inputs must already be arrays of ``plan.dtype`` and shape
+    ``(plan.m, plan.n)``, contiguous or stride-0 broadcasts of one row
+    (the engine guarantees this); they are only read.  ``counters``, if
     given, accumulates the sweep's :class:`TilingCounters`.  ``out``, if
     given, receives the solution.  ``stage_times``, if
     given, receives ``(stage name, seconds)`` pairs — the per-stage

@@ -61,6 +61,7 @@ from repro.core.periodic import (
     cyclic_reduce,
     singular_rows,
 )
+from repro.core.validation import is_broadcast_batch
 from repro.engine.workspace import PreparedWorkspace
 
 __all__ = [
@@ -150,12 +151,21 @@ def coefficient_fingerprint(*arrays) -> str:
     of one elimination sweep, which is the comparison that matters.
     Used to detect *unchanged* coefficients across time steps, not to
     authenticate data.
+
+    A broadcast batch (``np.broadcast_to(row, (M, N))``, batch-axis
+    stride 0) is hashed as its shape, a form tag and its one row, in
+    O(N).  The tag keeps the two forms apart: a broadcast batch and a
+    materialized copy of it get different digests, so they never share
+    a cache entry (each factors its own ``(N, 1)`` column).
     """
     h = hashlib.blake2b(digest_size=16)
     for arr in arrays:
         arr = np.asarray(arr)
         h.update(str(arr.shape).encode())
         h.update(arr.dtype.str.encode())
+        if is_broadcast_batch(arr):
+            h.update(b"broadcast-row")
+            arr = arr[0]
         flat = arr.reshape(-1)
         if flat.size <= FINGERPRINT_SAMPLE:
             h.update(np.ascontiguousarray(flat).tobytes())
@@ -179,7 +189,8 @@ def build_factorization(plan, a, b, c):
     ``k = 0`` a uniform batch (every row bytewise equal to row 0)
     stages one row and stores ``(N, 1)`` columns, so every caller that
     factors through here — handles, the fingerprint cache, periodic
-    cores, rank slab interiors — holds ``3·N`` elements for it.
+    cores, rank slab interiors — holds ``3·N`` elements for it; a
+    broadcast batch gets there without reading more than its row.
     """
     if plan.uses_thomas:
         return ThomasRhsFactorization.factor(a, b, c)

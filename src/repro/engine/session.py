@@ -280,7 +280,11 @@ class BoundSolve(Session):
 
     ``mode`` labels the bound path for :meth:`describe`: ``"rhs"``,
     ``"cyclic"`` or ``"banded"`` (factored), ``"full"`` or
-    ``"full-cyclic"``.
+    ``"full-cyclic"``.  A persistent factored session keeps only ``d``
+    and ``out`` of its bind request (``request.a`` … ``request.f`` read
+    ``None``), so the caller's coefficient arrays are not pinned for its
+    life; the full paths solve from the request's arrays and keep them
+    all.
     """
 
     def __init__(self, engine, request, *, transient: bool = False):
@@ -293,6 +297,11 @@ class BoundSolve(Session):
         self._bind(request)
         if self.fact is None and request.periodic:
             self._bind_cyclic()
+        elif self.fact is not None and not transient:
+            # a factored step reads only the factorization; step_once()
+            # with no arguments still solves the bound d (a transient
+            # session lives for one step, so it keeps the request)
+            self.request = request.replace(a=None, b=None, c=None, e=None, f=None)
         sweep = "rhs-only" if self._served else "sweep"
         self._stage = f"{sweep} {self._label}"
 

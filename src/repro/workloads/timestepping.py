@@ -37,7 +37,9 @@ The implicit matrices come from :mod:`repro.workloads.pde`
 :func:`~repro.workloads.pde.periodic_heat_coefficients`), so the
 boundary closures match the rest of the workload suite: mirrored
 missing neighbours for ADI, Dirichlet identity rows for plain CN,
-cyclic corners for the periodic variant.
+cyclic corners for the periodic variant.  Every sweep solves one matrix
+for all its lines, so each is built as one ``(1, N)`` row and bound as
+a broadcast of it (:func:`_bind_one_matrix`): binding costs O(N).
 """
 
 from __future__ import annotations
@@ -106,6 +108,20 @@ def _own_field(u0, names: tuple, min_points: int = 0) -> np.ndarray:
     return u
 
 
+def _bind_one_matrix(m: int, row, **kw):
+    """Bind ``m`` systems of one matrix given as ``(1, N)`` diagonals.
+
+    The request holds broadcast views of the row and of a zero
+    right-hand side (batch-axis stride 0), so validation, the
+    fingerprint and a ``k = 0`` factorization each read one row: the
+    bind costs O(N) time and memory where ``(m, N)`` copies would cost
+    O(m·N), with the same bits.
+    """
+    a, b, c = (np.broadcast_to(v, (m, v.shape[-1])) for v in row)
+    zero = np.broadcast_to(np.zeros_like(row[1]), b.shape)
+    return bind_via(a, b, c, zero, **kw)
+
+
 def _sweep_matrix(n: int, beta: float, dtype) -> np.ndarray:
     """Dense ``(I − β·L)`` with the mirror closure, for references."""
     A = np.zeros((n, n), dtype=dtype)
@@ -160,14 +176,16 @@ class ADIDiffusion2D:
         self.dt = dt
         self.t = 0.0
         self.steps = 0
-        ax, bx, cx = adi_row_coefficients(self.ny, self.nx, self.beta_x)
-        ay, by, cy = adi_row_coefficients(self.nx, self.ny, self.beta_y)
         # fingerprint=True declares the many-RHS reuse intent: the bind
         # licenses a stored factorization at any batch size, so every
         # step runs the RHS-only fast path
         kw = dict(backend=backend, check=check, fingerprint=True)
-        self._row = bind_via(ax, bx, cx, np.zeros_like(bx), **kw)
-        self._col = bind_via(ay, by, cy, np.zeros_like(by), **kw)
+        self._row = _bind_one_matrix(
+            self.ny, adi_row_coefficients(1, self.nx, self.beta_x), **kw
+        )
+        self._col = _bind_one_matrix(
+            self.nx, adi_row_coefficients(1, self.ny, self.beta_y), **kw
+        )
         # the whole step runs in the sweeps' native transposed layout:
         # tmp/lap are (ny, nx) scratch, d1t/tmp_t stage the (nx, ny)
         # row-sweep RHS, d2 the (ny, nx) column-sweep RHS
@@ -277,12 +295,10 @@ class ADIDiffusion3D:
         self.steps = 0
         kw = dict(backend=backend, check=check, fingerprint=True)
         nz, ny, nx = self.nz, self.ny, self.nx
-        ax, bx, cx = adi_row_coefficients(nz * ny, nx, self.beta)
-        ay, by, cy = adi_row_coefficients(nz * nx, ny, self.beta)
-        az, bz, cz = adi_row_coefficients(ny * nx, nz, self.beta)
-        self._sx = bind_via(ax, bx, cx, np.zeros_like(bx), **kw)
-        self._sy = bind_via(ay, by, cy, np.zeros_like(by), **kw)
-        self._sz = bind_via(az, bz, cz, np.zeros_like(bz), **kw)
+        self._sx, self._sy, self._sz = (
+            _bind_one_matrix(m, adi_row_coefficients(1, n, self.beta), **kw)
+            for m, n in ((nz * ny, nx), (nz * nx, ny), (ny * nx, nz))
+        )
         # _d holds each sweep's right-hand side, _t the field in the y
         # sweep's [y, z, x] order
         self._d = np.empty_like(self.u)
@@ -386,12 +402,11 @@ class CrankNicolsonCubic:
         self.periodic = periodic
         self.t = 0.0
         self.steps = 0
-        if periodic:
-            a, b, c = periodic_heat_coefficients(m, n, alpha, dt, dx)
-        else:
-            a, b, c = crank_nicolson_coefficients(m, n, alpha, dt, dx)
-        self._session = bind_via(
-            a, b, c, np.zeros_like(b),
+        coefficients = (
+            periodic_heat_coefficients if periodic else crank_nicolson_coefficients
+        )
+        self._session = _bind_one_matrix(
+            m, coefficients(1, n, alpha, dt, dx),
             backend=backend, periodic=periodic,
             check=check, fingerprint=True,
         )

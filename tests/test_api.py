@@ -265,6 +265,39 @@ def test_gtsv_cyclic_multi_rhs_matches_columnwise():
         assert np.allclose(X[:, j], np.linalg.solve(A, B[:, j]), atol=1e-10)
 
 
+@pytest.mark.parametrize("periodic", [False, True])
+@pytest.mark.parametrize("n, nrhs", [(2048, 512), (512, 1024)])
+def test_gtsv_broadcasts_one_matrix_with_the_tiled_bits(
+    n, nrhs, periodic, monkeypatch
+):
+    # (2048, 512) routes at k > 0, (512, 1024) at k = 0
+    import repro
+    from repro.backends.request import SolveRequest
+    from repro.core.periodic import solve_periodic_batch
+
+    if periodic:
+        dl, dd, du = _cyclic_system(n, seed=13)
+        a, c, solver, adapter = dl, du, solve_periodic_batch, gtsv_cyclic
+    else:
+        dl, dd, du, _, (a, _, c) = _lapack_form(n, seed=13)
+        solver, adapter = repro.solve_batch, gtsv
+    B = np.random.default_rng(3).standard_normal((n, nrhs))
+    tiled = solver(
+        *(np.tile(v, (nrhs, 1)) for v in (a, dd, c)), np.ascontiguousarray(B.T)
+    )
+    seen = []
+    build = SolveRequest.build.__func__
+
+    def spy(cls, a, b, c, d, **kw):
+        seen.append((a, b, c))
+        return build(cls, a, b, c, d, **kw)
+
+    monkeypatch.setattr(SolveRequest, "build", classmethod(spy))
+    X = adapter(dl, dd, du, B)
+    assert X.tobytes() == np.ascontiguousarray(tiled.T).tobytes()
+    assert seen and all(v.strides[0] == 0 for v in seen[0])
+
+
 def test_gtsv_cyclic_validation():
     a, b, c = _cyclic_system(16, seed=12)
     with pytest.raises(ValueError, match="full length"):

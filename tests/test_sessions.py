@@ -18,10 +18,12 @@ session-owned buffers, ``step_t``, ``describe``, ``close``), and
 from __future__ import annotations
 
 import asyncio
+import gc
 import multiprocessing
 import re
 import sys
 import threading
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -215,6 +217,40 @@ def test_sessions_report_the_bytes_their_factorization_holds():
         assert s.describe()["factorization_bytes"] == 3 * 16 * 40 * 8
     with bind_via(a, b, c, d, backend="engine", k=0, fingerprint=False) as s:
         assert s.describe()["factorization_bytes"] == 0
+
+
+def test_a_factored_session_does_not_pin_its_bind_arrays():
+    a, b, c, d = random_batch(64, 256, seed=5)
+    session = bind_via(a, b, c, d, fingerprint=True)
+    with session:
+        assert session.mode == "rhs"
+        ref = session.step_once().x.copy()
+        alive = weakref.ref(a)
+        del a, b, c
+        gc.collect()
+        assert alive() is None
+        assert session.step_once().x.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize(
+    "kind, fingerprint, mode",
+    [
+        ("cyclic", True, "cyclic"),
+        ("penta", True, "banded"),
+        ("plain", False, "full"),
+        ("cyclic", False, "full-cyclic"),
+    ],
+)
+def test_only_the_full_paths_keep_their_coefficients(kind, fingerprint, mode):
+    session, _, _ = _make(kind, seed=6, fingerprint=fingerprint)
+    with session:
+        assert session.mode == mode
+        request = session.request
+        if mode.startswith("full"):
+            assert all(v is not None for v in (request.a, request.b, request.c))
+        else:
+            assert all(getattr(request, name) is None for name in "abcef")
+        assert request.d is not None
 
 
 # ---------------------------------------------------------------------------
