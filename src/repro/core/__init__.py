@@ -12,7 +12,7 @@ Modules
 ``hybrid``      the hybrid tiled-PCR + p-Thomas solver (Section III)
 ``transition``  algorithm-transition logic: Table III heuristic + cost model
 ``cost_model``  Table II cost functions and Eqs. 8-9 redundancy formulas
-``layout``      interleave/deinterleave memory-layout transforms
+``layout``      layout names and the blocked (M, N) ↔ (N, M) transpose
 ``validation``  input checking and solver preconditions
 ``factorize``   factor-once / solve-many (Thomas LU, stored PCR levels)
 ``periodic``    cyclic (periodic-BC) systems via Sherman-Morrison

@@ -44,6 +44,7 @@ from itertools import repeat
 import numpy as np
 
 from repro.core.layout import transpose_into
+from repro.core.tiled_pcr import _fill_identity, _pcr_local_into
 from repro.core.transition import GTX480_HEURISTIC, clamp_k
 from repro.core.validation import check_batch_arrays, is_broadcast_batch
 
@@ -278,23 +279,15 @@ class ThomasRhsFactorization:
             np.subtract(dpi, ti, xi)
 
 
-def _shift_rows(x: np.ndarray, offset: int) -> np.ndarray:
-    """Shift along axis 0 with zero fill: ``out[i] = x[i + offset]``."""
-    out = np.zeros_like(x)
-    n = len(x)
-    if offset > 0:
-        out[: max(n - offset, 0)] = x[offset:]
-    else:
-        out[-offset:] = x[: max(n + offset, 0)]
-    return out
-
-
 @dataclass
 class HybridFactorization:
     """Factored k-step PCR + p-Thomas hybrid.
 
-    ``factor`` runs the PCR sweep once on the coefficients, storing each
-    level's ``(k1, k2)`` reduction factors, and factors the reduced
+    ``factor`` runs the PCR sweep once on the coefficients — the sliding
+    window's own level kernel
+    (:func:`repro.core.tiled_pcr._pcr_local_into`, without the ``d``
+    channel) over identity-padded whole arrays — storing each level's
+    ``(k1, k2)`` reduction factors, and factors the reduced
     interleaved system as a :class:`ThomasRhsFactorization` at stride
     ``2^k`` — everything in the transposed ``(N, M)`` layout.  ``solve``
     then applies the stored level factors to the RHS (O(kN)) and runs
@@ -362,27 +355,49 @@ class HybridFactorization:
         if k is None:
             k = GTX480_HEURISTIC.k_for(m, n)
         k = clamp_k(k, n)
-        a, b, c = (transpose_into(v, np.empty((n, m), dtype=b.dtype)) for v in (a, b, c))
+        dtype = b.dtype
 
+        # Level l reads rows [-2^l, n + 2^l): ``pad`` identity rows on
+        # each side cover the widest level.  Two padded sets take turns
+        # as a level's input and output; the last level lands in three
+        # (n, m) arrays the reduced factorization then owns.
+        pad = (1 << k) >> 1
+
+        def padded() -> tuple:
+            arrays = tuple(np.empty((n + 2 * pad, m), dtype=dtype) for _ in range(3))
+            _fill_identity(tuple(v[:pad] for v in arrays))
+            _fill_identity(tuple(v[pad + n:] for v in arrays))
+            return arrays
+
+        level = padded()
+        for src, dst in zip((a, b, c), level):
+            transpose_into(src, dst[pad : pad + n])
+        spare = padded() if k > 1 else None
+        tmp = np.empty((n, m), dtype=dtype)
         fact = cls(k=k)
-        one = b.dtype.type(1)
         s = 1
-        for _ in range(k):
-            b_m = _shift_rows(b, -s)
-            b_m[:s] = one
-            b_p = _shift_rows(b, +s)
-            b_p[n - s :] = one
-            k1 = a / b_m
-            k2 = c / b_p
+        for lvl in range(k):
+            k1, k2 = np.empty((n, m), dtype=dtype), np.empty((n, m), dtype=dtype)
+            if lvl + 1 < k:
+                out, rows = spare, slice(pad, pad + n)
+            else:
+                out, rows = tuple(np.empty((n, m), dtype=dtype) for _ in range(3)), slice(None)
+            # the window's kernel on transposed views: (m, ·) column-major
+            _pcr_local_into(
+                tuple(v[pad - s : pad + n + s].T for v in level),
+                s,
+                tuple(v[rows].T for v in out),
+                k1.T,
+                k2.T,
+                tmp.T,
+            )
+            # rows no sweep reads, kept at the +0 of pcr_step's masks
             k1[:s] = 0.0
             k2[n - s :] = 0.0
-            a_new = -_shift_rows(a, -s) * k1
-            b_new = b - _shift_rows(c, -s) * k1 - _shift_rows(a, +s) * k2
-            c_new = -_shift_rows(c, +s) * k2
             fact.level_factors.append((k1, k2))
-            a, b, c = a_new, b_new, c_new
+            level, spare = out, level
             s *= 2
-        fact.reduced = ThomasRhsFactorization.factor_t(a, b, c, g=1 << k)
+        fact.reduced = ThomasRhsFactorization.factor_t(*level, g=1 << k)
         return fact
 
     @property

@@ -36,9 +36,7 @@ from functools import cached_property
 import numpy as np
 
 from repro.core.pthomas import (
-    PThomasWorkspace,
-    _backward_in_place,
-    _deliver,
+    _FusedPThomas,
     pthomas_solve_interleaved,
     subsystem_lengths,
 )
@@ -108,97 +106,6 @@ class HybridReport:
         lengths = subsystem_lengths(self.n, self.k)
         lengths = lengths[lengths > 0]
         return int(self.m * np.sum(2 * lengths - 1))
-
-
-class _FusedPThomas:
-    """Progressive p-Thomas forward reduction fed by sliding-window slabs.
-
-    Maintains per-thread running ``(c', d')`` state in "registers" (the
-    trailing ``2^k`` rows) while storing the full modified coefficients
-    for the later backward pass — exactly the register-tiling scheme of
-    Section III-C: "the updated partial result is stored in the same
-    registers ... while the previous results are written to global
-    memory".
-
-    State lives in a column-major
-    :class:`~repro.core.pthomas.PThomasWorkspace` (supplied by the caller
-    for reuse across solves, or allocated here), matching the
-    column-major slabs the sliding window emits; every slab fold runs
-    through ``out=`` kernels, so consuming a sweep allocates nothing.
-    """
-
-    def __init__(self, m: int, n: int, k: int, dtype, workspace=None):
-        self.m, self.n, self.g = m, n, 1 << k
-        self._pooled = workspace is not None
-        if workspace is None:
-            workspace = PThomasWorkspace(m, n, k, dtype)
-        elif not workspace.compatible(m, n, k, dtype):
-            raise ValueError(
-                f"workspace (m={workspace.m}, n={workspace.n}, "
-                f"k={workspace.k}, dtype={workspace.dtype}) does not fit "
-                f"fused solve (m={m}, n={n}, k={k}, dtype={np.dtype(dtype)})"
-            )
-        self._ws = workspace
-        self.cp = workspace.cp
-        self.dp = workspace.dp
-        self._next = 0  # forward-reduction frontier (global row index)
-        self._solved = False  # backward pass done: dp holds x
-
-    def consume(self, e0: int, e1: int, quad: tuple) -> None:
-        """Fold slab ``[e0, e1)`` of level-k rows into the forward pass."""
-        if e0 != self._next:
-            raise RuntimeError(
-                f"slab [{e0}, {e1}) out of order; expected start {self._next}"
-            )
-        a, b, c, d = quad
-        g = self.g
-        cp, dp = self.cp, self.dp
-        lo = e0
-        while lo < e1:
-            # advance to the next level boundary (multiple of g)
-            hi = min(e1, (lo // g + 1) * g)
-            w = hi - lo
-            sl = slice(lo, hi)
-            src = slice(lo - e0, hi - e0)
-            if lo < g:
-                np.divide(c[:, src], b[:, src], out=cp[:, sl])
-                np.divide(d[:, src], b[:, src], out=dp[:, sl])
-            else:
-                prev = slice(lo - g, lo - g + w)
-                t1, t2 = self._ws.t1[:, :w], self._ws.t2[:, :w]
-                # denom = b - cp_prev * a
-                np.multiply(cp[:, prev], a[:, src], out=t1)
-                np.subtract(b[:, src], t1, out=t1)
-                np.divide(c[:, src], t1, out=cp[:, sl])
-                # dp = (d - dp_prev * a) / denom
-                np.multiply(dp[:, prev], a[:, src], out=t2)
-                np.subtract(d[:, src], t2, out=t2)
-                np.divide(t2, t1, out=dp[:, sl])
-            lo = hi
-        self._next = e1
-
-    def backward(self, out=None) -> np.ndarray:
-        """Run the backward substitution once every row has been consumed.
-
-        The solution overwrites ``dp`` in place and is then copied out
-        row-major: into ``out`` if given (must match shape and dtype),
-        else into a fresh array.  Repeat calls return the same solution.
-        """
-        if self._next != self.n:
-            raise RuntimeError(
-                f"forward pass incomplete: {self._next} of {self.n} rows"
-            )
-        m, n = self.m, self.n
-        dp = self.dp
-        if out is not None and (out.shape != (m, n) or out.dtype != dp.dtype):
-            raise ValueError(
-                f"out (shape {out.shape}, dtype {out.dtype}) does not fit "
-                f"solve (shape ({m}, {n}), dtype {dp.dtype})"
-            )
-        if not self._solved:
-            _backward_in_place(self.cp, dp, self.g, self._ws.t1)
-            self._solved = True
-        return _deliver(dp, out, self._pooled)
 
 
 @dataclass

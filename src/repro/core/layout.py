@@ -13,11 +13,10 @@ a property of *layout*.  Two layouts matter here:
 
 The paper's observation (Section III-B): a k-step PCR sweep leaves its
 ``2^k`` subsystems *already* in interleaved order, so the p-Thomas stage
-gets the coalesced layout for free.  The helpers below convert between
-the two (used by baselines that don't get it for free, and by the
-layout ablation benchmark).  :func:`transpose_into` is the blocked
-``(M, N)`` ↔ ``(N, M)`` copy the engine stages its transposed Thomas
-layout with.
+gets the coalesced layout for free and no solver regroups between the
+two.  :class:`Layout` names them for the device models that price both
+access patterns.  :func:`transpose_into` is the blocked ``(M, N)`` ↔
+``(N, M)`` copy the engine stages its transposed Thomas layout with.
 """
 
 from __future__ import annotations
@@ -29,9 +28,6 @@ import numpy as np
 __all__ = [
     "Layout",
     "TRANSPOSE_BLOCK",
-    "deinterleave",
-    "interleave",
-    "interleave_batch",
     "transpose_into",
 ]
 
@@ -46,43 +42,6 @@ class Layout(enum.Enum):
 
     CONTIGUOUS = "contiguous"
     INTERLEAVED = "interleaved"
-
-
-def interleave(arr: np.ndarray) -> np.ndarray:
-    """Convert ``(G, L)`` contiguous systems to interleaved flat order.
-
-    Output position ``l·G + j`` receives ``arr[j, l]``.
-    """
-    arr = np.asarray(arr)
-    if arr.ndim != 2:
-        raise ValueError(f"expected (G, L) array, got {arr.ndim}-D")
-    return np.ascontiguousarray(arr.T).reshape(-1)
-
-
-def deinterleave(flat: np.ndarray, g: int) -> np.ndarray:
-    """Inverse of :func:`interleave`: flat interleaved → ``(G, L)``.
-
-    Accepts a flat length divisible by ``g``.
-    """
-    flat = np.asarray(flat)
-    if flat.ndim != 1:
-        raise ValueError(f"expected flat array, got {flat.ndim}-D")
-    if flat.shape[0] % g:
-        raise ValueError(f"length {flat.shape[0]} not divisible by G = {g}")
-    return np.ascontiguousarray(flat.reshape(-1, g).T)
-
-
-def interleave_batch(arr: np.ndarray) -> np.ndarray:
-    """Interleave each batch row's systems: ``(M, G, L) → (M, G·L)``.
-
-    Row ``m`` of the output holds its ``G`` systems interleaved, i.e.
-    output ``[m, l·G + j] = arr[m, j, l]``.
-    """
-    arr = np.asarray(arr)
-    if arr.ndim != 3:
-        raise ValueError(f"expected (M, G, L) array, got {arr.ndim}-D")
-    m, g, L = arr.shape
-    return np.ascontiguousarray(arr.transpose(0, 2, 1)).reshape(m, g * L)
 
 
 def transpose_into(src: np.ndarray, out: np.ndarray) -> np.ndarray:

@@ -42,8 +42,6 @@ __all__ = [
     "pcr_sweep",
     "pcr_solve",
     "pcr_solve_batch",
-    "split_interleaved",
-    "merge_interleaved",
 ]
 
 
@@ -113,39 +111,6 @@ def pcr_sweep(a, b, c, d, steps: int):
         a, b, c, d = pcr_step(a, b, c, d, s)
         s *= 2
     return a, b, c, d
-
-
-def split_interleaved(arr: np.ndarray, k: int) -> np.ndarray:
-    """Regroup an ``(M, N)`` array into its ``2^k`` interleaved subsystems.
-
-    Returns an ``(M · 2^k, L)`` array where ``L = ceil(N / 2^k)`` and row
-    ``m·2^k + j`` holds subsystem ``j`` of input system ``m`` (elements
-    ``j, j + 2^k, j + 2·2^k, …``).  Tail positions of short subsystems are
-    padded with identity rows by the caller (see
-    :func:`repro.core.pthomas.pad_identity_rows`).
-    """
-    m, n = arr.shape
-    g = 1 << k
-    L = -(-n // g)  # ceil
-    out = np.zeros((m * g, L), dtype=arr.dtype)
-    for j in range(g):
-        col = arr[:, j::g]
-        out[j::g, : col.shape[1]] = col
-    return out
-
-
-def merge_interleaved(arr: np.ndarray, k: int, n: int) -> np.ndarray:
-    """Inverse of :func:`split_interleaved`: regroup back to ``(M, N)``."""
-    g = 1 << k
-    mg, L = arr.shape
-    if mg % g:
-        raise ValueError(f"row count {mg} not divisible by 2^k = {g}")
-    m = mg // g
-    out = np.empty((m, n), dtype=arr.dtype)
-    for j in range(g):
-        length = len(range(j, n, g))
-        out[:, j::g] = arr[j::g, :length]
-    return out
 
 
 def pcr_solve_batch(a, b, c, d, *, check: bool = True) -> np.ndarray:

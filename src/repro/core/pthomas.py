@@ -112,6 +112,109 @@ def _deliver(x, out, pooled: bool) -> np.ndarray:
     return x.copy(order="C") if pooled else np.ascontiguousarray(x)
 
 
+def _check_out(out, m: int, n: int, dtype) -> None:
+    """Reject an ``out`` that does not fit an ``(m, n)`` solve in ``dtype``."""
+    if out is not None and (out.shape != (m, n) or out.dtype != dtype):
+        raise ValueError(
+            f"out (shape {out.shape}, dtype {out.dtype}) does not fit "
+            f"solve (shape ({m}, {n}), dtype {np.dtype(dtype)})"
+        )
+
+
+class _FusedPThomas:
+    """The p-Thomas forward reduction, fed slab by slab, and its backward.
+
+    Kernel fusion (Section III-C) feeds it each slab of level-``k`` rows
+    the sliding window emits; :func:`pthomas_solve_interleaved` feeds it
+    the whole reduced system as one slab.  Either way every Thomas level
+    runs the same operations in the same order.  It maintains per-thread
+    running ``(c', d')`` state in "registers" (the trailing ``2^k`` rows)
+    while storing the full modified coefficients for the later backward
+    pass — exactly the register-tiling scheme of Section III-C: "the
+    updated partial result is stored in the same registers ... while the
+    previous results are written to global memory".
+
+    State lives in a column-major :class:`PThomasWorkspace` (supplied by
+    the caller for reuse across solves), matching the column-major slabs
+    the sliding window emits, or is allocated here in ``order``
+    (column-major unless the caller asks otherwise); every slab fold
+    runs through ``out=`` kernels, so consuming a sweep allocates
+    nothing.
+    """
+
+    def __init__(self, m: int, n: int, k: int, dtype, workspace=None, order="F"):
+        self.m, self.n, self.g = m, n, 1 << k
+        self._pooled = workspace is not None
+        if workspace is None:
+            g = min(self.g, n)
+            state = (np.empty((m, w), dtype=dtype, order=order) for w in (n, n, g, g))
+        elif not workspace.compatible(m, n, k, dtype):
+            raise ValueError(
+                f"workspace (m={workspace.m}, n={workspace.n}, "
+                f"k={workspace.k}, dtype={workspace.dtype}) does not fit "
+                f"solve (m={m}, n={n}, k={k}, dtype={np.dtype(dtype)})"
+            )
+        else:
+            state = (workspace.cp, workspace.dp, workspace.t1, workspace.t2)
+        self.cp, self.dp, self._t1, self._t2 = state
+        self._next = 0  # forward-reduction frontier (global row index)
+        self._solved = False  # backward pass done: dp holds x
+
+    def consume(self, e0: int, e1: int, quad: tuple) -> None:
+        """Fold slab ``[e0, e1)`` of level-k rows into the forward pass.
+
+        Level ``l`` of subsystem ``j`` is global row ``l·g + j``, so the
+        slab is folded one level boundary (a multiple of ``g``) at a time.
+        """
+        if e0 != self._next:
+            raise RuntimeError(
+                f"slab [{e0}, {e1}) out of order; expected start {self._next}"
+            )
+        a, b, c, d = quad
+        g = self.g
+        cp, dp = self.cp, self.dp
+        lo = e0
+        while lo < e1:
+            # advance to the next level boundary (multiple of g)
+            hi = min(e1, (lo // g + 1) * g)
+            w = hi - lo
+            sl = slice(lo, hi)
+            src = slice(lo - e0, hi - e0)
+            if lo < g:
+                np.divide(c[:, src], b[:, src], out=cp[:, sl])
+                np.divide(d[:, src], b[:, src], out=dp[:, sl])
+            else:
+                prev = slice(lo - g, lo - g + w)
+                t1, t2 = self._t1[:, :w], self._t2[:, :w]
+                # denom = b - cp_prev * a
+                np.multiply(cp[:, prev], a[:, src], out=t1)
+                np.subtract(b[:, src], t1, out=t1)
+                np.divide(c[:, src], t1, out=cp[:, sl])
+                # dp = (d - dp_prev * a) / denom
+                np.multiply(dp[:, prev], a[:, src], out=t2)
+                np.subtract(d[:, src], t2, out=t2)
+                np.divide(t2, t1, out=dp[:, sl])
+            lo = hi
+        self._next = e1
+
+    def backward(self, out=None) -> np.ndarray:
+        """Run the backward substitution once every row has been consumed.
+
+        The solution overwrites ``dp`` in place and is then copied out
+        row-major: into ``out`` if given (must match shape and dtype),
+        else into a fresh array.  Repeat calls return the same solution.
+        """
+        if self._next != self.n:
+            raise RuntimeError(
+                f"forward pass incomplete: {self._next} of {self.n} rows"
+            )
+        _check_out(out, self.m, self.n, self.dp.dtype)
+        if not self._solved:
+            _backward_in_place(self.cp, self.dp, self.g, self._t1)
+            self._solved = True
+        return _deliver(self.dp, out, self._pooled)
+
+
 def pthomas_solve_interleaved(
     a, b, c, d, k: int, *, workspace=None, out=None
 ) -> np.ndarray:
@@ -147,65 +250,15 @@ def pthomas_solve_interleaved(
     is one vectorized operation over all ``M · 2^k`` threads.  Short
     subsystems (when ``2^k`` does not divide ``N``) are handled by
     masking: a thread whose subsystem has already ended keeps its state.
+    The forward pass is the one kernel fusion runs slab by slab
+    (:class:`_FusedPThomas`), here fed the whole system as one slab, so
+    fused and unfused solves share their bits by construction.
     """
-    a = np.asarray(a)
-    b = np.asarray(b)
-    c = np.asarray(c)
-    d = np.asarray(d)
+    a, b, c, d = (np.asarray(v) for v in (a, b, c, d))
     m, n = b.shape
-    g = 1 << k
-    if out is not None and (out.shape != (m, n) or out.dtype != b.dtype):
-        raise ValueError(
-            f"out (shape {out.shape}, dtype {out.dtype}) does not fit "
-            f"solve (shape ({m}, {n}), dtype {b.dtype})"
-        )
-    dtype = b.dtype
-    if g >= n:
-        # Every subsystem is a single row: rows are already decoupled
-        # (c_i refers past the end; PCR guarantees it is 0).
-        x = out if out is not None else np.empty((m, n), dtype=dtype)
-        np.divide(d, b, out=x)
-        return x
-    L = -(-n // g)  # number of Thomas levels (longest subsystem length)
-
-    pooled = workspace is not None
-    if workspace is None:
-        # Unpooled state in the inputs' memory order.
-        order = "F" if b.strides[0] < b.strides[1] else "C"
-        cp, dp, t1, t2 = (
-            np.empty((m, w), dtype=dtype, order=order)
-            for w in (n, n, g, g)
-        )
-    elif not workspace.compatible(m, n, k, dtype):
-        raise ValueError(
-            f"workspace (m={workspace.m}, n={workspace.n}, k={workspace.k}, "
-            f"dtype={workspace.dtype}) does not fit solve "
-            f"(m={m}, n={n}, k={k}, dtype={dtype})"
-        )
-    else:
-        cp, dp = workspace.cp, workspace.dp
-        t1, t2 = workspace.t1, workspace.t2
-
-    # Forward reduction, level by level.  Level l of subsystem j is global
-    # row l*g + j; the slab [l*g, min((l+1)*g, n)) is contiguous.
-    lo, hi = 0, min(g, n)
-    np.divide(c[:, lo:hi], b[:, lo:hi], out=cp[:, lo:hi])
-    np.divide(d[:, lo:hi], b[:, lo:hi], out=dp[:, lo:hi])
-    for l in range(1, L):
-        lo = l * g
-        hi = min(lo + g, n)
-        w = hi - lo
-        prev = slice(lo - g, lo - g + w)
-        cur = slice(lo, hi)
-        s1, s2 = t1[:, :w], t2[:, :w]
-        # denom = b - cp_prev * a
-        np.multiply(cp[:, prev], a[:, cur], out=s1)
-        np.subtract(b[:, cur], s1, out=s1)
-        np.divide(c[:, cur], s1, out=cp[:, cur])
-        # dp = (d - dp_prev * a) / denom
-        np.multiply(dp[:, prev], a[:, cur], out=s2)
-        np.subtract(d[:, cur], s2, out=s2)
-        np.divide(s2, s1, out=dp[:, cur])
-
-    _backward_in_place(cp, dp, g, t1)
-    return _deliver(dp, out, pooled)
+    _check_out(out, m, n, b.dtype)
+    # Unpooled state in the inputs' memory order.
+    order = "F" if b.strides[0] < b.strides[1] else "C"
+    solve = _FusedPThomas(m, n, k, b.dtype, workspace=workspace, order=order)
+    solve.consume(0, n, (a, b, c, d))
+    return solve.backward(out=out)

@@ -302,19 +302,31 @@ def pcr_levels(k: int) -> tuple:
     """k-step PCR as a generic pipeline (level l has reach 2^l each side).
 
     Returns ``(levels, boundary_fill)`` for a 4-channel ``(a, b, c, d)``
-    stream; the result equals :func:`repro.core.pcr.pcr_sweep`.
+    stream; the result equals :func:`repro.core.pcr.pcr_sweep`.  Each
+    level allocates its outputs and eliminates through the window's
+    kernel, :func:`repro.core.tiled_pcr._pcr_local_into`.
     """
-    from repro.core.tiled_pcr import _identity_rows, _pcr_local
+    from repro.core.tiled_pcr import _fill_identity, _pcr_local_into
 
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
 
     def make(level):
         s = 1 << level
-        return Level(apply=lambda q, s=s: _pcr_local(q, s), left=s, right=s)
+
+        def apply(q):
+            m, w = q[0].shape[0], q[0].shape[1] - 2 * s
+            # four outputs, then the kernel's k1, k2 and tmp scratch
+            arrays = [np.empty((m, w), dtype=np.result_type(*q)) for _ in range(7)]
+            _pcr_local_into(q, s, arrays[:4], *arrays[4:])
+            return tuple(arrays[:4])
+
+        return Level(apply=apply, left=s, right=s)
 
     def fill(m, w, dtype):
-        return _identity_rows(m, w, dtype)
+        rows = tuple(np.empty((m, w), dtype=dtype) for _ in range(4))
+        _fill_identity(rows)
+        return rows
 
     return [make(l) for l in range(k)], fill
 

@@ -52,9 +52,22 @@ of outputs ``r0`` and ``r1 − 1`` reaches exactly that far, so each
 internal boundary re-loads ``2·f(k)`` halo rows — the paper's stated
 tradeoff for variant (b).  ``W = 1`` does zero redundant work.
 
-Everything here is numerically exact: the emitted rows are bitwise the
-rows a whole-system :func:`repro.core.pcr.pcr_sweep` would produce
-(same operands, same operation order per row).
+Everything here is numerically exact: the emitted ``b`` and ``d`` are
+bitwise the rows a whole-system :func:`repro.core.pcr.pcr_sweep` would
+produce (same operands, same operation order per row), and ``a`` and
+``c`` equal its values.  Their bits can differ only in the sign of a
+zero, in the rows where they are zero by construction: ``a[:, :2^k]``
+and ``c[:, N − 2^k:]``.  ``pcr_step`` masks each level's boundary
+factors ``k1[:, :s]`` and ``k2[:, N − s:]`` to ``+0``, where the window
+divides the level's own zeros there by the identity rows' ``b = 1``,
+which keeps their signs.  No solve reads those rows: p-Thomas reads
+``a`` from row ``2^k`` on and ``c`` below row ``N − 2^k``.
+
+:func:`_pcr_local_into` is the one PCR level kernel on the host: the
+window, the naive strawman, :func:`repro.core.streaming.pcr_levels` and
+:meth:`repro.core.factorize.HybridFactorization.factor` (over
+identity-padded whole arrays, without the ``d`` channel) all eliminate
+through it.
 """
 
 from __future__ import annotations
@@ -106,70 +119,34 @@ class TilingCounters:
         self.windows += other.windows
 
 
-def _identity_rows(m: int, w: int, dtype) -> tuple:
-    """Rows outside the system: ``a = c = d = 0, b = 1`` (inert under PCR)."""
-    z = np.zeros((m, w), dtype=dtype)
-    return z, np.ones((m, w), dtype=dtype), z.copy(), z.copy()
-
-
 def _fill_identity(views: tuple) -> None:
-    """Write identity rows into preallocated ``(a, b, c, d)`` views."""
-    a, b, c, d = views
-    a[...] = 0.0
-    b[...] = 1.0
-    c[...] = 0.0
-    d[...] = 0.0
-
-
-def _concat(q1: tuple, q2: tuple) -> tuple:
-    return tuple(np.concatenate([x, y], axis=1) for x, y in zip(q1, q2))
-
-
-def _slice(q: tuple, lo: int, hi: int) -> tuple:
-    return tuple(x[:, lo:hi] for x in q)
-
-
-def _width(q: tuple) -> int:
-    return q[0].shape[1]
-
-
-def _pcr_local(q: tuple, s: int) -> tuple:
-    """One PCR step on a local row window, no boundary masking.
-
-    ``q`` holds ``w + 2s`` consecutive level-``l`` rows; returns the ``w``
-    level-``l+1`` rows for the centre slice.  Out-of-system rows must be
-    identity rows — then ``a = 0`` / ``c = 0`` make the masks of
-    :func:`repro.core.pcr.pcr_step` implicit.
-    """
-    a, b, c, d = q
-    w = a.shape[1] - 2 * s
-    a_m, b_m, c_m, d_m = (x[:, :w] for x in (a, b, c, d))
-    a_c, b_c, c_c, d_c = (x[:, s : s + w] for x in (a, b, c, d))
-    a_p, b_p, c_p, d_p = (x[:, 2 * s : 2 * s + w] for x in (a, b, c, d))
-    k1 = a_c / b_m
-    k2 = c_c / b_p
-    return (
-        -a_m * k1,
-        b_c - c_m * k1 - a_p * k2,
-        -c_p * k2,
-        d_c - d_m * k1 - d_p * k2,
-    )
+    """Write identity rows (``a = c = d = 0, b = 1``, inert under PCR)
+    into preallocated ``(a, b, c[, d])`` views."""
+    for v, value in zip(views, (0.0, 1.0, 0.0, 0.0)):
+        v[...] = value
 
 
 def _pcr_local_into(q: tuple, s: int, out: tuple, k1, k2, tmp) -> None:
-    """:func:`_pcr_local`, written into preallocated ``out`` views.
+    """One PCR step of stride ``s`` on a local row window, written into
+    preallocated ``out`` views — the one PCR level kernel.
 
-    ``k1``, ``k2``, ``tmp`` are ``(M, w)`` scratch views.  The operation
-    order matches :func:`_pcr_local` exactly, so results are bitwise
-    identical (the ``-x*y`` of the allocating form equals ``-(x*y)``
-    because IEEE-754 negation is exact).
+    ``q`` holds ``w + 2s`` consecutive level-``l`` rows of ``(a, b, c)``
+    or ``(a, b, c, d)``; ``out`` receives the ``w`` level-``l+1`` rows
+    of the centre slice, with a ``d`` channel when ``q`` has one.
+    Out-of-system rows must be identity rows: ``a = 0`` / ``c = 0``
+    then make the masks of :func:`repro.core.pcr.pcr_step` implicit.
+    ``k1``, ``k2``, ``tmp`` are ``(M, w)`` scratch views; on return
+    ``k1`` and ``k2`` hold the level's reduction factors
+    ``a / b_{−s}`` and ``c / b_{+s}``.  ``a'`` and ``c'`` are formed as
+    ``−(x·y)``, which equals ``pcr_step``'s ``(−x)·y`` bitwise because
+    IEEE-754 negation is exact.
     """
-    a, b, c, d = q
+    a, b, c = q[:3]
     w = a.shape[1] - 2 * s
-    a_m, b_m, c_m, d_m = (x[:, :w] for x in (a, b, c, d))
-    a_c, b_c, c_c, d_c = (x[:, s : s + w] for x in (a, b, c, d))
-    a_p, b_p, c_p, d_p = (x[:, 2 * s : 2 * s + w] for x in (a, b, c, d))
-    oa, ob, oc, od = out
+    a_m, b_m, c_m = (x[:, :w] for x in (a, b, c))
+    a_c, b_c, c_c = (x[:, s : s + w] for x in (a, b, c))
+    a_p, b_p, c_p = (x[:, 2 * s : 2 * s + w] for x in (a, b, c))
+    oa, ob, oc = out[:3]
     np.divide(a_c, b_m, out=k1)
     np.divide(c_c, b_p, out=k2)
     # a' = -a_m * k1
@@ -183,11 +160,13 @@ def _pcr_local_into(q: tuple, s: int, out: tuple, k1, k2, tmp) -> None:
     # c' = -c_p * k2
     np.multiply(c_p, k2, out=oc)
     np.negative(oc, out=oc)
-    # d' = d_c - d_m*k1 - d_p*k2
-    np.multiply(d_m, k1, out=tmp)
-    np.subtract(d_c, tmp, out=od)
-    np.multiply(d_p, k2, out=tmp)
-    np.subtract(od, tmp, out=od)
+    if len(q) == 4:
+        # d' = d_c - d_m*k1 - d_p*k2
+        d, od = q[3], out[3]
+        np.multiply(d[:, :w], k1, out=tmp)
+        np.subtract(d[:, s : s + w], tmp, out=od)
+        np.multiply(d[:, 2 * s : 2 * s + w], k2, out=tmp)
+        np.subtract(od, tmp, out=od)
 
 
 class _RawProvider:
@@ -201,7 +180,6 @@ class _RawProvider:
         self.quads = quads
         self.n = quads[0].shape[1]
         self.m = quads[0].shape[0]
-        self.dtype = quads[0].dtype
         self.counters = counters
 
     def _count(self, lo: int, hi: int, region: tuple) -> None:
@@ -219,21 +197,9 @@ class _RawProvider:
             inside = max(0, red_hi - red_lo)
             self.counters.rows_loaded_redundant += (real - inside) * self.m
 
-    def fetch(self, lo: int, hi: int, region: tuple) -> tuple:
-        """Rows ``[lo, hi)`` in global coordinates (identity outside [0, n))."""
-        self._count(lo, hi, region)
-        in_lo, in_hi = max(lo, 0), min(hi, self.n)
-        if in_lo >= in_hi:
-            return _identity_rows(self.m, hi - lo, self.dtype)
-        body = _slice(self.quads, in_lo, in_hi)
-        if lo < in_lo:
-            body = _concat(_identity_rows(self.m, in_lo - lo, self.dtype), body)
-        if hi > in_hi:
-            body = _concat(body, _identity_rows(self.m, hi - in_hi, self.dtype))
-        return body
-
     def fetch_into(self, lo: int, hi: int, region: tuple, views: tuple) -> None:
-        """:meth:`fetch`, written into preallocated ``(M, hi − lo)`` views.
+        """Rows ``[lo, hi)`` in global coordinates into preallocated
+        ``(M, hi − lo)`` views, identity rows outside ``[0, n)``.
 
         The views are column-major window memory, so for row-major
         inputs this copy is also the transpose into the window layout.
@@ -354,8 +320,10 @@ class TiledPCR:
     ) -> tuple | None:
         """Run the k-step sweep over an ``(M, N)`` batch.
 
-        Returns the reduced ``(a, b, c, d)`` — bitwise equal to
-        ``pcr_sweep(a, b, c, d, k)``.
+        Returns the reduced ``(a, b, c, d)`` — equal to
+        ``pcr_sweep(a, b, c, d, k)``, bitwise up to the sign of the
+        zeros in ``a[:, :2^k]`` and ``c[:, N − 2^k:]`` (see the module
+        docs).
 
         If ``emit`` is given it is called as ``emit(e0, e1, quad)`` with
         each finished slab of level-k rows (global row range ``[e0, e1)``,
@@ -543,7 +511,11 @@ def naive_tiled_pcr_sweep(
     the halo.  Produces the same (exact) result as the cached window but
     with ``2·f(k)`` redundant loads and ``g(k)``-class redundant
     eliminations per boundary; the ablation benchmark quantifies the gap.
+    Each tile's rows are fetched into column-major arrays and every level
+    is eliminated by the window's kernel into outputs allocated here.
     """
+    if tile < 1:
+        raise ValueError(f"tile must be >= 1, got {tile}")
     if check:
         a, b, c, d = check_batch_arrays(a, b, c, d)
     else:
@@ -557,18 +529,26 @@ def naive_tiled_pcr_sweep(
         return tuple(x.copy() for x in quads)
     fk = f_redundant_loads(k)
     out = tuple(np.empty((m, n), dtype=b.dtype) for _ in range(4))
+
+    def rows(w: int, count: int = 4) -> tuple:
+        return tuple(np.empty((m, w), dtype=b.dtype, order="F") for _ in range(count))
+
+    k1, k2, tmp = rows(min(tile, n) + 2 * fk, 3)
     provider = _RawProvider(quads, counters)
     for t0 in range(0, n, tile):
         t1 = min(t0 + tile, n)
         # load body + halos; everything outside [t0, t1) is redundant
-        q = provider.fetch(t0 - fk, t1 + fk, (t0, t1))
+        q = rows(t1 - t0 + 2 * fk)
+        provider.fetch_into(t0 - fk, t1 + fk, (t0, t1), q)
         for l in range(k):
             s = 1 << l
-            w = _width(q) - 2 * s
+            w = q[0].shape[1] - 2 * s
             inside = min(t1, t0 + w) - t0  # rows that end up emitted
             counters.eliminations += w * m
             counters.eliminations_redundant += (w - max(0, inside)) * m
-            q = _pcr_local(q, s)
+            nxt = rows(w)
+            _pcr_local_into(q, s, nxt, k1[:, :w], k2[:, :w], tmp[:, :w])
+            q = nxt
         for o, sarr in zip(out, q):
             o[:, t0:t1] = sarr
         counters.subtiles += 1

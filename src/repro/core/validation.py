@@ -95,7 +95,8 @@ def is_broadcast_batch(arr) -> bool:
 
 def _rows(arr: np.ndarray) -> np.ndarray:
     """The rows of ``arr`` a check must read: row 0 alone of a broadcast
-    batch, every row otherwise."""
+    batch, every row otherwise.  Each validator computes them once per
+    array and hands them to the finiteness, pad and pivot checks."""
     return arr[:1] if is_broadcast_batch(arr) else arr
 
 
@@ -108,11 +109,11 @@ def _contiguous(arr: np.ndarray, dtype) -> np.ndarray:
     return np.ascontiguousarray(arr, dtype=dtype)
 
 
-def _zero_pad(arr: np.ndarray, cols) -> np.ndarray:
+def _zero_pad(arr: np.ndarray, rows: np.ndarray, cols) -> np.ndarray:
     """``arr`` with its pad ``arr[:, cols]`` zeroed, copied only when the
-    pad is nonzero: the caller's memory is never written.  A broadcast
-    batch copies its one row and broadcasts it again."""
-    rows = _rows(arr)
+    pad is nonzero: the caller's memory is never written.  ``rows`` is
+    :func:`_rows` of ``arr``; a broadcast batch copies its one row and
+    broadcasts it again."""
     if not np.any(rows[:, cols] != 0.0):
         return arr
     if rows is arr:
@@ -124,14 +125,15 @@ def _zero_pad(arr: np.ndarray, cols) -> np.ndarray:
     return np.broadcast_to(row, arr.shape)
 
 
-def _check_finite(names, arrays) -> None:
-    for name, arr in zip(names, arrays):
-        if not np.all(np.isfinite(_rows(arr))):
+def _check_finite(names, rows) -> None:
+    """``rows`` holds :func:`_rows` of each named array."""
+    for name, arr in zip(names, rows):
+        if not np.all(np.isfinite(arr)):
             raise ValueError(f"{name!r} contains non-finite values")
 
 
-def _check_pivots(b: np.ndarray) -> None:
-    if np.any(_rows(b) == 0.0):
+def _check_pivots(b_rows: np.ndarray) -> None:
+    if np.any(b_rows == 0.0):
         raise ValueError("zero on the main diagonal (pivot-free solvers need b != 0)")
 
 
@@ -178,13 +180,14 @@ def _common(arrays, ndim: int):
             raise ValueError(f"{name!r} has shape {arr.shape}, expected {shape}")
     if any(s == 0 for s in shape):
         raise ValueError("empty system")
-    _check_finite("abcd", arrays)
-    return arrays
+    rows = [_rows(arr) for arr in arrays]
+    _check_finite("abcd", rows)
+    return arrays, rows
 
 
 def check_system_arrays(a, b, c, d):
     """Validate one system's diagonals; returns normalized copies-if-needed."""
-    a, b, c, d = _common((a, b, c, d), ndim=1)
+    (a, b, c, d), _ = _common((a, b, c, d), ndim=1)
     if a[0] != 0.0:
         a = a.copy()
         a[0] = 0.0
@@ -202,10 +205,10 @@ def check_batch_arrays(a, b, c, d):
     A broadcast batch is checked on its one row and returned as a
     stride-0 view (see the module docs).
     """
-    a, b, c, d = _common((a, b, c, d), ndim=2)
-    a = _zero_pad(a, 0)
-    c = _zero_pad(c, -1)
-    _check_pivots(b)
+    (a, b, c, d), (a_rows, b_rows, c_rows, _) = _common((a, b, c, d), ndim=2)
+    a = _zero_pad(a, a_rows, 0)
+    c = _zero_pad(c, c_rows, -1)
+    _check_pivots(b_rows)
     return a, b, c, d
 
 
@@ -251,7 +254,7 @@ def coerce_cyclic_batch_arrays(a, b, c, d):
 def check_cyclic_batch_arrays(a, b, c, d):
     """Validate a cyclic ``(M, N)`` batch (corners kept, finiteness on)."""
     arrays = coerce_cyclic_batch_arrays(a, b, c, d)
-    _check_finite("abcd", arrays)
+    _check_finite("abcd", [_rows(arr) for arr in arrays])
     return arrays
 
 
@@ -301,13 +304,15 @@ def check_penta_batch_arrays(e, a, b, c, f, d):
     inputs (it factors transposed copies).
     """
     e, a, b, c, f, d = coerce_penta_batch_arrays(e, a, b, c, f, d)
-    _check_finite("eabcfd", (e, a, b, c, f, d))
+    rows = [_rows(arr) for arr in (e, a, b, c, f, d)]
+    _check_finite("eabcfd", rows)
+    e_rows, a_rows, b_rows, c_rows, f_rows, _ = rows
     n = b.shape[1]
-    e = _zero_pad(e, slice(0, min(2, n)))
-    a = _zero_pad(a, 0)
-    c = _zero_pad(c, -1)
-    f = _zero_pad(f, slice(max(0, n - 2), None))
-    _check_pivots(b)
+    e = _zero_pad(e, e_rows, slice(0, min(2, n)))
+    a = _zero_pad(a, a_rows, 0)
+    c = _zero_pad(c, c_rows, -1)
+    f = _zero_pad(f, f_rows, slice(max(0, n - 2), None))
+    _check_pivots(b_rows)
     return e, a, b, c, f, d
 
 
@@ -356,9 +361,10 @@ def check_block_batch_arrays(A, B, C, d):
     like any other layout.
     """
     A, B, C, d = coerce_block_batch_arrays(A, B, C, d)
+    # a block stack is never a broadcast batch: every row is checked
     _check_finite(("A", "B", "C", "d"), (A, B, C, d))
-    A = _zero_pad(A, 0)
-    C = _zero_pad(C, -1)
+    A = _zero_pad(A, A, 0)
+    C = _zero_pad(C, C, -1)
     return A, B, C, d
 
 

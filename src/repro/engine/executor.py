@@ -42,9 +42,8 @@ import time
 import numpy as np
 
 from repro.core.factorize import ThomasRhsFactorization
-from repro.core.hybrid import _FusedPThomas
 from repro.core.layout import transpose_into
-from repro.core.pthomas import pthomas_solve_interleaved
+from repro.core.pthomas import _FusedPThomas, pthomas_solve_interleaved
 from repro.core.tiled_pcr import TiledPCR, TilingCounters
 
 __all__ = ["execute_plan"]

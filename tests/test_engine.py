@@ -15,10 +15,11 @@ import pytest
 
 import repro
 from repro.backends.request import SolveRequest
-from repro.core.hybrid import HybridReport, HybridSolver, _FusedPThomas
+from repro.core.hybrid import HybridReport, HybridSolver
 from repro.core.pcr import pcr_sweep
 from repro.core.pthomas import (
     PThomasWorkspace,
+    _FusedPThomas,
     pthomas_solve_interleaved,
     subsystem_lengths,
 )

@@ -216,6 +216,52 @@ def test_hybrid_factor_stores_k_levels():
     assert fact.reduced.g == 16 and fact.reduced.ta.shape == (128, 1)
 
 
+@pytest.mark.parametrize("k", [0, 1, 3])
+def test_stored_factor_arrays_own_their_bytes(k):
+    # the levels are eliminated over identity-padded scratch; what the
+    # factorization keeps is never a view into it, so nbytes is true
+    m, n = 3, 100
+    a, b, c, _ = make_batch(m, n, seed=k)
+    fact = HybridFactorization.factor(a, b, c, k=k)
+    stored = [arr for name, arr in fact.arrays().items() if name != "k"]
+    assert len(stored) == 2 * k + 3
+    for arr in stored:
+        assert arr.shape == (n, m) and arr.flags.owndata and arr.flags.c_contiguous
+    assert fact.nbytes == sum(arr.nbytes for arr in stored) == (2 * k + 3) * n * m * 8
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("k", [1, 4, 8])
+def test_rows_no_sweep_reads_change_no_bit(k, dtype):
+    # Every level's k1[:s] and k2[N - s:] and the reduced ta[:2^k] and
+    # cp[N - 2^k:] couple to rows outside the system.  The reduced rows'
+    # zero signs depend on how the levels were eliminated, so no sweep
+    # may read any of them: NaN there must not reach a solve, stored or
+    # rebuilt from spill arrays.
+    m, n = 5, 1003  # ragged: 2^k never divides N
+    a, b, c, d = make_batch(m, n, dtype=dtype, seed=k)
+    fact = HybridFactorization.factor(a, b, c, k=k)
+    assert fact.k == k
+    clean = fact.solve(d)
+
+    def poison(f):
+        s = 1
+        for k1, k2 in f.level_factors:
+            k1[:s] = np.nan
+            k2[n - s:] = np.nan
+            s *= 2
+        g = f.reduced.g
+        f.reduced.ta[:g] = np.nan
+        f.reduced.cp[n - g:] = np.nan
+        return f
+
+    rebuilt = HybridFactorization.from_arrays(
+        {name: arr.copy() for name, arr in fact.arrays().items()}
+    )
+    for f in (poison(rebuilt), poison(fact)):
+        assert f.solve(d).tobytes() == clean.tobytes()
+
+
 def test_hybrid_factor_uninitialized():
     fact = HybridFactorization(k=2)
     with pytest.raises(RuntimeError, match="factor"):

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core.hybrid import HybridReport, HybridSolver, _FusedPThomas
+from repro.core.hybrid import HybridReport, HybridSolver
+from repro.core.pthomas import _FusedPThomas
 from repro.core.transition import TransitionHeuristic
 
 from .conftest import make_batch, max_err, reference_solve

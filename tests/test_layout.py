@@ -1,56 +1,8 @@
-"""Memory-layout transforms (interleave/deinterleave)."""
+"""Memory-layout names (the device models' CONTIGUOUS/INTERLEAVED)."""
 
-import numpy as np
-import pytest
-
-from repro.core.layout import Layout, deinterleave, interleave, interleave_batch
-
-
-def test_interleave_order():
-    arr = np.array([[0.0, 1.0, 2.0], [10.0, 11.0, 12.0]])  # (G=2, L=3)
-    flat = interleave(arr)
-    assert np.array_equal(flat, [0.0, 10.0, 1.0, 11.0, 2.0, 12.0])
-
-
-def test_roundtrip():
-    rng = np.random.default_rng(0)
-    arr = rng.standard_normal((8, 13))
-    assert np.array_equal(deinterleave(interleave(arr), 8), arr)
-
-
-def test_roundtrip_other_direction():
-    rng = np.random.default_rng(1)
-    flat = rng.standard_normal(60)
-    assert np.array_equal(interleave(deinterleave(flat, 5)), flat)
-
-
-def test_interleave_batch():
-    arr = np.arange(12.0).reshape(2, 2, 3)  # (M, G, L)
-    out = interleave_batch(arr)
-    assert out.shape == (2, 6)
-    assert np.array_equal(out[0], [0.0, 3.0, 1.0, 4.0, 2.0, 5.0])
-
-
-def test_interleave_rejects_bad_ndim():
-    with pytest.raises(ValueError):
-        interleave(np.zeros(5))
-    with pytest.raises(ValueError):
-        deinterleave(np.zeros((2, 3)), 2)
-    with pytest.raises(ValueError):
-        interleave_batch(np.zeros((2, 3)))
-
-
-def test_deinterleave_rejects_indivisible():
-    with pytest.raises(ValueError, match="divisible"):
-        deinterleave(np.zeros(7), 2)
+from repro.core.layout import Layout
 
 
 def test_layout_enum_values():
     assert Layout.CONTIGUOUS.value == "contiguous"
     assert Layout.INTERLEAVED.value == "interleaved"
-
-
-def test_outputs_contiguous():
-    arr = np.random.default_rng(2).standard_normal((4, 6))
-    assert interleave(arr).flags["C_CONTIGUOUS"]
-    assert deinterleave(interleave(arr), 4).flags["C_CONTIGUOUS"]

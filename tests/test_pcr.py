@@ -1,16 +1,14 @@
-"""PCR: step semantics, decoupling property, sweep, solve, interleaving."""
+"""PCR: step semantics, decoupling property, sweep, solve."""
 
 import numpy as np
 import pytest
 
 from repro.core.pcr import (
-    merge_interleaved,
     pcr_solve,
     pcr_solve_batch,
     pcr_step,
     pcr_sweep,
     pcr_then_thomas_batch,
-    split_interleaved,
 )
 from repro.util.tridiag import BatchTridiagonal, dense_from_diagonals
 
@@ -94,27 +92,6 @@ def test_pcr_then_thomas_matches_reference(k, n):
     a, b, c, d = make_batch(3, n, seed=n + k)
     x = pcr_then_thomas_batch(a, b, c, d, k)
     assert max_err(x, reference_solve(a, b, c, d)) < 1e-10
-
-
-@pytest.mark.parametrize("n,k", [(16, 2), (20, 2), (37, 3), (64, 0)])
-def test_split_merge_roundtrip(n, k):
-    rng = np.random.default_rng(n)
-    arr = rng.standard_normal((3, n))
-    merged = merge_interleaved(split_interleaved(arr, k), k, n)
-    assert np.array_equal(arr, merged)
-
-
-def test_split_shapes():
-    arr = np.arange(12.0).reshape(1, 12)
-    out = split_interleaved(arr, 2)
-    assert out.shape == (4, 3)
-    assert np.array_equal(out[0], [0.0, 4.0, 8.0])
-    assert np.array_equal(out[3], [3.0, 7.0, 11.0])
-
-
-def test_merge_rejects_bad_rowcount():
-    with pytest.raises(ValueError, match="divisible"):
-        merge_interleaved(np.zeros((3, 4)), 1, 8)
 
 
 def test_float32_roundtrip():

@@ -8,7 +8,6 @@ shapes, scales and dtypes; the properties are the load-bearing claims:
 * tiled PCR is exactly the monolithic sweep, for every (n, k, c, W)
   and every input memory layout, and p-Thomas does not depend on it;
 * a PCR step never changes the solution;
-* interleave/deinterleave and split/merge are lossless;
 * the cost formulas match their closed forms.
 """
 
@@ -19,14 +18,7 @@ from hypothesis import strategies as st
 from repro.core.cost_model import f_redundant_loads, g_redundant_elims
 from repro.core.cr import cr_solve_batch
 from repro.core.hybrid import HybridSolver
-from repro.core.layout import deinterleave, interleave
-from repro.core.pcr import (
-    merge_interleaved,
-    pcr_solve_batch,
-    pcr_step,
-    pcr_sweep,
-    split_interleaved,
-)
+from repro.core.pcr import pcr_solve_batch, pcr_sweep
 from repro.core.pthomas import pthomas_solve_interleaved
 from repro.core.rd import rd_solve_batch
 from repro.core.thomas import thomas_solve_batch
@@ -159,30 +151,6 @@ def test_fusion_never_changes_answer(batch, k):
     x1 = HybridSolver(k=k, fuse=False).solve_batch(a, b, c, d)
     x2 = HybridSolver(k=k, fuse=True).solve_batch(a, b, c, d)
     assert np.array_equal(x1, x2)
-
-
-@settings(max_examples=50, deadline=None)
-@given(
-    g=st.integers(1, 16),
-    length=st.integers(1, 40),
-    seed=st.integers(0, 10**6),
-)
-def test_interleave_roundtrip(g, length, seed):
-    rng = np.random.default_rng(seed)
-    arr = rng.standard_normal((g, length))
-    assert np.array_equal(deinterleave(interleave(arr), g), arr)
-
-
-@settings(max_examples=50, deadline=None)
-@given(
-    n=st.integers(1, 128),
-    k=st.integers(0, 5),
-    seed=st.integers(0, 10**6),
-)
-def test_split_merge_roundtrip_property(n, k, seed):
-    rng = np.random.default_rng(seed)
-    arr = rng.standard_normal((2, n))
-    assert np.array_equal(merge_interleaved(split_interleaved(arr, k), k, n), arr)
 
 
 @settings(max_examples=100, deadline=None)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.pcr import pcr_sweep
-from repro.core.pthomas import pthomas_solve_interleaved, subsystem_lengths
+from repro.core.pthomas import _FusedPThomas, pthomas_solve_interleaved, subsystem_lengths
 from repro.core.thomas import thomas_solve
 
 from .conftest import make_batch, max_err, reference_solve
@@ -50,6 +50,38 @@ def test_g_at_least_n_divides_rows():
     x = pthomas_solve_interleaved(ra, rb, rc, rd, 3)
     assert np.allclose(x, rd / rb)
     assert max_err(x, reference_solve(a, b, c, d)) < 1e-10
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("k", [1, 4, 8])
+def test_rows_no_solve_reads_change_no_bit(k, dtype):
+    # a[:, :2^k] and c[:, N - 2^k:] couple to rows outside the system;
+    # PCR leaves zeros there whose sign depends on the route that
+    # eliminated them, and p-Thomas must not read them.
+    n = 1003  # ragged: 2^k never divides N
+    a, b, c, d = pcr_sweep(*make_batch(5, n, dtype=dtype, seed=k), k)
+    clean = pthomas_solve_interleaved(a, b, c, d, k)
+    g = 1 << k
+    a, c = a.copy(), c.copy()
+    a[:, :g] = np.nan
+    c[:, n - g:] = np.nan
+    assert pthomas_solve_interleaved(a, b, c, d, k).tobytes() == clean.tobytes()
+
+
+@pytest.mark.parametrize("k", [0, 1, 3, 5])
+def test_any_slab_split_keeps_the_one_shot_bits(k):
+    # the one-shot is the fused forward fed one whole-system slab, so
+    # the window's slabs, cut anywhere, give the same bits
+    n = 333
+    red = pcr_sweep(*make_batch(4, n, seed=k), k)
+    ref = pthomas_solve_interleaved(*red, k)
+    rng = np.random.default_rng(k)
+    for _ in range(5):
+        cuts = [0, *np.sort(rng.choice(np.arange(1, n), size=7, replace=False)), n]
+        fused = _FusedPThomas(4, n, k, np.float64)
+        for e0, e1 in zip(cuts, cuts[1:]):
+            fused.consume(e0, e1, tuple(v[:, e0:e1] for v in red))
+        assert fused.backward().tobytes() == ref.tobytes()
 
 
 def test_subsystem_lengths_cover_all_rows():

@@ -116,6 +116,15 @@ def test_naive_tiling_matches_but_costs_more():
     assert naive_cnt.eliminations > cached_cnt.eliminations
 
 
+@pytest.mark.parametrize("tile", [-4, 0])
+def test_naive_tiling_rejects_tile_below_one(tile):
+    # with no whole tile to fetch, the sweep would hand back its
+    # outputs unwritten (or fail inside range()), so it names the bad tile
+    a, b, c, d = make_batch(1, 64, seed=4)
+    with pytest.raises(ValueError, match="tile"):
+        naive_tiled_pcr_sweep(a, b, c, d, 3, tile=tile)
+
+
 def test_emit_streams_cover_all_rows_in_order():
     n, k = 300, 3
     a, b, c, d = make_batch(1, n, seed=5)
