@@ -17,7 +17,6 @@ from repro.gpusim.occupancy import occupancy
 from repro.gpusim.timing import GpuTimingModel
 from repro.backends import reference_solver
 from repro.kernels.fused_kernel import fused_hybrid_counters
-from repro.kernels.hybrid_gpu import GpuHybridSolver
 from repro.kernels.pthomas_kernel import pthomas_counters
 from repro.kernels.tiled_pcr_kernel import tiled_pcr_counters
 

@@ -7,7 +7,6 @@ factorization) plus the multi-RHS path.
 """
 
 import numpy as np
-import pytest
 
 from repro.core.factorize import HybridFactorization
 from repro.core.thomas import thomas_solve_batch

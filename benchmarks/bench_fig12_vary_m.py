@@ -18,7 +18,6 @@ from repro.analysis.figures import FIG12_SWEEPS, figure12_series
 from repro.analysis.shapes import is_linear_in, loglog_slope, max_speedup, relative_span
 from repro.baselines.mkl_proxy import mkl_multithreaded_proxy, mkl_sequential_proxy
 from repro.backends import reference_solver
-from repro.kernels.hybrid_gpu import GpuHybridSolver
 
 from .conftest import make_batch, verify
 

@@ -13,7 +13,6 @@ exact bar chart values next to the paper's.
 import pytest
 
 from repro.analysis.figures import (
-    FIG14_CONFIGS,
     PAPER_FIG14_DOUBLE,
     PAPER_FIG14_SINGLE,
     figure14_bars,

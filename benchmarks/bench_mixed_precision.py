@@ -11,7 +11,6 @@ fp64 makes common.
 """
 
 import numpy as np
-import pytest
 
 from repro.backends import reference_solver
 from repro.core.refine import solve_mixed_precision

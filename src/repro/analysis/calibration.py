@@ -33,13 +33,11 @@ from dataclasses import dataclass, field
 
 from repro.analysis.figures import (
     FIG12_SWEEPS,
-    FIG14_CONFIGS,
     PAPER_FIG14_DOUBLE,
     figure12_series,
     figure14_bars,
 )
 from repro.gpusim.cpu import MklProxyModel
-from repro.gpusim.device import GTX480
 from repro.kernels.hybrid_gpu import GpuHybridSolver
 
 __all__ = ["CalibrationAnchors", "Anchor", "verify_anchors"]

@@ -31,7 +31,6 @@ from repro.autotune.model import (
     cost_from,
 )
 from repro.autotune.router import candidate_routes
-from repro.core.transition import GTX480_HEURISTIC
 
 __all__ = ["DEFAULT_SHAPES", "calibrate", "calibration_batch"]
 
@@ -93,7 +92,6 @@ def calibrate(
     dtype="float64",
     periodic: bool = False,
     rtol: float | None = None,
-    heuristic=GTX480_HEURISTIC,
     registry=None,
     seed: int = 0,
     progress=None,
@@ -142,9 +140,7 @@ def calibrate(
             a, b, c, d, periodic=periodic,
             **({"rtol": rtol} if rtol is not None else {}),
         )
-        routes = candidate_routes(
-            probe, reg.capable(probe), heuristic=heuristic
-        )
+        routes = candidate_routes(probe, reg.capable(probe))
         cell = cell_key(m, n, dtype, periodic)
         if progress is not None:
             progress(

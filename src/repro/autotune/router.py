@@ -45,7 +45,7 @@ from repro.autotune.model import (
 )
 from repro.backends.registry import Router
 from repro.backends.trace import RouteDecision
-from repro.core.transition import GTX480_HEURISTIC, candidate_ks
+from repro.core.transition import candidate_ks
 
 __all__ = [
     "AdaptiveRouter",
@@ -65,9 +65,7 @@ def _rtol_permits(request) -> bool:
     return rtol_permits_hybrid_reuse(request.rtol, request.dtype)
 
 
-def candidate_routes(
-    request, candidates: list, *, heuristic=GTX480_HEURISTIC
-) -> list:
+def candidate_routes(request, candidates: list) -> list:
     """The deterministic measurement/exploration set for one request.
 
     One route dict per (measured backend, candidate ``k``, fingerprint
@@ -95,7 +93,7 @@ def candidate_routes(
         elif request.k is not None:
             ks = (request.k,)
         else:
-            ks = candidate_ks(request.m, request.n, heuristic=heuristic)
+            ks = candidate_ks(request.m, request.n)
         for k in ks:
             if request.fingerprint is not None:
                 tiers = (fingerprint_tier(request.fingerprint),)
@@ -179,7 +177,6 @@ class AdaptiveRouter(Router):
         epsilon: float = 0.1,
         min_samples: int = 2,
         autosave_every: int = 0,
-        heuristic=GTX480_HEURISTIC,
         rules: tuple = (),
     ):
         super().__init__(rules=rules)
@@ -187,7 +184,6 @@ class AdaptiveRouter(Router):
             raise ValueError(f"epsilon must be in [0, 1], got {epsilon}")
         self.epsilon = float(epsilon)
         self.model_path = model_path
-        self.heuristic = heuristic
         self.autosave_every = int(autosave_every)
         self.load_note: str | None = None
         if model is None:
@@ -321,9 +317,7 @@ class AdaptiveRouter(Router):
         rtol_ok = _rtol_permits(request)
         return [
             r
-            for r in candidate_routes(
-                request, candidates, heuristic=self.heuristic
-            )
+            for r in candidate_routes(request, candidates)
             if self._admissible(r, request, by_name, rtol_ok)
         ]
 

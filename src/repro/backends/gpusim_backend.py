@@ -2,22 +2,25 @@
 
 Wraps :class:`~repro.kernels.hybrid_gpu.GpuHybridSolver` behind the
 backend protocol so counter/timing reports ride the same interface as
-every other solve.  ``execute`` solves the request numerically (through
-the engine spine, with the *device* plan's launch parameters) and
-prices the same launch on the device model; the resulting trace carries
-each kernel stage's **predicted** device time next to the **measured**
-NumPy wall time, plus the predicted total.  Cyclic requests price the
+every other solve.  ``execute`` solves the request numerically through
+the engine spine at the *device* plan's ``k``, on the schedule the
+host runs (one window, the host's sub-tile), and prices the device
+launch (the shared-memory-capped ``k``, Fig. 11b's windows, Table I's
+``c = 1``) on the device model; the resulting trace carries each kernel
+stage's **predicted** device time next to the **measured** NumPy wall
+time of the host schedule, plus the predicted total, and reports the
+device plan's ``k`` and window count.  Cyclic requests price the
 Sherman–Morrison pipeline (two inner launches — or the prepared
 RHS-only sweep — plus the rank-one correction pair).  ``ranks > 1``
 requests run the N-partition pipeline in process and price it as
 ``P`` devices; they bind a session whose slabs are factored once, so
 a periodic request's two inner solves share one set of slabs.
 
-Numerics note: the device planner caps ``k`` by shared-memory capacity
-and picks Fig. 11b window counts, so its plan can differ from the
-reference heuristic's — results then agree with the other backends to
-floating-point tolerance rather than bitwise (the documented-tolerance
-path asserted in ``tests/test_backends.py``).
+Numerics note: the device planner caps ``k`` by shared-memory capacity,
+so its ``k`` can differ from the reference heuristic's — results then
+agree with the other backends to floating-point tolerance rather than
+bitwise (the documented-tolerance path asserted in
+``tests/test_backends.py``).  The window count never moves a bit.
 """
 
 from __future__ import annotations
@@ -196,15 +199,11 @@ class GpuSimBackend(BackendBase):
             n_windows = self.solver.plan_windows(request.m, request.n, k)
             k_source = "fixed"
 
-        # solve on the engine spine under the *device* plan's launch
-        # parameters; the trace it returns carries the measured stages
+        # solve on the engine spine at the *device* plan's k, on the
+        # host's schedule; the trace it returns carries the measured
+        # stages
         outcome = default_engine().run(
-            request.replace(
-                k=k,
-                n_windows=n_windows,
-                subtile_scale=self.solver.subtile_scale,
-                fuse=self.solver.fuse,
-            )
+            request.replace(k=k, fuse=self.solver.fuse)
         )
         rhs_only = outcome.trace.rhs_only
         report = self.solver.predict(

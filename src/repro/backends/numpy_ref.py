@@ -21,7 +21,6 @@ from repro.backends.base import BackendBase, Capabilities, CyclicSession
 from repro.backends.request import SolveOutcome, SolveRequest
 from repro.backends.trace import SolveTrace, StageTiming
 from repro.core.hybrid import HybridSolver, choose_transition
-from repro.core.transition import GTX480_HEURISTIC
 
 __all__ = ["NumpyReferenceBackend", "reference_solver"]
 
@@ -114,27 +113,9 @@ class NumpyReferenceBackend(BackendBase):
             return outcome
 
         t0 = time.perf_counter()
-        heuristic = (
-            request.heuristic
-            if request.heuristic is not None
-            else GTX480_HEURISTIC
-        )
-        k, k_source = choose_transition(
-            request.m,
-            request.n,
-            k=request.k,
-            heuristic=heuristic,
-            parallelism=request.parallelism,
-        )
-        solver = reference_solver(
-            k=k,
-            # the reference keeps Table I's c = 1 unless told otherwise
-            subtile_scale=(
-                1 if request.subtile_scale is None else request.subtile_scale
-            ),
-            n_windows=request.n_windows,
-            fuse=request.fuse,
-        )
+        k, k_source = choose_transition(request.m, request.n, k=request.k)
+        # the paper's schedule: one window, Table I's c = 1
+        solver = reference_solver(k=k, fuse=request.fuse)
         t_prepare = time.perf_counter() - t0
 
         t1 = time.perf_counter()
@@ -153,7 +134,6 @@ class NumpyReferenceBackend(BackendBase):
                 k=k,
                 k_source=k_source,
                 fuse=request.fuse,
-                n_windows=request.n_windows,
                 plan_cache="n/a",
                 stages=[
                     StageTiming("prepare", t_prepare),

@@ -290,9 +290,7 @@ def solve_via(
     ``Capabilities.periodic``, and the chosen backend runs the whole
     Sherman–Morrison pipeline inside its one ``execute``.  Remaining
     keywords are the :data:`~repro.backends.request.OPTION_NAMES`
-    options (``k``, ``fuse``, ``n_windows``, ``subtile_scale``,
-    ``parallelism``, ``heuristic``, ``fingerprint``, ``rtol``,
-    ``ranks``).
+    options (``k``, ``fuse``, ``fingerprint``, ``rtol``, ``ranks``).
     """
     reg = registry if registry is not None else default_registry()
     t0 = time.perf_counter()

@@ -9,7 +9,7 @@ module collapses that Cartesian product into two dataclasses:
     Everything one solve needs: the coerced ``(M, N)`` diagonals and
     right-hand side (or a factorization handle plus the RHS alone),
     the negotiation axes (dtype, ``periodic``, ``ranks``,
-    ``fingerprint``), the plan options (``k``, ``fuse``, windows…),
+    ``fingerprint``), the plan options (``k``, ``fuse``),
     and the execution flags (``rhs_only``, ``check``, ``out``).
     Built by the public adapters (``repro.solve_batch``,
     ``repro.prepare(...).solve``, ``solve_periodic_batch``,
@@ -129,11 +129,7 @@ def _count(name: str, value):
 OPTION_NAMES = (
     "k",
     "fuse",
-    "n_windows",
-    "subtile_scale",
-    "parallelism",
     "periodic",
-    "heuristic",
     "fingerprint",
     "rtol",
     "ranks",
@@ -185,14 +181,14 @@ class SolveRequest:
         negotiation to backends advertising ``Capabilities.max_ranks``
         above 1).  It must be an int ``>= 1`` or ``None``
         (``ValueError`` otherwise).
-    k, fuse, n_windows, subtile_scale, parallelism, heuristic:
-        Plan options, exactly as ``solve_batch`` takes them.  ``k`` and
-        ``subtile_scale`` left ``None`` are resolved by the backend's
-        plan: the transition table picks ``k``, and the engine sizes
-        Table I's sub-tile ``c`` for the host
-        (:func:`~repro.engine.plan.host_subtile_scale`; the numpy
-        reference runs ``c = 1``).  An explicit ``subtile_scale`` is
-        honoured as given; results are bitwise the same at any ``c``.
+    k, fuse:
+        Plan options, exactly as ``solve_batch`` takes them.  A ``k``
+        left ``None`` is picked by the backend's plan from the
+        transition table (Table III).  The window schedule is the
+        backend's own: the engine runs one window with Table I's
+        sub-tile ``c`` sized for the host
+        (:func:`~repro.engine.plan.host_subtile_scale`), the numpy
+        reference runs the paper's ``c = 1``; the bits are the same.
     factorization, plan:
         Prebuilt state for ``rhs_only`` requests (prepared handles).
     check:
@@ -229,10 +225,6 @@ class SolveRequest:
     ranks: int | None = None
     k: int | None = None
     fuse: bool = False
-    n_windows: int = 1
-    subtile_scale: int | None = None
-    parallelism: int | None = None
-    heuristic: object = None
     factorization: object = None
     plan: object = None
     check: bool = True
@@ -311,14 +303,10 @@ class SolveRequest:
                     f"periodic solves are tridiagonal-only; a "
                     f"{system.kind!r} request cannot carry periodic=True"
                 )
-            if (
-                opts.get("fuse")
-                or opts.get("n_windows", 1) != 1
-                or opts.get("subtile_scale") not in (None, 1)
-            ):
+            if opts.get("fuse"):
                 raise ValueError(
-                    "fuse/n_windows/subtile_scale are hybrid (tridiagonal) "
-                    f"plan options; not applicable to a {system.kind!r} solve"
+                    "fuse is a hybrid (tridiagonal) plan option; not "
+                    f"applicable to a {system.kind!r} solve"
                 )
         if system.kind == "pentadiagonal":
             if e is None or f is None:

@@ -116,14 +116,17 @@ class SolveTrace:
         Batch signature the solve ran under.
     k, k_source:
         The frozen transition decision and where it came from
-        (``"fixed"`` / ``"analytic"`` / ``"heuristic"``).  For
+        (``"fixed"`` / ``"heuristic"`` / ``"banded"``, gpusim's
+        ``"device-plan"``).  For
         ``ranks > 1`` ``k`` names the route knob, always ``0`` with
         ``"fixed"``: each slab interior picks its own ``k`` from
         :data:`~repro.distributed.partition.SLAB_HEURISTIC` (see the
         session's ``describe()``), and routes are recorded and learned
         on this ``k``.
     fuse, n_windows:
-        Remaining plan knobs.
+        Whether p-Thomas's forward ran fused, and the windows per
+        system: 1 on the host, where every route runs one window;
+        gpusim reports its device plan's Fig. 11b count.
     ranks:
         N-axis partition count the solve ran under (1 = not
         distributed; ``> 1`` only for the distributed tier and the

@@ -92,9 +92,8 @@ def solve_batch(
         validate here.
     **kwargs:
         For the hybrid/auto algorithms: the solve-request options
-        (``k``, ``fuse``, ``n_windows``, ``subtile_scale``,
-        ``heuristic``, ``parallelism``, ``periodic``, ``rtol``,
-        ``ranks``) plus ``fingerprint`` to control the
+        (``k``, ``fuse``, ``periodic``, ``rtol``, ``ranks``) plus
+        ``fingerprint`` to control the
         factorization cache — ``None`` (default) auto-detects repeated
         coefficients at ``k = 0``, ``True`` forces prepared execution
         at any ``k`` (bitwise identical to the unprepared solve either

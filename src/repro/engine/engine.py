@@ -3,10 +3,10 @@
 :class:`ExecutionEngine` is the stateful front door for repeated
 batch solves.  It keeps
 
-* an **LRU plan cache** — ``(M, N, dtype, k, fuse, n_windows,
-  subtile_scale)`` signatures map to frozen
-  :class:`~repro.engine.plan.SolvePlan` objects, so the transition
-  choice and window schedule are computed once per shape;
+* an **LRU plan cache** — ``(M, N, dtype, k, fuse)`` signatures map to
+  frozen :class:`~repro.engine.plan.SolvePlan` objects, so the
+  transition choice (Table III) and the host's window schedule are
+  computed once per shape;
 * a **workspace pool per plan** — ring buffers, p-Thomas state and
   transpose scratch are checked out for the duration of one execution
   and returned, so warm solves allocate only their result;
@@ -20,9 +20,10 @@ vectorizes over.  Callers that share one engine across threads (the
 service's dispatch threads) each borrow their own pooled workspace.
 
 The engine's results are bitwise identical to
-:class:`~repro.core.hybrid.HybridSolver` for every signature; the
-difference is purely where the time goes (no re-planning, no buffer
-churn).  A module-level :func:`default_engine` instance backs
+:class:`~repro.core.hybrid.HybridSolver` for every signature, at any of
+the reference's window counts and sub-tile scales; the difference is
+purely where the time goes (no re-planning, no buffer churn).  A
+module-level :func:`default_engine` instance backs
 ``repro.solve_batch(..., algorithm="auto")``.
 """
 
@@ -37,7 +38,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.hybrid import HybridReport
-from repro.core.transition import GTX480_HEURISTIC, TransitionHeuristic
 from repro.engine.plan import SolvePlan, build_plan
 from repro.engine.prepared import (
     PreparedPlan,
@@ -90,9 +90,6 @@ class ExecutionEngine:
         Workspaces retained per plan.  ``1`` suffices for serial use;
         threads solving one plan at once each borrow one, so the
         default covers four in flight without re-allocation.
-    heuristic:
-        Default Table-III-style transition table for plans that do not
-        fix ``k`` explicitly.
     cache_dir:
         Optional directory enabling the factorization spill tier: built
         factorizations are written as digest-named ``.npz`` files, and
@@ -109,7 +106,6 @@ class ExecutionEngine:
         self,
         max_plans: int = 32,
         pool_size: int = 4,
-        heuristic: TransitionHeuristic = GTX480_HEURISTIC,
         max_factorizations: int = 8,
         cache_dir=None,
         disk_cache_bytes: int | None = None,
@@ -125,7 +121,6 @@ class ExecutionEngine:
         self.max_plans = max_plans
         self.pool_size = pool_size
         self.max_factorizations = max_factorizations
-        self.heuristic = heuristic
         self.disk_cache = None
         if cache_dir is not None:
             from repro.engine.diskcache import (
@@ -178,35 +173,23 @@ class ExecutionEngine:
         *,
         k: int | None = None,
         fuse: bool = False,
-        n_windows: int = 1,
-        subtile_scale: int | None = None,
-        parallelism: int | None = None,
-        heuristic: TransitionHeuristic | None = None,
         info: dict | None = None,
         system: str = "",
     ) -> SolvePlan:
         """Return the cached plan for this signature, building on miss.
 
-        ``heuristic`` overrides the engine default for this call; the
-        cache key is the *resolved* ``k``, so plans from different
-        heuristics that agree on ``k`` share an entry.  An unset
-        ``subtile_scale`` is resolved the same way, for this host
-        (:func:`~repro.engine.plan.host_subtile_scale`); an explicit
-        one is kept.  ``info``, if given, receives ``info["cache"] =
-        "hit" | "miss"`` — the instrumentation hook the backend layer's
-        traces are built on.
+        The cache key is the *resolved* ``k``, so an unset ``k`` and the
+        Table III ``k`` it resolves to share an entry.  ``info``, if
+        given, receives ``info["cache"] = "hit" | "miss"`` — the
+        instrumentation hook the backend layer's traces are built on.
 
         Warm repeats skip even the transition resolution: a bounded
-        memo maps raw request coordinates (pre-heuristic) to their
+        memo maps raw request coordinates (``k`` unresolved) to their
         resolved plan, so steady-state dispatch does one dict probe
         instead of re-running ``choose_transition`` + plan
         construction each call.
         """
-        heur = heuristic if heuristic is not None else self.heuristic
-        memo_key = (
-            m, n, np.dtype(dtype).str, k, bool(fuse),
-            n_windows, subtile_scale, parallelism, heur, system,
-        )
+        memo_key = (m, n, np.dtype(dtype).str, k, bool(fuse), system)
         with self._lock:
             memoized = self._plan_memo.get(memo_key)
             if memoized is not None and memoized.signature() in self._plans:
@@ -217,18 +200,7 @@ class ExecutionEngine:
                 if info is not None:
                     info["cache"] = "hit"
                 return memoized
-        plan = build_plan(
-            m,
-            n,
-            dtype,
-            k=k,
-            fuse=fuse,
-            n_windows=n_windows,
-            subtile_scale=subtile_scale,
-            heuristic=heur,
-            parallelism=parallelism,
-            system=system,
-        )
+        plan = build_plan(m, n, dtype, k=k, fuse=fuse, system=system)
         sig = plan.signature()
         with self._lock:
             self.stats.plan_requests += 1
@@ -290,7 +262,7 @@ class ExecutionEngine:
     @staticmethod
     def _fact_key(plan: SolvePlan, digest: str, periodic: bool = False) -> tuple:
         # Factorizations depend only on (m, n, dtype, k) + the system
-        # descriptor + content — fuse / window choices change
+        # descriptor + content — fuse and the window schedule change
         # scheduling, not elimination math.  The system tag keeps
         # penta/block/tri entries apart even when their (m, n, dtype,
         # k) prefixes agree, and cyclic factorizations carry corner
@@ -421,10 +393,6 @@ class ExecutionEngine:
         *,
         k: int | None = None,
         fuse: bool = False,
-        n_windows: int = 1,
-        subtile_scale: int | None = None,
-        parallelism: int | None = None,
-        heuristic: TransitionHeuristic | None = None,
         periodic: bool = False,
         check: bool = True,
     ) -> PreparedPlan:
@@ -450,14 +418,7 @@ class ExecutionEngine:
         """
         from repro.backends.request import SolveRequest
 
-        opts = dict(
-            k=k,
-            fuse=fuse,
-            n_windows=n_windows,
-            subtile_scale=subtile_scale,
-            parallelism=parallelism,
-            heuristic=heuristic,
-        )
+        opts = dict(k=k, fuse=fuse)
         # b stands in for the right-hand side: same shape, same dtype
         request = SolveRequest.build(
             a, b, c, b, periodic=periodic, check=check, **opts
@@ -539,7 +500,8 @@ class ExecutionEngine:
         (an intent and cost gate, not a bits gate).  ``rtol`` widens
         the auto tier to ``k > 0`` plans (see
         :func:`repro.engine.prepared.rtol_permits_hybrid_reuse`).
-        Remaining options mirror :class:`~repro.core.hybrid.HybridSolver`.
+        ``k`` and ``fuse`` are :class:`~repro.core.hybrid.HybridSolver`'s;
+        the window schedule is the plan's (:func:`~repro.engine.plan.build_plan`).
         """
         from repro.backends.request import SolveRequest
         from repro.backends.trace import record_trace

@@ -103,9 +103,7 @@ def execute_plan(
             )
         return x
 
-    tiler = TiledPCR(
-        k=plan.k, c=plan.subtile_scale, n_windows=plan.n_windows
-    )
+    tiler = TiledPCR(k=plan.k, c=plan.subtile_scale)
     if counters is not None:
         tiler.counters = counters
     if plan.fuse:

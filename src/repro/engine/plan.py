@@ -9,14 +9,17 @@ realization recomputed all of them — and reallocated every buffer —
 on *every* ``solve_batch`` call.
 
 A :class:`SolvePlan` freezes those decisions once per ``(M, N, dtype,
-k, fuse, n_windows, subtile_scale)`` signature.  Where the caller leaves
-``k`` or ``subtile_scale`` unset the plan resolves it: ``k`` from the
-transition table, ``c`` from :func:`host_subtile_scale` — Table I's
-sub-tile sized for this host rather than for a GPU's shared memory.
-Plans are immutable, hashable, and cheap; the heavy state they imply
-(ring buffers, modified-coefficient arrays, transpose scratch) lives in
-:class:`~repro.engine.workspace.PlanWorkspace` objects the engine pools
-per plan.  Executing the same plan twice is bitwise deterministic.
+k, fuse)`` signature.  Where the caller leaves ``k`` unset the plan
+takes it from the transition table (Table III).  The window schedule is
+the plan's own: one window per system (Fig. 11b's regions pay off on a
+GPU's spare multiprocessors, not on one host thread) and Table I's
+sub-tile ``c`` from :func:`host_subtile_scale`, sized for this host
+rather than for a GPU's shared memory.  Every window and ``c`` schedule
+gives the same bits.  Plans are immutable, hashable, and cheap; the
+heavy state they imply (ring buffers, modified-coefficient arrays,
+transpose scratch) lives in :class:`~repro.engine.workspace.PlanWorkspace`
+objects the engine pools per plan.  Executing the same plan twice is
+bitwise deterministic.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ import numpy as np
 
 from repro.core.cost_model import f_redundant_loads
 from repro.core.hybrid import choose_transition
-from repro.core.transition import GTX480_HEURISTIC, TransitionHeuristic
 
 __all__ = [
     "HOST_BLOCK_ELEMENTS",
@@ -57,17 +59,16 @@ class SolvePlan:
     k:
         Frozen PCR step count — the transition decision.
     k_source:
-        Where ``k`` came from: ``"fixed"``, ``"analytic"`` or
-        ``"heuristic"``.
+        Where ``k`` came from: ``"fixed"``, ``"heuristic"`` (Table III)
+        or ``"banded"``.
     fuse:
         Whether the p-Thomas forward reduction is fused into the sweep
         (Section III-C).
-    n_windows:
-        Concurrent window regions per system (Fig. 11b).
     subtile_scale:
         Table I's ``c`` — rows per thread per sliding-window round;
-        always resolved (:func:`build_plan` sizes an unset ``c`` for the
-        host with :func:`host_subtile_scale`).
+        :func:`build_plan` sizes it for the host with
+        :func:`host_subtile_scale`.  It is derived from the signature,
+        so it is not part of it.
     system:
         System-descriptor tag (``""`` for tridiagonal, ``"penta"`` /
         ``"block<B>"`` otherwise) — keeps plan-cache and
@@ -81,7 +82,6 @@ class SolvePlan:
     k: int
     k_source: str
     fuse: bool = False
-    n_windows: int = 1
     subtile_scale: int = 1
     system: str = ""
 
@@ -102,12 +102,6 @@ class SolvePlan:
         return self.k == 0
 
     @property
-    def window_bounds(self) -> tuple:
-        """Region boundaries of the ``n_windows`` sliding windows."""
-        bounds = np.linspace(0, self.n, self.n_windows + 1).astype(int)
-        return tuple(int(v) for v in bounds)
-
-    @property
     def lead_in(self) -> int:
         """Rows each window lags raw input by: ``f(k) = 2^k − 1``."""
         return f_redundant_loads(self.k)
@@ -115,19 +109,14 @@ class SolvePlan:
     def rounds(self) -> int:
         """Total sliding-window rounds one execution performs.
 
-        Each window streams raw rows from ``r0 − f(k)`` until level ``k``
-        reaches ``r1``, i.e. ``(r1 − r0) + 2·f(k)`` rows, ``subtile`` per
-        round — the ``subtiles`` count of the sweep's
+        The window streams raw rows from ``−f(k)`` until level ``k``
+        reaches ``N``, i.e. ``N + 2·f(k)`` rows, ``subtile`` per round —
+        the ``subtiles`` count of the sweep's
         :class:`~repro.core.tiled_pcr.TilingCounters`.
         """
         if self.uses_thomas:
             return 0
-        total = 0
-        bounds = self.window_bounds
-        for r0, r1 in zip(bounds, bounds[1:]):
-            if r1 > r0:
-                total += -(-((r1 - r0) + 2 * self.lead_in) // self.subtile)
-        return total
+        return -(-(self.n + 2 * self.lead_in) // self.subtile)
 
     def signature(self) -> tuple:
         """The hashable cache key this plan answers to."""
@@ -137,8 +126,6 @@ class SolvePlan:
             self.dtype,
             self.k,
             self.fuse,
-            self.n_windows,
-            self.subtile_scale,
             self.system,
         )
 
@@ -155,7 +142,6 @@ class SolvePlan:
                 else "tiled-pcr+p-thomas"
             ),
             "subsystems": self.m * self.g,
-            "n_windows": self.n_windows,
             "subtile": self.subtile,
             "rounds": self.rounds(),
         }
@@ -167,31 +153,19 @@ def plan_key(
     dtype,
     k: int,
     fuse: bool,
-    n_windows: int,
-    subtile_scale: int,
     system: str = "",
 ) -> tuple:
     """Canonical cache key for a plan signature.
 
     ``system`` is the descriptor tag; it rides at the end so every
-    pre-descriptor consumer of the tuple prefix keeps working, and
-    tridiagonal keys (tag ``""``) keep their historical shape-4 prefix
-    ``(m, n, dtype, k)`` distinct only by the trailing fields.
+    consumer of the ``(m, n, dtype, k)`` prefix (the factorization
+    cache's keys, and with them the spill files) keeps working.
     """
-    return (
-        m,
-        n,
-        np.dtype(dtype).str,
-        k,
-        bool(fuse),
-        n_windows,
-        subtile_scale,
-        system,
-    )
+    return (m, n, np.dtype(dtype).str, k, bool(fuse), system)
 
 
 def host_subtile_scale(
-    m: int, n: int, k: int, n_windows: int = 1, *, budget: int = HOST_BLOCK_ELEMENTS
+    m: int, n: int, k: int, *, budget: int = HOST_BLOCK_ELEMENTS
 ) -> int:
     """Table I's ``c`` for this host: the sliding window's sub-tile size.
 
@@ -201,9 +175,8 @@ def host_subtile_scale(
     should grow until a block is wide enough that the per-call overhead
     no longer dominates: the largest power of two ``c ≥ 1`` with
     ``M·c·2^k ≤ budget`` (default :data:`HOST_BLOCK_ELEMENTS`) and
-    ``c·2^k ≤ max(2^k, region/2)``, a region being ``N / n_windows``
-    rows (so short regions keep several rounds).  ``k = 0`` plans run
-    no window: 1.
+    ``c·2^k ≤ max(2^k, N/2)`` (so short systems keep several rounds).
+    ``k = 0`` plans run no window: 1.
 
     The choice changes no bits — every row sees the same operands in
     the same order at any ``c`` — only how many rows a call covers.
@@ -211,7 +184,7 @@ def host_subtile_scale(
     if k == 0:
         return 1
     g = 1 << k
-    cap = max(g, (n // n_windows) // 2)
+    cap = max(g, n // 2)
     c = 1
     while m * 2 * c * g <= budget and 2 * c * g <= cap:
         c *= 2
@@ -225,28 +198,20 @@ def build_plan(
     *,
     k: int | None = None,
     fuse: bool = False,
-    n_windows: int = 1,
-    subtile_scale: int | None = None,
-    heuristic: TransitionHeuristic = GTX480_HEURISTIC,
-    parallelism: int | None = None,
     system: str = "",
 ) -> SolvePlan:
     """Resolve the transition and sub-tile and freeze a :class:`SolvePlan`.
 
     Uses the identical :func:`~repro.core.hybrid.choose_transition`
-    logic as :class:`~repro.core.hybrid.HybridSolver`, so a plan always
-    encodes exactly the ``k`` the reference solver would have chosen.
-    An unset ``subtile_scale`` is sized for the host by
-    :func:`host_subtile_scale` from the resolved ``k``; an explicit one
-    (Table I's ``c``, e.g. the ``c = 1`` the device model prices) is
-    kept as given.  Results are bitwise the same at any ``c``.
+    logic as :class:`~repro.core.hybrid.HybridSolver` under Table III,
+    so a plan always encodes exactly the ``k`` the default reference
+    solver would have chosen.  The plan runs one window, with Table I's
+    ``c`` sized for the host by :func:`host_subtile_scale` from the
+    resolved ``k``; the results are bitwise those of
+    ``HybridSolver(k=plan.k, fuse=fuse)`` at any window count and ``c``.
     """
     if m < 1 or n < 1:
         raise ValueError(f"need m, n >= 1, got ({m}, {n})")
-    if n_windows < 1:
-        raise ValueError(f"n_windows must be >= 1, got {n_windows}")
-    if subtile_scale is not None and subtile_scale < 1:
-        raise ValueError(f"subtile_scale must be >= 1, got {subtile_scale}")
     if system:
         # banded (penta/block) plans have no PCR front-end: the schedule
         # is always the Thomas-style k = 0 sweep of that stencil.
@@ -256,11 +221,7 @@ def build_plan(
             )
         kk, source = 0, "banded"
     else:
-        kk, source = choose_transition(
-            m, n, k=k, heuristic=heuristic, parallelism=parallelism
-        )
-    if subtile_scale is None:
-        subtile_scale = host_subtile_scale(m, n, kk, n_windows)
+        kk, source = choose_transition(m, n, k=k)
     return SolvePlan(
         m=m,
         n=n,
@@ -268,7 +229,6 @@ def build_plan(
         k=kk,
         k_source=source,
         fuse=bool(fuse),
-        n_windows=n_windows,
-        subtile_scale=subtile_scale,
+        subtile_scale=host_subtile_scale(m, n, kk),
         system=system,
     )

@@ -457,9 +457,8 @@ def prepare(
     """Factor a coefficient set once; solve many right-hand sides.
 
     The module-level convenience over
-    :meth:`ExecutionEngine.prepare`.  Keywords mirror ``solve_batch``
-    (``k``, ``fuse``, ``n_windows``, ``subtile_scale``,
-    ``parallelism``, ``heuristic``).
+    :meth:`ExecutionEngine.prepare`.  Keywords mirror ``solve_batch``'s
+    plan options (``k``, ``fuse``).
 
     ``periodic=True`` prepares a *cyclic* (Sherman–Morrison) system:
     the corner entries ``a[:, 0]`` / ``c[:, -1]`` are real couplings

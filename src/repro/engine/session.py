@@ -320,10 +320,6 @@ class BoundSolve(Session):
                 np.dtype(request.dtype),
                 k=request.k,
                 fuse=request.fuse,
-                n_windows=request.n_windows,
-                subtile_scale=request.subtile_scale,
-                parallelism=request.parallelism,
-                heuristic=request.heuristic,
                 info=info,
                 system=system.tag,
             )
@@ -454,7 +450,6 @@ class BoundSolve(Session):
                 k_source=plan.k_source,
                 subsystems=request.m * plan.g,
                 fused=plan.fuse,
-                n_windows=plan.n_windows,
                 tiling=counters,
             )
 
@@ -466,7 +461,6 @@ class BoundSolve(Session):
             k=plan.k,
             k_source=plan.k_source,
             fuse=plan.fuse,
-            n_windows=plan.n_windows,
             plan_cache=self.cache,
             factorization=self.fp_state,
             rhs_only=self._served,

@@ -97,8 +97,10 @@ class PlanWorkspace:
                 self.nbytes += sum(r.nbytes for r in self.reduced)
 
     def fits(self, plan) -> bool:
-        """True if this workspace serves exactly ``plan``'s signature."""
-        return self.plan.signature() == plan.signature()
+        """True if this workspace serves exactly ``plan``: its signature
+        and its sub-tile (a plan variant of another ``c`` shares the
+        signature but not the window buffers)."""
+        return self.plan == plan
 
 
 class PreparedWorkspace(RhsWorkspace):

@@ -28,7 +28,7 @@ with its top/middle/bottom segments in one shared array.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

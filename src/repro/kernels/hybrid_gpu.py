@@ -220,10 +220,11 @@ class GpuHybridSolver:
     ) -> np.ndarray:
         """Numerically solve the batch *and* predict its GPU timing.
 
-        The numerics run through the solve-plan engine with the device
-        plan's exact launch parameters (``k`` capped by shared memory,
-        the Fig. 11b window count) — bitwise what the reference hybrid
-        produces for that plan; the prediction lands in
+        The numerics run through the solve-plan engine at the device
+        plan's ``k`` (capped by shared memory), on the host's window
+        schedule — bitwise what the reference hybrid produces for the
+        device plan, whose Fig. 11b window count and ``c`` move no bit;
+        the prediction of the device launch lands in
         :attr:`last_report`.  ``k`` overrides the device planner's
         transition (the windows are re-planned around it).
         """
@@ -237,15 +238,7 @@ class GpuHybridSolver:
         else:
             n_windows = self.plan_windows(m, n, k)
         x = default_engine().solve_batch(
-            a,
-            b,
-            c,
-            d,
-            check=check,
-            k=k,
-            subtile_scale=self.subtile_scale,
-            n_windows=n_windows,
-            fuse=self.fuse,
+            a, b, c, d, check=check, k=k, fuse=self.fuse
         )
         self.predict(m, n, dtype_bytes, k=k, n_windows=n_windows)
         return x

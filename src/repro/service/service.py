@@ -33,11 +33,10 @@ frozen transition never depends on how traffic happened to coalesce:
 any partition of a workload into service submissions returns bits
 identical to the monolithic ``k = 0`` solve (every solver operation is
 elementwise along the batch axis, so a row's bits never depend on
-which rows share its call).  Callers that pin ``k`` (or any
-hybrid plan option) group among themselves under those exact options.
-Requests whose auto-``k`` would be ambiguous under coalescing (unset
-``k`` with hybrid-only options like ``fuse=True``) are passed through
-solo, never grouped.
+which rows share its call).  Callers that pin ``k`` (or ``fuse``)
+group among themselves under those exact options.  Requests whose
+auto-``k`` would be ambiguous under coalescing (unset ``k`` with the
+hybrid-only ``fuse=True``) are passed through solo, never grouped.
 
 **Shared factorizations.**  ``fingerprint=True`` submissions are
 digest-grouped: fragments carrying the *same coefficient digest* (a
@@ -328,17 +327,10 @@ class SolveService:
         frozen plan — and therefore the bits of the answer — agrees.
         ``fingerprint=True`` fragments additionally group by coefficient
         digest, unlocking the shared-factorization dispatch.  Fragments
-        whose unset ``k`` cannot be pinned to 0 unambiguously (hybrid
-        plan options present) go solo.
+        whose unset ``k`` cannot be pinned to 0 unambiguously
+        (``fuse=True``, a hybrid plan option) go solo.
         """
-        hybrid_opts = (
-            request.fuse
-            or request.n_windows != 1
-            or request.subtile_scale not in (None, 1)
-            or request.parallelism is not None
-            or request.heuristic is not None
-        )
-        if request.k is None and hybrid_opts:
+        if request.k is None and request.fuse:
             return None, ("solo", _solo_counter()), True
         digest = None
         if request.fingerprint is True:
@@ -355,10 +347,6 @@ class SolveService:
             request.periodic,
             request.k,
             request.fuse,
-            request.n_windows,
-            request.subtile_scale,
-            request.parallelism,
-            id(request.heuristic) if request.heuristic is not None else None,
             request.ranks,
             request.fingerprint,
             request.rtol,

@@ -3,10 +3,10 @@ agreement, and per-solve traces.
 
 The engine must be *bitwise* identical to the single-call NumPy
 reference.  The gpusim backend routes its numerics through the engine
-too, but its device planner may choose a different
-transition ``k`` / window split than the reference heuristic (shared
-memory caps it), so agreement there is to rounding tolerance, not
-bitwise — that tolerance is part of its contract.
+too, but its device planner may choose a different transition ``k``
+than the reference heuristic (shared memory caps it), so agreement
+there is to rounding tolerance, not bitwise — that tolerance is part of
+its contract.
 """
 
 import numpy as np
@@ -28,6 +28,7 @@ from repro.backends import (
     solve_via,
 )
 from repro.core.periodic import CyclicSingularError, solve_periodic_batch
+from repro.core.transition import GTX480_HEURISTIC
 from repro.engine import ExecutionEngine
 from repro.service import SyncSolveClient
 from repro.workloads.generators import random_batch
@@ -35,7 +36,7 @@ from repro.workloads.generators import random_batch
 from .conftest import BACKEND_ROWS
 
 ALL_BACKENDS = tuple(BACKEND_ROWS)
-#: gpusim's device planner may re-plan k/windows → rounding-level drift.
+#: gpusim's device planner may re-plan k → rounding-level drift.
 TOL = {np.float64: 1e-12, np.float32: 1e-4}
 
 
@@ -146,6 +147,39 @@ def test_workers_is_rejected_at_every_entry(value):
         with pytest.raises(TypeError, match="workers"):
             call()
     assert engine.stats.solves == 0
+
+
+#: GPU launch parameters the engine's plan owns — Fig. 11b's windows,
+#: Table I's sub-tile c, Table II's machine parallelism P and a Table III
+#: lookup — each with a value the paper's solver accepts
+SCHEDULE_OPTIONS = {
+    "n_windows": 3,
+    "subtile_scale": 1,
+    "parallelism": 23040,
+    "heuristic": GTX480_HEURISTIC,
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCHEDULE_OPTIONS))
+def test_schedule_options_are_unknown_at_every_entry(name):
+    # the request names the route; the host schedule is the plan's own,
+    # so a schedule option is an unknown keyword on every entry
+    a, b, c, d = _batch(m=4, n=32)
+    opt = {name: SCHEDULE_OPTIONS[name]}
+    engine = ExecutionEngine()
+    entries = {
+        "repro.solve_batch": lambda: repro.solve_batch(a, b, c, d, **opt),
+        "repro.prepare": lambda: repro.prepare(a, b, c, engine=engine, **opt),
+        "bind_via": lambda: bind_via(a, b, c, d, **opt),
+        "SolveService.submit": lambda: _service_solve(a, b, c, d, **opt),
+    }
+    for entry, call in entries.items():
+        with pytest.raises(TypeError, match=name):
+            call()
+    assert engine.stats.solves == engine.stats.plans_built == 0
+    if name == "heuristic":
+        with pytest.raises(TypeError, match=name):
+            ExecutionEngine(**opt)
 
 
 @pytest.mark.parametrize("bad", [0, -1])

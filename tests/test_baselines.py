@@ -7,7 +7,6 @@ from repro.baselines.davidson import DavidsonSolver
 from repro.baselines.global_pcr import GlobalMemoryPCRSolver
 from repro.baselines.mkl_proxy import mkl_multithreaded_proxy, mkl_sequential_proxy
 from repro.baselines.zhang import SharedMemoryCapacityError, ZhangSolver
-from repro.gpusim.device import GTX480
 
 from .conftest import make_batch, max_err, reference_solve
 

@@ -1,12 +1,14 @@
 """Solve-plan engine: plan caching, workspace reuse, parity.
 
-The engine's contract is strict: for every ``(M, N, k, fuse,
-n_windows)`` signature its result must be **bitwise identical** to the
-single-call :class:`~repro.core.hybrid.HybridSolver` reference path —
-cold (first solve, plans + allocates) and warm (cached plan, pooled
-workspace) alike.
+The engine's contract is strict: for every ``(M, N, k, fuse)``
+signature its one host schedule must be **bitwise identical** to the
+single-call :class:`~repro.core.hybrid.HybridSolver` reference path at
+any of the reference's window counts and sub-tile scales — cold (first
+solve, plans + allocates) and warm (cached plan, pooled workspace)
+alike.
 """
 
+import dataclasses
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -24,7 +26,7 @@ from repro.core.pthomas import (
     subsystem_lengths,
 )
 from repro.core.solver import solve_batch
-from repro.core.tiled_pcr import TiledPCR
+from repro.core.tiled_pcr import TiledPCR, TilingCounters
 from repro.engine import (
     ExecutionEngine,
     PlanWorkspace,
@@ -36,7 +38,10 @@ from repro.kernels.hybrid_gpu import GpuHybridSolver
 
 from .conftest import make_batch, max_err, reference_solve
 
-# the (M, N, k, fuse, n_windows) matrix mirroring test_hybrid/test_tiled_pcr
+# the (M, N, k, fuse, w) matrix mirroring test_hybrid/test_tiled_pcr: the
+# engine runs one host schedule per (M, N, k, fuse); the parity test pins
+# it to the reference HybridSolver at every w in {1, 2, 3} and c in
+# {1, 3}, the cold/warm test to the row's own Fig. 11b window count w
 SIGNATURES = [
     (1, 64, 2, False, 1),
     (1, 1024, 6, False, 1),
@@ -61,21 +66,27 @@ def engine():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("m,n,k,fuse,nw", SIGNATURES)
-def test_engine_bitwise_equals_hybrid(engine, m, n, k, fuse, nw):
+@pytest.mark.parametrize("m,n,k,fuse,w", SIGNATURES)
+def test_engine_bitwise_equals_hybrid(engine, m, n, k, fuse, w):
     a, b, c, d = make_batch(m, n, seed=m * 1000 + n)
-    ref = HybridSolver(k=k, fuse=fuse, n_windows=nw).solve_batch(a, b, c, d)
-    got = engine.solve_batch(a, b, c, d, k=k, fuse=fuse, n_windows=nw)
-    assert np.array_equal(ref, got)
-    assert got.dtype == ref.dtype
+    got = engine.solve_batch(a, b, c, d, k=k, fuse=fuse)
+    for nw in (1, 2, 3):
+        for scale in (1, 3):
+            ref = HybridSolver(
+                k=k, fuse=fuse, n_windows=nw, subtile_scale=scale
+            ).solve_batch(a, b, c, d)
+            assert got.dtype == ref.dtype
+            assert got.tobytes() == ref.tobytes(), (nw, scale)
 
 
-@pytest.mark.parametrize("m,n,k,fuse,nw", SIGNATURES)
-def test_warm_plan_bitwise_equals_cold(engine, m, n, k, fuse, nw):
+@pytest.mark.parametrize("m,n,k,fuse,w", SIGNATURES)
+def test_warm_plan_bitwise_equals_cold(engine, m, n, k, fuse, w):
     a, b, c, d = make_batch(m, n, seed=m + n)
-    cold = engine.solve_batch(a, b, c, d, k=k, fuse=fuse, n_windows=nw)
-    warm = engine.solve_batch(a, b, c, d, k=k, fuse=fuse, n_windows=nw)
-    warm2 = engine.solve_batch(a, b, c, d, k=k, fuse=fuse, n_windows=nw)
+    cold = engine.solve_batch(a, b, c, d, k=k, fuse=fuse)
+    warm = engine.solve_batch(a, b, c, d, k=k, fuse=fuse)
+    warm2 = engine.solve_batch(a, b, c, d, k=k, fuse=fuse)
+    ref = HybridSolver(k=k, fuse=fuse, n_windows=w).solve_batch(a, b, c, d)
+    assert np.array_equal(cold, ref)
     assert np.array_equal(cold, warm)
     assert np.array_equal(cold, warm2)
     assert engine.stats.plan_hits >= 2
@@ -111,9 +122,7 @@ def test_hybrid_buffers_are_column_major(engine, fuse):
     # systems; column-major buffers make that range one contiguous block.
     m, n, k = 5, 300, 3
     a, b, c, d = make_batch(m, n, seed=4)
-    engine.solve_batch(
-        a, b, c, d, k=k, fuse=fuse, n_windows=2, fingerprint=False
-    )
+    engine.solve_batch(a, b, c, d, k=k, fuse=fuse, fingerprint=False)
     (ws,) = [
         w
         for (cls, _), pool in engine._pools.items()
@@ -239,28 +248,27 @@ def test_integer_lists_promote_to_float64():
 
 
 def test_plan_describes_schedule():
-    # Table I's c = 1 schedule (an unset c is sized for the host)
-    plan = build_plan(8, 256, np.float64, k=3, n_windows=2, subtile_scale=1)
+    # the host sizes c = 16 here; Table I's c = 1 is a plan variant
+    plan = build_plan(8, 256, np.float64, k=3)
+    assert (plan.subtile_scale, plan.rounds()) == (16, 3)  # ceil(270/128)
+    plan = dataclasses.replace(plan, subtile_scale=1)
     assert plan.g == 8
     assert plan.subtile == 8
     assert plan.lead_in == 7
-    assert plan.window_bounds == (0, 128, 256)
-    assert plan.rounds() == 36  # ceil(142/8) + ceil(142/8)
+    assert plan.rounds() == 34  # ceil((256 + 14) / 8)
     info = plan.describe()
     assert info["backend"] == "tiled-pcr+p-thomas"
     assert info["subsystems"] == 64
 
 
-@pytest.mark.parametrize("m,n,k,fuse,nw", SIGNATURES)
-def test_plan_rounds_match_the_sweep(engine, m, n, k, fuse, nw):
-    # each window streams (r1 - r0) + 2 f(k) raw rows, one sub-tile per
-    # round; k = 0 plans run no sweep and count no rounds
+@pytest.mark.parametrize("m,n,k,fuse,w", SIGNATURES)
+def test_plan_rounds_match_the_sweep(engine, m, n, k, fuse, w):
+    # the window streams N + 2 f(k) raw rows, one sub-tile per round;
+    # k = 0 plans run no sweep and count no rounds
     a, b, c, d = make_batch(m, n, seed=m + n)
-    engine.solve_batch(
-        a, b, c, d, k=k, fuse=fuse, n_windows=nw, fingerprint=False
-    )
+    engine.solve_batch(a, b, c, d, k=k, fuse=fuse, fingerprint=False)
     report = engine.last_report
-    plan = build_plan(m, n, np.float64, k=report.k, fuse=fuse, n_windows=nw)
+    plan = build_plan(m, n, np.float64, k=report.k, fuse=fuse)
     assert plan.rounds() == report.tiling.subtiles
 
 
@@ -275,28 +283,30 @@ def test_plan_rounds_match_the_sweep(engine, m, n, k, fuse, nw):
 @pytest.mark.parametrize("k", range(1, 9))
 def test_host_subtile_keeps_the_bits(engine, k, fuse, nw, dtype):
     # N = 12·2^k + 37 is a multiple of no sub-tile, and the host picks
-    # c = 2..8 across this grid
+    # c = 2..8 across this grid; the reference runs Table I's c = 1 on
+    # nw Fig. 11b windows
     m, n = 3, 12 * (1 << k) + 37
     a, b, c, d = make_batch(m, n, dtype=dtype, seed=k)
-    opts = dict(k=k, fuse=fuse, n_windows=nw)
-    assert engine.plan_for(m, n, dtype, **opts).subtile_scale > 1
-    x = engine.solve_batch(a, b, c, d, **opts)
+    assert engine.plan_for(m, n, dtype, k=k, fuse=fuse).subtile_scale > 1
+    x = engine.solve_batch(a, b, c, d, k=k, fuse=fuse)
     for ref in (
-        engine.solve_batch(a, b, c, d, subtile_scale=1, **opts),
-        repro.solve_batch(a, b, c, d, backend="numpy", **opts),
+        HybridSolver(k=k, fuse=fuse, n_windows=nw).solve_batch(a, b, c, d),
+        repro.solve_batch(a, b, c, d, backend="numpy", k=k, fuse=fuse),
     ):
         assert x.dtype == ref.dtype and x.tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("c", [2, 8, 64])
 @pytest.mark.parametrize("m,n,k", [(2, 40, 2), (1, 300, 6), (5, 1000, 3)])
-def test_explicit_subtile_scale_is_honoured(engine, m, n, k, c):
-    # sub-tiles up to and past N (N < 2S) still emit the same bits
+def test_explicit_subtile_scale_is_honoured(m, n, k, c):
+    # a plan variant of any c executes on its own workspace; sub-tiles
+    # up to and past N (N < 2S) still emit the same bits
     a, b, cc, d = make_batch(m, n, seed=n)
-    plan = engine.plan_for(m, n, np.float64, k=k, subtile_scale=c)
-    assert plan.subtile_scale == c and plan.subtile == c << k
-    x = engine.solve_batch(a, b, cc, d, k=k, subtile_scale=c)
-    assert engine.last_report.tiling.subtiles == plan.rounds()
+    plan = dataclasses.replace(build_plan(m, n, np.float64, k=k), subtile_scale=c)
+    assert plan.subtile == c << k
+    counters = TilingCounters()
+    x = execute_plan(plan, PlanWorkspace(plan), a, b, cc, d, counters=counters)
+    assert counters.subtiles == plan.rounds()
     ref = repro.solve_batch(a, b, cc, d, backend="numpy", k=k)
     assert x.tobytes() == ref.tobytes()
 
@@ -312,17 +322,22 @@ def test_host_subtile_rule_at_the_fitted_budget():
     }.items():
         plan = build_plan(m, n, np.float64)
         assert (plan.k, plan.subtile_scale) == (k, c), (m, n)
-    # short regions keep several rounds; k = 0 plans run no window
-    assert build_plan(1, 1024, np.float64, k=3, n_windows=4).subtile == 128
+    # short systems keep two rounds or more; k = 0 plans run no window
+    assert build_plan(1, 1024, np.float64, k=3).subtile == 512
     assert build_plan(4096, 64, np.float64).subtile_scale == 1
 
 
 def test_gpusim_still_prices_table_one_subtile():
+    # gpusim runs the host schedule at its device plan's k, and prices
+    # and reports the device plan (Fig. 11b windows, Table I's c = 1)
     m, n = 16, 2048
     a, b, c, d = make_batch(m, n, seed=6)
-    repro.solve_batch(a, b, c, d, backend="gpusim")
+    x = repro.solve_batch(a, b, c, d, backend="gpusim")
     trace = repro.last_trace()
     assert trace.k > 0
+    assert (trace.k, trace.n_windows) == GpuHybridSolver().plan(m, n, 8)
+    host = ExecutionEngine().solve_batch(a, b, c, d, k=trace.k)
+    assert x.tobytes() == host.tobytes()
     table_one = GpuHybridSolver().predict(
         m, n, 8, k=trace.k, n_windows=trace.n_windows
     )
@@ -344,7 +359,7 @@ def test_plan_cache_hit_and_eviction():
 
 def test_plan_cache_distinguishes_signatures():
     eng = ExecutionEngine()
-    base = dict(k=2, fuse=False, n_windows=1, subtile_scale=1)
+    base = dict(k=2, fuse=False)
     p = eng.plan_for(4, 64, np.float64, **base)
     assert eng.plan_for(4, 64, np.float32, **base) is not p
     assert eng.plan_for(4, 64, np.float64, **{**base, "fuse": True}) is not p
@@ -358,10 +373,14 @@ def test_workspace_matches_plan():
     assert ws.fits(plan)
     assert ws.nbytes > 0
     other = build_plan(4, 128, np.float64, k=3)
-    assert not ws.fits(other)
-    with pytest.raises(ValueError):
-        a, b, c, d = make_batch(4, 128)
-        execute_plan(other, ws, a, b, c, d)
+    # a plan variant of another c shares the signature, not the buffers
+    variant = dataclasses.replace(plan, subtile_scale=1)
+    assert variant.signature() == plan.signature()
+    for wrong in (other, variant):
+        assert not ws.fits(wrong)
+        with pytest.raises(ValueError):
+            a, b, c, d = make_batch(4, 128)
+            execute_plan(wrong, ws, a, b, c, d)
 
 
 def test_clear_drops_plans_but_engine_stays_usable():

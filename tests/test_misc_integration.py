@@ -4,7 +4,6 @@ import subprocess
 import sys
 
 import numpy as np
-import pytest
 
 from .conftest import make_batch, make_system, max_err, reference_solve
 

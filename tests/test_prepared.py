@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import repro
+from repro.core.hybrid import HybridSolver
 from repro.engine import ExecutionEngine, PreparedPlan, coefficient_fingerprint
 from repro.engine.prepared import (
     FINGERPRINT_SAMPLE,
@@ -460,15 +461,17 @@ def test_prepared_workspace_counts_staging_from_the_first_solve_shard(k):
 
 # ------------------------------------------ factored bits at every k > 0
 
-#: (M, N, one-shot options) per case: a ragged N (2^k does not divide
-#: it), M = 1, both schedule options, and N = 2^k, where the requested
-#: 2^k reaches N and the plan clamps k on both routes alike.
+#: (M, N, route options, reference options) per case: a ragged N (2^k
+#: does not divide it), M = 1, fused p-Thomas, the reference's Fig. 11b
+#: schedule of three windows, and N = 2^k, where the requested 2^k
+#: reaches N and the plan clamps k on every route alike.  The one-shot
+#: reference is ``HybridSolver(k=k, **reference options)``.
 BITS_CASES = {
-    "ragged": (4, 777, {}),
-    "m1": (1, 1500, {}),
-    "fuse": (8, 640, {"fuse": True}),
-    "windows": (8, 640, {"n_windows": 3}),
-    "2^k=N": (3, None, {}),
+    "ragged": (4, 777, {}, {}),
+    "m1": (1, 1500, {}, {}),
+    "fuse": (8, 640, {"fuse": True}, {"fuse": True}),
+    "windows": (8, 640, {}, {"n_windows": 3}),
+    "2^k=N": (3, None, {}, {}),
 }
 
 
@@ -478,11 +481,13 @@ BITS_CASES = {
 def test_every_factored_route_has_the_one_shot_bits(k, dtype, case):
     from repro.backends import bind_via
 
-    m, n, opts = BITS_CASES[case]
+    m, n, opts, ref_opts = BITS_CASES[case]
     n = n or 1 << k
     a, b, c, d = make_batch(m, n, dtype=dtype, seed=k + n)
     engine = ExecutionEngine()
-    ref = engine.solve_batch(a, b, c, d, k=k, fingerprint=False, **opts)
+    ref = HybridSolver(k=k, **ref_opts).solve_batch(a, b, c, d)
+    x = engine.solve_batch(a, b, c, d, k=k, fingerprint=False, **opts)
+    assert x.tobytes() == ref.tobytes()
 
     with bind_via(a, b, c, d, backend="engine", k=k, fingerprint=True, **opts) as s:
         assert s.describe()["mode"] == "rhs"

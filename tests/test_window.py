@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core.cost_model import f_redundant_loads
 from repro.core.window import BufferedSlidingWindow
 
 
