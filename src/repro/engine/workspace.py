@@ -97,10 +97,15 @@ class PlanWorkspace:
                 self.nbytes += sum(r.nbytes for r in self.reduced)
 
     def fits(self, plan) -> bool:
-        """True if this workspace serves exactly ``plan``: its signature
+        """True if this workspace's buffers serve ``plan``: its signature
         and its sub-tile (a plan variant of another ``c`` shares the
-        signature but not the window buffers)."""
-        return self.plan == plan
+        signature but not the window buffers).  ``k_source`` sizes
+        nothing, so a pinned-``k`` plan and the Table III plan it
+        resolves to share one pool."""
+        return (
+            self.plan.signature() == plan.signature()
+            and self.plan.subtile_scale == plan.subtile_scale
+        )
 
 
 class PreparedWorkspace(RhsWorkspace):

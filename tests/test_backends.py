@@ -102,10 +102,10 @@ def test_unknown_solve_option_is_a_type_error():
         repro.solve_batch(a, b, c, d, tile=4)
 
 
-def _workers_entries(value):
-    """Every entry point that took ``workers=`` -> a call passing it.
-
-    The CLI's ``--workers`` flag is checked in ``test_cli``.
+def _assert_retired(name, value):
+    """Passing the retired option ``name`` to every solve entry point is
+    an unknown-keyword ``TypeError`` that names it, raised before any
+    solve.  The CLI's ``--workers`` flag is checked in ``test_cli``.
     """
     from repro.workloads.timestepping import (
         ADIDiffusion2D,
@@ -114,27 +114,33 @@ def _workers_entries(value):
     )
 
     a, b, c, d = _batch(m=4, n=32)
+    opt = {name: value}
     engine = ExecutionEngine()
     handle = engine.prepare(a, b, c, k=0)
     u2, u3 = np.zeros((4, 8)), np.zeros((3, 4, 5))
-    return engine, {
-        "repro.solve_batch": lambda: repro.solve_batch(
-            a, b, c, d, workers=value
-        ),
+    entries = {
+        "repro.solve_batch": lambda: repro.solve_batch(a, b, c, d, **opt),
         "solve_periodic_batch": lambda: solve_periodic_batch(
-            a, b, c, d, workers=value
+            a, b, c, d, **opt
         ),
-        "bind_via": lambda: bind_via(a, b, c, d, workers=value),
-        "repro.prepare": lambda: repro.prepare(a, b, c, workers=value),
-        "engine.prepare": lambda: engine.prepare(a, b, c, workers=value),
-        "handle.solve": lambda: handle.solve(d, workers=value),
-        "handle.bind": lambda: handle.bind(workers=value),
-        "ADIDiffusion2D": lambda: ADIDiffusion2D(u2, 0.1, 0.1, workers=value),
-        "ADIDiffusion3D": lambda: ADIDiffusion3D(u3, 0.1, 0.1, workers=value),
+        "bind_via": lambda: bind_via(a, b, c, d, **opt),
+        "repro.prepare": lambda: repro.prepare(a, b, c, **opt),
+        "engine.prepare": lambda: engine.prepare(a, b, c, **opt),
+        "engine.solve_batch": lambda: engine.solve_batch(a, b, c, d, **opt),
+        "handle.solve": lambda: handle.solve(d, **opt),
+        "handle.bind": lambda: handle.bind(**opt),
+        "SolveService.submit": lambda: _service_solve(a, b, c, d, **opt),
+        "ADIDiffusion2D": lambda: ADIDiffusion2D(u2, 0.1, 0.1, **opt),
+        "ADIDiffusion3D": lambda: ADIDiffusion3D(u3, 0.1, 0.1, **opt),
         "CrankNicolsonCubic": lambda: CrankNicolsonCubic(
-            u2, 0.1, 0.1, workers=value
+            u2, 0.1, 0.1, **opt
         ),
     }
+    for entry, call in entries.items():
+        with pytest.raises(TypeError, match=name):
+            call()
+    assert engine.stats.solves == 0
+    assert engine.stats.plans_built == 1  # the handle's, nothing after
 
 
 @pytest.mark.parametrize("value", [0, -1, 2.5, 3])
@@ -142,11 +148,7 @@ def test_workers_is_rejected_at_every_entry(value):
     # every solve runs on one thread: the retired option is an unknown
     # keyword at every entry that took it, whether its value was once
     # refused (0, -1, 2.5) or once honoured (3)
-    engine, entries = _workers_entries(value)
-    for entry, call in entries.items():
-        with pytest.raises(TypeError, match="workers"):
-            call()
-    assert engine.stats.solves == 0
+    _assert_retired("workers", value)
 
 
 #: GPU launch parameters the engine's plan owns — Fig. 11b's windows,
@@ -162,24 +164,11 @@ SCHEDULE_OPTIONS = {
 
 @pytest.mark.parametrize("name", sorted(SCHEDULE_OPTIONS))
 def test_schedule_options_are_unknown_at_every_entry(name):
-    # the request names the route; the host schedule is the plan's own,
-    # so a schedule option is an unknown keyword on every entry
-    a, b, c, d = _batch(m=4, n=32)
-    opt = {name: SCHEDULE_OPTIONS[name]}
-    engine = ExecutionEngine()
-    entries = {
-        "repro.solve_batch": lambda: repro.solve_batch(a, b, c, d, **opt),
-        "repro.prepare": lambda: repro.prepare(a, b, c, engine=engine, **opt),
-        "bind_via": lambda: bind_via(a, b, c, d, **opt),
-        "SolveService.submit": lambda: _service_solve(a, b, c, d, **opt),
-    }
-    for entry, call in entries.items():
-        with pytest.raises(TypeError, match=name):
-            call()
-    assert engine.stats.solves == engine.stats.plans_built == 0
+    # the request names the route; the host schedule is the plan's own
+    _assert_retired(name, SCHEDULE_OPTIONS[name])
     if name == "heuristic":
         with pytest.raises(TypeError, match=name):
-            ExecutionEngine(**opt)
+            ExecutionEngine(heuristic=GTX480_HEURISTIC)
 
 
 @pytest.mark.parametrize("bad", [0, -1])

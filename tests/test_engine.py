@@ -383,6 +383,20 @@ def test_workspace_matches_plan():
             execute_plan(wrong, ws, a, b, c, d)
 
 
+def test_pinned_and_heuristic_plans_share_a_workspace_pool():
+    # After an eviction the memo can hand back a Table III plan whose
+    # signature a pinned-k plan re-pooled; both must take its workspaces.
+    eng = ExecutionEngine(max_plans=1)
+    a, b, c, d = make_batch(4, 512, seed=3)
+    x = eng.solve_batch(a, b, c, d, fingerprint=False)
+    unset = eng.plan_for(4, 512, np.float64)
+    assert unset.k > 0 and unset.k_source == "heuristic"
+    eng.solve_batch(*make_batch(2, 64, seed=4), fingerprint=False)  # evicts
+    pinned = eng.solve_batch(a, b, c, d, k=unset.k, fingerprint=False)
+    again = eng.solve_batch(a, b, c, d, fingerprint=False)
+    assert pinned.tobytes() == x.tobytes() == again.tobytes()
+
+
 def test_clear_drops_plans_but_engine_stays_usable():
     eng = ExecutionEngine()
     a, b, c, d = make_batch(4, 64, seed=1)
