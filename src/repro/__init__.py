@@ -101,7 +101,7 @@ from repro.service import (
 from repro.distributed import DistributedWorkerError, partitioned_solve_reference
 from repro.util import BatchTridiagonal, TridiagonalSystem
 
-__version__ = "1.15.0"
+__version__ = "1.16.0"
 
 __all__ = [
     "solve",

@@ -200,14 +200,14 @@ class GpuSimBackend(BackendBase):
             k_source = "fixed"
 
         # solve on the engine spine at the *device* plan's k, on the
-        # host's schedule; the trace it returns carries the measured
-        # stages
-        outcome = default_engine().run(
-            request.replace(k=k, fuse=self.solver.fuse)
-        )
+        # host's schedule, with the kernels the request or the solver
+        # asks for; the trace it returns carries the measured stages
+        fuse = request.fuse or self.solver.fuse
+        outcome = default_engine().run(request.replace(k=k, fuse=fuse))
         rhs_only = outcome.trace.rhs_only
         report = self.solver.predict(
-            request.m, request.n, dtype_bytes, k=k, n_windows=n_windows
+            request.m, request.n, dtype_bytes,
+            k=k, n_windows=n_windows, fuse=fuse,
         )
 
         if rhs_only:

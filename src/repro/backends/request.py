@@ -33,11 +33,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from repro.core.validation import (
-    check_batch_arrays,
-    check_block_batch_arrays,
-    check_cyclic_batch_arrays,
+    check_batch_content,
+    check_block_content,
+    check_cyclic_content,
     check_out,
-    check_penta_batch_arrays,
+    check_penta_content,
     coerce_batch_arrays,
     coerce_block_batch_arrays,
     coerce_cyclic_batch_arrays,
@@ -121,6 +121,18 @@ def _count(name: str, value):
     if count < 1:
         raise ValueError(f"{name} must be an int >= 1 (or None), got {value!r}")
     return count
+
+
+def _validator(system: SystemDescriptor, periodic: bool):
+    """``(shape half, content half, array fields)`` of one system kind's
+    validator (:mod:`repro.core.validation`)."""
+    if system.kind == "pentadiagonal":
+        return coerce_penta_batch_arrays, check_penta_content, "eabcfd"
+    if system.kind == "block":
+        return coerce_block_batch_arrays, check_block_content, "abcd"
+    if periodic:
+        return coerce_cyclic_batch_arrays, check_cyclic_content, "abcd"
+    return coerce_batch_arrays, check_batch_content, "abcd"
 
 
 #: keyword options accepted by :meth:`SolveRequest.build` /
@@ -260,15 +272,15 @@ class SolveRequest:
         """Validate/coerce a batch and its options into a request.
 
         The one validator of every solve: the public entry points hand
-        their raw arrays here.  Inputs are checked (``check=True``:
-        shapes, finiteness, pads, pivots) or merely coerced to one
-        contiguous float dtype (``check=False``; a broadcast batch stays
-        a stride-0 view of one contiguous row) — cyclic requests
-        through the dedicated cyclic validators, whose corners are
-        couplings the plain validator would zero, and which require
-        ``N >= 3``.  Unknown options raise ``TypeError`` at this
-        boundary.  An ``out`` must be an ``ndarray`` of ``d``'s shape
-        and the solve dtype in either mode (any memory layout).
+        their raw arrays here.  Every input is coerced to one contiguous
+        float dtype (a broadcast batch stays a stride-0 view of one
+        contiguous row) and its shapes are checked; ``check=True`` adds
+        the content checks — finiteness, pads, pivots (:meth:`checked`).
+        Cyclic requests go through the dedicated cyclic validators,
+        whose corners are couplings the plain validator would zero, and
+        which require ``N >= 3``.  Unknown options raise ``TypeError``
+        at this boundary.  An ``out`` must be an ``ndarray`` of ``d``'s
+        shape and the solve dtype in either mode (any memory layout).
 
         The system kind is inferred when ``system`` is not given:
         second sub-/super-diagonals ``e``/``f`` mean pentadiagonal, a
@@ -308,64 +320,54 @@ class SolveRequest:
                     "fuse is a hybrid (tridiagonal) plan option; not "
                     f"applicable to a {system.kind!r} solve"
                 )
-        if system.kind == "pentadiagonal":
-            if e is None or f is None:
-                raise ValueError(
-                    "pentadiagonal requests need both outer diagonals e "
-                    "(offset -2) and f (offset +2)"
-                )
-            validate = (
-                check_penta_batch_arrays if check else coerce_penta_batch_arrays
+        if system.kind == "pentadiagonal" and (e is None or f is None):
+            raise ValueError(
+                "pentadiagonal requests need both outer diagonals e "
+                "(offset -2) and f (offset +2)"
             )
-            e, a, b, c, f, d = validate(e, a, b, c, f, d)
-            m, n = b.shape
-        elif system.kind == "block":
-            validate = (
-                check_block_batch_arrays if check else coerce_block_batch_arrays
+        shapes, content, fields = _validator(system, periodic)
+        given = {"e": e, "a": a, "b": b, "c": c, "f": f, "d": d}
+        arrays = shapes(*(given[name] for name in fields))
+        if check:
+            arrays = content(*arrays)
+        arrays = dict(zip(fields, arrays))
+        b = arrays["b"]
+        if system.kind == "block" and b.shape[2] != system.block_size:
+            raise ValueError(
+                f"blocks are {b.shape[2]}x{b.shape[3]} but the "
+                f"descriptor says block_size={system.block_size}"
             )
-            a, b, c, d = validate(a, b, c, d)
-            if b.ndim != 4:
-                raise ValueError(
-                    f"block batch must be (M, N, B, B), got {b.ndim}-D"
-                )
-            if b.shape[2] != system.block_size:
-                raise ValueError(
-                    f"blocks are {b.shape[2]}x{b.shape[3]} but the "
-                    f"descriptor says block_size={system.block_size}"
-                )
-            m, n = b.shape[:2]
-        else:
-            if periodic:
-                validate = (
-                    check_cyclic_batch_arrays
-                    if check
-                    else coerce_cyclic_batch_arrays
-                )
-            else:
-                validate = check_batch_arrays if check else coerce_batch_arrays
-            a, b, c, d = validate(a, b, c, d)
-            if b.ndim != 2:
-                raise ValueError(f"batch must be 2-D (M, N), got {b.ndim}-D")
-            m, n = b.shape
         if out is not None:
-            check_out(out, d.shape, d.dtype)
+            check_out(out, arrays["d"].shape, arrays["d"].dtype)
         return cls(
-            a=a,
-            b=b,
-            c=c,
-            d=d,
-            m=m,
-            n=n,
+            **arrays,
+            m=b.shape[0],
+            n=b.shape[1],
             dtype=np.dtype(b.dtype).name,
             periodic=periodic,
             check=check,
             out=out,
             label=label,
-            e=e,
-            f=f,
             system=system,
             **opts,
         )
+
+    def checked(self, *, in_place: bool = False) -> "SolveRequest":
+        """This request with its content checked: the content half of
+        its kind's validator (finiteness, pads, pivots), which
+        :meth:`build` runs under ``check=True``.
+
+        A request built with ``check=False`` and handed here keeps the
+        bits and raises the errors of one built with ``check=True``.
+        ``in_place`` zeroes nonzero pads in the request's own arrays
+        rather than in copies: only for arrays the caller owns (the
+        service's concatenated windows).
+        """
+        _, content, fields = _validator(self.system, self.periodic)
+        arrays = content(
+            *(getattr(self, name) for name in fields), in_place=in_place
+        )
+        return self.replace(**dict(zip(fields, arrays)))
 
     def replace(self, **changes) -> "SolveRequest":
         """A copy of this request with some fields replaced."""

@@ -91,6 +91,44 @@ def _uniform_rows(*arrays) -> bool:
     )
 
 
+def _eliminate_column(ta, tb, tc) -> None:
+    """:meth:`ThomasRhsFactorization.factor_t` at ``g = 1`` on one
+    ``(N, 1)`` column whose row 0 is done, filling the rows that repeat.
+
+    Row ``i`` computes ``denom_i = b_i − cp_{i−1}·a_i`` and
+    ``cp_i = c_i / denom_i``.  When row ``i``'s ``(a, b, c)`` bits equal
+    row ``i − 1``'s and ``cp_{i−1}`` equals ``cp_{i−2}``, both operations
+    repeat row ``i − 1``'s on the same bits, and so on for every later
+    row of that coefficient run: the run takes row ``i − 1``'s ``denom``
+    and ``cp`` in one copy each.  Bits are compared as unsigned integers,
+    as :func:`_uniform_rows` does, so the fill is the row loop's bytes.
+    An ADI column reaches that fixed point within a few dozen rows and
+    skips the rest of its ``N``.
+    """
+    n = len(tb)
+    words = [v.view(f"u{v.itemsize}")[:, 0] for v in (ta, tb, tc)]
+    # repeats[i]: row i's coefficients are row i-1's (read before tb and
+    # tc turn into denom and cp)
+    repeats = np.zeros(n, dtype=bool)
+    repeats[1:] = np.logical_and.reduce([w[1:] == w[:-1] for w in words])
+    run_ends = np.append(np.flatnonzero(~repeats), n)
+    repeats = repeats.tolist()
+    cp = words[2]  # tc's words turn into cp's as the loop passes them
+    t = np.empty(1, dtype=tb.dtype)
+    i = 1
+    while i < n:
+        if i > 1 and repeats[i] and cp[i - 1] == cp[i - 2]:
+            end = run_ends[np.searchsorted(run_ends, i)]
+            tb[i:end] = tb[i - 1]
+            tc[i:end] = tc[i - 1]
+            i = end
+            continue
+        np.multiply(tc[i - 1], ta[i], t)
+        np.subtract(tb[i], t, tb[i])
+        np.divide(tc[i], tb[i], tc[i])
+        i += 1
+
+
 def _scratch(t: np.ndarray, slabs, g: int):
     """One ``t`` view per slab, matching its row count (``t`` itself,
     row by row, at ``g = 1``)."""
@@ -212,10 +250,14 @@ class ThomasRhsFactorization:
         Level by level as p-Thomas runs it: the first ``g`` rows keep
         ``denom = b`` and take ``c' = c / b``; every later row takes
         ``denom = b − c'_{i−g}·a`` (that multiply-then-subtract order)
-        and ``c' = c / denom``.
+        and ``c' = c / denom``.  One column at ``g = 1`` (a uniform
+        batch's) stops walking rows that repeat (:func:`_eliminate_column`).
         """
         h = min(g, len(tb))
         np.divide(tc[:h], tb[:h], out=tc[:h])
+        if g == 1 and tb.shape[1] == 1:
+            _eliminate_column(ta, tb, tc)
+            return cls(ta=ta, cp=tc, denom=tb, g=g)
         cur = _slabs(tb[g:], g)
         t = np.empty((h, *tb.shape[1:]), dtype=tb.dtype)
         for cprev, ai, bi, ci, ti in zip(

@@ -1,10 +1,17 @@
 """Input validation shared by every solver entry point.
 
 Solvers accept "padded" diagonals (``a[0] == c[-1] == 0``; see
-:mod:`repro.util.tridiag`).  Validation normalizes dtype, enforces shape
-agreement, zeroes the out-of-matrix pads, and optionally checks
-finiteness.  All checks are cheap relative to a solve and can be skipped
-with ``check=False`` in inner loops.
+:mod:`repro.util.tridiag`).  Each batch validator is two halves:
+
+* the *shape half* (``coerce_*_batch_arrays``) normalizes dtype and
+  enforces shape agreement — O(1) per array beyond the coercion;
+* the *content half* (``check_*_content``) checks finiteness, zeroes the
+  out-of-matrix pads and checks the pivots — a pass over the data.
+
+``check_*_batch_arrays`` composes the two, with no extra pass.
+``check=False`` runs the shape half alone.  A caller that owns the
+arrays (the service's concatenated windows) may let the content half
+zero the pads in place.
 
 A batch of one repeated row — batch-axis stride 0, what
 ``np.broadcast_to(row, (M, N))`` returns (:func:`is_broadcast_batch`) —
@@ -39,11 +46,15 @@ __all__ = [
     "coerce_cyclic_batch_arrays",
     "check_system_arrays",
     "check_batch_arrays",
+    "check_batch_content",
     "check_cyclic_batch_arrays",
+    "check_cyclic_content",
     "coerce_penta_batch_arrays",
     "check_penta_batch_arrays",
+    "check_penta_content",
     "coerce_block_batch_arrays",
     "check_block_batch_arrays",
+    "check_block_content",
     "check_out",
     "is_broadcast_batch",
     "require_power_of_two",
@@ -109,15 +120,19 @@ def _contiguous(arr: np.ndarray, dtype) -> np.ndarray:
     return np.ascontiguousarray(arr, dtype=dtype)
 
 
-def _zero_pad(arr: np.ndarray, rows: np.ndarray, cols) -> np.ndarray:
-    """``arr`` with its pad ``arr[:, cols]`` zeroed, copied only when the
-    pad is nonzero: the caller's memory is never written.  ``rows`` is
-    :func:`_rows` of ``arr``; a broadcast batch copies its one row and
-    broadcasts it again."""
+def _zero_pad(
+    arr: np.ndarray, rows: np.ndarray, cols, in_place: bool = False
+) -> np.ndarray:
+    """``arr`` with its pad ``arr[:, cols]`` zeroed.  Unless ``in_place``
+    (the caller owns ``arr``), it is copied when the pad is nonzero, so
+    a caller's memory is never written.  ``rows`` is :func:`_rows` of
+    ``arr``; a broadcast batch copies its one row and broadcasts it
+    again."""
     if not np.any(rows[:, cols] != 0.0):
         return arr
     if rows is arr:
-        arr = arr.copy()
+        if not in_place:
+            arr = arr.copy()
         arr[:, cols] = 0.0
         return arr
     row = rows[0].copy()
@@ -155,22 +170,9 @@ def _uniform_float(arrays):
     return [_contiguous(v, dtype) for v in arrays]
 
 
-def coerce_batch_arrays(a, b, c, d):
-    """Coerce batch inputs to uniform float arrays *without* validating.
-
-    The cheap, unconditional half of :func:`check_batch_arrays`: lists
-    and scalars become arrays, mixed precisions promote via
-    ``np.result_type``, and anything that is not float32/float64 (e.g.
-    integer lists) is promoted to float64 — otherwise a ``check=False``
-    solve would silently truncate float results into integer storage.
-    Shape agreement, pad zeroing and finiteness are *not* checked;
-    that is :func:`check_batch_arrays`'s job.  A broadcast batch stays
-    one (see the module docs).
-    """
-    return tuple(_uniform_float((a, b, c, d)))
-
-
-def _common(arrays, ndim: int):
+def _shapes(arrays, ndim: int):
+    """Coerce ``a, b, c, d`` (:func:`_uniform_float`) and check that
+    they are ``ndim``-D, share one shape and are not empty."""
     arrays = _uniform_float(arrays)
     shape = arrays[0].shape
     for name, arr in zip("abcd", arrays):
@@ -180,14 +182,28 @@ def _common(arrays, ndim: int):
             raise ValueError(f"{name!r} has shape {arr.shape}, expected {shape}")
     if any(s == 0 for s in shape):
         raise ValueError("empty system")
-    rows = [_rows(arr) for arr in arrays]
-    _check_finite("abcd", rows)
-    return arrays, rows
+    return arrays
+
+
+def coerce_batch_arrays(a, b, c, d):
+    """The shape half of :func:`check_batch_arrays`: coercion plus shape
+    agreement, without reading the data.
+
+    Lists and scalars become arrays, mixed precisions promote via
+    ``np.result_type``, and anything that is not float32/float64 (e.g.
+    integer lists) is promoted to float64 — otherwise a ``check=False``
+    solve would silently truncate float results into integer storage.
+    The four arrays must be non-empty ``(M, N)`` batches of one shape.
+    Pad zeroing, finiteness and pivots are :func:`check_batch_content`'s
+    job.  A broadcast batch stays one (see the module docs).
+    """
+    return tuple(_shapes((a, b, c, d), ndim=2))
 
 
 def check_system_arrays(a, b, c, d):
     """Validate one system's diagonals; returns normalized copies-if-needed."""
-    (a, b, c, d), _ = _common((a, b, c, d), ndim=1)
+    a, b, c, d = _shapes((a, b, c, d), ndim=1)
+    _check_finite("abcd", (a, b, c, d))
     if a[0] != 0.0:
         a = a.copy()
         a[0] = 0.0
@@ -199,17 +215,30 @@ def check_system_arrays(a, b, c, d):
     return a, b, c, d
 
 
+def check_batch_content(a, b, c, d, *, in_place: bool = False):
+    """The content half of :func:`check_batch_arrays`: finiteness, pads
+    and pivots of coerced ``(M, N)`` arrays (:func:`coerce_batch_arrays`).
+
+    The pads ``a[:, 0]`` and ``c[:, -1]`` are zeroed in place when
+    ``in_place`` (the caller owns ``a`` and ``c``), in a copy otherwise.
+    Only the values are read, so ``d`` may hold other rows than the
+    coefficients.
+    """
+    a_rows, b_rows, c_rows, d_rows = (_rows(arr) for arr in (a, b, c, d))
+    _check_finite("abcd", (a_rows, b_rows, c_rows, d_rows))
+    a = _zero_pad(a, a_rows, 0, in_place)
+    c = _zero_pad(c, c_rows, -1, in_place)
+    _check_pivots(b_rows)
+    return a, b, c, d
+
+
 def check_batch_arrays(a, b, c, d):
-    """Validate an ``(M, N)`` batch's diagonals.
+    """Validate an ``(M, N)`` batch's diagonals: both halves.
 
     A broadcast batch is checked on its one row and returned as a
     stride-0 view (see the module docs).
     """
-    (a, b, c, d), (a_rows, b_rows, c_rows, _) = _common((a, b, c, d), ndim=2)
-    a = _zero_pad(a, a_rows, 0)
-    c = _zero_pad(c, c_rows, -1)
-    _check_pivots(b_rows)
-    return a, b, c, d
+    return check_batch_content(*coerce_batch_arrays(a, b, c, d))
 
 
 def coerce_cyclic_batch_arrays(a, b, c, d):
@@ -251,11 +280,17 @@ def coerce_cyclic_batch_arrays(a, b, c, d):
     return tuple(arrays)
 
 
+def check_cyclic_content(a, b, c, d, *, in_place: bool = False):
+    """The content half of :func:`check_cyclic_batch_arrays`: finiteness
+    only.  The corners are couplings, so there is no pad to zero and
+    ``in_place`` changes nothing."""
+    _check_finite("abcd", [_rows(arr) for arr in (a, b, c, d)])
+    return a, b, c, d
+
+
 def check_cyclic_batch_arrays(a, b, c, d):
     """Validate a cyclic ``(M, N)`` batch (corners kept, finiteness on)."""
-    arrays = coerce_cyclic_batch_arrays(a, b, c, d)
-    _check_finite("abcd", [_rows(arr) for arr in arrays])
-    return arrays
+    return check_cyclic_content(*coerce_cyclic_batch_arrays(a, b, c, d))
 
 
 def coerce_penta_batch_arrays(e, a, b, c, f, d):
@@ -296,6 +331,23 @@ def coerce_penta_batch_arrays(e, a, b, c, f, d):
     return tuple(arrays)
 
 
+def check_penta_content(e, a, b, c, f, d, *, in_place: bool = False):
+    """The content half of :func:`check_penta_batch_arrays`: finiteness,
+    the pads ``e[:, :2]``, ``a[:, 0]``, ``c[:, -1]``, ``f[:, -2:]``
+    (zeroed in place when ``in_place``, in a copy otherwise) and the
+    pivots."""
+    rows = [_rows(arr) for arr in (e, a, b, c, f, d)]
+    _check_finite("eabcfd", rows)
+    e_rows, a_rows, b_rows, c_rows, f_rows, _ = rows
+    n = b.shape[1]
+    e = _zero_pad(e, e_rows, slice(0, min(2, n)), in_place)
+    a = _zero_pad(a, a_rows, 0, in_place)
+    c = _zero_pad(c, c_rows, -1, in_place)
+    f = _zero_pad(f, f_rows, slice(max(0, n - 2), None), in_place)
+    _check_pivots(b_rows)
+    return e, a, b, c, f, d
+
+
 def check_penta_batch_arrays(e, a, b, c, f, d):
     """Validate a pentadiagonal batch: pads zeroed, finiteness, pivots.
 
@@ -303,17 +355,7 @@ def check_penta_batch_arrays(e, a, b, c, f, d):
     :class:`~repro.core.pentadiag.PentaFactorization` only reads its
     inputs (it factors transposed copies).
     """
-    e, a, b, c, f, d = coerce_penta_batch_arrays(e, a, b, c, f, d)
-    rows = [_rows(arr) for arr in (e, a, b, c, f, d)]
-    _check_finite("eabcfd", rows)
-    e_rows, a_rows, b_rows, c_rows, f_rows, _ = rows
-    n = b.shape[1]
-    e = _zero_pad(e, e_rows, slice(0, min(2, n)))
-    a = _zero_pad(a, a_rows, 0)
-    c = _zero_pad(c, c_rows, -1)
-    f = _zero_pad(f, f_rows, slice(max(0, n - 2), None))
-    _check_pivots(b_rows)
-    return e, a, b, c, f, d
+    return check_penta_content(*coerce_penta_batch_arrays(e, a, b, c, f, d))
 
 
 def coerce_block_batch_arrays(A, B, C, d):
@@ -354,18 +396,24 @@ def coerce_block_batch_arrays(A, B, C, d):
     return A, B, C, d
 
 
+def check_block_content(A, B, C, d, *, in_place: bool = False):
+    """The content half of :func:`check_block_batch_arrays`: finiteness
+    and the pad blocks ``A[:, 0]``, ``C[:, -1]`` (zeroed in place when
+    ``in_place``, in a copy otherwise)."""
+    # a block stack is never a broadcast batch: every row is checked
+    _check_finite(("A", "B", "C", "d"), (A, B, C, d))
+    A = _zero_pad(A, A, 0, in_place)
+    C = _zero_pad(C, C, -1, in_place)
+    return A, B, C, d
+
+
 def check_block_batch_arrays(A, B, C, d):
     """Validate a block-tridiagonal batch: pads zeroed, finiteness.
 
     Block stacks are 4-D, so a broadcast block batch is made contiguous
     like any other layout.
     """
-    A, B, C, d = coerce_block_batch_arrays(A, B, C, d)
-    # a block stack is never a broadcast batch: every row is checked
-    _check_finite(("A", "B", "C", "d"), (A, B, C, d))
-    A = _zero_pad(A, A, 0)
-    C = _zero_pad(C, C, -1)
-    return A, B, C, d
+    return check_block_content(*coerce_block_batch_arrays(A, B, C, d))
 
 
 def check_out(out, shape: tuple, dtype, name: str = "out"):

@@ -162,11 +162,13 @@ class GpuHybridSolver:
         *,
         k: int | None = None,
         n_windows: int | None = None,
+        fuse: bool | None = None,
     ) -> GpuSolveReport:
         """Price a problem shape on the device model (no numerics).
 
-        ``k`` / ``n_windows`` override the planner (the backend layer
-        passes a signature's fixed transition through so prediction and
+        ``k`` / ``n_windows`` / ``fuse`` override the planner and the
+        solver's own ``fuse`` (the backend layer passes a request's
+        fixed transition and kernel choice through so prediction and
         execution price the same launch).
         """
         planned_k, planned_w = self.plan(m, n, dtype_bytes)
@@ -174,10 +176,12 @@ class GpuHybridSolver:
             k = planned_k
         if n_windows is None:
             n_windows = planned_w if k == planned_k else self.plan_windows(m, n, k)
+        if fuse is None:
+            fuse = self.fuse
         model = GpuTimingModel(self.device)
         report = GpuSolveReport(
             m=m, n=n, k=k, dtype_bytes=dtype_bytes,
-            n_windows=n_windows, fused=self.fuse and k > 0,
+            n_windows=n_windows, fused=fuse and k > 0,
         )
         g = 1 << k
         length = -(-n // g)
@@ -188,7 +192,7 @@ class GpuHybridSolver:
             report.stages.append(
                 (counters.name, counters, model.time(counters, dtype_bytes))
             )
-        elif self.fuse:
+        elif fuse:
             counters = fused_hybrid_counters(
                 m, n, k, dtype_bytes,
                 device=self.device, c=self.subtile_scale, n_windows=n_windows,

@@ -8,7 +8,7 @@ door that turns one traffic shape into the other:
 
 ``submit`` → **coalesce window** → **one engine dispatch** → **scatter**
 
-Concurrent ``submit`` calls are validated into per-fragment
+Concurrent ``submit`` calls are admitted into per-fragment
 :class:`~repro.backends.request.SolveRequest` objects, grouped by
 compatibility (same ``N``/dtype/system descriptor/periodic flag and the
 same plan-shaping options), and concatenated along the batch (``M``)
@@ -38,20 +38,41 @@ group among themselves under those exact options.  Requests whose
 auto-``k`` would be ambiguous under coalescing (unset ``k`` with the
 hybrid-only ``fuse=True``) are passed through solo, never grouped.
 
-**Shared factorizations.**  ``fingerprint=True`` submissions are
-digest-grouped: fragments carrying the *same coefficient digest* (a
-time-stepping ensemble solving one matrix) skip concatenating their
-coefficients entirely — the service fetches the fragment-level
-``k = 0`` factorization from the engine's cache once, tiles it along
-the batch axis (a uniform fragment's one-column factorization serves
-the window as it is), and **binds a session** for the aggregate
-RHS-only shape.  Repeat windows of the same digest group (the steady
-state of a time-stepping ensemble) re-enter the bound session: per
-dispatch the service concatenates the right-hand sides and calls
-``step_once`` — no request rebuild, no registry negotiation, no
-factorization-cache round trip.  The sweep's operations are elementwise along ``M``, so
-the tiled sweep is bitwise identical to each caller's solo prepared
-solve.
+**The loop admits, the window validates.**  On the event loop a
+submit pays only what its group key needs: :meth:`SolveRequest.build
+<repro.backends.request.SolveRequest.build>`'s coercion plus its O(1)
+shape, dtype and option checks (``check=False``'s half), and the
+admission bound.  The content checks a ``check=True`` solve makes —
+finiteness, pads, pivots (:meth:`SolveRequest.checked
+<repro.backends.request.SolveRequest.checked>`) — run on the dispatch
+thread, once over each window's concatenated arrays, which are the
+service's own memory, so a nonzero pad is zeroed in place.  A window
+that fails its check re-checks fragment by fragment: each bad
+fragment's future gets its own ``ValueError`` (the message a direct
+solve raises), the rest of the window solves with unchanged bits, and
+the ``repro.service`` logger records the window's rows and how many
+fragments it refused.  Shape, dtype and option errors and
+:class:`ServiceOverloaded` raise from ``submit_nowait`` itself.
+
+**Shared factorizations.**  ``fingerprint=True`` submissions group by
+compatibility like any other.  Their window digests each distinct
+coefficient triple once, on the dispatch thread, from the checked
+arrays it is about to factor, and splits itself by digest: fragments
+carrying the *same coefficient digest* (a time-stepping ensemble
+solving one matrix) skip concatenating their coefficients entirely —
+the service fetches the fragment-level ``k = 0`` factorization from the
+engine's cache once, tiles it along the batch axis (a uniform
+fragment's one-column factorization serves the window as it is), and
+**binds a session** for the aggregate RHS-only shape.  Repeat windows
+of the same digest (the steady state of a time-stepping ensemble)
+re-enter the bound session: per dispatch the service concatenates the
+right-hand sides and calls ``step_once`` — no request rebuild, no
+registry negotiation, no factorization-cache round trip.  The sweep's
+operations are elementwise along ``M``, so the tiled sweep is bitwise
+identical to each caller's solo prepared solve.  Because the digest is
+taken where the factorization is, a caller that edits its coefficients
+in place between submit and dispatch gets the factorization of what it
+sent last, under that content's digest.
 
 **Admission control.**  The service bounds *admitted-but-undelivered
 rows* (``max_pending_rows``); past the bound, ``submit`` sheds the
@@ -63,6 +84,7 @@ backlog drains.
 from __future__ import annotations
 
 import asyncio
+import logging
 import threading
 import time
 from collections import OrderedDict, deque
@@ -75,10 +97,13 @@ from repro.backends.base import bind_backend
 from repro.backends.registry import BackendRegistry, default_registry
 from repro.backends.request import SolveRequest
 from repro.backends.trace import record_trace
+from repro.core.validation import check_batch_content
 from repro.engine.prepared import ThomasRhsFactorization, coefficient_fingerprint
 from repro.service.stats import ServiceStats
 
 __all__ = ["ServiceConfig", "ServiceOverloaded", "SolveService"]
+
+_log = logging.getLogger("repro.service")
 
 
 class ServiceOverloaded(RuntimeError):
@@ -185,20 +210,24 @@ class _Bucket:
     ``SolveService._held`` for that window to finish.
     """
 
-    __slots__ = ("key", "items", "rows", "timer", "digest", "solo", "held")
+    __slots__ = ("key", "items", "rows", "timer", "solo", "held")
 
-    def __init__(self, key, digest, solo):
+    def __init__(self, key, solo):
         self.key = key
         self.items: list = []
         self.rows = 0
         self.timer = None
-        self.digest = digest
         self.solo = solo
         self.held = False
 
 
 #: group-key sentinel counter for solo (never-coalesced) requests
 _solo_counter = iter(range(1, 1 << 62)).__next__
+
+
+def _stacked(arrays: list) -> np.ndarray:
+    """``arrays`` concatenated along the batch axis; one array as it is."""
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
 
 
 class SolveService:
@@ -253,7 +282,7 @@ class SolveService:
         self._closed = False
         self._executor: ThreadPoolExecutor | None = None
         self._executor_lock = threading.Lock()
-        # (digest, reps, m_frag, n, dtype, check) -> bound session
+        # (digest, fragments, check) -> bound session
         self._sessions: OrderedDict = OrderedDict()
         self._sessions_lock = threading.Lock()
 
@@ -268,7 +297,11 @@ class SolveService:
         :attr:`stats`.  Returns the fragment's solution — bitwise
         identical to the monolithic ``k = 0`` solve of any batch this
         fragment coalesced into.  Raises :class:`ServiceOverloaded`
-        when admission control sheds the request.
+        when admission control sheds the request, and shape, dtype and
+        option errors at once (see :meth:`submit_nowait`); a content
+        error — a non-finite value or a zero pivot under
+        ``check=True`` — raises the ``ValueError`` a direct solve
+        would, from the await.
         """
         return await self.submit_nowait(a, b, c, d, tenant=tenant, **opts)
 
@@ -279,9 +312,12 @@ class SolveService:
 
         Must be called on the service's event loop (``submit`` is the
         awaitable veneer; :class:`~repro.service.sync.SyncSolveClient`
-        is the cross-thread one).  Validation and admission happen
-        synchronously, so shape errors and
-        :class:`ServiceOverloaded` raise here, not inside the future.
+        is the cross-thread one).  Admission is synchronous and O(1)
+        per array beyond coercion: shape, dtype and option errors and
+        :class:`ServiceOverloaded` raise here.  The content checks of
+        ``check=True`` (finiteness, pads, pivots) run on the dispatch
+        thread over the whole window, so their ``ValueError`` arrives
+        through this fragment's future, and no other fragment's.
         """
         if self._closed:
             raise RuntimeError("service is closed")
@@ -293,14 +329,17 @@ class SolveService:
                 "SolveService is bound to another event loop; create one "
                 "service per loop"
             )
-        request = SolveRequest.build(a, b, c, d, **opts)
+        # the shape half only: the window runs the content half
+        check = opts.pop("check", True)
+        request = SolveRequest.build(a, b, c, d, check=False, **opts)
+        request.check = check
         rows = request.m
         if self._pending_rows + rows > self.config.max_pending_rows:
             self.stats.record_shed(tenant)
             raise ServiceOverloaded(
                 self._pending_rows, self.config.max_pending_rows, rows
             )
-        digest, key, solo = self._classify(request)
+        key, solo = self._classify(request)
         self.stats.record_admitted(tenant, rows)
         self._pending_rows += rows
         future = loop.create_future()
@@ -308,7 +347,7 @@ class SolveService:
 
         bucket = self._buckets.get(key)
         if bucket is None:
-            bucket = _Bucket(key, digest, solo)
+            bucket = _Bucket(key, solo)
             self._buckets[key] = bucket
         bucket.items.append(pending)
         bucket.rows += rows
@@ -320,26 +359,20 @@ class SolveService:
             )
         return future
 
-    def _classify(self, request: SolveRequest):
-        """``(digest, group key, solo)`` for one fragment.
+    @staticmethod
+    def _classify(request: SolveRequest):
+        """``(group key, solo)`` for one fragment.
 
         Two fragments may coalesce only when every axis that shapes the
         frozen plan — and therefore the bits of the answer — agrees.
-        ``fingerprint=True`` fragments additionally group by coefficient
-        digest, unlocking the shared-factorization dispatch.  Fragments
-        whose unset ``k`` cannot be pinned to 0 unambiguously
+        The key reads no array: ``fingerprint=True`` fragments of
+        different matrices share a window, which splits itself by
+        digest on the dispatch thread (:meth:`_digest_parts`).
+        Fragments whose unset ``k`` cannot be pinned to 0 unambiguously
         (``fuse=True``, a hybrid plan option) go solo.
         """
         if request.k is None and request.fuse:
-            return None, ("solo", _solo_counter()), True
-        digest = None
-        if request.fingerprint is True:
-            coeffs = (
-                (request.e, request.a, request.b, request.c, request.f)
-                if request.system.kind == "pentadiagonal"
-                else (request.a, request.b, request.c)
-            )
-            digest = coefficient_fingerprint(*coeffs)
+            return ("solo", _solo_counter()), True
         key = (
             request.n,
             request.dtype,
@@ -351,9 +384,8 @@ class SolveService:
             request.fingerprint,
             request.rtol,
             request.check,
-            digest,
         )
-        return digest, key, False
+        return key, False
 
     # ---- flushing -----------------------------------------------------
     def _flush_timer(self, bucket: _Bucket) -> None:
@@ -416,47 +448,141 @@ class SolveService:
 
     # ---- dispatch (executor threads) ---------------------------------
     def _dispatch(self, bucket: _Bucket, cause: str) -> None:
+        """One window, on a dispatch thread: check it, split it, solve.
+
+        :meth:`_parts` runs the window's content checks and digests; a
+        window that fails its check re-checks its fragments one by one
+        (:meth:`_refuse`), and the fragments that pass solve as the
+        window would have.
+        """
         items = bucket.items
+        self.stats.record_flush(cause)
         try:
-            bound = self._shared_session(bucket)
-            if bound is not None:
-                session, d = bound
+            verify = items[0].request.check
+            try:
+                parts = self._parts(bucket, items, verify)
+            except ValueError:
+                if not verify:
+                    raise
+                items, refused = self._refuse(items)
+                for p, exc in refused:
+                    self._fail([p], exc)
+                parts = self._parts(bucket, items, False) if items else []
+        except BaseException as exc:  # delivered, not swallowed
+            self._fail(items, exc)
+            return
+        for part in parts:
+            self._solve(*part)
+
+    def _solve(self, items, request, digest, d) -> None:
+        """Solve one part of a window and deliver its rows: a digest
+        part (:meth:`_digest_parts`) steps the bound session of its
+        digest, any other part dispatches its request."""
+        try:
+            if digest is None:
+                outcome = self._execute(request)
+                rows, shared = request.m, False
+            else:
+                session = self._shared_session(digest, request, len(items))
                 outcome = self._execute_session(session, d)
                 rows, shared = session.request.m, True
-            else:
-                request, shared = self._coalesced_request(bucket)
-                outcome = self._execute(request)
-                rows = request.m
             self.stats.record_dispatch(
-                {p.tenant for p in items},
-                rows,
-                outcome.trace,
-                cause=cause,
-                shared=shared,
+                {p.tenant for p in items}, rows, outcome.trace, shared=shared
             )
             self._loop.call_soon_threadsafe(
                 self._deliver, items, outcome.x, None
             )
         except BaseException as exc:  # delivered, not swallowed
-            for p in items:
-                self.stats.record_failed(p.tenant)
-            self._loop.call_soon_threadsafe(self._deliver, items, None, exc)
+            self._fail(items, exc)
 
-    def _coalesced_request(self, bucket: _Bucket):
-        """Build the one request this bucket executes as.
+    def _fail(self, items, exc) -> None:
+        for p in items:
+            self.stats.record_failed(p.tenant)
+        self._loop.call_soon_threadsafe(self._deliver, items, None, exc)
 
-        Returns ``(request, shared)``; the digest-tiled RHS-only path
-        lives in :meth:`_shared_session` and is tried first by
-        ``_dispatch``, so ``shared`` is always ``False`` here.  Unset
-        ``k`` on groupable fragments is pinned to 0 — the bitwise
-        anchor of the whole tier.
+    def _parts(self, bucket: _Bucket, items, verify: bool) -> list:
+        """The window as ``(items, request, digest, d)`` parts to solve,
+        content-checked when ``verify``.
+
+        A ``fingerprint=True`` window the shared path serves splits by
+        digest (:meth:`_digest_parts`).  Every other window is one part:
+        its concatenated request, checked once — in place when it was
+        concatenated, since those arrays are the service's own.
         """
-        items = bucket.items
         first = items[0].request
         pin_k = first.k is None and not bucket.solo
+        if first.fingerprint is True and self._shared_eligible(first, pin_k):
+            return self._digest_parts(items, verify)
+        request = self._coalesced_request(items, pin_k)
+        if verify:
+            request = request.checked(in_place=len(items) > 1)
+        return [(items, request, None, None)]
+
+    @staticmethod
+    def _digest_parts(items, verify: bool) -> list:
+        """One ``(items, request, digest, d)`` part per coefficient digest.
+
+        Each distinct coefficient triple (by array identity; a caller
+        that resends its arrays sends one triple) is checked with the
+        right-hand sides it carries and digested once, from the checked
+        arrays the shared path factors; triples with equal digests —
+        one matrix in different arrays — share a part.  ``request`` is
+        the part's first fragment with the checked coefficients; ``d``
+        stacks the part's right-hand sides in ``items`` order.
+        """
+        triples: dict = {}
+        for p in items:
+            r = p.request
+            triples.setdefault((id(r.a), id(r.b), id(r.c)), []).append(p)
+        parts: dict = {}
+        for members in triples.values():
+            first = members[0].request
+            a, b, c = first.a, first.b, first.c
+            d = _stacked([p.request.d for p in members])
+            if verify:
+                a, b, c, d = check_batch_content(a, b, c, d)
+            digest = coefficient_fingerprint(a, b, c)
+            part = parts.get(digest)
+            if part is None:
+                parts[digest] = (first.replace(a=a, b=b, c=c), members, [d])
+            else:
+                part[1].extend(members)
+                part[2].append(d)
+        return [
+            (members, request, digest, _stacked(ds))
+            for digest, (request, members, ds) in parts.items()
+        ]
+
+    @staticmethod
+    def _refuse(items) -> tuple:
+        """Check a window's fragments one by one: ``(good, refused)``,
+        the good fragments with checked requests, each refused one with
+        its own ``ValueError``."""
+        good, refused = [], []
+        for p in items:
+            try:
+                p.request = p.request.checked()
+            except ValueError as exc:
+                refused.append((p, exc))
+            else:
+                good.append(p)
+        _log.warning(
+            "window of %d rows failed its content check: %d of %d "
+            "fragments refused",
+            sum(p.request.m for p in items), len(refused), len(items),
+        )
+        return good, refused
+
+    @staticmethod
+    def _coalesced_request(items, pin_k: bool) -> SolveRequest:
+        """The one request a window of ``items`` executes as.
+
+        Unset ``k`` on groupable fragments is pinned to 0 — the bitwise
+        anchor of the whole tier.
+        """
+        first = items[0].request
         if len(items) == 1:
-            request = first.replace(k=0) if pin_k else first
-            return request, False
+            return first.replace(k=0) if pin_k else first
         # every other field — the group key agrees on all that shape the
         # answer — rides over from the first fragment unchanged
         cat = {
@@ -464,22 +590,22 @@ class SolveService:
             for name in ("e", "a", "b", "c", "f", "d")
             if getattr(first, name) is not None
         }
-        request = first.replace(
-            **cat, m=bucket.rows, k=0 if pin_k else first.k, out=None
+        return first.replace(
+            **cat, m=len(cat["d"]), k=0 if pin_k else first.k, out=None
         )
-        return request, False
 
-    @staticmethod
-    def _shared_eligible(first: SolveRequest, pin_k: bool) -> bool:
-        """May this digest group run the tiled RHS-only dispatch?
+    def _shared_eligible(self, first: SolveRequest, pin_k: bool) -> bool:
+        """May this ``fingerprint=True`` window run the tiled RHS-only
+        dispatch?
 
-        Plain tridiagonal ``k = 0`` only: that is where the stored
-        :class:`ThomasRhsFactorization` is bitwise-identical to the
-        cold solve, and tiling it along the batch axis is a pure
-        column-block repeat.  Periodic and banded digest groups fall
-        back to plain concatenation (the engine's own fingerprint cache
-        still serves them at the aggregate shape), and so do
-        ``ranks > 1`` groups, which the engine does not serve.
+        Plain tridiagonal ``k = 0`` only, with an engine to factor on:
+        that is where the stored :class:`ThomasRhsFactorization` is
+        bitwise-identical to the cold solve, and tiling it along the
+        batch axis is a pure column-block repeat.  Periodic and banded
+        windows fall back to plain concatenation (the engine's own
+        fingerprint cache still serves them at the aggregate shape),
+        and so do ``ranks > 1`` windows, which the engine does not
+        serve.
         """
         k_eff = 0 if pin_k else first.k
         return (
@@ -487,45 +613,28 @@ class SolveService:
             and not first.periodic
             and k_eff == 0
             and (first.ranks or 1) == 1
+            and self._shared_engine() is not None
         )
 
-    def _shared_session(self, bucket: _Bucket):
+    def _shared_session(self, digest: str, first: SolveRequest, reps: int):
         """Digest path: a bound session over the tiled factorization.
 
-        All fragments in a digest bucket carry *identical* coefficient
-        arrays (the digest hashes shape + content), so the coalesced
-        elimination state is the fragment's ``(N, m)`` factorization
-        repeated along the batch axis — fetched from (or built into)
-        the engine's factorization cache once, tiled once, and **bound
-        once**: the session holding the tiled factorization, frozen
-        aggregate plan, and pinned route is LRU-cached, so every later
-        window of the same digest group concatenates its right-hand
-        sides and steps the existing session.  Returns ``(session, d)``
-        or ``None`` when the bucket is ineligible (falls back to plain
-        concatenation).
+        The ``reps`` fragments of a digest part carry one matrix (the
+        digest hashes shape + content), so the coalesced elimination
+        state is ``first``'s ``(N, m)`` factorization repeated along
+        the batch axis — fetched from (or built into) the engine's
+        factorization cache once, tiled once, and **bound once**: the
+        session holding the tiled factorization, frozen aggregate plan,
+        and pinned route is LRU-cached, so every later window of the
+        same digest and fragment count steps the existing session.
         """
-        items = bucket.items
-        if bucket.digest is None:
-            return None
-        first = items[0].request
-        pin_k = first.k is None and not bucket.solo
-        if not self._shared_eligible(first, pin_k):
-            return None
-        m_frag = first.m
-        if any(p.request.m != m_frag for p in items):
-            return None
-        reps = len(items)
-        key = (
-            bucket.digest, reps, m_frag, first.n, first.dtype, first.check,
-        )
+        key = (digest, reps, first.check)
         with self._sessions_lock:
             session = self._sessions.get(key)
             if session is not None:
                 self._sessions.move_to_end(key)
         if session is None:
-            session = self._bind_shared(bucket, first, m_frag, reps)
-            if session is None:
-                return None
+            session = self._bind_shared(digest, first, reps)
             with self._sessions_lock:
                 raced = self._sessions.get(key)
                 if raced is not None:
@@ -539,14 +648,9 @@ class SolveService:
                     while len(self._sessions) > self.config.tile_cache:
                         _, old = self._sessions.popitem(last=False)
                         old.close()
-        d = (
-            first.d
-            if reps == 1
-            else np.concatenate([p.request.d for p in items], axis=0)
-        )
-        return session, d
+        return session
 
-    def _bind_shared(self, bucket: _Bucket, first, m_frag: int, reps: int):
+    def _bind_shared(self, digest: str, first: SolveRequest, reps: int):
         """Build the bound session behind one digest-window shape.
 
         The RHS-only template request (no ``d`` — each window supplies
@@ -557,14 +661,12 @@ class SolveService:
         session.
         """
         engine = self._shared_engine()
-        if engine is None:
-            return None
+        m_frag = first.m
         plan_frag = engine.plan_for(m_frag, first.n, np.dtype(first.dtype), k=0)
+        # a k = 0 plan factors into a ThomasRhsFactorization
         fact, _ = engine.factorization_for(
-            plan_frag, bucket.digest, first.a, first.b, first.c
+            plan_frag, digest, first.a, first.b, first.c
         )
-        if not isinstance(fact, ThomasRhsFactorization):
-            return None
         tiled = self._tiled_factorization(fact, reps)
         rows = m_frag * reps
         plan = engine.plan_for(rows, first.n, np.dtype(first.dtype), k=0)

@@ -174,22 +174,9 @@ class ServiceStats:
             t.delivered += 1
             t.latency.add(seconds)
 
-    def record_dispatch(
-        self,
-        tenants,
-        rows: int,
-        trace,
-        *,
-        cause: str,
-        shared: bool = False,
-    ) -> None:
-        """Account one coalesced dispatch to every participating tenant."""
-        backend = getattr(trace, "backend", None)
+    def record_flush(self, cause: str) -> None:
+        """Count one window leaving its group, by what flushed it."""
         with self._lock:
-            self.dispatches += 1
-            self.dispatched_rows += rows
-            if rows > self.max_batch_rows:
-                self.max_batch_rows = rows
             if cause == "size":
                 self.size_flushes += 1
             elif cause == "timer":
@@ -198,6 +185,23 @@ class ServiceStats:
                 self.solo_flushes += 1
             else:
                 self.close_flushes += 1
+
+    def record_dispatch(
+        self,
+        tenants,
+        rows: int,
+        trace,
+        *,
+        shared: bool = False,
+    ) -> None:
+        """Account one coalesced dispatch to every participating tenant
+        (a window split by digest makes one dispatch per part)."""
+        backend = getattr(trace, "backend", None)
+        with self._lock:
+            self.dispatches += 1
+            self.dispatched_rows += rows
+            if rows > self.max_batch_rows:
+                self.max_batch_rows = rows
             if shared:
                 self.shared_factorizations += 1
             for name in tenants:

@@ -72,7 +72,8 @@ class SyncSolveClient:
         <repro.service.service.SolveService.submit>` (``tenant=``,
         ``periodic=``, solver options...).  Admission errors
         (:class:`~repro.service.service.ServiceOverloaded`, shape
-        errors) surface when the future is resolved.
+        errors) and content errors (a non-finite value, a zero pivot)
+        surface when the future is resolved.
         """
         if self._closed:
             raise RuntimeError("client is closed")

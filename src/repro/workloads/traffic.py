@@ -62,10 +62,11 @@ def shared_matrix_traffic(
     The fingerprint-friendly shape: every request solves the *same*
     matrix (the same ``a, b, c`` arrays, so their digests and cache
     keys collide as intended) against its own RHS.  Sharing the objects
-    saves no hashing: the service digests every ``fingerprint=True``
-    submit afresh on its event-loop thread (about 0.25–0.4 ms per
-    ``(8, 1024)`` fragment on a 2-vCPU host).  Returns ``(a, b, c)``
-    plus a list of ``(tenant, d)`` pairs.
+    is what the service's digest path keys on: a window digests each
+    distinct coefficient triple once, on its dispatch thread, so a
+    window of these requests hashes the matrix once, not once per
+    request.  Returns ``(a, b, c)`` plus a list of ``(tenant, d)``
+    pairs.
     """
     if requests < 1:
         raise ValueError(f"requests must be >= 1, got {requests}")

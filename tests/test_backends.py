@@ -30,6 +30,7 @@ from repro.backends import (
 from repro.core.periodic import CyclicSingularError, solve_periodic_batch
 from repro.core.transition import GTX480_HEURISTIC
 from repro.engine import ExecutionEngine
+from repro.kernels.hybrid_gpu import GpuHybridSolver
 from repro.service import SyncSolveClient
 from repro.workloads.generators import random_batch
 
@@ -723,6 +724,24 @@ def test_gpusim_trace_carries_predictions():
     trace = repro.last_trace()
     assert trace.predicted_total_us is not None and trace.predicted_total_us > 0
     assert any(s.predicted_us is not None for s in trace.stages)
+
+
+def test_gpusim_runs_and_prices_the_requests_fuse():
+    # fuse=True on the request runs the fused front end and prices the
+    # one fused device launch; the bits are the unfused solve's
+    a, b, c, d = _batch(m=8, n=512)
+    ref = repro.solve_batch(a, b, c, d, backend="gpusim", fuse=False)
+    assert not repro.last_trace().fuse
+    x = repro.solve_batch(a, b, c, d, backend="gpusim", fuse=True)
+    trace = repro.last_trace()
+    assert trace.backend == "gpusim" and trace.k > 0 and trace.fuse
+    measured = {s.name: s.predicted_us for s in trace.stages}
+    assert "tiled-pcr + fused forward" in measured
+    assert "tiled-pcr sweep" not in measured
+    (name, us), = GpuHybridSolver(fuse=True).predict(8, 512, k=trace.k).trace_stages()
+    assert name.startswith("fused hybrid")
+    assert measured["tiled-pcr + fused forward"] == us == trace.predicted_total_us
+    assert x.tobytes() == ref.tobytes()
 
 
 def test_clear_last_trace():

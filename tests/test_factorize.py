@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core.factorize import HybridFactorization
+from repro.core.factorize import HybridFactorization, ThomasRhsFactorization
+from repro.workloads.pde import adi_row_coefficients
 
 from .conftest import make_batch, max_err, reference_solve
 
@@ -109,6 +110,44 @@ def test_thomas_factor_properties():
     fact = _thomas(a, b, c)
     assert fact.reduced.m == 5 and fact.reduced.n == 20
     assert fact.reduced.g == 1
+
+
+def _adi_column(n, beta):
+    return [v.T.copy() for v in adi_row_coefficients(1, n, beta)]
+
+
+def _columns():
+    """``(N, 1)`` coefficient columns: ADI runs, runs that change
+    mid-column, a one-row bump, signed zeros and a column that never
+    repeats."""
+    cols = {
+        f"adi-{n}-{beta}": _adi_column(n, beta)
+        for n in (96, 1024)
+        for beta in (0.05, 0.3, 1.0, 10.0)
+    }
+    low, high = _adi_column(1024, 0.3), _adi_column(1024, 10.0)
+    cols["beta-switch"] = [np.concatenate([u[:400], v[400:]]) for u, v in zip(low, high)]
+    bump = _adi_column(1024, 1.0)
+    bump[1][700] += 0.5
+    cols["bump"] = bump
+    signed = _adi_column(256, 0.3)
+    signed[0][100:] = -0.0 * signed[0][100:]  # a = -0.0 from row 100 on
+    cols["signed-zero"] = signed
+    a, b, c, _ = make_batch(1, 300, seed=6)
+    cols["random"] = [v.T.copy() for v in (a, b, c)]
+    return cols
+
+
+@pytest.mark.parametrize("name", sorted(_columns()))
+def test_one_column_fills_its_repeating_rows_with_the_row_loops_bytes(name):
+    # a two-column copy walks every row (the full-width loop); the one
+    # column fills each run once its rows repeat, with the same bytes
+    col = _columns()[name]
+    one = ThomasRhsFactorization.factor_t(*(v.copy() for v in col))
+    two = ThomasRhsFactorization.factor_t(*(np.repeat(v, 2, axis=1) for v in col))
+    for mine, loop in ((one.cp, two.cp), (one.denom, two.denom), (one.ta, two.ta)):
+        assert mine.shape[1] == 1
+        assert mine.tobytes() == np.ascontiguousarray(loop[:, :1]).tobytes()
 
 
 # ---- hybrid factorization -----------------------------------------------------

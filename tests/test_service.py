@@ -8,6 +8,7 @@ event-loop hang fails the test instead of wedging the suite.
 from __future__ import annotations
 
 import asyncio
+import logging
 import threading
 
 import numpy as np
@@ -16,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
+import repro.service.service as service_module
 from repro.backends import solve_via
 from repro.distributed import partitioned_solve_reference
 from repro.service import (
@@ -452,6 +454,175 @@ def test_invalid_input_raises_at_submit_not_in_future():
                 )
 
     run(main())
+
+
+# ---------------------------------------------------------------------------
+# the loop admits, the window validates
+# ---------------------------------------------------------------------------
+
+
+def test_shape_dtype_and_option_errors_raise_at_submit():
+    a, b, c, d = random_batch(2, 8, seed=70)
+    bad = [
+        ((a, b, c[:, :-1], d), {}, ValueError),
+        ((a, b, c, d), {"out": np.empty((2, 8), np.float32)}, ValueError),
+        ((a, b, c, d), {"tile": 4}, TypeError),
+        ((a, b, c, d), {"rtol": -1.0}, ValueError),
+        ((a, b, c, d), {"ranks": 0}, ValueError),
+    ]
+
+    async def main():
+        async with SolveService(ServiceConfig(max_wait_us=500.0)) as svc:
+            for arrays, opts, error in bad:
+                with pytest.raises(error):
+                    svc.submit_nowait(*arrays, **opts)
+            return svc.stats.describe()
+
+    assert run(main())["tenants"] == []
+
+
+@pytest.mark.parametrize("fingerprint", (None, True), ids=("plain", "digest"))
+def test_content_errors_reach_only_their_own_fragment(fingerprint, caplog):
+    # a NaN and a zero pivot are admitted; each fails its own future
+    # with the error a direct solve raises, and the other fragments of
+    # the window still solve as one dispatch with their solo bits
+    (a, b, c), ds = shared_matrix_traffic(6, 4, 128, seed=71)
+    frags = [(a, b, c, d) for _, d in ds]
+    nan_d = frags[1][3].copy()
+    nan_d[2, 5] = np.nan
+    frags[1] = (a, b, c, nan_d)
+    zero_b = b.copy()
+    zero_b[3, 7] = 0.0
+    frags[4] = (a, zero_b, c, frags[4][3])
+    errors = {}
+    for i in (1, 4):
+        with pytest.raises(ValueError) as exc:
+            repro.solve_batch(*frags[i])
+        errors[i] = str(exc.value)
+    refs = {
+        i: repro.solve_batch(*f, k=0, fingerprint=False)
+        for i, f in enumerate(frags) if i not in errors
+    }
+
+    async def main():
+        async with SolveService(ServiceConfig(max_wait_us=500.0)) as svc:
+            futures = [svc.submit_nowait(*f, fingerprint=fingerprint) for f in frags]
+            xs = await asyncio.gather(*futures, return_exceptions=True)
+            return xs, svc.describe()
+
+    with caplog.at_level(logging.WARNING, logger="repro.service"):
+        xs, desc = run(main())
+    for i, x in enumerate(xs):
+        if i in errors:
+            assert type(x) is ValueError and str(x) == errors[i]
+        else:
+            assert x.tobytes() == refs[i].tobytes()
+    assert desc["dispatches"] == 1 and desc["flushes"]["timer"] == 1
+    assert desc["shared_factorizations"] == (1 if fingerprint else 0)
+    (tenant,) = desc["tenants"]
+    assert (tenant["delivered"], tenant["failed"]) == (4, 2)
+    (record,) = [r for r in caplog.records if r.name == "repro.service"]
+    assert record.levelno == logging.WARNING
+    assert "window of 24 rows" in record.getMessage()
+    assert "2 of 6 fragments refused" in record.getMessage()
+
+
+@pytest.mark.parametrize("kind", ("tridiagonal", "pentadiagonal"))
+def test_a_window_zeroes_pads_in_its_own_memory_not_the_callers(kind):
+    frags = []
+    for seed in range(80, 85):
+        if kind == "pentadiagonal":
+            e, a, b, c, f, d = random_penta_batch(4, 64, seed=seed)
+            e[:, :2], f[:, -2:] = 2.0, -1.0
+            frags.append(((a, b, c, d), {"e": e, "f": f}))
+        else:
+            a, b, c, d = random_batch(4, 64, seed=seed)
+            frags.append(((a, b, c, d), {}))
+        a[:, 0], c[:, -1] = 5.0, -3.0
+    sent = [
+        [v.copy() for v in (*arrays, *extra.values())] for arrays, extra in frags
+    ]
+    # a direct solve zeroes the pads in a copy
+    refs = [repro.solve_batch(*arrays, k=0, **extra) for arrays, extra in frags]
+
+    async def main():
+        async with SolveService(ServiceConfig(max_wait_us=500.0)) as svc:
+            xs = await asyncio.gather(*[
+                svc.submit(*arrays, **extra) for arrays, extra in frags
+            ])
+            return xs, svc.describe()
+
+    xs, desc = run(main())
+    assert desc["dispatches"] == 1
+    for x, ref in zip(xs, refs):
+        assert x.tobytes() == ref.tobytes()
+    for (arrays, extra), before in zip(frags, sent):
+        for now, then in zip((*arrays, *extra.values()), before):
+            assert now.tobytes() == then.tobytes()
+
+
+def test_an_unchecked_window_reads_no_content():
+    # check=False solves a NaN fragment as a direct unchecked solve does
+    frags = [random_batch(4, 64, seed=s) for s in range(86, 89)]
+    frags[1][3][0, 3] = np.nan
+    refs = [repro.solve_batch(*f, k=0, check=False) for f in frags]
+
+    async def main():
+        async with SolveService(ServiceConfig(max_wait_us=500.0)) as svc:
+            return await asyncio.gather(*[svc.submit(*f, check=False) for f in frags])
+
+    for x, ref in zip(run(main()), refs):
+        assert x.tobytes() == ref.tobytes()
+    assert np.isnan(refs[1]).any()
+
+
+def test_an_edit_between_submit_and_dispatch_never_serves_a_stale_factorization():
+    # A's window factors what A's arrays hold when it leaves; B, who
+    # later sends A's original matrix in fresh arrays, gets its solo bits
+    (a, b, c), ((_, da), (_, db)) = shared_matrix_traffic(2, 4, 256, seed=90)
+    original = [v.copy() for v in (a, b, c)]
+
+    async def main():
+        async with SolveService(ServiceConfig(max_wait_us=500.0)) as svc:
+            fa = svc.submit_nowait(a, b, c, da, fingerprint=True)
+            np.multiply(b, 2.0, out=b)  # before A's window leaves
+            xa = await fa
+            xb = await svc.submit(
+                *(v.copy() for v in original), db, fingerprint=True
+            )
+            return xa, xb
+
+    xa, xb = run(main())
+    ref_b = repro.solve_batch(*original, db, k=0, fingerprint=False)
+    assert xb.tobytes() == ref_b.tobytes()
+    ref_a = repro.solve_batch(a, b, c, da, k=0, fingerprint=False)
+    assert xa.tobytes() == ref_a.tobytes()
+
+
+def test_a_window_digests_its_shared_matrix_once_off_the_loop(monkeypatch):
+    calls = []
+    digest = service_module.coefficient_fingerprint
+
+    def counted(*arrays):
+        calls.append(threading.current_thread())
+        return digest(*arrays)
+
+    monkeypatch.setattr(service_module, "coefficient_fingerprint", counted)
+    (a, b, c), ds = shared_matrix_traffic(8, 4, 128, seed=91)
+    refs = [repro.solve_batch(a, b, c, d, k=0, fingerprint=False) for _, d in ds]
+
+    async def main():
+        async with SolveService(ServiceConfig(max_wait_us=500.0)) as svc:
+            xs = await asyncio.gather(*[
+                svc.submit(a, b, c, d, fingerprint=True) for _, d in ds
+            ])
+            return xs, svc.describe(), threading.current_thread()
+
+    xs, desc, loop_thread = run(main())
+    assert desc["dispatches"] == 1 and desc["shared_factorizations"] == 1
+    assert len(calls) == 1 and calls[0] is not loop_thread
+    for x, ref in zip(xs, refs):
+        assert x.tobytes() == ref.tobytes()
 
 
 # ---------------------------------------------------------------------------

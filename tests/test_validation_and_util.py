@@ -3,9 +3,12 @@
 import numpy as np
 import pytest
 
+import repro
 from repro.core.validation import (
     check_batch_arrays,
+    check_batch_content,
     check_system_arrays,
+    coerce_batch_arrays,
     is_power_of_two,
     require_power_of_two,
 )
@@ -61,6 +64,30 @@ def test_check_batch_rejects_inf():
     b[1, 2] = np.inf
     with pytest.raises(ValueError, match="non-finite"):
         check_batch_arrays(a, b, c, d)
+
+
+def test_check_false_runs_the_shape_half():
+    # check=False skips finiteness, pads and pivots, not the shapes
+    a, b, c, d = make_batch(2, 4)
+    for bad in ((a, b, c[:, :-1], d), (a[0], b, c, d)):
+        with pytest.raises(ValueError, match="shape|2-D"):
+            coerce_batch_arrays(*bad)
+        with pytest.raises(ValueError, match="shape|2-D"):
+            repro.solve_batch(*bad, check=False)
+
+
+@pytest.mark.parametrize("in_place", [False, True])
+def test_the_content_half_zeroes_pads_in_place_only_when_asked(in_place):
+    a, b, c, d = (v.copy() for v in make_batch(3, 6))
+    a[:, 0], c[:, -1] = 2.0, -1.0
+    sent = a.copy(), c.copy()
+    ca, _, cc, _ = check_batch_content(a, b, c, d, in_place=in_place)
+    assert (ca[:, 0] == 0.0).all() and (cc[:, -1] == 0.0).all()
+    assert (ca is a) == (cc is c) == in_place
+    if not in_place:
+        assert np.array_equal(a, sent[0]) and np.array_equal(c, sent[1])
+    full = check_batch_arrays(sent[0], b, sent[1], d)
+    assert all(x.tobytes() == y.tobytes() for x, y in zip(full, (ca, b, cc, d)))
 
 
 @pytest.mark.parametrize("x,expect", [(1, True), (2, True), (64, True),
