@@ -352,21 +352,16 @@ class SolveRequest:
             **opts,
         )
 
-    def checked(self, *, in_place: bool = False) -> "SolveRequest":
+    def checked(self) -> "SolveRequest":
         """This request with its content checked: the content half of
         its kind's validator (finiteness, pads, pivots), which
         :meth:`build` runs under ``check=True``.
 
         A request built with ``check=False`` and handed here keeps the
         bits and raises the errors of one built with ``check=True``.
-        ``in_place`` zeroes nonzero pads in the request's own arrays
-        rather than in copies: only for arrays the caller owns (the
-        service's concatenated windows).
         """
         _, content, fields = _validator(self.system, self.periodic)
-        arrays = content(
-            *(getattr(self, name) for name in fields), in_place=in_place
-        )
+        arrays = content(*(getattr(self, name) for name in fields))
         return self.replace(**dict(zip(fields, arrays)))
 
     def replace(self, **changes) -> "SolveRequest":

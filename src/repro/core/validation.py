@@ -9,9 +9,7 @@ Solvers accept "padded" diagonals (``a[0] == c[-1] == 0``; see
   out-of-matrix pads and checks the pivots — a pass over the data.
 
 ``check_*_batch_arrays`` composes the two, with no extra pass.
-``check=False`` runs the shape half alone.  A caller that owns the
-arrays (the service's concatenated windows) may let the content half
-zero the pads in place.
+``check=False`` runs the shape half alone.
 
 A batch of one repeated row — batch-axis stride 0, what
 ``np.broadcast_to(row, (M, N))`` returns (:func:`is_broadcast_batch`) —
@@ -120,19 +118,15 @@ def _contiguous(arr: np.ndarray, dtype) -> np.ndarray:
     return np.ascontiguousarray(arr, dtype=dtype)
 
 
-def _zero_pad(
-    arr: np.ndarray, rows: np.ndarray, cols, in_place: bool = False
-) -> np.ndarray:
-    """``arr`` with its pad ``arr[:, cols]`` zeroed.  Unless ``in_place``
-    (the caller owns ``arr``), it is copied when the pad is nonzero, so
-    a caller's memory is never written.  ``rows`` is :func:`_rows` of
-    ``arr``; a broadcast batch copies its one row and broadcasts it
-    again."""
+def _zero_pad(arr: np.ndarray, rows: np.ndarray, cols) -> np.ndarray:
+    """``arr`` with its pad ``arr[:, cols]`` zeroed, in a copy when the
+    pad is nonzero, so a caller's memory is never written.  ``rows`` is
+    :func:`_rows` of ``arr``; a broadcast batch copies its one row and
+    broadcasts it again."""
     if not np.any(rows[:, cols] != 0.0):
         return arr
     if rows is arr:
-        if not in_place:
-            arr = arr.copy()
+        arr = arr.copy()
         arr[:, cols] = 0.0
         return arr
     row = rows[0].copy()
@@ -215,19 +209,18 @@ def check_system_arrays(a, b, c, d):
     return a, b, c, d
 
 
-def check_batch_content(a, b, c, d, *, in_place: bool = False):
+def check_batch_content(a, b, c, d):
     """The content half of :func:`check_batch_arrays`: finiteness, pads
     and pivots of coerced ``(M, N)`` arrays (:func:`coerce_batch_arrays`).
 
-    The pads ``a[:, 0]`` and ``c[:, -1]`` are zeroed in place when
-    ``in_place`` (the caller owns ``a`` and ``c``), in a copy otherwise.
-    Only the values are read, so ``d`` may hold other rows than the
+    The pads ``a[:, 0]`` and ``c[:, -1]`` are zeroed in a copy.  Only
+    the values are read, so ``d`` may hold other rows than the
     coefficients.
     """
     a_rows, b_rows, c_rows, d_rows = (_rows(arr) for arr in (a, b, c, d))
     _check_finite("abcd", (a_rows, b_rows, c_rows, d_rows))
-    a = _zero_pad(a, a_rows, 0, in_place)
-    c = _zero_pad(c, c_rows, -1, in_place)
+    a = _zero_pad(a, a_rows, 0)
+    c = _zero_pad(c, c_rows, -1)
     _check_pivots(b_rows)
     return a, b, c, d
 
@@ -280,10 +273,9 @@ def coerce_cyclic_batch_arrays(a, b, c, d):
     return tuple(arrays)
 
 
-def check_cyclic_content(a, b, c, d, *, in_place: bool = False):
+def check_cyclic_content(a, b, c, d):
     """The content half of :func:`check_cyclic_batch_arrays`: finiteness
-    only.  The corners are couplings, so there is no pad to zero and
-    ``in_place`` changes nothing."""
+    only.  The corners are couplings, so there is no pad to zero."""
     _check_finite("abcd", [_rows(arr) for arr in (a, b, c, d)])
     return a, b, c, d
 
@@ -331,19 +323,18 @@ def coerce_penta_batch_arrays(e, a, b, c, f, d):
     return tuple(arrays)
 
 
-def check_penta_content(e, a, b, c, f, d, *, in_place: bool = False):
+def check_penta_content(e, a, b, c, f, d):
     """The content half of :func:`check_penta_batch_arrays`: finiteness,
     the pads ``e[:, :2]``, ``a[:, 0]``, ``c[:, -1]``, ``f[:, -2:]``
-    (zeroed in place when ``in_place``, in a copy otherwise) and the
-    pivots."""
+    (zeroed in a copy) and the pivots."""
     rows = [_rows(arr) for arr in (e, a, b, c, f, d)]
     _check_finite("eabcfd", rows)
     e_rows, a_rows, b_rows, c_rows, f_rows, _ = rows
     n = b.shape[1]
-    e = _zero_pad(e, e_rows, slice(0, min(2, n)), in_place)
-    a = _zero_pad(a, a_rows, 0, in_place)
-    c = _zero_pad(c, c_rows, -1, in_place)
-    f = _zero_pad(f, f_rows, slice(max(0, n - 2), None), in_place)
+    e = _zero_pad(e, e_rows, slice(0, min(2, n)))
+    a = _zero_pad(a, a_rows, 0)
+    c = _zero_pad(c, c_rows, -1)
+    f = _zero_pad(f, f_rows, slice(max(0, n - 2), None))
     _check_pivots(b_rows)
     return e, a, b, c, f, d
 
@@ -396,14 +387,13 @@ def coerce_block_batch_arrays(A, B, C, d):
     return A, B, C, d
 
 
-def check_block_content(A, B, C, d, *, in_place: bool = False):
+def check_block_content(A, B, C, d):
     """The content half of :func:`check_block_batch_arrays`: finiteness
-    and the pad blocks ``A[:, 0]``, ``C[:, -1]`` (zeroed in place when
-    ``in_place``, in a copy otherwise)."""
+    and the pad blocks ``A[:, 0]``, ``C[:, -1]`` (zeroed in a copy)."""
     # a block stack is never a broadcast batch: every row is checked
     _check_finite(("A", "B", "C", "d"), (A, B, C, d))
-    A = _zero_pad(A, A, 0, in_place)
-    C = _zero_pad(C, C, -1, in_place)
+    A = _zero_pad(A, A, 0)
+    C = _zero_pad(C, C, -1)
     return A, B, C, d
 
 

@@ -45,8 +45,7 @@ shape, dtype and option checks (``check=False``'s half), and the
 admission bound.  The content checks a ``check=True`` solve makes —
 finiteness, pads, pivots (:meth:`SolveRequest.checked
 <repro.backends.request.SolveRequest.checked>`) — run on the dispatch
-thread, once over each window's concatenated arrays, which are the
-service's own memory, so a nonzero pad is zeroed in place.  A window
+thread, once over each window's concatenated arrays.  A window
 that fails its check re-checks fragment by fragment: each bad
 fragment's future gets its own ``ValueError`` (the message a direct
 solve raises), the rest of the window solves with unchanged bits, and
@@ -72,7 +71,11 @@ operations are elementwise along ``M``, so the tiled sweep is bitwise
 identical to each caller's solo prepared solve.  Because the digest is
 taken where the factorization is, a caller that edits its coefficients
 in place between submit and dispatch gets the factorization of what it
-sent last, under that content's digest.
+sent last, under that content's digest.  A ``fingerprint=True`` window
+that path does not serve (periodic, banded, pinned ``k > 0``,
+``ranks > 1``) splits by digest too, and each matrix's fragments
+dispatch as one concatenated request, which the engine's own
+fingerprint cache serves at that matrix's aggregate shape.
 
 **Admission control.**  The service bounds *admitted-but-undelivered
 rows* (``max_pending_rows``); past the bound, ``submit`` sheds the
@@ -97,7 +100,6 @@ from repro.backends.base import bind_backend
 from repro.backends.registry import BackendRegistry, default_registry
 from repro.backends.request import SolveRequest
 from repro.backends.trace import record_trace
-from repro.core.validation import check_batch_content
 from repro.engine.prepared import ThomasRhsFactorization, coefficient_fingerprint
 from repro.service.stats import ServiceStats
 
@@ -228,6 +230,24 @@ _solo_counter = iter(range(1, 1 << 62)).__next__
 def _stacked(arrays: list) -> np.ndarray:
     """``arrays`` concatenated along the batch axis; one array as it is."""
     return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+
+
+def _coefficients(request: SolveRequest) -> tuple:
+    """The coefficient arrays of ``request`` a digest hashes."""
+    return tuple(
+        arr
+        for arr in (request.e, request.a, request.b, request.c, request.f)
+        if arr is not None
+    )
+
+
+def _by_matrix(items) -> list:
+    """``items`` grouped by the identity of their coefficient arrays, in
+    arrival order: a caller that resends its arrays sends one matrix."""
+    groups: dict = {}
+    for p in items:
+        groups.setdefault(tuple(map(id, _coefficients(p.request))), []).append(p)
+    return list(groups.values())
 
 
 class SolveService:
@@ -367,7 +387,7 @@ class SolveService:
         frozen plan — and therefore the bits of the answer — agrees.
         The key reads no array: ``fingerprint=True`` fragments of
         different matrices share a window, which splits itself by
-        digest on the dispatch thread (:meth:`_digest_parts`).
+        digest on the dispatch thread (:meth:`_parts`).
         Fragments whose unset ``k`` cannot be pinned to 0 unambiguously
         (``fuse=True``, a hybrid plan option) go solo.
         """
@@ -504,54 +524,75 @@ class SolveService:
         """The window as ``(items, request, digest, d)`` parts to solve,
         content-checked when ``verify``.
 
-        A ``fingerprint=True`` window the shared path serves splits by
-        digest (:meth:`_digest_parts`).  Every other window is one part:
-        its concatenated request, checked once — in place when it was
-        concatenated, since those arrays are the service's own.
+        A ``fingerprint=True`` window splits by coefficient digest: into
+        shared-path parts (:meth:`_digest_parts`) where that path serves
+        it, into one concatenated request per matrix otherwise
+        (:meth:`_by_digest`).  Every other window is one part: its
+        concatenated request, checked once.
         """
         first = items[0].request
         pin_k = first.k is None and not bucket.solo
-        if first.fingerprint is True and self._shared_eligible(first, pin_k):
+        if first.fingerprint is not True:
+            groups = [items]
+        elif self._shared_eligible(first, pin_k):
             return self._digest_parts(items, verify)
-        request = self._coalesced_request(items, pin_k)
-        if verify:
-            request = request.checked(in_place=len(items) > 1)
-        return [(items, request, None, None)]
+        else:
+            groups = self._by_digest(items)
+        parts = []
+        for group in groups:
+            request = self._coalesced_request(group, pin_k)
+            if verify:
+                request = request.checked()
+            parts.append((group, request, None, None))
+        return parts
 
     @staticmethod
     def _digest_parts(items, verify: bool) -> list:
         """One ``(items, request, digest, d)`` part per coefficient digest.
 
-        Each distinct coefficient triple (by array identity; a caller
-        that resends its arrays sends one triple) is checked with the
-        right-hand sides it carries and digested once, from the checked
-        arrays the shared path factors; triples with equal digests —
-        one matrix in different arrays — share a part.  ``request`` is
-        the part's first fragment with the checked coefficients; ``d``
-        stacks the part's right-hand sides in ``items`` order.
+        Each matrix (:func:`_by_matrix`) is checked with the right-hand
+        sides it carries and digested once, from the checked arrays the
+        shared path factors; matrices with equal digests — one matrix in
+        different arrays — share a part.  ``request`` is the part's
+        first fragment with the checked coefficients; ``d`` stacks the
+        part's right-hand sides in ``items`` order.
         """
-        triples: dict = {}
-        for p in items:
-            r = p.request
-            triples.setdefault((id(r.a), id(r.b), id(r.c)), []).append(p)
         parts: dict = {}
-        for members in triples.values():
-            first = members[0].request
-            a, b, c = first.a, first.b, first.c
-            d = _stacked([p.request.d for p in members])
+        for members in _by_matrix(items):
+            request = members[0].request.replace(
+                d=_stacked([p.request.d for p in members])
+            )
             if verify:
-                a, b, c, d = check_batch_content(a, b, c, d)
-            digest = coefficient_fingerprint(a, b, c)
+                request = request.checked()
+            digest = coefficient_fingerprint(*_coefficients(request))
             part = parts.get(digest)
             if part is None:
-                parts[digest] = (first.replace(a=a, b=b, c=c), members, [d])
+                parts[digest] = (request, members, [request.d])
             else:
                 part[1].extend(members)
-                part[2].append(d)
+                part[2].append(request.d)
         return [
             (members, request, digest, _stacked(ds))
             for digest, (request, members, ds) in parts.items()
         ]
+
+    @staticmethod
+    def _by_digest(items) -> list:
+        """A ``fingerprint=True`` window the shared path does not serve
+        (periodic, banded, pinned ``k > 0``, ``ranks > 1``), split into
+        one group of fragments per coefficient digest.
+
+        Each matrix's fragments then concatenate on their own, so the
+        engine's fingerprint cache meets one matrix's aggregate shape,
+        and hits whenever that matrix's fragment count repeats.  The
+        digest here only groups: it is taken before the content check,
+        and the engine digests the arrays it factors.
+        """
+        groups: dict = {}
+        for members in _by_matrix(items):
+            digest = coefficient_fingerprint(*_coefficients(members[0].request))
+            groups.setdefault(digest, []).extend(members)
+        return list(groups.values())
 
     @staticmethod
     def _refuse(items) -> tuple:
@@ -602,10 +643,10 @@ class SolveService:
         that is where the stored :class:`ThomasRhsFactorization` is
         bitwise-identical to the cold solve, and tiling it along the
         batch axis is a pure column-block repeat.  Periodic and banded
-        windows fall back to plain concatenation (the engine's own
-        fingerprint cache still serves them at the aggregate shape),
-        and so do ``ranks > 1`` windows, which the engine does not
-        serve.
+        windows concatenate each matrix's fragments instead
+        (:meth:`_by_digest`; the engine's own fingerprint cache serves
+        them at that aggregate shape), and so do ``ranks > 1`` windows,
+        which the engine does not serve.
         """
         k_eff = 0 if pin_k else first.k
         return (

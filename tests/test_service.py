@@ -528,7 +528,7 @@ def test_content_errors_reach_only_their_own_fragment(fingerprint, caplog):
 
 
 @pytest.mark.parametrize("kind", ("tridiagonal", "pentadiagonal"))
-def test_a_window_zeroes_pads_in_its_own_memory_not_the_callers(kind):
+def test_a_window_zeroes_pads_without_writing_the_callers_memory(kind):
     frags = []
     for seed in range(80, 85):
         if kind == "pentadiagonal":
@@ -623,6 +623,46 @@ def test_a_window_digests_its_shared_matrix_once_off_the_loop(monkeypatch):
     assert len(calls) == 1 and calls[0] is not loop_thread
     for x, ref in zip(xs, refs):
         assert x.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize(
+    "opts", ({"periodic": True}, {"k": 2}), ids=("periodic", "pinned-k")
+)
+def test_a_window_the_shared_path_does_not_serve_dispatches_each_matrix_alone(opts):
+    # two matrices' fingerprint=True fragments share a window, which
+    # dispatches each matrix's fragments as one request; the engine's
+    # cache then hits on a later window of the same per-matrix counts,
+    # whatever order the fragments arrive in
+    mats = {t: random_batch(4, 64, seed=seed)[:3] for t, seed in (("A", 92), ("B", 93))}
+    rng = np.random.default_rng(94)
+    rounds = [
+        [(t, rng.standard_normal((4, 64))) for t in order]
+        for order in ("ABABA", "BBAAA")
+    ]
+    solve = repro.solve_periodic_batch if "periodic" in opts else repro.solve_batch
+    k = opts.get("k", 0)
+
+    async def main():
+        async with SolveService(ServiceConfig(max_wait_us=500.0)) as svc:
+            seen = []
+            for fragments in rounds:
+                xs = await asyncio.gather(*[
+                    svc.submit(*mats[t], d, tenant=t, fingerprint=True, **opts)
+                    for t, d in fragments
+                ])
+                outcomes = {t: svc.last_trace(t).factorization for t in mats}
+                seen.append((xs, outcomes, svc.describe()["dispatches"]))
+            return seen
+
+    seen = run(main())
+    assert [(outcomes, dispatches) for _, outcomes, dispatches in seen] == [
+        ({"A": "factored", "B": "factored"}, 2),
+        ({"A": "hit", "B": "hit"}, 4),
+    ]
+    for fragments, (xs, _, _) in zip(rounds, seen):
+        for (t, d), x in zip(fragments, xs):
+            ref = solve(*mats[t], d, k=k, fingerprint=False)
+            assert x.tobytes() == ref.tobytes()
 
 
 # ---------------------------------------------------------------------------
